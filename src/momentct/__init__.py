@@ -37,7 +37,6 @@ from .phantoms import (
     PolynomialDensity,
     SumOfDisksDensity,
     UniformDensity,
-    analytic_radon,
     evaluate_density,
     exact_moment,
 )

@@ -78,8 +78,7 @@ def cmd_project(cfg: RunConfig) -> int:
     density = cfg.make_density()
     angles = cfg.make_angle_grid()
     offsets = cfg.make_offset_grid()
-    line_step = cfg.grids.line_step_factor * offsets.spacing
-    sino = project(density, angles, offsets, line_step=line_step)
+    sino = project(density, angles, offsets)
     if cfg.noise.sigma > 0:
         sino = add_noise(sino, cfg.noise.sigma, cfg.noise.seed)
     kernel = cfg.make_mollifier()
@@ -93,20 +92,29 @@ def cmd_project(cfg: RunConfig) -> int:
     xx, yy = np.meshgrid(xs, xs, indexing="ij")
     fileio.write_pgm(np.asarray(density.evaluate(xx, yy), dtype=float),
                      out / "phantom.pgm")
-    mass = density.mass
+    # the angular span l1_norm integrates over: the whole turn on full-turn
+    # grids (periodic closure), the sampled span otherwise
+    full = angle_coverage(angles) == "full"
+    span = 2.0 * math.pi if full else angles.stop - angles.start
     print(f"sinogram: {path} kind={sino.kind} "
           f"({angles.count} angles x {offsets.count} offsets)")
-    print(f"l1 norm: {l1_norm(sino):.6f} (2*pi*mass = {2 * math.pi * mass:.6f})")
-    if angle_coverage(sino.angle_grid) == "full" and sino.angle_grid.count % 2 == 0:
+    print(f"l1 norm: {l1_norm(sino):.6f} (mass * angle span = {density.mass * span:.6f})")
+    if full and angles.count % 2 == 0:
         print(f"evenness residual: {evenness_residual(sino):.3e}")
     else:
         print("evenness residual: n/a (needs a full-turn angle grid)")
     return 0
 
 
+def _require_finite(values, path) -> None:
+    if not np.all(np.isfinite(values)):
+        raise FormatError(f"{path}: non-finite values in the input")
+
+
 def cmd_moments(cfg: RunConfig, sino_path: Path) -> int:
     out = _outdir(cfg)
     sino = fileio.read_sinogram(sino_path)
+    _require_finite(sino.values, sino_path)
     kernel = cfg.make_mollifier() if sino.kind == "mollified" else None
     diagnostics: dict = {}
     table = recover_moment_table(
@@ -131,6 +139,7 @@ def cmd_reconstruct(cfg: RunConfig, input_path: Path) -> int:
     density = cfg.make_density()
     if head.startswith("# moments"):
         table = fileio.read_moments(input_path)
+        _require_finite(list(table.values.values()), input_path)
         rec = reconstruct_grid(table, cfg.recon.m, cfg.recon.n, cfg.recon.resolution)
         fileio.write_recon_csv(rec, out / "recon_moments.csv")
         fileio.write_pgm(rec.values, out / "recon_moments.pgm")
@@ -147,6 +156,7 @@ def cmd_reconstruct(cfg: RunConfig, input_path: Path) -> int:
             print("sup error bound: n/a (phantom not uniformly continuous)")
     elif head.startswith("# sinogram"):
         sino = fileio.read_sinogram(input_path)
+        _require_finite(sino.values, input_path)
         fspec = cfg.make_filter(sino.kind)
         kernel = cfg.make_mollifier() if fspec.kind == "modified_riesz" else None
         rec = fbp_reconstruct(sino, fspec, kernel, cfg.recon.resolution)

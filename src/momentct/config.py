@@ -54,7 +54,6 @@ class GridConfig:
     angle_cover: str = "moment"   # moment: open (0, pi); half: [0, pi); full: [0, 2 pi)
     offsets: int = 1024
     margin: float = 1.1
-    line_step_factor: float = 0.25
 
 
 @dataclass(frozen=True)
@@ -120,8 +119,6 @@ class RunConfig:
             raise ConfigError(f"unknown angle cover {g.angle_cover!r}")
         if g.margin < 1.0:
             raise CoverageError(f"offset margin must be >= 1, got {g.margin}")
-        if not 0 < g.line_step_factor <= 1:
-            raise ConfigError("line_step_factor must lie in (0, 1]")
         mo = self.moments
         if mo.K < 0:
             raise ConfigError("moment order K must be nonnegative")
@@ -204,7 +201,7 @@ _KNOWN_KEYS = {
     "phantom": {"kind", "coeffs", "center", "radius", "amplitude", "disks"},
     "mollifier": {"kernel", "epsilon", "max_order"},
     "noise": {"sigma", "seed"},
-    "grids": {"angles", "angle_cover", "offsets", "margin", "line_step_factor"},
+    "grids": {"angles", "angle_cover", "offsets", "margin"},
     "moments": {"K", "angles", "window", "max_order"},
     "recon": {"method", "m", "n", "resolution"},
     "filter": {"kind", "cutoff", "reg_floor", "taper"},
@@ -299,7 +296,6 @@ def load_config(path) -> RunConfig:
                 angle_cover=sec.get("angle_cover", "moment").strip(),
                 offsets=sec.getint("offsets", 1024),
                 margin=sec.getfloat("margin", 1.1),
-                line_step_factor=sec.getfloat("line_step_factor", 0.25),
             ))
         if parser.has_section("moments"):
             sec = parser["moments"]

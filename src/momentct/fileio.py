@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import os
 import re
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,10 @@ def _fmt(x: float) -> str:
 
 def _atomic_write_text(path, text: str) -> None:
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    # a fresh name opened exclusively with mode 0o666, so the kernel applies
+    # the umask as for any other new file (mkstemp would force 0o600)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

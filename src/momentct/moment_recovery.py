@@ -81,17 +81,6 @@ def vandermonde_det_formula(angles, k: int) -> float:
     return det
 
 
-def auto_angles(K: int, grid_angles: np.ndarray | None = None) -> np.ndarray:
-    """K+1 evenly spread angles pi (i+1)/(K+2), optionally snapped to a grid."""
-    targets = np.array([math.pi * (i + 1) / (K + 2) for i in range(K + 1)])
-    if grid_angles is None:
-        return targets
-    idx = np.array([int(np.argmin(np.abs(grid_angles - t))) for t in targets])
-    if np.unique(idx).size != idx.size:
-        raise ValueError("angle grid too coarse to host K+1 distinct solve angles")
-    return grid_angles[idx]
-
-
 def angular_moments(s: Sinogram, K: int, angles, *, support_pad: float = 0.0,
                     window: str = "support") -> AngularMomentSet:
     """Trapezoid offset moments of the rows nearest the requested angles.

@@ -1,5 +1,5 @@
-"""Shared numerical kernels: grids, quadrature, special functions,
-structured linear solvers and a 1-D discrete Fourier transform.
+"""Shared numerical kernels: grids, quadrature, special functions, a
+triangular solver and a 1-D discrete Fourier transform.
 
 All functions are pure and thread-safe; nothing in here holds state.
 """
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OrderError, SingularSystemError
+from .errors import SingularSystemError
 
 #: Moment orders above this need an explicit override: the moment systems
 #: become too ill-conditioned for double precision to be trustworthy.
@@ -65,87 +65,6 @@ def trapezoid_integrate(samples, grid: Grid1D) -> float:
             f"sample length {values.shape} does not match grid count {grid.count}"
         )
     return float(np.trapezoid(values, dx=grid.spacing))
-
-
-@dataclass(frozen=True)
-class CotangentVandermonde:
-    """Vandermonde structure on nodes t_i = cot(theta_i).
-
-    The angles must be strictly increasing inside (0, pi), where cot is
-    injective, so the nodes are pairwise distinct (and strictly decreasing).
-    """
-
-    nodes: np.ndarray
-    angles: np.ndarray
-
-    @classmethod
-    def from_angles(cls, angles) -> "CotangentVandermonde":
-        th = np.asarray(angles, dtype=float)
-        if th.ndim != 1 or th.size < 1:
-            raise ValueError("need a non-empty 1-D angle list")
-        if np.any(th <= 0.0) or np.any(th >= math.pi):
-            raise ValueError("angles must lie strictly inside (0, pi)")
-        if np.any(np.diff(th) <= 0.0):
-            raise SingularSystemError("angles must be strictly increasing (distinct cot nodes)")
-        return cls(nodes=1.0 / np.tan(th), angles=th)
-
-    @property
-    def order(self) -> int:
-        return self.nodes.size - 1
-
-    def power_matrix(self) -> np.ndarray:
-        """The plain Vandermonde matrix [t_i^j], i, j = 0..order."""
-        return self.nodes[:, None] ** np.arange(self.order + 1)[None, :]
-
-
-def solve_vandermonde_system(
-    V: CotangentVandermonde,
-    rhs,
-    row_scales,
-    col_scales=None,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> np.ndarray:
-    """Solve (diag(row_scales) @ [t_i^j] @ diag(col_scales)) x = rhs.
-
-    The assembled matrix is solved with partial-pivot LU.  The binomially
-    weighted assembly is well balanced (entries bounded by the row scale
-    times the largest column weight), which keeps the conditioning moderate
-    far beyond what the raw cot-power matrix would allow; progressive
-    elimination on the factored form is catastrophically unstable here
-    because the row scales span hundreds of orders of magnitude.
-    """
-    k = V.order
-    if k > max_order:
-        raise OrderError(
-            f"order {k} exceeds the configured maximum {max_order}; "
-            "pass max_order explicitly to override"
-        )
-    b = np.asarray(rhs, dtype=float)
-    rs = np.asarray(row_scales, dtype=float)
-    cs = np.ones(k + 1) if col_scales is None else np.asarray(col_scales, dtype=float)
-    if b.shape != (k + 1,) or rs.shape != (k + 1,) or cs.shape != (k + 1,):
-        raise ValueError("rhs and scales must all have length order + 1")
-    if np.any(rs == 0.0) or np.any(cs == 0.0):
-        raise SingularSystemError("zero row/column scale makes the system singular")
-    if k >= 1 and np.min(np.abs(np.diff(np.sort(V.nodes)))) == 0.0:
-        raise SingularSystemError("duplicate cot nodes")
-    A = rs[:, None] * V.power_matrix() * cs[None, :]
-    try:
-        x = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(str(exc)) from exc
-    return x
-
-
-def assembled_condition(V: CotangentVandermonde, row_scales, col_scales=None) -> float:
-    """1-norm condition estimate of the assembled system matrix."""
-    k = V.order
-    cs = np.ones(k + 1) if col_scales is None else np.asarray(col_scales, dtype=float)
-    A = np.asarray(row_scales, dtype=float)[:, None] * V.power_matrix() * cs[None, :]
-    try:
-        return float(np.linalg.cond(A, 1))
-    except np.linalg.LinAlgError:
-        return math.inf
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Analytic ground-truth densities on the unit square.
 
-Every phantom carries closed-form bivariate power moments, and the uniform
-and disk families also have closed-form line integrals, so each one can act
-as an oracle for the forward projector and the moment-recovery pipeline.
+Every phantom carries closed-form bivariate power moments and exact,
+array-valued line integrals (closed-form chords for the uniform and disk
+families, Gauss-Legendre on the chord for polynomials), so each one can act
+as an oracle for the moment-recovery pipeline.
 Shipped phantoms are normalized to unit mass.
 """
 
@@ -21,36 +22,31 @@ SQRT2 = math.sqrt(2.0)
 _EDGE_TOL = 1e-9  # tolerated excursion outside [0,1]^2 from clipped-line roundoff
 
 
-def line_clip_interval(theta: float, p: float):
-    """Intersection of the line <x, (cos t, sin t)> = p with the unit square.
+def _clip_chord(theta, p):
+    """Clip the lines <x, (cos t, sin t)> = p against the unit square.
 
-    The line is parameterized x(u) = p*w + u*w_perp with w_perp = (-sin t,
-    cos t); returns the parameter interval (lo, hi), or None if the line
-    misses the square.
+    theta and p broadcast against each other.  Each line is parameterized
+    x(u) = p*w + u*w_perp with w_perp = (-sin t, cos t); returns the
+    broadcast (cos t, sin t, p), the chord's start parameter and its
+    length, which is 0 where the line misses the square.
     """
-    c, s = math.cos(theta), math.sin(theta)
-    lo, hi = -math.inf, math.inf
+    theta, p = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                   np.asarray(p, dtype=float))
+    c, s = np.cos(theta), np.sin(theta)
+    lo = np.full(theta.shape, -np.inf)
+    hi = np.full(theta.shape, np.inf)
+    feasible = np.ones(theta.shape, dtype=bool)
     # coordinates along the line: x1 = p*c - u*s, x2 = p*s + u*c
     for slope, intercept in ((-s, p * c), (c, p * s)):
-        if abs(slope) < 1e-15:
-            if not -_EDGE_TOL <= intercept <= 1.0 + _EDGE_TOL:
-                return None
-        else:
-            u0 = (0.0 - intercept) / slope
-            u1 = (1.0 - intercept) / slope
-            if u0 > u1:
-                u0, u1 = u1, u0
-            lo = max(lo, u0)
-            hi = min(hi, u1)
-    if hi <= lo:
-        return None
-    return lo, hi
-
-
-def unit_square_chord(theta: float, p: float) -> float:
-    """Length of the chord the line cuts out of the unit square."""
-    seg = line_clip_interval(theta, p)
-    return 0.0 if seg is None else seg[1] - seg[0]
+        parallel = np.abs(slope) < 1e-15
+        feasible &= ~parallel | ((intercept >= -_EDGE_TOL) & (intercept <= 1.0 + _EDGE_TOL))
+        safe = np.where(parallel, 1.0, slope)
+        u0 = -intercept / safe
+        u1 = (1.0 - intercept) / safe
+        lo = np.where(parallel, lo, np.maximum(lo, np.minimum(u0, u1)))
+        hi = np.where(parallel, hi, np.minimum(hi, np.maximum(u0, u1)))
+    length = np.where(feasible & (hi > lo), hi - lo, 0.0)
+    return c, s, p, lo, length
 
 
 def _check_points(x1, x2):
@@ -76,9 +72,13 @@ class Density:
         """Exact rational moment, where the density admits one."""
         raise CapabilityError(f"{type(self).__name__} has no exact rational moments")
 
-    def radon(self, theta: float, p: float) -> float:
-        """Closed-form line integral, where the density admits one."""
-        raise CapabilityError(f"{type(self).__name__} has no closed-form line integrals")
+    def radon(self, theta, p):
+        """Exact line integral over the line <x, (cos theta, sin theta)> = p.
+
+        theta and p are broadcastable arrays (or scalars); the result has
+        their broadcast shape and is exactly 0 on lines that miss the support.
+        """
+        raise NotImplementedError
 
     @property
     def mass(self) -> float:
@@ -107,8 +107,8 @@ class UniformDensity(Density):
     def moment_fraction(self, a1: int, a2: int) -> Fraction:
         return Fraction(1, (a1 + 1) * (a2 + 1))
 
-    def radon(self, theta: float, p: float) -> float:
-        return unit_square_chord(theta, p)
+    def radon(self, theta, p):
+        return _clip_chord(theta, p)[4][()]
 
     @property
     def sup_norm(self) -> float:
@@ -147,6 +147,21 @@ class PolynomialDensity(Density):
 
     def moment(self, a1: int, a2: int) -> float:
         return math.fsum(c / ((i + a1 + 1) * (j + a2 + 1)) for i, j, c in self.coeffs)
+
+    def radon(self, theta, p):
+        # f restricted to a line is a polynomial of the same degree in u, so
+        # Gauss-Legendre with ceil((deg + 1) / 2) nodes on the chord is exact
+        c, s, p, lo, length = _clip_chord(theta, p)
+        degree = max((i + j for i, j, _ in self.coeffs), default=0)
+        nodes, weights = np.polynomial.legendre.leggauss(math.ceil((degree + 1) / 2))
+        hit = length > 0.0
+        half = 0.5 * length[hit, None]
+        u = lo[hit, None] + half * (1.0 + nodes)
+        c, s, p = c[hit, None], s[hit, None], p[hit, None]
+        f = self.evaluate(p * c - u * s, p * s + u * c)
+        out = np.zeros(length.shape)
+        out[hit] = half[:, 0] * (f * weights).sum(axis=1)
+        return out[()]
 
     def moment_fraction(self, a1: int, a2: int) -> Fraction:
         total = Fraction(0)
@@ -224,11 +239,11 @@ class DiskDensity(Density):
                 )
         return self.amplitude * math.fsum(terms)
 
-    def radon(self, theta: float, p: float) -> float:
+    def radon(self, theta, p):
         cx, cy = self.center
-        d = cx * math.cos(theta) + cy * math.sin(theta) - p
+        d = cx * np.cos(theta) + cy * np.sin(theta) - np.asarray(p, dtype=float)
         under = self.radius**2 - d * d
-        return 0.0 if under <= 0.0 else self.amplitude * 2.0 * math.sqrt(under)
+        return (self.amplitude * 2.0 * np.sqrt(np.maximum(under, 0.0)))[()]
 
     @property
     def sup_norm(self) -> float:
@@ -251,7 +266,7 @@ class SumOfDisksDensity(Density):
     def moment(self, a1: int, a2: int) -> float:
         return math.fsum(d.moment(a1, a2) for d in self.disks)
 
-    def radon(self, theta: float, p: float) -> float:
+    def radon(self, theta, p):
         return sum(d.radon(theta, p) for d in self.disks)
 
     @property
@@ -313,7 +328,7 @@ class MomentTable:
         return MomentTable(self.max_order, {k: factor * v for k, v in self.values.items()})
 
 
-# thin operation-style wrappers used across the package
+# thin operation-style wrappers
 
 def evaluate_density(d: Density, x1, x2):
     return d.evaluate(x1, x2)
@@ -321,7 +336,3 @@ def evaluate_density(d: Density, x1, x2):
 
 def exact_moment(d: Density, a1: int, a2: int) -> float:
     return d.moment(a1, a2)
-
-
-def analytic_radon(d: Density, theta: float, p: float) -> float:
-    return d.radon(theta, p)

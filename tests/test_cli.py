@@ -1,4 +1,6 @@
 import filecmp
+import math
+import re
 from pathlib import Path
 
 import pytest
@@ -137,6 +139,54 @@ class TestErrorContracts:
     def test_missing_file_exits_2(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["moments", "-c", str(cfg), str(tmp_path / "nope.csv")]) == 2
+
+    def test_removed_line_step_factor_key_exits_2(self, tmp_path):
+        cfg = tmp_path / "old.ini"
+        cfg.write_text(f"[grids]\nline_step_factor = 0.25\n[output]\ndirectory = {tmp_path/'o'}\n")
+        assert main(["project", "-c", str(cfg)]) == 2
+
+    def test_non_finite_sinogram_exits_2(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert main(["project", "-c", str(cfg)]) == 0
+        out = tmp_path / "run_out"
+        sino = out / "sinogram.csv"
+        header, *rows = sino.read_text().splitlines()
+        rows = [",".join(["nan" if j == 100 else v for j, v in enumerate(row.split(","))])
+                for row in rows]
+        sino.write_text("\n".join([header, *rows]) + "\n")
+        assert main(["moments", "-c", str(cfg), str(sino)]) == 2
+        assert not (out / "moments.csv").exists()
+        assert main(["reconstruct", "-c", str(cfg), str(sino)]) == 2
+        assert not (out / "recon_fbp.csv").exists()
+
+    def test_non_finite_moments_exit_2(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert main(["project", "-c", str(cfg)]) == 0
+        out = tmp_path / "run_out"
+        assert main(["moments", "-c", str(cfg), str(out / "sinogram.csv")]) == 0
+        moments = out / "moments.csv"
+        header, first, *rest = moments.read_text().splitlines()
+        moments.write_text("\n".join([header, "0,0,inf", *rest]) + "\n")
+        assert main(["reconstruct", "-c", str(cfg), str(moments)]) == 2
+        assert not (out / "recon_moments.csv").exists()
+
+
+class TestProjectReport:
+    @pytest.mark.parametrize("cover, span", [
+        ("moment", 47 * math.pi / 49),  # 48 angles pi (i+1)/49: the sampled span
+        ("full", 2 * math.pi),          # periodic closure over the whole turn
+    ], ids=["moment", "full"])
+    def test_l1_line_compares_with_the_integrated_span(self, tmp_path, capsys, cover, span):
+        text = MINI_CONFIG.replace("angle_cover = moment", f"angle_cover = {cover}")
+        cfg = write_config(tmp_path, text=text)
+        assert main(["project", "-c", str(cfg), "--sigma", "0"]) == 0
+        line = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("l1 norm"))
+        match = re.fullmatch(r"l1 norm: (\S+) \(mass \* angle span = (\S+)\)", line)
+        assert match, line
+        l1, reference = float(match[1]), float(match[2])
+        assert reference == pytest.approx(span, abs=1e-6)  # unit-mass phantom
+        assert l1 == pytest.approx(reference, rel=1e-3)
 
 
 class TestFlags:

@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -105,3 +108,17 @@ class TestPgm:
         lines = path.read_text().splitlines()
         pixels = [int(t) for row in lines[4:] for t in row.split()]
         assert set(pixels) == {0}
+
+
+class TestPermissions:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_written_files_follow_the_umask(self, sino, tmp_path, umask, mode):
+        path = tmp_path / "s.csv"
+        previous = os.umask(umask)
+        try:
+            fileio.write_sinogram(sino, path)
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+        assert list(tmp_path.iterdir()) == [path]  # no temp file left behind

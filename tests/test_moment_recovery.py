@@ -10,7 +10,6 @@ from momentct.moment_recovery import (
     AngularMomentSet,
     angular_moments,
     assemble_moment_matrix,
-    auto_angles,
     convolve_moments,
     deconvolve_moments,
     recover_moment_table,
@@ -43,12 +42,7 @@ def raw_moment_set(density, angles, K):
 
 def analytic_uniform_sinogram(angle_grid, offsets):
     """Sinogram with closed-form chord rows (no projector error)."""
-    from momentct.phantoms import unit_square_chord
-
-    ps = offsets.points()
-    values = np.array([
-        [unit_square_chord(t, p) for p in ps] for t in angle_grid.points()
-    ])
+    values = UNIFORM.radon(angle_grid.points()[:, None], offsets.points()[None, :])
     return Sinogram(angle_grid, offsets, values, "raw")
 
 
@@ -70,7 +64,7 @@ class TestAngularMoments:
 
     def test_zero_sinogram(self):
         s = Sinogram(moment_angle_grid(16), offset_grid(129), np.zeros((16, 129)), "raw")
-        ams = angular_moments(s, 4, auto_angles(4, s.angle_grid.points()))
+        ams = angular_moments(s, 4, [0.5, 1.0, 1.5, 2.0, 2.5])
         assert np.all(ams.values == 0.0)
 
     def test_angle_domain(self):

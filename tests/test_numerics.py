@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from momentct.errors import OrderError, SingularSystemError
+from momentct.errors import SingularSystemError
 from momentct.numerics import (
-    CotangentVandermonde,
     Grid1D,
     LowerTriangularMatrix,
     binomial,
     dft_1d,
     log_gamma,
     solve_lower_triangular,
-    solve_vandermonde_system,
     trapezoid_integrate,
 )
 
@@ -118,66 +116,6 @@ class TestTrapezoid:
     def test_shape_error(self):
         with pytest.raises(ValueError):
             trapezoid_integrate([1.0, 2.0], Grid1D(0.0, 1.0, 3))
-
-
-def _assemble(V, row_scales, col_scales):
-    return np.asarray(row_scales)[:, None] * V.power_matrix() * np.asarray(col_scales)[None, :]
-
-
-class TestVandermonde:
-    def test_unit_vector_roundtrip(self):
-        th = np.array([0.3, 0.9, 1.7, 2.2])
-        V = CotangentVandermonde.from_angles(th)
-        k = 3
-        rs = np.sin(th) ** k
-        cs = np.array([math.comb(k, j) for j in range(k + 1)], dtype=float)
-        A = _assemble(V, rs, cs)
-        rhs = A @ np.eye(4)[1]
-        x = solve_vandermonde_system(V, rhs, rs, cs)
-        assert np.allclose(x, np.eye(4)[1], atol=1e-12)
-
-    def test_hand_solved_two_by_two(self):
-        # angles pi/4, pi/2 with the uniform-density first moments
-        th = np.array([math.pi / 4, math.pi / 2])
-        V = CotangentVandermonde.from_angles(th)
-        rhs = np.array([math.sqrt(2.0) / 2.0, 0.5])
-        x = solve_vandermonde_system(V, rhs, np.sin(th), np.array([1.0, 1.0]))
-        assert np.allclose(x, [0.5, 0.5], atol=1e-14)
-
-    def test_assembled_determinant_sign(self):
-        # the assembled 2x2 system at (pi/4, pi/2) has determinant
-        # sin(theta0 - theta1) = -sqrt(2)/2: nonzero but negative
-        th = np.array([math.pi / 4, math.pi / 2])
-        V = CotangentVandermonde.from_angles(th)
-        A = _assemble(V, np.sin(th), np.ones(2))
-        assert np.linalg.det(A) == pytest.approx(-math.sqrt(2.0) / 2.0, rel=1e-12)
-
-    @settings(deadline=None, max_examples=30)
-    @given(st.integers(1, 12), st.integers(0, 2**32 - 1))
-    def test_residual_contract(self, k, seed):
-        rng = np.random.default_rng(seed)
-        th = np.sort(rng.uniform(0.15, math.pi - 0.15, k + 1))
-        if np.min(np.diff(th)) < 0.05:
-            return  # well-spread angles only, per the solver contract
-        V = CotangentVandermonde.from_angles(th)
-        rs = np.sin(th) ** k
-        cs = np.array([math.comb(k, j) for j in range(k + 1)], dtype=float)
-        b = rng.normal(size=k + 1)
-        x = solve_vandermonde_system(V, b, rs, cs)
-        residual = np.max(np.abs(_assemble(V, rs, cs) @ x - b))
-        assert residual <= 1e-8 * max(np.max(np.abs(b)), 1e-30)
-
-    def test_duplicate_nodes_rejected(self):
-        with pytest.raises(SingularSystemError):
-            CotangentVandermonde.from_angles([0.5, 0.5, 1.0])
-
-    def test_order_cap(self):
-        th = np.linspace(0.1, 3.0, 15)
-        V = CotangentVandermonde.from_angles(th)
-        with pytest.raises(OrderError):
-            solve_vandermonde_system(V, np.ones(15), np.ones(15), np.ones(15))
-        # explicit override allows it
-        solve_vandermonde_system(V, np.ones(15), np.ones(15), np.ones(15), max_order=14)
 
 
 class TestLowerTriangular:

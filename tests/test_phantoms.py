@@ -12,10 +12,8 @@ from momentct.phantoms import (
     PolynomialDensity,
     SumOfDisksDensity,
     UniformDensity,
-    analytic_radon,
     evaluate_density,
     exact_moment,
-    unit_square_chord,
 )
 
 UNIFORM = UniformDensity()
@@ -112,30 +110,73 @@ class TestEvaluate:
             PolynomialDensity.from_dict({(0, 0): -1.0})
 
 
+def quad_line_integral(d, theta, p):
+    """Oracle: adaptive quadrature of d along the line, piece by piece.
+
+    The line is cut where it crosses the square's edges, so every piece
+    inside the square has a smooth integrand.
+    """
+    integrate = pytest.importorskip("scipy.integrate")
+    c, s = math.cos(theta), math.sin(theta)
+    cuts = [-2.0, 2.0]
+    for slope, intercept in ((-s, p * c), (c, p * s)):
+        if slope != 0.0:
+            cuts += [u for u in (-intercept / slope, (1.0 - intercept) / slope)
+                     if -2.0 < u < 2.0]
+    cuts.sort()
+    total = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        mid = 0.5 * (a + b)
+        if 0.0 < p * c - mid * s < 1.0 and 0.0 < p * s + mid * c < 1.0:
+            total += integrate.quad(
+                lambda u: float(d.evaluate(np.clip(p * c - u * s, 0.0, 1.0),
+                                           np.clip(p * s + u * c, 0.0, 1.0))),
+                a, b, epsabs=1e-13, epsrel=1e-13,
+            )[0]
+    return total
+
+
 class TestAnalyticRadon:
     def test_uniform_horizontal_line(self):
-        assert analytic_radon(UNIFORM, math.pi / 2, 0.5) == pytest.approx(1.0)
+        assert UNIFORM.radon(math.pi / 2, 0.5) == pytest.approx(1.0)
 
     def test_uniform_diagonal(self):
         # line through the square's center perpendicular to (1,1)/sqrt2
-        val = analytic_radon(UNIFORM, math.pi / 4, math.sqrt(2.0) / 2.0)
+        val = UNIFORM.radon(math.pi / 4, math.sqrt(2.0) / 2.0)
         assert val == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_disk_center_line(self):
         # chord through the center: amplitude * 2r = (16/pi) * 0.5
-        got = analytic_radon(DISK, 1.234, 0.5 * math.cos(1.234) + 0.5 * math.sin(1.234))
+        got = DISK.radon(1.234, 0.5 * math.cos(1.234) + 0.5 * math.sin(1.234))
         assert got == pytest.approx(8.0 / math.pi, rel=1e-12)
 
     @given(st.floats(0.0, 2.0 * math.pi), st.floats(1.5, 10.0))
     def test_line_missing_support(self, theta, p):
         for d in ALL:
-            if isinstance(d, PolynomialDensity):
-                continue
-            assert analytic_radon(d, theta, p) == 0.0
+            assert d.radon(theta, p) == 0.0
 
-    def test_poly_has_no_closed_form(self):
-        with pytest.raises(CapabilityError):
-            analytic_radon(POLY, 0.3, 0.2)
+    def test_poly_matches_adaptive_quadrature(self):
+        # Gauss-Legendre on the clipped chord is exact for polynomials;
+        # the lines include axis-aligned ones and ones that miss the square
+        poly = PolynomialDensity.from_dict({(1, 1): 2.3, (2, 2): 1.7, (0, 3): 0.4})
+        rng = np.random.default_rng(11)
+        axis = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2, math.pi / 4]
+        thetas = np.concatenate([axis, rng.uniform(0.0, 2.0 * math.pi, 40)])
+        offsets = np.concatenate([[0.3, 0.7, 0.5, 0.25, 0.9], rng.uniform(-1.2, 1.5, 40)])
+        for theta, p in zip(thetas, offsets):
+            assert abs(poly.radon(theta, p) - quad_line_integral(poly, theta, p)) <= 1e-13
+        for theta, p in ((0.0, 1.2), (math.pi / 2, -0.1), (0.8, 1.5), (2.0, -1.3)):
+            assert poly.radon(theta, p) == 0.0
+            assert quad_line_integral(poly, theta, p) == 0.0
+
+    def test_array_call_matches_point_by_point(self):
+        th = np.linspace(0.0, 2.0 * math.pi, 9)[:, None]
+        ps = np.linspace(-1.6, 1.6, 33)[None, :]
+        for d in ALL:
+            grid = d.radon(th, ps)
+            assert grid.shape == (9, 33)
+            pointwise = np.array([[d.radon(t, p) for p in ps[0]] for t in th[:, 0]])
+            assert np.array_equal(grid, pointwise)
 
     def test_chord_against_brute_force_oracle(self):
         # oracle: count fine arc-length samples inside the square
@@ -148,28 +189,20 @@ class TestAnalyticRadon:
             x2 = p * math.sin(theta) + t * math.cos(theta)
             inside = (x1 >= 0) & (x1 <= 1) & (x2 >= 0) & (x2 <= 1)
             brute = inside.sum() * (t[1] - t[0])
-            assert unit_square_chord(theta, p) == pytest.approx(brute, abs=1e-4)
+            assert UNIFORM.radon(theta, p) == pytest.approx(brute, abs=1e-4)
 
     def test_mass_conservation_over_offsets(self):
-        # vectorized closed forms; fine grid because the disk profile has
+        # array-valued closed forms; fine grid because the disk profile has
         # square-root edges (trapezoid error ~ h^1.5 there).  Exactly
         # axis-aligned angles are excluded: there the uniform row is a step
         # whose jump can sit on a grid node, and any quadrature of such
         # samples is off by O(h) no matter the rule.
         ps = np.linspace(-1.6, 1.6, 500001)
         for theta in (0.3, 1.0, math.pi / 2 - 6.1e-3, 2.5):
-            c, s = math.cos(theta), math.sin(theta)
-            rows_uniform = np.array([unit_square_chord(theta, p) for p in ps[::125]])
+            rows_uniform = UNIFORM.radon(theta, ps[::125])
             assert np.trapezoid(rows_uniform, ps[::125]) == pytest.approx(1.0, abs=1e-6)
             for d in (DISK, TWO_DISKS):
-                disks = d.disks if isinstance(d, SumOfDisksDensity) else (d,)
-                row = np.zeros_like(ps)
-                for disk in disks:
-                    dd = disk.center[0] * c + disk.center[1] * s - ps
-                    row += disk.amplitude * 2.0 * np.sqrt(
-                        np.maximum(disk.radius**2 - dd * dd, 0.0)
-                    )
-                assert np.trapezoid(row, ps) == pytest.approx(d.mass, abs=1e-6)
+                assert np.trapezoid(d.radon(theta, ps), ps) == pytest.approx(d.mass, abs=1e-6)
 
 
 class TestMomentTable:
