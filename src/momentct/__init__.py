@@ -29,7 +29,7 @@ from .moment_recovery import (
     solve_moment_system,
     synthesize_angular_moments,
 )
-from .numerics import Grid1D, binomial, dft_1d, log_gamma, trapezoid_integrate
+from .numerics import Grid1D, binomial, log_gamma, trapezoid_integrate
 from .phantoms import (
     Density,
     DiskDensity,
@@ -37,8 +37,6 @@ from .phantoms import (
     PolynomialDensity,
     SumOfDisksDensity,
     UniformDensity,
-    evaluate_density,
-    exact_moment,
 )
 from .projector import (
     Sinogram,

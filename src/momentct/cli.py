@@ -40,7 +40,16 @@ from .errors import (
     StabilityError,
 )
 from .moment_recovery import recover_moment_table
-from .projector import add_noise, angle_coverage, evenness_residual, l1_norm, mollify, project
+from .phantoms import MomentTable
+from .projector import (
+    Sinogram,
+    add_noise,
+    angle_coverage,
+    evenness_residual,
+    l1_norm,
+    mollify,
+    project,
+)
 from .spectral import fbp_reconstruct
 
 
@@ -73,7 +82,9 @@ def _outdir(cfg: RunConfig) -> Path:
     return out
 
 
-def cmd_project(cfg: RunConfig) -> int:
+def _project(cfg: RunConfig) -> Sinogram:
+    """Simulate the data, write its artifacts, and return the sinogram as
+    `sinogram.csv` records it."""
     out = _outdir(cfg)
     density = cfg.make_density()
     angles = cfg.make_angle_grid()
@@ -85,7 +96,7 @@ def cmd_project(cfg: RunConfig) -> int:
     if kernel is not None:
         sino = mollify(sino, kernel)
     path = out / "sinogram.csv"
-    fileio.write_sinogram(sino, path)
+    stored = fileio.write_sinogram(sino, path)
     fileio.write_pgm(sino.values, out / "sinogram.pgm")
     n = cfg.recon.resolution
     xs = (np.arange(n) + 0.5) / n
@@ -103,6 +114,11 @@ def cmd_project(cfg: RunConfig) -> int:
         print(f"evenness residual: {evenness_residual(sino):.3e}")
     else:
         print("evenness residual: n/a (needs a full-turn angle grid)")
+    return stored
+
+
+def cmd_project(cfg: RunConfig) -> int:
+    _project(cfg)
     return 0
 
 
@@ -111,10 +127,20 @@ def _require_finite(values, path) -> None:
         raise FormatError(f"{path}: non-finite values in the input")
 
 
-def cmd_moments(cfg: RunConfig, sino_path: Path) -> int:
+def _read_sinogram(path: Path) -> Sinogram:
+    sino = fileio.read_sinogram(path)
+    _require_finite(sino.values, path)
+    return sino
+
+
+def _read_moments(path: Path) -> MomentTable:
+    table = fileio.read_moments(path)
+    _require_finite(list(table.values.values()), path)
+    return table
+
+
+def _moments(cfg: RunConfig, sino: Sinogram) -> MomentTable:
     out = _outdir(cfg)
-    sino = fileio.read_sinogram(sino_path)
-    _require_finite(sino.values, sino_path)
     kernel = cfg.make_mollifier() if sino.kind == "mollified" else None
     diagnostics: dict = {}
     table = recover_moment_table(
@@ -129,66 +155,74 @@ def cmd_moments(cfg: RunConfig, sino_path: Path) -> int:
     print(f"moments: {path} K={table.max_order}")
     for k, cond in diagnostics["conditions"]:
         print(f"order {k}: condition estimate {cond:.3e}")
+    return table
+
+
+def cmd_moments(cfg: RunConfig, sino_path: Path) -> int:
+    _moments(cfg, _read_sinogram(sino_path))
     return 0
 
 
-def cmd_reconstruct(cfg: RunConfig, input_path: Path) -> int:
+def _reconstruct_moments(cfg: RunConfig, table: MomentTable) -> None:
     out = _outdir(cfg)
+    density = cfg.make_density()
+    rec = reconstruct_grid(table, cfg.recon.m, cfg.recon.n, cfg.recon.resolution)
+    fileio.write_recon_csv(rec, out / "recon_moments.csv")
+    fileio.write_pgm(rec.values, out / "recon_moments.pgm")
+    err = sup_error(rec, density)
+    print(f"moment reconstruction: {out / 'recon_moments.csv'} "
+          f"orders=({cfg.recon.m},{cfg.recon.n}) N={cfg.recon.resolution}")
+    print(f"sup error vs phantom: {err:.6f}")
+    try:
+        bound = minimized_sup_error_bound(
+            density.sup_norm, density.modulus_bound, cfg.recon.m, cfg.recon.n
+        )
+        print(f"sup error bound (minimized over delta): {bound:.6f}")
+    except CapabilityError:
+        print("sup error bound: n/a (phantom not uniformly continuous)")
+
+
+def _reconstruct_fbp(cfg: RunConfig, sino: Sinogram) -> None:
+    out = _outdir(cfg)
+    density = cfg.make_density()
+    fspec = cfg.make_filter(sino.kind)
+    kernel = cfg.make_mollifier() if fspec.kind == "modified_riesz" else None
+    rec = fbp_reconstruct(sino, fspec, kernel, cfg.recon.resolution)
+    fileio.write_recon_csv(rec, out / "recon_fbp.csv")
+    fileio.write_pgm(rec.values, out / "recon_fbp.pgm")
+    print(f"fbp reconstruction: {out / 'recon_fbp.csv'} "
+          f"filter={fspec.kind} N={cfg.recon.resolution}")
+    print(f"relative l2 error vs phantom: {relative_l2_error(rec, density):.6f}")
+
+
+def cmd_reconstruct(cfg: RunConfig, input_path: Path) -> int:
     with open(input_path) as fh:
         head = fh.readline()
-    density = cfg.make_density()
     if head.startswith("# moments"):
-        table = fileio.read_moments(input_path)
-        _require_finite(list(table.values.values()), input_path)
-        rec = reconstruct_grid(table, cfg.recon.m, cfg.recon.n, cfg.recon.resolution)
-        fileio.write_recon_csv(rec, out / "recon_moments.csv")
-        fileio.write_pgm(rec.values, out / "recon_moments.pgm")
-        err = sup_error(rec, density)
-        print(f"moment reconstruction: {out / 'recon_moments.csv'} "
-              f"orders=({cfg.recon.m},{cfg.recon.n}) N={cfg.recon.resolution}")
-        print(f"sup error vs phantom: {err:.6f}")
-        try:
-            bound = minimized_sup_error_bound(
-                density.sup_norm, density.modulus_bound, cfg.recon.m, cfg.recon.n
-            )
-            print(f"sup error bound (minimized over delta): {bound:.6f}")
-        except CapabilityError:
-            print("sup error bound: n/a (phantom not uniformly continuous)")
+        _reconstruct_moments(cfg, _read_moments(input_path))
     elif head.startswith("# sinogram"):
-        sino = fileio.read_sinogram(input_path)
-        _require_finite(sino.values, input_path)
-        fspec = cfg.make_filter(sino.kind)
-        kernel = cfg.make_mollifier() if fspec.kind == "modified_riesz" else None
-        rec = fbp_reconstruct(sino, fspec, kernel, cfg.recon.resolution)
-        fileio.write_recon_csv(rec, out / "recon_fbp.csv")
-        fileio.write_pgm(rec.values, out / "recon_fbp.pgm")
-        print(f"fbp reconstruction: {out / 'recon_fbp.csv'} "
-              f"filter={fspec.kind} N={cfg.recon.resolution}")
-        print(f"relative l2 error vs phantom: {relative_l2_error(rec, density):.6f}")
+        _reconstruct_fbp(cfg, _read_sinogram(input_path))
     else:
         raise FormatError(f"unrecognized input header: {head.strip()!r}")
     return 0
 
 
 def cmd_pipeline(cfg: RunConfig) -> int:
+    """The three stages in one process.  The sinogram and the moment table
+    pass between stages in memory, exactly as their files record them, so
+    nothing written is parsed back."""
     out = _outdir(cfg)
     print("== project ==")
-    code = cmd_project(cfg)
-    if code:
-        return code
+    sino = _project(cfg)
+    _require_finite(sino.values, out / "sinogram.csv")
     print("== moments ==")
-    code = cmd_moments(cfg, out / "sinogram.csv")
-    if code:
-        return code
+    table = _moments(cfg, sino)
     print("== reconstruct ==")
     if cfg.recon.method in ("moments", "both"):
-        code = cmd_reconstruct(cfg, out / "moments.csv")
-        if code:
-            return code
+        _require_finite(list(table.values.values()), out / "moments.csv")
+        _reconstruct_moments(cfg, table)
     if cfg.recon.method in ("fbp", "both"):
-        code = cmd_reconstruct(cfg, out / "sinogram.csv")
-        if code:
-            return code
+        _reconstruct_fbp(cfg, sino)
     return 0
 
 

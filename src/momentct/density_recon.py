@@ -1,8 +1,11 @@
 """Density reconstruction from a finite moment table.
 
-The reconstruction evaluates, at each point, a binomially weighted
-alternating sum of shifted moments; it converges uniformly to the density
-as the orders grow.  The sum is severely cancellation-prone: coefficients
+The reconstruction evaluates a binomially weighted alternating sum of
+shifted moments; it converges uniformly to the density as the orders grow.
+At orders (m, n) the sum depends on the point x only through
+(floor(m x1), floor(n x2)), so it is piecewise constant on an
+(m+1) x (n+1) cell grid, and an image is evaluated once per cell that holds
+a pixel centre.  The sum is severely cancellation-prone: coefficients
 grow roughly like 4^order while the value stays O(1).  Coefficients are
 therefore computed in exact integer arithmetic and the terms summed with
 exact float summation; tables carrying exact rational entries are
@@ -18,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningWarning, OrderError, StabilityError
-from .numerics import log_gamma
 from .phantoms import Density, MomentTable
 
 #: Above this order the double-precision path is meaningless even with
@@ -99,9 +101,9 @@ def cancellation_log10(m: int, n: int) -> float:
         for a in range(mm + 1):
             lg = (
                 math.log(mm + 1)
-                + log_gamma(mm + 1)
-                - log_gamma(a + 1)
-                - log_gamma(mm - a + 1)
+                + math.lgamma(mm + 1)
+                - math.lgamma(a + 1)
+                - math.lgamma(mm - a + 1)
                 + (mm - a) * math.log(2.0)
             )
             best = max(best, lg)
@@ -155,7 +157,13 @@ def moment_approximation(table: MomentTable, m: int, n: int,
 
 def reconstruct_grid(table: MomentTable, m: int, n: int, resolution: int,
                      stability_cap: int = DEFAULT_STABILITY_CAP) -> ReconGrid:
-    """Moment approximation sampled at pixel centers."""
+    """Moment approximation sampled at pixel centers.
+
+    Each cell (floor(m x1), floor(n x2)) that holds a pixel center is
+    evaluated once, at the first pixel center inside it, and the image
+    indexes into that cell table; every pixel gets exactly the value
+    `moment_approximation` gives at its own center.
+    """
     if resolution < 1:
         raise ValueError("resolution must be positive")
     if not table.is_exact():
@@ -168,12 +176,16 @@ def reconstruct_grid(table: MomentTable, m: int, n: int, resolution: int,
                 stacklevel=2,
             )
     xs = (np.arange(resolution) + 0.5) / resolution
-    values = np.empty((resolution, resolution))
-    for i, x1 in enumerate(xs):
-        for j, x2 in enumerate(xs):
-            values[i, j] = moment_approximation(table, m, n, float(x1), float(x2),
-                                                stability_cap=stability_cap)
-    return ReconGrid(resolution=resolution, values=values, orders=(m, n))
+    # first pixel of each occupied cell per axis, and each pixel's cell
+    _, first1, cell1 = np.unique(np.floor(m * xs), return_index=True, return_inverse=True)
+    _, first2, cell2 = np.unique(np.floor(n * xs), return_index=True, return_inverse=True)
+    cells = np.array([
+        [moment_approximation(table, m, n, float(xs[i]), float(xs[j]),
+                              stability_cap=stability_cap) for j in first2]
+        for i in first1
+    ])
+    return ReconGrid(resolution=resolution, values=cells[cell1[:, None], cell2[None, :]],
+                     orders=(m, n))
 
 
 def sup_error(rec: ReconGrid, d: Density) -> float:

@@ -45,7 +45,17 @@ _SINO_HEADER = re.compile(
 )
 
 
-def write_sinogram(s: Sinogram, path) -> None:
+def _recorded_grid(start: float, spacing: float, count: int) -> Grid1D:
+    # the header keeps a grid's start and spacing, not its stop
+    return Grid1D(start, start + (count - 1) * spacing, count)
+
+
+def write_sinogram(s: Sinogram, path) -> Sinogram:
+    """Write s and return it as `read_sinogram` reads the file back.
+
+    Values and the recorded start and spacing round-trip exactly; each
+    grid's stop is rebuilt from them and may differ from s's in the last bit.
+    """
     lines = [
         f"# sinogram kind={s.kind} angles={s.angle_grid.count} "
         f"offsets={s.offset_grid.count} theta0={_fmt(s.angle_grid.start)} "
@@ -55,6 +65,12 @@ def write_sinogram(s: Sinogram, path) -> None:
     for row in s.values:
         lines.append(",".join(_fmt(v) for v in row))
     _atomic_write_text(path, "\n".join(lines) + "\n")
+    return Sinogram(
+        angle_grid=_recorded_grid(s.angle_grid.start, s.angle_grid.spacing, s.angle_grid.count),
+        offset_grid=_recorded_grid(s.offset_grid.start, s.offset_grid.spacing,
+                                   s.offset_grid.count),
+        values=s.values, kind=s.kind,
+    )
 
 
 def read_sinogram(path) -> Sinogram:
@@ -75,8 +91,8 @@ def read_sinogram(path) -> Sinogram:
             if row.size != m:
                 raise FormatError(f"row {i} has {row.size} values, expected {m}")
             values[i] = row
-    angle_grid = Grid1D(theta0, theta0 + (n - 1) * dtheta, n)
-    offset_grid = Grid1D(p0, p0 + (m - 1) * dp, m)
+    angle_grid = _recorded_grid(theta0, dtheta, n)
+    offset_grid = _recorded_grid(p0, dp, m)
     try:
         return Sinogram(angle_grid=angle_grid, offset_grid=offset_grid,
                         values=values, kind=kind)

@@ -327,12 +327,3 @@ class MomentTable:
     def scaled(self, factor) -> "MomentTable":
         return MomentTable(self.max_order, {k: factor * v for k, v in self.values.items()})
 
-
-# thin operation-style wrappers
-
-def evaluate_density(d: Density, x1, x2):
-    return d.evaluate(x1, x2)
-
-
-def exact_moment(d: Density, a1: int, a2: int) -> float:
-    return d.moment(a1, a2)

@@ -76,8 +76,8 @@ class TestPipeline:
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
                                shallow=False), name
 
-    def test_subcommands_compose_to_pipeline(self, tmp_path):
-        cfg = write_config(tmp_path)
+    @staticmethod
+    def assert_subcommands_compose_to_pipeline(tmp_path, cfg):
         out_pipe = tmp_path / "pipe"
         out_steps = tmp_path / "steps"
         assert main(["pipeline", "-c", str(cfg), "-o", str(out_pipe)]) == 0
@@ -90,6 +90,19 @@ class TestPipeline:
                      str(out_steps / "sinogram.csv")]) == 0
         for name in ARTIFACTS:
             assert filecmp.cmp(out_pipe / name, out_steps / name, shallow=False), name
+
+    def test_subcommands_compose_to_pipeline(self, tmp_path):
+        self.assert_subcommands_compose_to_pipeline(tmp_path, write_config(tmp_path))
+
+    def test_subcommands_compose_to_pipeline_on_a_raw_full_turn(self, tmp_path):
+        # 48 angles over the full turn: the sinogram header's start and
+        # spacing rebuild a stop one bit off the projected grid's, so the
+        # in-memory hand-off must use the grid as the file records it
+        text = MINI_CONFIG.replace("angle_cover = moment", "angle_cover = full") \
+            .replace("sigma = 0.01", "sigma = 0") \
+            .replace("[mollifier]\nkernel = bump\nepsilon = 0.08\n", "")
+        cfg = write_config(tmp_path, text=text)
+        self.assert_subcommands_compose_to_pipeline(tmp_path, cfg)
 
 
 class TestErrorContracts:

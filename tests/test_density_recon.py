@@ -16,7 +16,7 @@ from momentct.density_recon import (
     sup_error,
     sup_error_bound,
 )
-from momentct.errors import OrderError, StabilityError
+from momentct.errors import ConditioningWarning, OrderError, StabilityError
 from momentct.phantoms import MomentTable, PolynomialDensity, UniformDensity
 
 UNIFORM = UniformDensity()
@@ -103,6 +103,40 @@ class TestGrid:
         assert yy[0, 3] == pytest.approx(0.875)
 
 
+def random_table(K, seed):
+    rng = np.random.default_rng(seed)
+    return MomentTable(K, {(a, b): float(rng.normal())
+                           for a in range(K + 1) for b in range(K + 1 - a)})
+
+
+class TestCellTable:
+    @pytest.mark.parametrize("m, n, resolution", [
+        (8, 8, 5),     # fewer pixels than cells per axis: some cells stay empty
+        (3, 2, 37),    # resolution not a multiple of m, and m != n
+        (1, 1, 1),
+    ])
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "fraction"])
+    def test_matches_pixel_by_pixel_evaluation(self, m, n, resolution, exact):
+        t = MomentTable.from_density(POLY, m + n, exact=True) if exact \
+            else random_table(m + n, seed=m * 100 + resolution)
+        xs = (np.arange(resolution) + 0.5) / resolution
+        expected = np.array([
+            [moment_approximation(t, m, n, float(x1), float(x2)) for x2 in xs]
+            for x1 in xs
+        ])
+        values = reconstruct_grid(t, m, n, resolution).values
+        assert values.shape == expected.shape
+        assert np.all(values == expected)
+
+    def test_guards_reach_the_grid(self):
+        with pytest.raises(OrderError):
+            reconstruct_grid(MomentTable.from_density(UNIFORM, 4), 3, 3, 8)
+        with pytest.raises(StabilityError), pytest.warns(ConditioningWarning):
+            reconstruct_grid(zero_table(2), 41, 1, 8)
+        with pytest.warns(ConditioningWarning):
+            reconstruct_grid(zero_table(32), 16, 16, 4)
+
+
 class TestSupError:
     def test_matching_samples_give_zero(self):
         xs = (np.arange(8) + 0.5) / 8
@@ -162,11 +196,14 @@ class TestConvergence:
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 60
 
+        f = lambda u: mp.e ** (-1 / (1 - u * u)) if abs(u) < 1 else mp.mpf(0)
+        mass = mp.quad(f, [-1, 0, 1])
+        unit_width = {}  # c_j at eps = 1, by j: each quadrature runs once
+
         def bump_c(j, eps):
-            f = lambda u: mp.e ** (-1 / (1 - u * u)) if abs(u) < 1 else mp.mpf(0)
-            mass = mp.quad(f, [-1, 0, 1])
-            val = mp.quad(lambda u: f(u) * (-u) ** j, [-1, 0, 1]) / mass
-            return val * mp.mpf(eps) ** j
+            if j not in unit_width:
+                unit_width[j] = mp.quad(lambda u: f(u) * (-u) ** j, [-1, 0, 1]) / mass
+            return unit_width[j] * mp.mpf(eps) ** j
 
         def smoothed_table(d, K, eps):
             cs = {j: bump_c(j, eps) for j in range(0, K + 1, 2)}

@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from momentct.errors import SingularSystemError
 from momentct.numerics import (
     Grid1D,
-    LowerTriangularMatrix,
     binomial,
-    dft_1d,
     log_gamma,
-    solve_lower_triangular,
     trapezoid_integrate,
 )
 
@@ -117,64 +113,3 @@ class TestTrapezoid:
         with pytest.raises(ValueError):
             trapezoid_integrate([1.0, 2.0], Grid1D(0.0, 1.0, 3))
 
-
-class TestLowerTriangular:
-    def test_identity(self):
-        L = LowerTriangularMatrix(np.eye(4))
-        rhs = np.array([1.0, -2.0, 3.5, 0.25])
-        assert np.array_equal(solve_lower_triangular(L, rhs), rhs)
-
-    def test_hand_substitution(self):
-        L = LowerTriangularMatrix(np.array([[1.0, 0.0], [2.0, 1.0]]))
-        assert np.allclose(solve_lower_triangular(L, [1.0, 3.0]), [1.0, 1.0])
-
-    def test_diagonal_only(self):
-        L = LowerTriangularMatrix(np.diag([1.0, 1.0, 1.0]))
-        rhs = np.array([4.0, 5.0, 6.0])
-        assert np.array_equal(solve_lower_triangular(L, rhs), rhs)
-
-    @settings(deadline=None, max_examples=25)
-    @given(st.integers(1, 10), st.integers(0, 2**32 - 1))
-    def test_residual(self, n, seed):
-        rng = np.random.default_rng(seed)
-        a = np.tril(rng.normal(size=(n, n)))
-        a[np.diag_indices(n)] = rng.uniform(0.5, 2.0, n) * np.sign(rng.normal(size=n))
-        L = LowerTriangularMatrix(a)
-        b = rng.normal(size=n)
-        x = solve_lower_triangular(L, b)
-        assert np.max(np.abs(a @ x - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
-
-    def test_rejects_upper_entries_and_zero_diag(self):
-        with pytest.raises(ValueError):
-            LowerTriangularMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
-        L = LowerTriangularMatrix(np.array([[1.0, 0.0], [2.0, 0.0]]))
-        with pytest.raises(SingularSystemError):
-            solve_lower_triangular(L, [1.0, 1.0])
-
-
-class TestDft:
-    def test_delta_gives_constant(self):
-        x = np.zeros(8)
-        x[0] = 1.0
-        spec = dft_1d(x, "forward")
-        assert np.allclose(spec, np.full(8, 1.0 / math.sqrt(8.0)), atol=1e-14)
-
-    def test_constant_gives_spike(self):
-        spec = dft_1d(np.ones(10), "forward")
-        expected = np.zeros(10, dtype=complex)
-        expected[0] = math.sqrt(10.0)
-        assert np.allclose(spec, expected, atol=1e-13)
-
-    @settings(deadline=None, max_examples=25)
-    @given(st.integers(1, 300), st.integers(0, 2**32 - 1))
-    def test_roundtrip_and_parseval(self, n, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.normal(size=n) + 1j * rng.normal(size=n)
-        spec = dft_1d(x, "forward")
-        back = dft_1d(spec, "inverse")
-        assert np.max(np.abs(back - x)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
-        assert np.linalg.norm(spec) == pytest.approx(np.linalg.norm(x), rel=1e-12)
-
-    def test_direction_validation(self):
-        with pytest.raises(ValueError):
-            dft_1d([1.0], "sideways")

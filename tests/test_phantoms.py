@@ -12,8 +12,6 @@ from momentct.phantoms import (
     PolynomialDensity,
     SumOfDisksDensity,
     UniformDensity,
-    evaluate_density,
-    exact_moment,
 )
 
 UNIFORM = UniformDensity()
@@ -28,13 +26,13 @@ ALL = [UNIFORM, POLY, DISK, TWO_DISKS]
 
 class TestMoments:
     def test_uniform_values(self):
-        assert exact_moment(UNIFORM, 0, 0) == 1.0
-        assert exact_moment(UNIFORM, 1, 1) == pytest.approx(0.25)
-        assert exact_moment(UNIFORM, 3, 2) == pytest.approx(1.0 / 12.0)
+        assert UNIFORM.moment(0, 0) == 1.0
+        assert UNIFORM.moment(1, 1) == pytest.approx(0.25)
+        assert UNIFORM.moment(3, 2) == pytest.approx(1.0 / 12.0)
 
     def test_poly_values(self):
-        assert exact_moment(POLY, 0, 0) == pytest.approx(1.0)
-        assert exact_moment(POLY, 1, 1) == pytest.approx(4.0 / 9.0)
+        assert POLY.moment(0, 0) == pytest.approx(1.0)
+        assert POLY.moment(1, 1) == pytest.approx(4.0 / 9.0)
 
     def test_exact_fractions(self):
         assert UNIFORM.moment_fraction(2, 3) == Fraction(1, 12)
@@ -55,7 +53,7 @@ class TestMoments:
                 0.0, r, 0.0, 2.0 * math.pi,
                 epsabs=1e-12, epsrel=1e-12,
             )
-            assert exact_moment(DISK, a1, a2) == pytest.approx(val, abs=1e-11)
+            assert DISK.moment(a1, a2) == pytest.approx(val, abs=1e-11)
 
     def test_all_phantoms_unit_mass(self):
         for d in ALL:
@@ -74,24 +72,24 @@ class TestMoments:
     @given(st.sampled_from(range(len(ALL))), st.integers(0, 6), st.integers(0, 6))
     def test_moment_monotonicity(self, di, a1, a2):
         d = ALL[di]
-        assert exact_moment(d, a1 + 1, a2) <= exact_moment(d, a1, a2) + 1e-15
-        assert exact_moment(d, a1, a2 + 1) <= exact_moment(d, a1, a2) + 1e-15
+        assert d.moment(a1 + 1, a2) <= d.moment(a1, a2) + 1e-15
+        assert d.moment(a1, a2 + 1) <= d.moment(a1, a2) + 1e-15
 
     def test_bounded_density_moment_bound(self):
         for d in ALL:
             M = d.sup_norm
             for a1 in range(5):
                 for a2 in range(5):
-                    assert exact_moment(d, a1, a2) <= M / ((a1 + 1) * (a2 + 1)) + 1e-12
+                    assert d.moment(a1, a2) <= M / ((a1 + 1) * (a2 + 1)) + 1e-12
 
 
 class TestEvaluate:
     def test_uniform(self):
-        assert evaluate_density(UNIFORM, 0.3, 0.7) == 1.0
+        assert UNIFORM.evaluate(0.3, 0.7) == 1.0
 
     def test_disk_center_and_corner(self):
-        assert evaluate_density(DISK, 0.5, 0.5) == pytest.approx(16.0 / math.pi)
-        assert evaluate_density(DISK, 0.0, 0.0) == 0.0
+        assert DISK.evaluate(0.5, 0.5) == pytest.approx(16.0 / math.pi)
+        assert DISK.evaluate(0.0, 0.0) == 0.0
 
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(7)
@@ -101,9 +99,9 @@ class TestEvaluate:
 
     def test_outside_domain(self):
         with pytest.raises(ValueError):
-            evaluate_density(UNIFORM, 1.5, 0.5)
+            UNIFORM.evaluate(1.5, 0.5)
         with pytest.raises(ValueError):
-            evaluate_density(DISK, 0.5, -0.2)
+            DISK.evaluate(0.5, -0.2)
 
     def test_poly_rejects_negative_coefficont_density(self):
         with pytest.raises(ValueError):
