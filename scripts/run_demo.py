@@ -1,11 +1,18 @@
 #!/usr/bin/env python3
-"""Run the shipped end-to-end demo configuration."""
+"""Run the shipped end-to-end demo configuration.
+
+Works from a plain checkout: the repository's `src` is put first on the
+import path, so no install is needed.
+"""
 
 import sys
 from pathlib import Path
 
-from momentct.cli import main
+REPO = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO / "src"))
+
+from momentct.cli import main  # noqa: E402
 
 if __name__ == "__main__":
-    demo = Path(__file__).resolve().parents[1] / "configs" / "uniform_demo.ini"
+    demo = REPO / "configs" / "uniform_demo.ini"
     sys.exit(main(["pipeline", "-c", str(demo), *sys.argv[1:]]))

@@ -9,14 +9,20 @@ marginally resolved on the offset grid.
 """
 
 import argparse
-import math
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from momentct.mollifiers import make_bump
-from momentct.moment_recovery import recover_moment_table
-from momentct.phantoms import UniformDensity
-from momentct.projector import add_noise, moment_angle_grid, mollify, offset_grid, project
+# run from a plain checkout: the repository's src comes first on the import path
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from momentct.mollifiers import make_bump  # noqa: E402
+from momentct.moment_recovery import recover_moment_table  # noqa: E402
+from momentct.phantoms import UniformDensity  # noqa: E402
+from momentct.projector import (  # noqa: E402
+    add_noise, moment_angle_grid, mollify, offset_grid, project,
+)
 
 
 def main() -> None:

@@ -29,7 +29,7 @@ from .moment_recovery import (
     solve_moment_system,
     synthesize_angular_moments,
 )
-from .numerics import Grid1D, binomial, log_gamma, trapezoid_integrate
+from .numerics import Grid1D
 from .phantoms import (
     Density,
     DiskDensity,

@@ -117,14 +117,7 @@ def _floor_index(order: int, x: float) -> int:
     return min(int(math.floor(order * x)), order)
 
 
-def moment_approximation(table: MomentTable, m: int, n: int,
-                         x1: float, x2: float,
-                         stability_cap: int = DEFAULT_STABILITY_CAP) -> float:
-    """Approximate the density at (x1, x2) from moments up to order m + n.
-
-    Coefficients are exact integers; float tables are summed with exact
-    float summation (fsum), exact rational tables in rational arithmetic.
-    """
+def _check_orders(table: MomentTable, m: int, n: int, stability_cap: int) -> None:
     if m < 1 or n < 1:
         raise ValueError("orders m, n must be positive")
     if m > stability_cap or n > stability_cap:
@@ -136,6 +129,17 @@ def moment_approximation(table: MomentTable, m: int, n: int,
         raise OrderError(
             f"need moments to order m+n = {m + n}, table holds {table.max_order}"
         )
+
+
+def moment_approximation(table: MomentTable, m: int, n: int,
+                         x1: float, x2: float,
+                         stability_cap: int = DEFAULT_STABILITY_CAP) -> float:
+    """Approximate the density at (x1, x2) from moments up to order m + n.
+
+    Coefficients are exact integers; float tables are summed with exact
+    float summation (fsum), exact rational tables in rational arithmetic.
+    """
+    _check_orders(table, m, n, stability_cap)
     if not (0.0 <= x1 <= 1.0 and 0.0 <= x2 <= 1.0):
         raise ValueError("evaluation point outside the unit square")
 
@@ -166,6 +170,8 @@ def reconstruct_grid(table: MomentTable, m: int, n: int, resolution: int,
     """
     if resolution < 1:
         raise ValueError("resolution must be positive")
+    # before the cancellation estimate, whose Python loop runs up to m and n
+    _check_orders(table, m, n, stability_cap)
     if not table.is_exact():
         digits = cancellation_log10(m, n)
         if digits > _CANCELLATION_WARN_DIGITS:

@@ -1,11 +1,14 @@
 """File formats: sinogram CSV, moment-table CSV, reconstruction CSV/PGM.
 
-All floats are written with 17 significant digits, which round-trips IEEE
-doubles exactly.  Writes go through a temp file and an atomic rename.
+All floats are written as `%.17g` (17 significant digits), which
+round-trips IEEE doubles exactly; array rows are formatted one row per
+string operation.  PGM export rejects non-finite values with ValueError.
+Writes go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from pathlib import Path
@@ -21,6 +24,17 @@ from .projector import Sinogram
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _csv_rows(values: np.ndarray) -> list[str]:
+    # one %-format per row ("%.17g" prints exactly what _fmt prints); rows
+    # are converted one at a time so only one row of Python floats is alive
+    fmt = ",".join(["%.17g"] * values.shape[1])
+    return [fmt % tuple(row.tolist()) for row in values]
+
+
+#: PGM pixel text by level, looked up one row of Python ints at a time
+_PGM_LEVELS = [str(i) for i in range(256)]
 
 
 def _atomic_write_text(path, text: str) -> None:
@@ -62,8 +76,7 @@ def write_sinogram(s: Sinogram, path) -> Sinogram:
         f"dtheta={_fmt(s.angle_grid.spacing)} p0={_fmt(s.offset_grid.start)} "
         f"dp={_fmt(s.offset_grid.spacing)}"
     ]
-    for row in s.values:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += _csv_rows(s.values)
     _atomic_write_text(path, "\n".join(lines) + "\n")
     return Sinogram(
         angle_grid=_recorded_grid(s.angle_grid.start, s.angle_grid.spacing, s.angle_grid.count),
@@ -133,9 +146,7 @@ def write_recon_csv(rec: ReconGrid, path) -> None:
     header = f"# recon N={rec.resolution}"
     if rec.orders is not None:
         header += f" m={rec.orders[0]} n={rec.orders[1]}"
-    lines = [header]
-    for row in rec.values:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [header, *_csv_rows(rec.values)]
     _atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -166,7 +177,8 @@ def write_pgm(values: np.ndarray, path) -> None:
 
     The scale and offset are recorded as comment lines so the physical
     values can be recovered: value = offset + scale * pixel.  Rows are
-    written with the second coordinate increasing downwards.
+    written with the second coordinate increasing downwards.  Raises
+    ValueError on NaN or inf, and on a range too wide for a double.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 2:
@@ -174,9 +186,13 @@ def write_pgm(values: np.ndarray, path) -> None:
     vmin = float(v.min())
     vmax = float(v.max())
     span = vmax - vmin
-    scale = span / 255.0 if span > 0 else 1.0
-    pixels = np.zeros_like(v, dtype=int) if span == 0 else \
-        np.clip(np.rint((v - vmin) / scale), 0, 255).astype(int)
+    # NaN and inf propagate through min/max into the span
+    if not math.isfinite(span):
+        raise ValueError(f"PGM export needs finite values, got min={vmin} max={vmax}")
+    scale = span / 255.0
+    if scale == 0.0:  # a constant image, or a span too small to divide by 255
+        scale = 1.0
+    pixels = np.clip(np.rint((v - vmin) / scale), 0, 255).astype(int)
     img = pixels.T[::-1, :]  # x2 axis points up in data, down in the image
     lines = [
         "P2",
@@ -184,6 +200,5 @@ def write_pgm(values: np.ndarray, path) -> None:
         f"{img.shape[1]} {img.shape[0]}",
         "255",
     ]
-    for row in img:
-        lines.append(" ".join(str(p) for p in row))
+    lines += [" ".join([_PGM_LEVELS[p] for p in row.tolist()]) for row in img]
     _atomic_write_text(path, "\n".join(lines) + "\n")

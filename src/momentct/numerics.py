@@ -1,11 +1,9 @@
-"""Shared numerical kernels: grids, quadrature and special functions.
-
-All functions are pure and thread-safe; nothing in here holds state.
+"""Shared numerical building blocks: the uniform sampling grid and the
+default moment-order cap.  Nothing in here holds state.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,30 +33,3 @@ class Grid1D:
 
     def points(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0."""
-    if not x > 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def binomial(k: int, j: int) -> int:
-    """Binomial coefficient k!/(j!(k-j)!), exact integer arithmetic."""
-    if j < 0 or k < 0 or j > k:
-        raise ValueError(f"binomial requires 0 <= j <= k, got k={k}, j={j}")
-    return math.comb(k, j)
-
-
-def trapezoid_integrate(samples, grid: Grid1D) -> float:
-    """Composite trapezoid rule of samples over a uniform grid.
-
-    Exact for integrands that are affine between the nodes.
-    """
-    values = np.asarray(samples, dtype=float)
-    if values.shape != (grid.count,):
-        raise ValueError(
-            f"sample length {values.shape} does not match grid count {grid.count}"
-        )
-    return float(np.trapezoid(values, dx=grid.spacing))

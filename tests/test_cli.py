@@ -1,6 +1,9 @@
 import filecmp
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -183,6 +186,16 @@ class TestErrorContracts:
         assert main(["reconstruct", "-c", str(cfg), str(moments)]) == 2
         assert not (out / "recon_moments.csv").exists()
 
+    def test_non_finite_image_is_not_exported_as_pgm(self, tmp_path, capsys):
+        # finite moments whose approximant overflows: m = n = 1 scales
+        # gamma(1, 1) by 4 in every cell
+        cfg = write_config(tmp_path)
+        moments = tmp_path / "huge.csv"
+        moments.write_text("# moments K=2\n0,0,0\n1,0,0\n0,1,0\n2,0,0\n1,1,1e308\n0,2,0\n")
+        assert main(["reconstruct", "-c", str(cfg), str(moments)]) == 2
+        assert "PGM export needs finite values" in capsys.readouterr().err
+        assert not (tmp_path / "run_out" / "recon_moments.pgm").exists()
+
 
 class TestProjectReport:
     @pytest.mark.parametrize("cover, span", [
@@ -249,3 +262,16 @@ class TestFlags:
             return max(abs(v - base[k]) for k, v in tables[sigma].values.items())
 
         assert 0.0 < deviation(0.01) < deviation(0.05)
+
+
+class TestScripts:
+    def test_run_demo_from_a_plain_checkout(self, tmp_path):
+        # no PYTHONPATH and a foreign working directory: the script must find
+        # the package in the checkout's src by itself
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_demo.py"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        out = tmp_path / "demo_out"
+        done = subprocess.run([sys.executable, str(script), "-o", str(out)], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)

@@ -1,10 +1,12 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from momentct import density_recon
 from momentct.density_recon import (
     BoundInputs,
     ReconGrid,
@@ -131,10 +133,27 @@ class TestCellTable:
     def test_guards_reach_the_grid(self):
         with pytest.raises(OrderError):
             reconstruct_grid(MomentTable.from_density(UNIFORM, 4), 3, 3, 8)
-        with pytest.raises(StabilityError), pytest.warns(ConditioningWarning):
-            reconstruct_grid(zero_table(2), 41, 1, 8)
+        with warnings.catch_warnings():
+            # the order checks run before the cancellation warning
+            warnings.simplefilter("error", ConditioningWarning)
+            with pytest.raises(StabilityError):
+                reconstruct_grid(zero_table(2), 41, 1, 8)
         with pytest.warns(ConditioningWarning):
             reconstruct_grid(zero_table(32), 16, 16, 4)
+
+    def test_orders_are_checked_before_the_cancellation_estimate(self, monkeypatch):
+        def estimate_not_reached(m, n):
+            raise AssertionError(f"cancellation estimate ran at orders ({m}, {n})")
+
+        monkeypatch.setattr(density_recon, "cancellation_log10", estimate_not_reached)
+        with pytest.raises(StabilityError):
+            reconstruct_grid(zero_table(2), 10**30, 1, 8)
+        with pytest.raises(StabilityError):
+            reconstruct_grid(zero_table(2), 1, 41, 8)
+        with pytest.raises(OrderError):
+            reconstruct_grid(zero_table(4), 3, 3, 8)
+        with pytest.raises(ValueError, match="positive"):
+            reconstruct_grid(zero_table(4), 0, 1, 8)
 
 
 class TestSupError:
