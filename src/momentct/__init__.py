@@ -29,7 +29,7 @@ from .moment_recovery import (
     solve_moment_system,
     synthesize_angular_moments,
 )
-from .numerics import Grid1D
+from .numerics import Grid1D, log_gamma
 from .phantoms import (
     Density,
     DiskDensity,

@@ -1,9 +1,11 @@
-"""Shared numerical building blocks: the uniform sampling grid and the
-default moment-order cap.  Nothing in here holds state.
+"""Shared numerical building blocks: the uniform sampling grid, the
+default moment-order cap and a domain-checked log-Gamma.  Nothing in here
+holds state.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,3 +35,10 @@ class Grid1D:
 
     def points(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
+
+
+def log_gamma(x: float) -> float:
+    """Natural log of the Gamma function for x > 0."""
+    if not x > 0:
+        raise ValueError(f"log_gamma requires x > 0, got {x}")
+    return math.lgamma(x)
