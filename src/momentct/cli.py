@@ -23,6 +23,7 @@ import numpy as np
 from . import fileio
 from .config import RunConfig, load_config
 from .density_recon import (
+    ReconGrid,
     minimized_sup_error_bound,
     reconstruct_grid,
     relative_l2_error,
@@ -45,6 +46,7 @@ from .projector import (
     Sinogram,
     add_noise,
     angle_coverage,
+    antipodal_half,
     evenness_residual,
     l1_norm,
     mollify,
@@ -110,7 +112,7 @@ def _project(cfg: RunConfig) -> Sinogram:
     print(f"sinogram: {path} kind={sino.kind} "
           f"({angles.count} angles x {offsets.count} offsets)")
     print(f"l1 norm: {l1_norm(sino):.6f} (mass * angle span = {density.mass * span:.6f})")
-    if full and angles.count % 2 == 0:
+    if antipodal_half(angles, offsets) is not None:
         print(f"evenness residual: {evenness_residual(sino):.3e}")
     else:
         print("evenness residual: n/a (needs a full-turn angle grid)")
@@ -147,7 +149,6 @@ def _moments(cfg: RunConfig, sino: Sinogram) -> MomentTable:
         sino, kernel, cfg.moments.K,
         angles=cfg.moments.angles,
         max_order=cfg.moments.max_order,
-        window=cfg.moments.window,
         diagnostics=diagnostics,
     )
     path = out / "moments.csv"
@@ -163,12 +164,21 @@ def cmd_moments(cfg: RunConfig, sino_path: Path) -> int:
     return 0
 
 
+def _write_image(rec: ReconGrid, stem: Path) -> None:
+    """Write `<stem>.csv` and `<stem>.pgm`, or neither.
+
+    The PGM goes first: `write_pgm` refuses a NaN, inf or overflowing image
+    before it writes anything, so a refused image leaves no CSV behind.
+    """
+    fileio.write_pgm(rec.values, stem.with_suffix(".pgm"))
+    fileio.write_recon_csv(rec, stem.with_suffix(".csv"))
+
+
 def _reconstruct_moments(cfg: RunConfig, table: MomentTable) -> None:
     out = _outdir(cfg)
     density = cfg.make_density()
     rec = reconstruct_grid(table, cfg.recon.m, cfg.recon.n, cfg.recon.resolution)
-    fileio.write_recon_csv(rec, out / "recon_moments.csv")
-    fileio.write_pgm(rec.values, out / "recon_moments.pgm")
+    _write_image(rec, out / "recon_moments")
     err = sup_error(rec, density)
     print(f"moment reconstruction: {out / 'recon_moments.csv'} "
           f"orders=({cfg.recon.m},{cfg.recon.n}) N={cfg.recon.resolution}")
@@ -188,8 +198,7 @@ def _reconstruct_fbp(cfg: RunConfig, sino: Sinogram) -> None:
     fspec = cfg.make_filter(sino.kind)
     kernel = cfg.make_mollifier() if fspec.kind == "modified_riesz" else None
     rec = fbp_reconstruct(sino, fspec, kernel, cfg.recon.resolution)
-    fileio.write_recon_csv(rec, out / "recon_fbp.csv")
-    fileio.write_pgm(rec.values, out / "recon_fbp.pgm")
+    _write_image(rec, out / "recon_fbp")
     print(f"fbp reconstruction: {out / 'recon_fbp.csv'} "
           f"filter={fspec.kind} N={cfg.recon.resolution}")
     print(f"relative l2 error vs phantom: {relative_l2_error(rec, density):.6f}")

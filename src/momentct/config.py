@@ -60,7 +60,6 @@ class GridConfig:
 class MomentConfig:
     K: int = 4
     angles: tuple | None = None   # None -> fit over every row in (0, pi)
-    window: str = "support"
     max_order: int | None = None  # solver order cap override
 
 
@@ -122,8 +121,6 @@ class RunConfig:
         mo = self.moments
         if mo.K < 0:
             raise ConfigError("moment order K must be nonnegative")
-        if mo.window not in ("support", "full"):
-            raise ConfigError(f"unknown moment window {mo.window!r}")
         if mo.angles is not None:
             if len(mo.angles) != mo.K + 1:
                 raise ConfigError(f"need K+1 = {mo.K + 1} moment angles")
@@ -202,7 +199,7 @@ _KNOWN_KEYS = {
     "mollifier": {"kernel", "epsilon", "max_order"},
     "noise": {"sigma", "seed"},
     "grids": {"angles", "angle_cover", "offsets", "margin"},
-    "moments": {"K", "angles", "window", "max_order"},
+    "moments": {"K", "angles", "max_order"},
     "recon": {"method", "m", "n", "resolution"},
     "filter": {"kind", "cutoff", "reg_floor", "taper"},
     "output": {"directory"},
@@ -307,7 +304,6 @@ def load_config(path) -> RunConfig:
             cfg = replace(cfg, moments=MomentConfig(
                 K=sec.getint("K", 4),
                 angles=angles,
-                window=sec.get("window", "support").strip(),
                 max_order=None if max_order == "auto" else int(max_order),
             ))
         if parser.has_section("recon"):

@@ -2,7 +2,8 @@
 
 All floats are written as `%.17g` (17 significant digits), which
 round-trips IEEE doubles exactly; array rows are formatted one row per
-string operation.  PGM export rejects non-finite values with ValueError.
+string operation, and a row bitwise equal to the one before it is not
+formatted again.  PGM export rejects non-finite values with ValueError.
 Writes go through a temp file and an atomic rename.
 """
 
@@ -28,9 +29,20 @@ def _fmt(x: float) -> str:
 
 def _csv_rows(values: np.ndarray) -> list[str]:
     # one %-format per row ("%.17g" prints exactly what _fmt prints); rows
-    # are converted one at a time so only one row of Python floats is alive
+    # are converted one at a time so only one row of Python floats is alive.
+    # A row bitwise equal to the one before it reuses that row's text (the
+    # moment image repeats each row many times); comparing bytes keeps -0.0
+    # apart from 0.0.
     fmt = ",".join(["%.17g"] * values.shape[1])
-    return [fmt % tuple(row.tolist()) for row in values]
+    lines = []
+    previous = None
+    for row in values:
+        key = row.tobytes()
+        if key != previous:
+            text = fmt % tuple(row.tolist())
+            previous = key
+        lines.append(text)
+    return lines
 
 
 #: PGM pixel text by level, looked up one row of Python ints at a time

@@ -81,17 +81,15 @@ def vandermonde_det_formula(angles, k: int) -> float:
     return det
 
 
-def angular_moments(s: Sinogram, K: int, angles, *, support_pad: float = 0.0,
-                    window: str = "support") -> AngularMomentSet:
+def angular_moments(s: Sinogram, K: int, angles, *,
+                    support_pad: float = 0.0) -> AngularMomentSet:
     """Trapezoid offset moments of the rows nearest the requested angles.
 
     Each requested angle is snapped to the nearest sampled angle (always
     within half a grid cell); the returned set records the snapped values.
-    With window="support" the integration runs over the offset range
-    [-1 - pad, sqrt2 + pad] plus a two-cell guard, which contains the
-    (possibly kernel-widened) support of any admissible density; cells
-    beyond it carry no signal, only noise.  window="full" integrates the
-    whole grid.
+    The integration runs over the offset range [-1 - pad, sqrt2 + pad] plus
+    a two-cell guard, which contains the (possibly kernel-widened) support
+    of any admissible density; cells beyond it carry no signal, only noise.
     """
     if K < 0:
         raise OrderError("moment order must be nonnegative")
@@ -106,13 +104,8 @@ def angular_moments(s: Sinogram, K: int, angles, *, support_pad: float = 0.0,
 
     ps = s.offset_grid.points()
     h = s.offset_grid.spacing
-    if window == "support":
-        pad = support_pad + _WINDOW_GUARD_CELLS * h
-        mask = (ps >= -1.0 - pad) & (ps <= SQRT2 + pad)
-    elif window == "full":
-        mask = np.ones_like(ps, dtype=bool)
-    else:
-        raise ValueError(f"window must be 'support' or 'full', got {window!r}")
+    pad = support_pad + _WINDOW_GUARD_CELLS * h
+    mask = (ps >= -1.0 - pad) & (ps <= SQRT2 + pad)
     pw = ps[mask]
     rows = s.values[idx][:, mask]
 
@@ -209,7 +202,6 @@ def solve_moment_system(ams: AngularMomentSet, k: int,
 
 def recover_moment_table(s: Sinogram, m: MollifierSpec | None, K: int,
                          angles=None, *, max_order: int | None = None,
-                         window: str = "support",
                          diagnostics: dict | None = None) -> MomentTable:
     """Full pipeline: offset moments -> (deconvolution) -> per-order fits.
 
@@ -248,7 +240,7 @@ def recover_moment_table(s: Sinogram, m: MollifierSpec | None, K: int,
             raise ValueError("angles must be strictly increasing")
 
     pad = m.epsilon if m is not None else 0.0
-    ams = angular_moments(s, K, th, support_pad=pad, window=window)
+    ams = angular_moments(s, K, th, support_pad=pad)
     if s.kind == "mollified":
         ams = deconvolve_moments(ams, m)
 

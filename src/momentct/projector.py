@@ -79,6 +79,22 @@ def angle_coverage(grid: Grid1D) -> str:
     return "partial"
 
 
+def antipodal_half(angles: Grid1D, offsets: Grid1D) -> int | None:
+    """Row shift that pairs each row with its antipode, or None.
+
+    Returns count // 2 when row i + count // 2 at offset -p samples the same
+    line as row i at p: the angle count is even, half of it spans exactly
+    pi, and the offset grid is symmetric.  A "full" coverage alone does not
+    imply this, since `angle_coverage` tolerates a deficit of one spacing.
+    """
+    n = angles.count
+    if n % 2 or abs(n / 2 * angles.spacing - math.pi) > 1e-9 * angles.spacing:
+        return None
+    if abs(offsets.start + offsets.stop) > 1e-12:
+        return None
+    return n // 2
+
+
 def project(d: Density, angles: Grid1D, offsets: Grid1D) -> Sinogram:
     """Sample the line-integral transform of a density.
 
@@ -92,12 +108,11 @@ def project(d: Density, angles: Grid1D, offsets: Grid1D) -> Sinogram:
         )
     ps = offsets.points()
     th = angles.points()
-    symmetric = abs(offsets.start + offsets.stop) < 1e-12
-    if angle_coverage(angles) == "full" and angles.count % 2 == 0 and symmetric:
+    half = antipodal_half(angles, offsets)
+    if half is not None:
         # a full turn samples every line twice ((theta, p) and (theta+pi, -p));
         # compute the first half and extend by that identity, which keeps the
         # two representations of each line bitwise equal
-        half = angles.count // 2
         values = np.empty((angles.count, offsets.count))
         values[:half] = d.radon(th[:half, None], ps[None, :])
         values[half:] = values[:half, ::-1]
@@ -157,14 +172,12 @@ def l1_norm(s: Sinogram) -> float:
 def evenness_residual(s: Sinogram) -> float:
     """max |v(theta, p) - v(theta + pi, -p)| over the sampled grid.
 
-    Requires a full-turn angle grid with an even count and a symmetric
-    offset grid, so that both the opposite angle and the negated offset
-    land exactly on grid points.
+    Requires grids on which both the opposite angle and the negated offset
+    land exactly on grid points (`antipodal_half`).
     """
-    n = s.angle_grid.count
-    if angle_coverage(s.angle_grid) != "full" or n % 2:
-        raise ValueError("evenness needs a full-circle angle grid with even count")
-    if abs(s.offset_grid.start + s.offset_grid.stop) > 1e-12:
-        raise ValueError("evenness needs a symmetric offset grid")
-    shifted = np.roll(s.values, -n // 2, axis=0)[:, ::-1]
+    half = antipodal_half(s.angle_grid, s.offset_grid)
+    if half is None:
+        raise ValueError("evenness needs a full-turn angle grid with an even count "
+                         "and a symmetric offset grid")
+    shifted = np.roll(s.values, -half, axis=0)[:, ::-1]
     return float(np.max(np.abs(s.values - shifted)))

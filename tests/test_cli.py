@@ -161,6 +161,11 @@ class TestErrorContracts:
         cfg.write_text(f"[grids]\nline_step_factor = 0.25\n[output]\ndirectory = {tmp_path/'o'}\n")
         assert main(["project", "-c", str(cfg)]) == 2
 
+    def test_removed_moment_window_key_exits_2(self, tmp_path):
+        cfg = tmp_path / "old.ini"
+        cfg.write_text(f"[moments]\nwindow = full\n[output]\ndirectory = {tmp_path/'o'}\n")
+        assert main(["project", "-c", str(cfg)]) == 2
+
     def test_non_finite_sinogram_exits_2(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["project", "-c", str(cfg)]) == 0
@@ -195,6 +200,13 @@ class TestErrorContracts:
         assert main(["reconstruct", "-c", str(cfg), str(moments)]) == 2
         assert "PGM export needs finite values" in capsys.readouterr().err
         assert not (tmp_path / "run_out" / "recon_moments.pgm").exists()
+
+    def test_non_finite_image_leaves_no_csv(self, tmp_path):
+        cfg = write_config(tmp_path)
+        moments = tmp_path / "huge.csv"
+        moments.write_text("# moments K=2\n0,0,0\n1,0,0\n0,1,0\n2,0,0\n1,1,1e308\n0,2,0\n")
+        assert main(["reconstruct", "-c", str(cfg), str(moments)]) == 2
+        assert not (tmp_path / "run_out" / "recon_moments.csv").exists()
 
 
 class TestProjectReport:

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from momentct import fileio
-from momentct.density_recon import ReconGrid
+from momentct.density_recon import ReconGrid, reconstruct_grid
 from momentct.errors import FormatError
 from momentct.numerics import Grid1D
-from momentct.phantoms import MomentTable, UniformDensity
+from momentct.phantoms import DiskDensity, MomentTable, UniformDensity
 from momentct.projector import Sinogram, moment_angle_grid, offset_grid, project
 
 #: values whose 17-digit text is easy to get wrong: signed zeros, the
@@ -145,6 +145,24 @@ class TestWrittenText:
                   "one_row": base[:1]}[layout]
         assert values.flags.c_contiguous == (layout == "one_row")
         assert fileio._csv_rows(values) == csv_reference(values)
+
+    @pytest.mark.parametrize("rows", [
+        [[1.5, -2.0], [1.5, -2.0], [1.5, -2.0], [0.25, 3.0], [1.5, -2.0]],
+        [[-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]],
+        [[math.nan, 1.0], [math.nan, 1.0], [1.0, math.nan], [1.0, math.nan]],
+    ], ids=["repeated", "signed_zeros", "nan"])
+    def test_csv_rows_repeated_rows(self, rows):
+        values = np.array(rows)
+        assert fileio._csv_rows(values) == csv_reference(values)
+
+    def test_moment_image_text(self, tmp_path):
+        # each row of a moment image repeats over its cell, about N / m times
+        disk = DiskDensity.unit_mass(center=(0.35, 0.40), radius=0.18)
+        rec = reconstruct_grid(MomentTable.from_density(disk, 6), 3, 3, 37)
+        path = tmp_path / "m.csv"
+        fileio.write_recon_csv(rec, path)
+        assert path.read_text() == "\n".join(
+            ["# recon N=37 m=3 n=3", *csv_reference(rec.values)]) + "\n"
 
     @pytest.mark.parametrize("transpose", [False, True], ids=["c_order", "transposed"])
     def test_sinogram_text(self, tmp_path, transpose):

@@ -10,6 +10,8 @@ from momentct.phantoms import DiskDensity, UniformDensity
 from momentct.projector import (
     Sinogram,
     add_noise,
+    angle_coverage,
+    antipodal_half,
     evenness_residual,
     full_circle_grid,
     half_circle_grid,
@@ -23,6 +25,10 @@ from momentct.projector import (
 UNIFORM = UniformDensity()
 DISK = DiskDensity.unit_mass(center=(0.5, 0.5), radius=0.25)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+#: "full" by `angle_coverage` (one spacing short of 2 pi), yet row i + 96
+#: is not row i's antipode
+SHORT_FULL = Grid1D(2 * math.pi / 193, 192 * 2 * math.pi / 193, 192)
 
 
 def small_sinogram(density=UNIFORM, n_angles=16, n_offsets=257, cover="moment"):
@@ -186,3 +192,31 @@ class TestEvenness:
         s = small_sinogram(n_angles=8, n_offsets=65)
         with pytest.raises(ValueError):
             evenness_residual(s)
+
+    def test_rejects_a_full_turn_whose_rows_do_not_pair(self):
+        assert angle_coverage(SHORT_FULL) == "full"
+        s = project(DISK, SHORT_FULL, offset_grid(129))
+        with pytest.raises(ValueError):
+            evenness_residual(s)
+
+
+class TestAntipodalHalf:
+    @pytest.mark.parametrize("angles, offsets, half", [
+        (full_circle_grid(32), offset_grid(129), 16),
+        (full_circle_grid(2), offset_grid(129), 1),
+        (full_circle_grid(31), offset_grid(129), None),
+        (full_circle_grid(32), Grid1D(-1.6, 1.7, 129), None),
+        (half_circle_grid(32), offset_grid(129), None),
+        (moment_angle_grid(32), offset_grid(129), None),
+        (SHORT_FULL, offset_grid(129), None),
+    ], ids=["full", "two_angles", "odd_count", "asymmetric_offsets", "half_turn",
+            "open", "one_spacing_short"])
+    def test_pairs_only_antipodal_rows(self, angles, offsets, half):
+        assert antipodal_half(angles, offsets) == half
+
+    def test_project_samples_every_row_on_an_unpaired_full_turn(self):
+        disk = DiskDensity(center=(0.35, 0.40), radius=0.18, amplitude=1.0)
+        offsets = offset_grid(129)
+        s = project(disk, SHORT_FULL, offsets)
+        want = disk.radon(SHORT_FULL.points()[:, None], offsets.points()[None, :])
+        assert np.array_equal(s.values, want)

@@ -10,6 +10,8 @@ from momentct.numerics import Grid1D
 from momentct.phantoms import DiskDensity, UniformDensity
 from momentct.projector import (
     Sinogram,
+    add_noise,
+    angle_coverage,
     full_circle_grid,
     half_circle_grid,
     moment_angle_grid,
@@ -164,6 +166,81 @@ class TestBackproject:
         s = Sinogram(Grid1D(0.1, 0.9, 8), offset_grid(64), np.zeros((8, 64)), "filtered")
         with pytest.raises(CoverageError):
             backproject(s, 8)
+
+
+def backproject_reference(s, resolution):
+    """Row-by-row backprojection: every angle interpolated on its own."""
+    factor = 1.0 if angle_coverage(s.angle_grid) == "full" else 2.0
+    ps = s.offset_grid.points()
+    xs = (np.arange(resolution) + 0.5) / resolution
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    acc = np.zeros((resolution, resolution))
+    for i, theta in enumerate(s.angle_grid.points()):
+        off = X * math.cos(theta) + Y * math.sin(theta)
+        acc += np.interp(off, ps, s.values[i], left=0.0, right=0.0)
+    return acc * factor * s.angle_grid.spacing
+
+
+#: "full" by `angle_coverage` (one spacing short of 2 pi), yet row i + 96
+#: is not row i's antipode
+SHORT_FULL = Grid1D(2 * math.pi / 193, 192 * 2 * math.pi / 193, 192)
+
+
+def noisy_filtered(angles, offsets):
+    s = add_noise(project(DISK, angles, offsets), 0.01, seed=3)
+    return apply_filter(s, FilterSpec())
+
+
+@pytest.fixture
+def interp_calls(monkeypatch):
+    """Counts the np.interp calls backproject makes: one per interpolated row."""
+    calls = []
+    interp = np.interp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return interp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "interp", counted)
+    return calls
+
+
+class TestBackprojectFold:
+    """On full turns whose rows pair with their antipodes, backproject sums
+    each pair before interpolating; elsewhere it interpolates every row."""
+
+    def test_folded_full_turn_matches_the_row_by_row_sum(self):
+        s = noisy_filtered(full_circle_grid(64), offset_grid(257))
+        got = backproject(s, 33).values
+        want = backproject_reference(s, 33)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("grid", [half_circle_grid(48), moment_angle_grid(48)],
+                             ids=["half_turn", "open"])
+    def test_half_turn_is_bit_identical(self, grid):
+        s = noisy_filtered(grid, offset_grid(257))
+        assert np.array_equal(backproject(s, 33).values, backproject_reference(s, 33))
+
+    @pytest.mark.parametrize("angles, offsets", [
+        (full_circle_grid(63), offset_grid(257)),
+        (full_circle_grid(64), Grid1D(-1.6, 1.7, 257)),
+        (SHORT_FULL, offset_grid(257)),
+    ], ids=["odd_count", "asymmetric_offsets", "one_spacing_short"])
+    def test_unpaired_full_turns_are_not_folded(self, angles, offsets, interp_calls):
+        s = noisy_filtered(angles, offsets)
+        got = backproject(s, 33).values
+        assert len(interp_calls) == angles.count
+        want = backproject_reference(s, 33)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("angles, calls", [
+        (full_circle_grid(192), 96),
+        (moment_angle_grid(128), 128),
+    ], ids=["full_turn", "open"])
+    def test_interpolated_rows(self, angles, calls, interp_calls):
+        s = Sinogram(angles, offset_grid(64), np.ones((angles.count, 64)), "filtered")
+        backproject(s, 4)
+        assert len(interp_calls) == calls
 
 
 class TestFbp:
