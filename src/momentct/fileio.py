@@ -45,8 +45,8 @@ def _csv_rows(values: np.ndarray) -> list[str]:
     return lines
 
 
-#: PGM pixel text by level, looked up one row of Python ints at a time
-_PGM_LEVELS = [str(i) for i in range(256)]
+#: PGM pixel text by level; indexing it with a pixel image gathers the text
+_PGM_LEVELS = np.array([str(i) for i in range(256)], dtype=object)
 
 
 def _atomic_write_text(path, text: str) -> None:
@@ -99,6 +99,12 @@ def write_sinogram(s: Sinogram, path) -> Sinogram:
 
 
 def read_sinogram(path) -> Sinogram:
+    """Read a file written by `write_sinogram`.
+
+    Raises FormatError on a malformed header or row.  NaN and inf values
+    pass through unchecked; the CLI rejects them after reading
+    (`cli._require_finite`).
+    """
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         match = _SINO_HEADER.match(header)
@@ -133,6 +139,12 @@ def write_moments(table: MomentTable, path) -> None:
 
 
 def read_moments(path) -> MomentTable:
+    """Read a file written by `write_moments`.
+
+    Raises FormatError on a malformed header, a row without three fields,
+    or an incomplete table.  NaN and inf values pass through unchecked; the
+    CLI rejects them after reading (`cli._require_finite`).
+    """
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         match = re.match(r"^# moments K=(\d+)$", header)
@@ -163,6 +175,13 @@ def write_recon_csv(rec: ReconGrid, path) -> None:
 
 
 def read_recon_csv(path) -> ReconGrid:
+    """Read a file written by `write_recon_csv`.
+
+    Raises FormatError on a malformed header or row.  NaN and inf values
+    pass through unchecked, as in the other readers; the CLI never reads
+    this file back, and its check for the files it does read is
+    `cli._require_finite`.
+    """
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         match = re.match(r"^# recon N=(\d+)(?: m=(\d+) n=(\d+))?$", header)
@@ -212,5 +231,5 @@ def write_pgm(values: np.ndarray, path) -> None:
         f"{img.shape[1]} {img.shape[0]}",
         "255",
     ]
-    lines += [" ".join([_PGM_LEVELS[p] for p in row.tolist()]) for row in img]
+    lines += [" ".join(row.tolist()) for row in _PGM_LEVELS[img]]
     _atomic_write_text(path, "\n".join(lines) + "\n")

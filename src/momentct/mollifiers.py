@@ -12,6 +12,7 @@ transform first crosses zero near eps * s = 4.97, the cosine near 6.28).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +20,12 @@ import numpy as np
 
 from .errors import OmegaMembershipError, ResolutionWarning
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(200)
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """200-node Gauss-Legendre rule on [-1, 1], built on first use."""
+    return np.polynomial.legendre.leggauss(200)
+
 
 #: Default half-width of the positivity-validation band in units of eps * s.
 DEFAULT_OMEGA_BAND = 4.0
@@ -67,11 +73,12 @@ def _make(kind: str, epsilon: float, max_order: int, omega_band: float) -> Molli
     if max_order < 0:
         raise ValueError("max moment order must be nonnegative")
     profile = _PROFILES[kind]
-    base = profile(_GL_NODES)
-    norm_const = 1.0 / float(np.sum(_GL_WEIGHTS * base))
+    nodes, weights = _gauss_legendre()
+    base = profile(nodes)
+    norm_const = 1.0 / float(np.sum(weights * base))
     # base moments of the unit-width profile; c_j(eps) = eps^j c_j(1)
     base_moments = [
-        norm_const * float(np.sum(_GL_WEIGHTS * base * (-_GL_NODES) ** j))
+        norm_const * float(np.sum(weights * base * (-nodes) ** j))
         for j in range(max_order + 1)
     ]
     moments = tuple(epsilon**j * bm for j, bm in enumerate(base_moments))
@@ -125,10 +132,11 @@ def fourier_of_kernel(m: MollifierSpec, s) -> np.ndarray:
     beyond the validated band.
     """
     s = np.asarray(s, dtype=float)
-    base = m.norm_const * _PROFILES[m.kind](_GL_NODES)
+    nodes, weights = _gauss_legendre()
+    base = m.norm_const * _PROFILES[m.kind](nodes)
     # substitute t = eps * u: transform depends on s only through eps * s
-    arg = np.multiply.outer(s * m.epsilon, _GL_NODES)
-    vals = (_GL_WEIGHTS * base * np.cos(arg)).sum(axis=-1) / SQRT_2PI
+    arg = np.multiply.outer(s * m.epsilon, nodes)
+    vals = (weights * base * np.cos(arg)).sum(axis=-1) / SQRT_2PI
     return vals if vals.shape else float(vals)
 
 

@@ -154,13 +154,14 @@ class PolynomialDensity(Density):
         c, s, p, lo, length = _clip_chord(theta, p)
         degree = max((i + j for i, j, _ in self.coeffs), default=0)
         nodes, weights = np.polynomial.legendre.leggauss(math.ceil((degree + 1) / 2))
+        # node-major (nodes, hits) layout, so the ufunc loops run over hits
         hit = length > 0.0
-        half = 0.5 * length[hit, None]
-        u = lo[hit, None] + half * (1.0 + nodes)
-        c, s, p = c[hit, None], s[hit, None], p[hit, None]
+        half = 0.5 * length[hit]
+        u = lo[hit] + half * (1.0 + nodes[:, None])
+        c, s, p = c[hit], s[hit], p[hit]
         f = self.evaluate(p * c - u * s, p * s + u * c)
         out = np.zeros(length.shape)
-        out[hit] = half[:, 0] * (f * weights).sum(axis=1)
+        out[hit] = half * (f * weights[:, None]).sum(axis=0)
         return out[()]
 
     def moment_fraction(self, a1: int, a2: int) -> Fraction:

@@ -95,11 +95,32 @@ def antipodal_half(angles: Grid1D, offsets: Grid1D) -> int | None:
     return n // 2
 
 
+def _support_windows(thetas: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-angle column range [first, stop) of the offsets whose lines can
+    meet the unit square.
+
+    At angle theta the square projects onto [min(c,0) + min(s,0),
+    max(c,0) + max(s,0)] with (c, s) = (cos theta, sin theta); outside it the
+    line integral of any density supported in the square is 0.  The range is
+    widened by one offset on each side, which keeps lines within roundoff
+    (or `_EDGE_TOL`) of the interval's ends inside it: lines through a
+    vertex, and lines along an edge at theta = 0 or pi/2.
+    """
+    c, s = np.cos(thetas), np.sin(thetas)
+    lo = np.minimum(c, 0.0) + np.minimum(s, 0.0)
+    hi = np.maximum(c, 0.0) + np.maximum(s, 0.0)
+    first = np.maximum(np.searchsorted(ps, lo, side="left") - 1, 0)
+    stop = np.minimum(np.searchsorted(ps, hi, side="right") + 1, ps.size)
+    return first, stop
+
+
 def project(d: Density, angles: Grid1D, offsets: Grid1D) -> Sinogram:
     """Sample the line-integral transform of a density.
 
-    Each sample is the density's exact line integral `d.radon`, evaluated
-    over the whole angle x offset grid in one array call.
+    Each sample is the density's exact line integral `d.radon`.  Only the
+    samples inside each row's support window are evaluated, in one array
+    call over the flattened windows; every other sample is exactly 0.0,
+    which is what `d.radon` returns on lines that miss the square.
     """
     if offsets.start > -SQRT2 + 1e-12 or offsets.stop < SQRT2 - 1e-12:
         raise CoverageError(
@@ -109,15 +130,19 @@ def project(d: Density, angles: Grid1D, offsets: Grid1D) -> Sinogram:
     ps = offsets.points()
     th = angles.points()
     half = antipodal_half(angles, offsets)
+    # a full turn samples every line twice ((theta, p) and (theta+pi, -p));
+    # compute the first half and extend by that identity, which keeps the
+    # two representations of each line bitwise equal
+    sampled = angles.count if half is None else half
+    first, stop = _support_windows(th[:sampled], ps)
+    widths = stop - first
+    rows = np.repeat(np.arange(sampled), widths)
+    # column of each flattened point: its rank within its row plus the row's first
+    cols = np.arange(rows.size) + np.repeat(first - (np.cumsum(widths) - widths), widths)
+    values = np.zeros((angles.count, offsets.count))
+    values[rows, cols] = d.radon(th[rows], ps[cols])
     if half is not None:
-        # a full turn samples every line twice ((theta, p) and (theta+pi, -p));
-        # compute the first half and extend by that identity, which keeps the
-        # two representations of each line bitwise equal
-        values = np.empty((angles.count, offsets.count))
-        values[:half] = d.radon(th[:half, None], ps[None, :])
         values[half:] = values[:half, ::-1]
-    else:
-        values = d.radon(th[:, None], ps[None, :])
     return Sinogram(angle_grid=angles, offset_grid=offsets, values=values, kind="raw")
 
 

@@ -17,6 +17,7 @@ marginally resolved kernels and is only used for positivity validation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +35,11 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 #: 1/sqrt(2 pi)-normalized scale of the continuous transform.
 DEFAULT_REG_FLOOR = 1e-6 / SQRT_2PI
 
-_GL128 = np.polynomial.legendre.leggauss(128)
+
+@functools.cache
+def _gauss_legendre_128() -> tuple[np.ndarray, np.ndarray]:
+    """128-node Gauss-Legendre rule on [-1, 1], built on first use."""
+    return np.polynomial.legendre.leggauss(128)
 
 
 @dataclass(frozen=True)
@@ -173,7 +178,7 @@ def row_transform(s: Sinogram, row_index: int, s_values) -> np.ndarray:
 def density_transform_2d(d: Density, xi1: float, xi2: float) -> complex:
     """2-D transform (1/(2 pi)) integral of f(x) e^{-i <x, xi>} dx by
     tensor Gauss-Legendre quadrature on the unit square."""
-    nodes, weights = _GL128
+    nodes, weights = _gauss_legendre_128()
     x = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
     xx, yy = np.meshgrid(x, x, indexing="ij")

@@ -6,7 +6,12 @@ import pytest
 from momentct.errors import CoverageError, MisuseError
 from momentct.mollifiers import make_bump
 from momentct.numerics import Grid1D
-from momentct.phantoms import DiskDensity, UniformDensity
+from momentct.phantoms import (
+    DiskDensity,
+    PolynomialDensity,
+    SumOfDisksDensity,
+    UniformDensity,
+)
 from momentct.projector import (
     Sinogram,
     add_noise,
@@ -220,3 +225,89 @@ class TestAntipodalHalf:
         s = project(disk, SHORT_FULL, offsets)
         want = disk.radon(SHORT_FULL.points()[:, None], offsets.points()[None, :])
         assert np.array_equal(s.values, want)
+
+
+def full_grid_reference(d, angles, offsets):
+    """The whole-grid projection: one `d.radon` call over every sample, with
+    the antipodal mirror on paired full turns."""
+    values = d.radon(angles.points()[:, None], offsets.points()[None, :])
+    half = antipodal_half(angles, offsets)
+    if half is not None:
+        values[half:] = values[:half, ::-1]
+    return values
+
+
+WINDOW_PHANTOMS = {
+    "uniform": UNIFORM,
+    "polynomial": PolynomialDensity.from_dict({(1, 1): 2.0, (2, 2): 3.0, (0, 3): 0.5}),
+    "disk": DiskDensity(center=(0.35, 0.40), radius=0.18, amplitude=1.0),
+    "disks": SumOfDisksDensity((DiskDensity(center=(0.35, 0.40), radius=0.18, amplitude=1.0),
+                                DiskDensity(center=(0.68, 0.62), radius=0.14, amplitude=2.0))),
+}
+
+WINDOW_ANGLES = {
+    "open": moment_angle_grid(37),
+    "half_turn": half_circle_grid(40),
+    "full_even": full_circle_grid(64),
+    "full_odd": full_circle_grid(63),
+    "one_spacing_short": SHORT_FULL,
+    "axes": half_circle_grid(2),             # theta = 0 and pi/2, unpaired
+    "axes_full": Grid1D(0.0, 1.5 * math.pi, 4),  # 0, pi/2 and their antipodes
+}
+
+WINDOW_OFFSETS = {
+    "margin_1.0": offset_grid(129, 1.0),
+    "margin_1.7": offset_grid(200, 1.7),
+    "edges_on_grid": Grid1D(-1.5, 1.5, 301),  # p = 0 and p = 1 are samples
+    # samples 5e-10 beyond an edge, where the clipped chord is still a full
+    # unit (within _EDGE_TOL) although the line misses the square
+    "edges_plus_tol": Grid1D(-1.5 + 5e-10, 1.5 + 5e-10, 301),
+    "edges_minus_tol": Grid1D(-1.5 - 5e-10, 1.5 - 5e-10, 301),
+}
+
+
+class TestSupportWindow:
+    """project evaluates d.radon only where a line can meet the unit square;
+    the result is bitwise the whole-grid projection."""
+
+    @pytest.mark.parametrize("offsets", WINDOW_OFFSETS.values(), ids=WINDOW_OFFSETS.keys())
+    @pytest.mark.parametrize("angles", WINDOW_ANGLES.values(), ids=WINDOW_ANGLES.keys())
+    @pytest.mark.parametrize("d", WINDOW_PHANTOMS.values(), ids=WINDOW_PHANTOMS.keys())
+    def test_bitwise_equal_to_the_whole_grid(self, d, angles, offsets):
+        got = project(d, angles, offsets).values
+        want = full_grid_reference(d, angles, offsets)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("shift, edges", [(0.0, (0.0, 1.0)), (5e-10, (1.0,)),
+                                              (-5e-10, (0.0,))],
+                             ids=["on_edge", "above", "below"])
+    def test_edge_lines_are_inside_the_window(self, shift, edges):
+        # at theta = 0 and pi/2 the lines through (or within _EDGE_TOL of) an
+        # edge carry a full unit chord of the uniform density
+        offsets = Grid1D(-1.5 + shift, 1.5 + shift, 301)
+        ps = offsets.points()
+        cols = [int(np.argmin(np.abs(ps - (p + shift)))) for p in edges]
+        s = project(UNIFORM, half_circle_grid(2), offsets)
+        assert np.all(s.values[:, cols] == 1.0)
+
+    @pytest.mark.parametrize("angles, sampled_rows", [
+        (moment_angle_grid(256), 256),
+        (full_circle_grid(192), 96),
+    ], ids=["open", "full_turn"])
+    def test_radon_sees_fewer_points_than_the_grid(self, monkeypatch, angles, sampled_rows):
+        points = []
+        radon = UniformDensity.radon
+
+        def counted(self, theta, p):
+            points.append(np.broadcast(theta, p).size)
+            return radon(self, theta, p)
+
+        monkeypatch.setattr(UniformDensity, "radon", counted)
+        offsets = offset_grid(1024)
+        project(UNIFORM, angles, offsets)
+        assert len(points) == 1
+        # a window spans |cos| + |sin| <= sqrt(2) of the 2.2 sqrt(2) offset
+        # span, plus one offset on each side
+        assert points[0] <= sampled_rows * (offsets.count / 2.2 + 3)
+        assert points[0] < 0.5 * angles.count * offsets.count
