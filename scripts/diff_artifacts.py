@@ -7,8 +7,10 @@ Usage:
 PARENT_SRC and CHANGE_SRC are `src` directories (each holding the
 `momentct` package), for example one from a `git archive` of the parent
 commit and this checkout's `src`.  Both run `momentct pipeline` in a fresh
-interpreter on the shipped demo configuration and on the benchmark's three
-workload configurations (`perfbench/workloads.py`) at seeds 1 and 2.  Each
+interpreter on the shipped demo configuration, on the benchmark's three
+workload configurations (`perfbench/workloads.py`) at seeds 1 and 2, and on
+the CLI tests' `MINI_CONFIG` (`tests/test_cli.py`) at each angle cover
+(moment, half, full), with its `[mollifier]` section and without it.  Each
 run gets the same relative paths in its own temporary directory, so the two
 sides see identical command lines.
 
@@ -28,11 +30,23 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(REPO / "perfbench"))
+sys.path[:0] = [str(REPO / "perfbench"), str(REPO / "tests"), str(REPO / "src")]
 
+from test_cli import MINI_CONFIG  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SEEDS = (1, 2)
+
+
+def without_section(ini: str, name: str) -> str:
+    """The INI text with its `[name]` section left out."""
+    kept, skipping = [], False
+    for line in ini.splitlines(keepends=True):
+        if line.startswith("["):
+            skipping = line.strip() == f"[{name}]"
+        if not skipping:
+            kept.append(line)
+    return "".join(kept)
 
 
 def cases() -> dict[str, str]:
@@ -41,6 +55,11 @@ def cases() -> dict[str, str]:
     for name, make in WORKLOADS.items():
         for seed in SEEDS:
             out[f"{name}_seed{seed}"] = make(seed).ini
+    mini = MINI_CONFIG.format(out="out")
+    for cover in ("moment", "half", "full"):
+        smoothed = mini.replace("angle_cover = moment", f"angle_cover = {cover}")
+        out[f"mini_{cover}_smoothed"] = smoothed
+        out[f"mini_{cover}_raw"] = without_section(smoothed, "mollifier")
     return out
 
 

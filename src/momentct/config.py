@@ -1,15 +1,17 @@
 """Run configuration: a flat INI file with one section per pipeline block.
 
-Every block is validated before any computation starts.  Unknown sections
-or keys are rejected so typos fail fast.
+The dataclasses below are the only statement of the sections, keys, types
+and defaults: each section is a `RunConfig` field and each key a field of
+that block.  Every block is validated before any computation starts.
+Unknown sections or keys are rejected so typos fail fast.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+import os
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, CoverageError
 from .mollifiers import MollifierSpec, make_kernel
@@ -25,21 +27,62 @@ from .projector import full_circle_grid, half_circle_grid, moment_angle_grid, of
 from .spectral import DEFAULT_REG_FLOOR, FilterSpec
 
 
+# ---- parsers of the tuple fields ------------------------------------------
+
+def _parse_pair(text: str) -> tuple:
+    parts = [t.strip() for t in text.split(",")]
+    if len(parts) != 2:
+        raise ConfigError(f"expected 'x,y', got {text!r}")
+    return float(parts[0]), float(parts[1])
+
+
+def _terms(text: str) -> list:
+    return [item.strip() for item in text.split(";") if item.strip()]
+
+
+def _parse_coeffs(text: str) -> tuple:
+    out = []
+    for item in _terms(text):
+        try:
+            indices, value = item.split(":")
+            i, j = (int(t) for t in indices.split(","))
+            out.append((i, j, float(value)))
+        except ValueError as exc:
+            raise ConfigError(f"bad polynomial term {item!r}; want 'i,j:c'") from exc
+    return tuple(out)
+
+
+def _parse_disks(text: str) -> tuple:
+    out = []
+    for item in _terms(text):
+        parts = [t.strip() for t in item.split(",")]
+        if len(parts) not in (3, 4):
+            raise ConfigError(f"bad disk {item!r}; want 'cx,cy,r[,amplitude]'")
+        amp = float(parts[3]) if len(parts) == 4 else None
+        out.append((float(parts[0]), float(parts[1]), float(parts[2]), amp))
+    return tuple(out)
+
+
+def _parsed(default, parse):
+    """A field whose INI text is read by `parse` instead of its type."""
+    return field(default=default, metadata={"parse": parse})
+
+
 @dataclass(frozen=True)
 class PhantomConfig:
     kind: str = "uniform"
-    coeffs: tuple = ()            # ((i, j, c), ...) for polynomial
-    center: tuple = (0.5, 0.5)    # disk
+    coeffs: tuple = _parsed((), _parse_coeffs)          # ((i, j, c), ...) for polynomial
+    center: tuple = _parsed((0.5, 0.5), _parse_pair)    # disk
     radius: float = 0.25
     amplitude: float | None = None  # None -> normalized to unit mass
-    disks: tuple = ()             # ((cx, cy, r, amp-or-None), ...) for disks
+    disks: tuple = _parsed((), _parse_disks)  # ((cx, cy, r, amp-or-None), ...) for disks
 
 
 @dataclass(frozen=True)
 class MollifierConfig:
     kernel: str = "bump"
     epsilon: float = 0.05
-    max_order: int | None = None  # None -> moments.K
+    max_order: int | None = None  # None -> max(moments.K, 2)
 
 
 @dataclass(frozen=True)
@@ -59,7 +102,8 @@ class GridConfig:
 @dataclass(frozen=True)
 class MomentConfig:
     K: int = 4
-    angles: tuple | None = None   # None -> fit over every row in (0, pi)
+    # None -> fit over every row in (0, pi)
+    angles: tuple | None = _parsed(None, lambda text: tuple(float(t) for t in text.split(",")))
     max_order: int | None = None  # solver order cap override
 
 
@@ -84,6 +128,13 @@ class OutputConfig:
     directory: str = "out"
 
 
+def _floats(value) -> list:
+    """The floats in a config value, including those inside tuples."""
+    if isinstance(value, tuple):
+        return [x for item in value for x in _floats(item)]
+    return [value] if isinstance(value, float) else []
+
+
 @dataclass(frozen=True)
 class RunConfig:
     phantom: PhantomConfig = field(default_factory=PhantomConfig)
@@ -96,6 +147,12 @@ class RunConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
     def validate(self) -> None:
+        for section in fields(self):
+            block = getattr(self, section.name)
+            for f in fields(block) if block is not None else ():
+                value = getattr(block, f.name)
+                if not all(math.isfinite(x) for x in _floats(value)):
+                    raise ConfigError(f"[{section.name}] {f.name} must be finite, got {value}")
         p = self.phantom
         if p.kind not in ("uniform", "polynomial", "disk", "disks"):
             raise ConfigError(f"unknown phantom kind {p.kind!r}")
@@ -192,142 +249,56 @@ class RunConfig:
         )
 
 
-# ---- parsing ---------------------------------------------------------
+# ---- parsing ----------------------------------------------------------
 
-_KNOWN_KEYS = {
-    "phantom": {"kind", "coeffs", "center", "radius", "amplitude", "disks"},
-    "mollifier": {"kernel", "epsilon", "max_order"},
-    "noise": {"sigma", "seed"},
-    "grids": {"angles", "angle_cover", "offsets", "margin"},
-    "moments": {"K", "angles", "max_order"},
-    "recon": {"method", "m", "n", "resolution"},
-    "filter": {"kind", "cutoff", "reg_floor", "taper"},
-    "output": {"directory"},
-}
+#: INI text -> value, by annotated type
+_CONVERTERS = {"int": int, "float": float, "str": str.strip}
 
 
-def _parse_pair(text: str) -> tuple:
-    parts = [t.strip() for t in text.split(",")]
-    if len(parts) != 2:
-        raise ConfigError(f"expected 'x,y', got {text!r}")
-    return float(parts[0]), float(parts[1])
-
-
-def _parse_coeffs(text: str) -> tuple:
-    out = []
-    for item in text.split(";"):
-        item = item.strip()
-        if not item:
-            continue
-        try:
-            indices, value = item.split(":")
-            i, j = (int(t) for t in indices.split(","))
-            out.append((i, j, float(value)))
-        except ValueError as exc:
-            raise ConfigError(f"bad polynomial term {item!r}; want 'i,j:c'") from exc
-    return tuple(out)
-
-
-def _parse_disks(text: str) -> tuple:
-    out = []
-    for item in text.split(";"):
-        item = item.strip()
-        if not item:
-            continue
-        parts = [t.strip() for t in item.split(",")]
-        if len(parts) not in (3, 4):
-            raise ConfigError(f"bad disk {item!r}; want 'cx,cy,r[,amplitude]'")
-        amp = float(parts[3]) if len(parts) == 4 else None
-        out.append((float(parts[0]), float(parts[1]), float(parts[2]), amp))
-    return tuple(out)
-
-
-def _opt_float(value: str) -> float | None:
-    return None if value.strip().lower() == "auto" else float(value)
+def _parse_value(f, text: str):
+    """One key's value: `auto` in any case means None in an `X | None` field."""
+    if f.type.endswith(" | None") and text.strip().lower() == "auto":
+        return None
+    return (f.metadata.get("parse") or _CONVERTERS[f.type.removesuffix(" | None")])(text)
 
 
 def load_config(path) -> RunConfig:
-    """Parse and fully validate an INI run configuration."""
+    """Parse and fully validate an INI run configuration.
+
+    Keys match in any case; an absent key keeps its default.  A present
+    section, even an empty one, builds its block: `[mollifier]` alone
+    switches smoothing on.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(Path(path))
+    try:
+        read = parser.read(os.fspath(path))
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file: {' '.join(str(exc).split())}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
 
+    # each RunConfig field's annotation names its block class
+    sections = {f.name: globals()[f.type.removesuffix(" | None")] for f in fields(RunConfig)}
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in sections:
             raise ConfigError(f"unknown config section [{section}]")
+        known = {f.name.lower() for f in fields(sections[section])}
         for key in parser[section]:
-            if key not in {k.lower() for k in _KNOWN_KEYS[section]}:
+            if key not in known:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
-    cfg = RunConfig()
+    blocks = {}
     try:
-        if parser.has_section("phantom"):
-            sec = parser["phantom"]
-            cfg = replace(cfg, phantom=PhantomConfig(
-                kind=sec.get("kind", "uniform").strip(),
-                coeffs=_parse_coeffs(sec.get("coeffs", "")) if sec.get("coeffs") else (),
-                center=_parse_pair(sec.get("center", "0.5,0.5")),
-                radius=sec.getfloat("radius", 0.25),
-                amplitude=_opt_float(sec.get("amplitude", "auto")),
-                disks=_parse_disks(sec.get("disks", "")) if sec.get("disks") else (),
-            ))
-        if parser.has_section("mollifier"):
-            sec = parser["mollifier"]
-            max_order = sec.get("max_order", "auto")
-            cfg = replace(cfg, mollifier=MollifierConfig(
-                kernel=sec.get("kernel", "bump").strip(),
-                epsilon=sec.getfloat("epsilon", 0.05),
-                max_order=None if max_order.strip() == "auto" else int(max_order),
-            ))
-        if parser.has_section("noise"):
-            sec = parser["noise"]
-            cfg = replace(cfg, noise=NoiseConfig(
-                sigma=sec.getfloat("sigma", 0.0),
-                seed=sec.getint("seed", 1),
-            ))
-        if parser.has_section("grids"):
-            sec = parser["grids"]
-            cfg = replace(cfg, grids=GridConfig(
-                angles=sec.getint("angles", 256),
-                angle_cover=sec.get("angle_cover", "moment").strip(),
-                offsets=sec.getint("offsets", 1024),
-                margin=sec.getfloat("margin", 1.1),
-            ))
-        if parser.has_section("moments"):
-            sec = parser["moments"]
-            angles_text = sec.get("angles", "auto").strip()
-            angles = None if angles_text.lower() == "auto" else tuple(
-                float(t) for t in angles_text.split(",")
-            )
-            max_order = sec.get("max_order", "auto").strip()
-            cfg = replace(cfg, moments=MomentConfig(
-                K=sec.getint("K", 4),
-                angles=angles,
-                max_order=None if max_order == "auto" else int(max_order),
-            ))
-        if parser.has_section("recon"):
-            sec = parser["recon"]
-            cfg = replace(cfg, recon=ReconConfig(
-                method=sec.get("method", "moments").strip(),
-                m=sec.getint("m", 2),
-                n=sec.getint("n", 2),
-                resolution=sec.getint("resolution", 64),
-            ))
-        if parser.has_section("filter"):
-            sec = parser["filter"]
-            cfg = replace(cfg, filter=FilterConfig(
-                kind=sec.get("kind", "auto").strip(),
-                cutoff=_opt_float(sec.get("cutoff", "auto")),
-                reg_floor=_opt_float(sec.get("reg_floor", "auto")),
-                taper=sec.getfloat("taper", 0.1),
-            ))
-        if parser.has_section("output"):
-            cfg = replace(cfg, output=OutputConfig(
-                directory=parser["output"].get("directory", "out").strip(),
-            ))
-    except (ValueError, KeyError) as exc:
+        for section, block in sections.items():
+            if parser.has_section(section):
+                sec = parser[section]
+                blocks[section] = block(**{
+                    f.name: _parse_value(f, sec[f.name])
+                    for f in fields(block) if f.name in sec
+                })
+    except (ValueError, configparser.Error) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
 
+    cfg = RunConfig(**blocks)
     cfg.validate()
     return cfg

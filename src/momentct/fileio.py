@@ -141,8 +141,9 @@ def write_moments(table: MomentTable, path) -> None:
 def read_moments(path) -> MomentTable:
     """Read a file written by `write_moments`.
 
-    Raises FormatError on a malformed header, a row without three fields,
-    or an incomplete table.  NaN and inf values pass through unchecked; the
+    Raises FormatError on a malformed header or an incomplete table, and,
+    naming the file and line, on a row that is not `a1,a2,value` or that
+    repeats an (a1, a2).  NaN and inf values pass through unchecked; the
     CLI rejects them after reading (`cli._require_finite`).
     """
     with open(path) as fh:
@@ -152,14 +153,18 @@ def read_moments(path) -> MomentTable:
             raise FormatError(f"malformed moment header: {header!r}")
         K = int(match.group(1))
         values = {}
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise FormatError(f"malformed moment row: {line!r}")
-            values[(int(parts[0]), int(parts[1]))] = float(parts[2])
+            try:
+                a1, a2, value = line.split(",")
+                key, value = (int(a1), int(a2)), float(value)
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: malformed moment row {line!r}") from None
+            if key in values:
+                raise FormatError(f"{path}:{lineno}: repeated moment {key}")
+            values[key] = value
     try:
         return MomentTable(max_order=K, values=values)
     except ValueError as exc:

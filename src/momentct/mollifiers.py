@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(200)
 
 
-#: Default half-width of the positivity-validation band in units of eps * s.
+#: Half-width of the positivity band checked at construction, in units of eps * s.
 DEFAULT_OMEGA_BAND = 4.0
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -54,8 +55,10 @@ class MollifierSpec:
     """A scaled kernel phi_eps(t) = phi(t/eps)/eps with unit mass.
 
     `moments[j]` holds c_j, the integral of phi(u) (-u)^j du scaled by
-    eps^j; odd entries vanish by symmetry.  `fourier_grid`/`fourier_samples`
-    tabulate the transform on the validated positivity band.
+    eps^j; odd entries vanish by symmetry.  Construction checks that the
+    transform is strictly positive on the band |s| <= DEFAULT_OMEGA_BAND/eps
+    (257 points) and raises OmegaMembershipError otherwise; the transform
+    itself is evaluated on demand by `fourier_of_kernel`.
     """
 
     kind: str
@@ -63,60 +66,37 @@ class MollifierSpec:
     max_order: int
     norm_const: float
     moments: tuple
-    fourier_grid: np.ndarray
-    fourier_samples: np.ndarray
-
-
-def _make(kind: str, epsilon: float, max_order: int, omega_band: float) -> MollifierSpec:
-    if epsilon <= 0:
-        raise ValueError(f"kernel width must be positive, got {epsilon}")
-    if max_order < 0:
-        raise ValueError("max moment order must be nonnegative")
-    profile = _PROFILES[kind]
-    nodes, weights = _gauss_legendre()
-    base = profile(nodes)
-    norm_const = 1.0 / float(np.sum(weights * base))
-    # base moments of the unit-width profile; c_j(eps) = eps^j c_j(1)
-    base_moments = [
-        norm_const * float(np.sum(weights * base * (-nodes) ** j))
-        for j in range(max_order + 1)
-    ]
-    moments = tuple(epsilon**j * bm for j, bm in enumerate(base_moments))
-    s_grid = np.linspace(0.0, omega_band / epsilon, 257)
-    spec = MollifierSpec(
-        kind=kind,
-        epsilon=epsilon,
-        max_order=max_order,
-        norm_const=norm_const,
-        moments=moments,
-        fourier_grid=s_grid,
-        fourier_samples=np.empty(0),
-    )
-    samples = fourier_of_kernel(spec, s_grid)
-    object.__setattr__(spec, "fourier_samples", samples)
-    if np.any(samples <= 0.0):
-        raise OmegaMembershipError(
-            f"{kind} kernel transform not strictly positive for |s| <= {s_grid[-1]:.3g}"
-        )
-    return spec
-
-
-def make_bump(epsilon: float, max_order: int = 12,
-              omega_band: float = DEFAULT_OMEGA_BAND) -> MollifierSpec:
-    """Bump kernel exp(-1/(1-(t/eps)^2)), normalized to unit mass."""
-    return _make("bump", epsilon, max_order, omega_band)
-
-
-def make_cosine(epsilon: float, max_order: int = 12,
-                omega_band: float = DEFAULT_OMEGA_BAND) -> MollifierSpec:
-    """Truncated-cosine kernel (1 + cos(pi t/eps))/(2 eps)."""
-    return _make("cosine", epsilon, max_order, omega_band)
 
 
 def make_kernel(kind: str, epsilon: float, max_order: int = 12) -> MollifierSpec:
     if kind not in _PROFILES:
         raise ValueError(f"unknown kernel kind {kind!r}; have {sorted(_PROFILES)}")
-    return _make(kind, epsilon, max_order, DEFAULT_OMEGA_BAND)
+    if epsilon <= 0:
+        raise ValueError(f"kernel width must be positive, got {epsilon}")
+    if max_order < 0:
+        raise ValueError("max moment order must be nonnegative")
+    nodes, weights = _gauss_legendre()
+    base = _PROFILES[kind](nodes)
+    norm_const = 1.0 / float(np.sum(weights * base))
+    # c_j(eps) = eps^j c_j(1), from the moments of the unit-width profile
+    moments = tuple(
+        epsilon**j * (norm_const * float(np.sum(weights * base * (-nodes) ** j)))
+        for j in range(max_order + 1)
+    )
+    spec = MollifierSpec(kind=kind, epsilon=epsilon, max_order=max_order,
+                         norm_const=norm_const, moments=moments)
+    validate_omega_band(spec, DEFAULT_OMEGA_BAND / epsilon, 257)
+    return spec
+
+
+def make_bump(epsilon: float, max_order: int = 12) -> MollifierSpec:
+    """Bump kernel exp(-1/(1-(t/eps)^2)), normalized to unit mass."""
+    return make_kernel("bump", epsilon, max_order)
+
+
+def make_cosine(epsilon: float, max_order: int = 12) -> MollifierSpec:
+    """Truncated-cosine kernel (1 + cos(pi t/eps))/(2 eps)."""
+    return make_kernel("cosine", epsilon, max_order)
 
 
 def evaluate_kernel(m: MollifierSpec, t) -> np.ndarray:
@@ -149,20 +129,18 @@ def validate_omega_band(m: MollifierSpec, s_max: float, count: int = 513) -> Non
         )
 
 
-def sampled_kernel(m: MollifierSpec, spacing: float, renormalize: bool = True):
+def sampled_kernel(m: MollifierSpec, spacing: float):
     """Kernel sampled on a symmetric grid with the given spacing.
 
     Returns (offsets, weights) where offsets = spacing * (-n..n) and
-    weights are phi_eps samples; with `renormalize` the weights are scaled
-    so that spacing * sum(weights) is exactly 1, which makes the discrete
-    convolution mass-preserving on the grid.  Warns when the width is
-    marginal (fewer than two grid cells per half-width).
+    weights are phi_eps samples scaled so that spacing * sum(weights) is
+    exactly 1, which makes the discrete convolution mass-preserving on the
+    grid.  Warns when the width is marginal (fewer than two grid cells per
+    half-width).
     """
     if spacing <= 0:
         raise ValueError("spacing must be positive")
     if m.epsilon < 2.0 * spacing:
-        import warnings
-
         warnings.warn(
             f"kernel width {m.epsilon:.3g} below twice the grid spacing "
             f"{spacing:.3g}; the sampled kernel is marginally resolved",
@@ -175,6 +153,4 @@ def sampled_kernel(m: MollifierSpec, spacing: float, renormalize: bool = True):
     total = float(weights.sum()) * spacing
     if total <= 0.0:
         raise ValueError("sampled kernel has nonpositive mass; grid far too coarse")
-    if renormalize:
-        weights = weights / total
-    return offsets, weights
+    return offsets, weights / total

@@ -25,11 +25,9 @@ import numpy as np
 
 from .errors import CoverageError, MisuseError
 from .density_recon import ReconGrid
-from .mollifiers import MollifierSpec, sampled_kernel
+from .mollifiers import SQRT_2PI, MollifierSpec, sampled_kernel
 from .phantoms import Density
 from .projector import Sinogram, angle_coverage, antipodal_half
-
-SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 #: Default regularization floor for the kernel-transform division, in the
 #: 1/sqrt(2 pi)-normalized scale of the continuous transform.

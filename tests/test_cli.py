@@ -191,6 +191,30 @@ class TestErrorContracts:
         assert main(["reconstruct", "-c", str(cfg), str(moments)]) == 2
         assert not (out / "recon_moments.csv").exists()
 
+    @pytest.mark.parametrize("old, new", [
+        ("sigma = 0.01", "sigma = nan"),
+        ("[output]", "[filter]\ncutoff = nan\n[output]"),
+        ("epsilon = 0.08", "epsilon = inf"),
+        ("kind = uniform", "kind = disk\nradius = nan"),
+        ("kind = uniform", "kind = disk\ncenter = 0.5, nan"),
+        ("kind = uniform", "kind = disk\namplitude = nan"),
+        ("kind = uniform", "kind = disks\ndisks = 0.5,0.5,0.2,nan"),
+        ("kind = uniform", "kind = polynomial\ncoeffs = 0,0:1; 1,0:nan"),
+    ], ids=["sigma", "cutoff", "epsilon", "radius", "center", "amplitude",
+            "disk-list", "coeffs"])
+    def test_non_finite_config_float_exits_2_before_any_artifact(
+            self, tmp_path, capsys, old, new):
+        cfg = write_config(tmp_path, text=MINI_CONFIG.replace(old, new))
+        assert main(["pipeline", "-c", str(cfg)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "run_out").exists()
+
+    def test_non_finite_sigma_flag_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["pipeline", "-c", str(cfg), "--sigma", "nan"]) == 2
+        assert "[noise] sigma must be finite, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "run_out").exists()
+
     def test_non_finite_image_is_not_exported_as_pgm(self, tmp_path, capsys):
         # finite moments whose approximant overflows: m = n = 1 scales
         # gamma(1, 1) by 4 in every cell

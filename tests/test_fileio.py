@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import stat
 
 import numpy as np
@@ -95,6 +96,19 @@ class TestMomentFormat:
         bad = tmp_path / "bad.csv"
         bad.write_text("# moments K=2\n0,0\n")
         with pytest.raises(FormatError):
+            fileio.read_moments(bad)
+
+    @pytest.mark.parametrize("row", ["1,0,abc", "x,0,1", "1.5,0,1", "1,0,1,2"])
+    def test_bad_row_names_file_and_line(self, tmp_path, row):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"# moments K=1\n0,0,1\n{row}\n0,1,0.5\n")
+        with pytest.raises(FormatError, match=re.escape(f"{bad}:3: malformed moment row ")):
+            fileio.read_moments(bad)
+
+    def test_repeated_moment_is_rejected(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# moments K=1\n0,0,1\n1,0,0.5\n0,1,0.5\n0,0,7\n")
+        with pytest.raises(FormatError, match=re.escape(f"{bad}:5: repeated moment (0, 0)")):
             fileio.read_moments(bad)
 
 

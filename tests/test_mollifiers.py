@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from momentct.errors import OmegaMembershipError, ResolutionWarning
 from momentct.mollifiers import (
+    DEFAULT_OMEGA_BAND,
     evaluate_kernel,
     fourier_of_kernel,
     make_bump,
@@ -126,8 +127,10 @@ class TestFourier:
             validate_omega_band(m, 60.0)  # crosses the first transform zero
 
     def test_tabulated_band_is_positive(self):
-        m = make_cosine(0.05, 2)
-        assert np.all(m.fourier_samples > 0.0)
+        # the 257 points construction checks, for both kernel families
+        for m in (make_cosine(0.05, 2), make_bump(0.05, 2)):
+            s = np.linspace(0.0, DEFAULT_OMEGA_BAND / m.epsilon, 257)
+            assert np.all(np.asarray(fourier_of_kernel(m, s)) > 0.0)
 
 
 class TestSampledKernel:
