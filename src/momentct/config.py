@@ -197,6 +197,11 @@ class RunConfig:
             raise ConfigError(f"unknown filter kind {f.kind!r}")
         if not 0 <= f.taper < 1:
             raise ConfigError("filter taper must lie in [0, 1)")
+        # the cutoff's Nyquist bound needs the sinogram's grid: `apply_filter`
+        if f.cutoff is not None and f.cutoff <= 0:
+            raise ConfigError(f"filter cutoff must be positive, got {f.cutoff}")
+        if f.reg_floor is not None and f.reg_floor < 0:
+            raise ConfigError(f"filter reg_floor must be nonnegative, got {f.reg_floor}")
 
     # ---- factories -------------------------------------------------
 
@@ -277,6 +282,9 @@ def load_config(path) -> RunConfig:
     if not read:
         raise ConfigError(f"cannot read config file {path}")
 
+    # configparser lends the keys of [DEFAULT] to every section
+    if parser.defaults():
+        raise ConfigError(f"unknown config section [{parser.default_section}]")
     # each RunConfig field's annotation names its block class
     sections = {f.name: globals()[f.type.removesuffix(" | None")] for f in fields(RunConfig)}
     for section in parser.sections():

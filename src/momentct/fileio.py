@@ -1,17 +1,46 @@
 """File formats: sinogram CSV, moment-table CSV, reconstruction CSV/PGM.
 
 All floats are written as `%.17g` (17 significant digits), which
-round-trips IEEE doubles exactly; array rows are formatted one row per
-string operation, and a row bitwise equal to the one before it is not
-formatted again.  PGM export rejects non-finite values with ValueError.
+round-trips IEEE doubles exactly.  A single number goes through `%.17g`
+itself.  Arrays give the same bytes from numpy arithmetic on blocks of
+whole rows, about 16k values at a time, and a row bitwise equal to the one
+before it reuses that row's text.
+
+How an array's text is made, and why it is exact.  For a value x with
+1e-280 < |x| < 1e280 and k = floor(log10 |x|), the scaled magnitude
+D = |x| * 10**(16 - k) is formed as a double-double p + t.  10**(16 - k)
+is a table pair hi + lo, built on first use from exact `fractions.Fraction`
+powers; Dekker's two-product gives |x| * hi = p + e exactly, and
+t = e + fl(|x| * lo).  While D < 2**57 the error of p + t is below 2**-47:
+the pair is off by 2**-106 D, and |x| * lo and the sum are rounded once
+each, none by more than 2**-49.  p >= 2**53 is an integer and |t| < 32, so
+only a p within 64 of 1e16 or 1e17 can put p + t outside [1e16, 1e17) or
+round it up to 1e17.  For those, k is redone once with k - 1 or k + 1 when
+p + t is outside the decade, and a significand of 10**17 carries into the
+exponent as 10**16.  The significand N = p + rint(t) is then the correctly
+rounded one that `%.17g` prints, unless the fraction t - rint(t) comes
+within the margin 1e-6 of one half, where the error, or a tie's rounding
+to even, could decide.  So `%.17g` itself formats exactly these values:
+NaN, inf and -inf; subnormals and magnitudes outside (1e-280, 1e280);
+near-ties; and values whose p + t is still outside the decade after the
+redo.  Zeros never enter the arithmetic; they are written as 0 or -0.
+
+Each value's sign, `0.000` prefix, first digit, point, other 16 digits,
+exponent and separator are laid out in 32 bytes from tables (the digits
+four at a time), with every unused byte 0, trailing zeros of the
+significand included, and `bytes.translate` deletes those bytes.
+
+PGM export rejects non-finite values with ValueError.
 Writes go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -27,22 +56,227 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+#: values converted at a time, rounded to whole rows; a block's
+#: temporaries stay near 3 MB
+_BLOCK = 16384
+#: magnitudes the block conversion handles, exclusive
+_TINY, _HUGE = 1e-280, 1e280
+#: how close to one half the fraction of p + t may come before `%.17g`
+#: decides; the error of p + t is below 2**-47
+_TIE_MARGIN = 1e-6
+#: decimal exponents the tables cover: floor(log10 |x|) of the converted
+#: magnitudes, one redo step either way, and the carry
+_K_LOW, _K_HIGH = -282, 281
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
+
+
+@functools.cache
+def _pow10_table() -> tuple[np.ndarray, ...]:
+    """10**(16 - k) by row _K_HIGH - k, built on first use.
+
+    Returns hi, its Dekker halves hi1 + hi2 = hi, and lo, with
+    hi = fl(10**(16 - k)) and lo = fl(10**(16 - k) - hi).
+    """
+    exact = [Fraction(10) ** (16 - k) for k in range(_K_HIGH, _K_LOW - 1, -1)]
+    hi = np.array([float(f) for f in exact])
+    lo = np.array([float(f - Fraction(h)) for f, h in zip(exact, hi.tolist())])
+    c = _SPLIT * hi
+    hi1 = c - (c - hi)
+    return hi, hi1, hi - hi1, lo
+
+
+def _word(text: bytes) -> int:
+    return int.from_bytes(text.ljust(8, b"\0"), "little")
+
+
+@functools.cache
+def _text_tables() -> tuple[np.ndarray, ...]:
+    """Pieces of the 32-byte layout of one value, built on first use.
+
+    Bytes 0-7 hold the sign, the `0.000` prefix, the first digit and a
+    point after it; bytes 8-23 the other 16 digits; bytes 24-29 the
+    exponent and the separator.  Returned, by row = decimal exponent -
+    _K_LOW: the word of bytes 0-7 with a `0` for the first digit, at
+    4 * row + 2 * sign + more, where more = 1 when a nonzero digit follows
+    the first one (a point after the first digit is then in the word); the
+    exponent word; and the digit after which the point goes (-1 when the
+    prefix holds it).  By 4-digit group: its ASCII digits, low and high in
+    a word, and, for each of the four groups after the first digit, the
+    place of its last nonzero digit among those 16 (0 for 0000).  By the
+    last digit kept: the masks of words 8-15 and 16-23.
+    """
+    prefix, exponent, point = [], [], []
+    for x in range(_K_LOW, _K_HIGH + 1):
+        fixed = -4 <= x < 17
+        lead = b"0." + b"0" * (-x - 1) if fixed and x < 0 else b""
+        place = -1 if lead else x if fixed else 0
+        for sign in (b"", b"-"):
+            for more in (False, True):
+                dot = b"." if more and place == 0 else b""
+                prefix.append(_word(sign.ljust(1, b"\0") + lead.ljust(5, b"\0") + b"0" + dot))
+        exponent.append(0 if fixed else _word(b"e%+03d" % x))
+        point.append(place)
+    groups = [b"%04d" % g for g in range(10000)]
+    ascii4 = np.frombuffer(b"".join(groups), dtype="<u4").astype("<u8")
+    last = np.array([len(g.rstrip(b"0")) for g in groups], dtype=np.int8)
+    last = [np.where(last > 0, last + 4 * i, 0).astype(np.int8) for i in range(4)]
+    keep1 = [(1 << 8 * min(m, 8)) - 1 for m in range(17)]
+    keep2 = [(1 << 8 * max(m - 8, 0)) - 1 for m in range(17)]
+    return (np.array(prefix, dtype="<u8"), np.array(exponent, dtype="<u8"),
+            np.array(point, dtype=np.int8), ascii4, ascii4 << np.uint64(32), *last,
+            np.array(keep1, dtype="<u8"), np.array(keep2, dtype="<u8"))
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10**(16 - k) as p + t with p = fl(a * hi): Dekker's two-product."""
+    hi, hi1, hi2, lo = _pow10_table()
+    row = _K_HIGH - k
+    h1 = hi1.take(row)
+    h2 = hi2.take(row)
+    c = _SPLIT * a
+    a1 = c - (c - a)
+    a2 = a - a1
+    p = a * hi.take(row)
+    t = a1 * h1 - p
+    t += a1 * h2
+    t += a2 * h1
+    t += a2 * h2  # a * hi - p, exactly
+    t += a * lo.take(row)
+    return p, t
+
+
+def _significands(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """17-digit significand and decimal exponent of each magnitude in a.
+
+    a holds magnitudes in (_TINY, _HUGE).  The third array indexes the
+    values that the module docstring leaves to `%.17g`.
+    """
+    k = np.floor(np.log10(a)).astype(np.int64)
+    p, t = _scaled(a, k)
+    # p is an integer and |t| < 32, so only a p near 1e16 or 1e17 can put
+    # p + t outside the decade or round it up to 1e17
+    edge = np.flatnonzero((p < 1e16 + 64) | (p > 1e17 - 64))
+    undecided = []
+    if edge.size:
+        p_edge, t_edge = p[edge], t[edge]
+        step = ((p_edge - 1e17) + t_edge >= 0).astype(np.int64) - ((p_edge - 1e16) + t_edge < 0)
+        redo = edge[step != 0]
+        k[redo] += step[step != 0]
+        p[redo], t[redo] = _scaled(a[redo], k[redo])
+        p_redo, t_redo = p[redo], t[redo]
+        undecided.append(redo[((p_redo - 1e16) + t_redo < 0) | ((p_redo - 1e17) + t_redo >= 0)])
+    r = np.rint(t)
+    t -= r
+    undecided.append(np.flatnonzero(np.abs(t) > 0.5 - _TIE_MARGIN))
+    n = p.astype(np.int64)
+    n += r.astype(np.int64)
+    if edge.size:
+        carry = edge[n[edge] == 10**17]
+        n[carry] = 10**16
+        k[carry] += 1
+    return n, k, np.concatenate(undecided)
+
+
+def _words(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 32-byte layout of each value of x, 1e-280 < |x| < 1e280, as 4 words.
+
+    The separators are not set.  The second array indexes the values left
+    to `%.17g`; their words hold the text of 0.
+    """
+    (prefix, exponent, point, ascii4, ascii4_high, last1, last2, last3, last4,
+     keep1, keep2) = _text_tables()
+    n, k, undecided = _significands(np.abs(x))
+    n[undecided] = 0
+    k[undecided] = 0
+    # n is d0 g1 g2 g3 g4: one digit, then four groups of four
+    high = n // 10**8
+    g34 = n - high * 10**8
+    d0 = high // 10**8
+    g12 = high - d0 * 10**8
+    g1 = g12 // 10**4
+    g2 = g12 - g1 * 10**4
+    g3 = g34 // 10**4
+    g4 = g34 - g3 * 10**4
+    last = np.maximum(np.maximum(last1.take(g1), last2.take(g2)),
+                      np.maximum(last3.take(g3), last4.take(g4)))
+    row = k - _K_LOW
+    place = point.take(row)
+    words = np.empty((x.size, 4), dtype="<u8")
+    index = 4 * row
+    index += 2 * np.signbit(x)
+    index += last > 0
+    words[:, 0] = prefix.take(index) | d0.view(np.uint64) << np.uint64(48)
+    words[:, 3] = exponent.take(row)
+    # a point after digit P >= 1: digits 1..P move into the byte of the
+    # point after the first digit, and the point follows them
+    mid = np.flatnonzero((place > 0) & (last > place))
+    np.maximum(last, place, out=last)  # fixed notation keeps every whole digit
+    words[:, 1] = (ascii4.take(g1) | ascii4_high.take(g2)) & keep1.take(last)
+    words[:, 2] = (ascii4.take(g3) | ascii4_high.take(g4)) & keep2.take(last)
+    if mid.size:
+        text = words.view(np.uint8)
+        after = place[mid, None]
+        digits = text[mid, 7:24]
+        columns = np.arange(17)
+        text[mid, 7:24] = np.where(columns < after, np.roll(digits, -1, axis=1),
+                                   np.where(columns == after, ord("."), digits))
+    return words, undecided
+
+
+#: the words of 0, without sign
+_ZERO = np.uint64(ord("0") << 48)
+
+
+def _percent_text(values: list[float]) -> bytes:
+    """The `%.17g` text of each value, padded with bytes 0 to 29 bytes."""
+    return b"".join([("%.17g" % v).encode().ljust(29, b"\0") for v in values])
+
+
+def _block_text(x: np.ndarray, ends: np.ndarray) -> bytes:
+    """`%.17g` text of each value of x, each followed by its separator.
+
+    ends holds each value's separator in byte 5 of a word.
+    """
+    a = np.abs(x)
+    inside = (a > _TINY) & (a < _HUGE)
+    if inside.all():
+        words, slow = _words(x)
+    else:
+        # zeros and the values left to `%.17g` start as the text of 0
+        fast = np.flatnonzero(inside)
+        words = np.zeros((x.size, 4), dtype="<u8")
+        words[:, 0] = (x.view(np.uint64) >> np.uint64(63)) * np.uint64(ord("-")) | _ZERO
+        words[fast], undecided = _words(x[fast])
+        slow = np.concatenate([np.flatnonzero(~inside & (a != 0)), fast[undecided]])
+    words[:, 3] |= ends
+    text = words.view(np.uint8)
+    if slow.size:
+        fallback = _percent_text(x[slow].tolist())
+        text[slow, :29] = np.frombuffer(fallback, dtype=np.uint8).reshape(-1, 29)
+    return text.tobytes().translate(None, b"\0")
+
+
 def _csv_rows(values: np.ndarray) -> list[str]:
-    # one %-format per row ("%.17g" prints exactly what _fmt prints); rows
-    # are converted one at a time so only one row of Python floats is alive.
+    # the "%.17g" text of each row, values separated by commas
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    rows, cols = values.shape
+    if values.size == 0:
+        return [""] * rows
     # A row bitwise equal to the one before it reuses that row's text (the
-    # moment image repeats each row many times); comparing bytes keeps -0.0
+    # moment image repeats each row many times); comparing bits keeps -0.0
     # apart from 0.0.
-    fmt = ",".join(["%.17g"] * values.shape[1])
-    lines = []
-    previous = None
-    for row in values:
-        key = row.tobytes()
-        if key != previous:
-            text = fmt % tuple(row.tolist())
-            previous = key
-        lines.append(text)
-    return lines
+    bits = values.view(np.uint64)
+    new = np.ones(rows, dtype=bool)
+    new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    distinct = values[new].ravel()
+    per_block = max(1, _BLOCK // cols) * cols
+    ends = np.full(cols, ord(","), dtype="<u8")
+    ends[-1] = ord("\n")
+    ends = np.tile(ends << np.uint64(40), per_block // cols)
+    blocks = (distinct[start:start + per_block] for start in range(0, distinct.size, per_block))
+    text = b"".join([_block_text(block, ends[:block.size]) for block in blocks])
+    lines = text.decode("ascii").split("\n")
+    return [lines[i] for i in (np.cumsum(new) - 1).tolist()]
 
 
 #: PGM pixel text by level; indexing it with a pixel image gathers the text

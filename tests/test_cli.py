@@ -209,6 +209,33 @@ class TestErrorContracts:
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "run_out").exists()
 
+    @pytest.mark.parametrize("ini, message", [
+        ("[filter]\nreg_floor = -1\n", "filter reg_floor must be nonnegative, got -1.0"),
+        ("[filter]\ncutoff = -5\n", "filter cutoff must be positive, got -5.0"),
+        ("[filter]\ncutoff = 0\n", "filter cutoff must be positive, got 0.0"),
+    ], ids=["reg-floor", "cutoff", "zero-cutoff"])
+    def test_filter_bound_exits_2_before_any_artifact(self, tmp_path, capsys, ini, message):
+        cfg = write_config(tmp_path, text=MINI_CONFIG.replace("[output]", ini + "[output]"))
+        assert main(["pipeline", "-c", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run_out").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--reg-floor", "-1", "filter reg_floor must be nonnegative"),
+        ("--cutoff", "-5", "filter cutoff must be positive"),
+    ])
+    def test_filter_bound_flag_exits_2_before_any_artifact(self, tmp_path, capsys, flag,
+                                                           value, message):
+        cfg = write_config(tmp_path, text=MINI_CONFIG.replace("method = both", "method = fbp"))
+        assert main(["project", "-c", str(cfg)]) == 0
+        out = tmp_path / "run_out"
+        before = sorted(out.iterdir())
+        capsys.readouterr()
+        assert main(["reconstruct", "-c", str(cfg), str(out / "sinogram.csv"),
+                     flag, value]) == 2
+        assert message in capsys.readouterr().err
+        assert sorted(out.iterdir()) == before
+
     def test_non_finite_sigma_flag_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["pipeline", "-c", str(cfg), "--sigma", "nan"]) == 2

@@ -160,6 +160,14 @@ class TestErrors:
         with pytest.raises(ConfigError, match=r"^unknown config section \[wat\]$"):
             load(tmp_path, "[grids]\nangles = 12\n[wat]\n")
 
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nkind = disk\n",
+        "[DEFAULT]\nkind = disk\n[phantom]\n[grids]\nangles = 12\n",
+    ], ids=["alone", "beside-sections"])
+    def test_default_section_is_unknown(self, tmp_path, text):
+        with pytest.raises(ConfigError, match=r"^unknown config section \[DEFAULT\]$"):
+            load(tmp_path, text)
+
     def test_unknown_key(self, tmp_path):
         with pytest.raises(ConfigError, match=r"^unknown key 'wat' in section \[phantom\]$"):
             load(tmp_path, "[phantom]\nkind = uniform\nwat = 1\n")
@@ -220,6 +228,20 @@ class TestMalformedFile:
         path.write_text("[output]\ndirectory = 100%\n")
         assert main(["project", "-c", str(path), "-o", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error: invalid config value: ")
+
+
+class TestFilterBounds:
+    @pytest.mark.parametrize("cutoff", [0.0, -5.0])
+    def test_cutoff_must_be_positive(self, cutoff):
+        with pytest.raises(ConfigError, match=r"^filter cutoff must be positive, got "):
+            RunConfig(filter=FilterConfig(cutoff=cutoff)).validate()
+
+    def test_reg_floor_must_be_nonnegative(self):
+        with pytest.raises(ConfigError, match=r"^filter reg_floor must be nonnegative, got -1"):
+            RunConfig(filter=FilterConfig(reg_floor=-1.0)).validate()
+
+    def test_bounds_hold_at_the_edges(self):
+        RunConfig(filter=FilterConfig(cutoff=1e-300, reg_floor=0.0)).validate()
 
 
 class TestFinite:

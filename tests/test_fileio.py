@@ -2,6 +2,8 @@ import math
 import os
 import re
 import stat
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +25,18 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
 def csv_reference(values):
     """Per-value 17-digit text, one line per row."""
     return [",".join(f"{float(x):.17g}" for x in row) for row in values]
+
+
+def assert_percent_text(values):
+    """`_csv_rows` gives `"%.17g" % v` for every value, row by row."""
+    lines = fileio._csv_rows(values)
+    assert len(lines) == len(values)
+    for row, line in zip(values.tolist(), lines):
+        expected = ",".join(["%.17g" % v for v in row])
+        if line != expected:
+            wrong = [(v, got, want) for v, got, want
+                     in zip(row, line.split(","), expected.split(",")) if got != want]
+            pytest.fail(f"(value, text, %.17g text): {wrong[:5]}")
 
 
 def awkward_grid(cols):
@@ -168,6 +182,119 @@ class TestWrittenText:
     def test_csv_rows_repeated_rows(self, rows):
         values = np.array(rows)
         assert fileio._csv_rows(values) == csv_reference(values)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(20261018).integers(0, 2**64, size=(1024, 1024),
+                                                        dtype=np.uint64)
+        assert_percent_text(bits.view(np.float64))
+
+    def test_powers_of_ten_and_neighbours(self):
+        powers = np.array([float(f"1e{j}") for j in range(-300, 301)])
+        below, above = np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)
+        assert_percent_text(np.stack([below, powers, above, -below, -powers, -above]))
+
+    def test_rounding_that_carries_into_the_next_decade(self):
+        # doubles just below 10**j whose 17-digit rounding is 1e{j}
+        carried = []
+        for j in range(-279, 280):
+            power = float(f"1e{j}")
+            for v in (power, float(np.nextafter(power, 0.0))):
+                if Fraction(v) < Fraction(10) ** j and "%.16e" % v == f"{power:.16e}":
+                    carried.append(v)
+        assert len(carried) >= 10
+        assert_percent_text(np.array([carried, [-v for v in carried]]))
+
+    def test_range_limits_and_subnormals(self):
+        smallest_normal = np.finfo(np.float64).tiny
+        values = [1e280, 1e-280, smallest_normal, np.nextafter(smallest_normal, 0.0),
+                  5e-324, np.finfo(np.float64).max]
+        values += [np.nextafter(v, 0.0) for v in (1e280, 1e-280)]
+        values += [np.nextafter(v, np.inf) for v in (1e280, 1e-280)]
+        assert_percent_text(np.array([values, [-v for v in values]]))
+
+    def test_large_integers_and_rounding_ties(self):
+        integers = [float(2**53 + 2 * i) for i in range(1000)]
+        integers += [float(2**56 + 16 * i) for i in range(1000)]
+        integers += [float(10**17 - 16 * i) for i in range(1, 1000)]
+        # m / 2**(17 - k) with m odd has exactly 18 significant digits, the
+        # last a 5: a tie that `%.17g` rounds to even.  (Doubles from 2**53 to
+        # 2**57 are integers, so none of them is a tie.)
+        ties = []
+        for k in range(-8, 16):
+            scale = 2 ** (17 - k)
+            first = math.ceil(10**k * scale) | 1
+            for m in range(first, min(first + 400, math.ceil(10 ** (k + 1) * scale)), 2):
+                ties.append(m / scale)
+        for v in ties:
+            digits = Decimal(v).normalize().as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+        assert_percent_text(np.array(integers)[None, :])
+        assert_percent_text(np.array([ties, [-v for v in ties]]))
+
+    def test_zeros_and_non_finite(self):
+        values = np.array([[0.0, -0.0, math.nan, math.inf, -math.inf, 1.5],
+                           [-math.inf, 2.5e-7, -0.0, math.nan, 0.0, -1e300]])
+        assert_percent_text(values)
+
+    @pytest.mark.parametrize("layout", ["one_row", "one_column", "transposed"])
+    def test_layouts_of_many_blocks(self, layout):
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(40000) * 10.0 ** rng.integers(-30, 30, 40000)
+        values[::7] = 0.0
+        values = {"one_row": values[None, :], "one_column": values[:, None],
+                  "transposed": values.reshape(200, 200).T}[layout]
+        assert_percent_text(values)
+
+    def test_near_ties(self):
+        # values whose D = x * 10**(16 - k) lies within 1e-16 of a
+        # half-integer, closer than the error of p + t.  For x = m * 2**e and
+        # k = s + 16, D = m * 2**(e - s) / 5**s, whose fraction is
+        # 1/2 -+ r / (2 * 5**s), r odd, when m * 2**(e - s) = (5**s -+ r) / 2
+        # modulo 5**s.
+        ties = []
+        for s in range(23, 32):
+            k, modulus = s + 16, 5**s
+            reach = min(int(2e-16 * modulus), 1000)
+            lowest, highest = math.log2(10**k) - 53, math.log2(10 ** (k + 1)) - 51
+            for e in range(math.floor(lowest), math.ceil(highest)):
+                inverse = pow(2 ** (e - s), -1, modulus)
+                for r in range(1, reach + 1, 2):
+                    for target in ((modulus - r) // 2, (modulus + r) // 2):
+                        m = target * inverse % modulus
+                        if 2**52 <= m < 2**53 and 10**k <= m * 2**e < 10 ** (k + 1):
+                            ties.append(math.ldexp(m, e))
+        assert len(ties) >= 5
+        for v in ties:
+            scaled = Fraction(v) / Fraction(10) ** (math.floor(math.log10(v)) - 16)
+            assert abs(scaled - math.floor(scaled) - Fraction(1, 2)) < 1e-16
+        assert_percent_text(np.array([ties, [-v for v in ties]]))
+
+    def test_fallback_formats_no_ordinary_value(self, monkeypatch):
+        formatted = []
+        percent_text = fileio._percent_text
+
+        def spy(values):
+            formatted.extend(values)
+            return percent_text(values)
+
+        monkeypatch.setattr(fileio, "_percent_text", spy)
+        values = np.random.default_rng(1).standard_normal((128, 512))
+        assert fileio._csv_rows(values) == csv_reference(values)
+        assert formatted == []
+        # next to a power of ten, where log10 may round k the wrong way, the
+        # redo keeps the value on the fast path; only an exact power of ten
+        # (p + t may land on either side of the decade) and an exact tie fall
+        # back
+        powers = [float(f"1e{j}") for j in range(-279, 280)]
+        values = np.array([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+        assert_percent_text(values)
+        for v in formatted:
+            digits = Decimal(v).normalize().as_tuple().digits
+            assert v in powers or (len(digits) == 18 and digits[-1] == 5), v
+        # the spy sees what the fast path leaves out
+        formatted.clear()
+        fileio._csv_rows(np.array([[1.0, math.nan, 5e-324]]))
+        assert len(formatted) == 2 and math.isnan(formatted[0]) and formatted[1] == 5e-324
 
     def test_moment_image_text(self, tmp_path):
         # each row of a moment image repeats over its cell, about N / m times
