@@ -24,6 +24,7 @@ from . import fileio
 from .config import RunConfig, load_config
 from .density_recon import (
     ReconGrid,
+    check_orders,
     minimized_sup_error_bound,
     reconstruct_grid,
     relative_l2_error,
@@ -40,7 +41,7 @@ from .errors import (
     SingularSystemError,
     StabilityError,
 )
-from .moment_recovery import recover_moment_table
+from .moment_recovery import recover_moment_table, solve_angles
 from .phantoms import MomentTable
 from .projector import (
     Sinogram,
@@ -148,7 +149,6 @@ def _moments(cfg: RunConfig, sino: Sinogram) -> MomentTable:
     table = recover_moment_table(
         sino, kernel, cfg.moments.K,
         angles=cfg.moments.angles,
-        max_order=cfg.moments.max_order,
         diagnostics=diagnostics,
     )
     path = out / "moments.csv"
@@ -216,10 +216,23 @@ def cmd_reconstruct(cfg: RunConfig, input_path: Path) -> int:
     return 0
 
 
+def _check_pipeline(cfg: RunConfig) -> None:
+    """Raise before any artifact what a later stage would raise on the config
+    alone: too few rows for K (exit 2), K < m + n (exit 5).  The subcommands
+    read files whose grid and K the config does not decide."""
+    angles = cfg.make_angle_grid()
+    # the moment stage fits the rows of the grid as sinogram.csv records it
+    solve_angles(fileio.recorded_grid(angles.start, angles.spacing, angles.count),
+                 cfg.moments.K, cfg.moments.angles)
+    if cfg.recon.method in ("moments", "both"):
+        check_orders(cfg.moments.K, cfg.recon.m, cfg.recon.n)
+
+
 def cmd_pipeline(cfg: RunConfig) -> int:
     """The three stages in one process.  The sinogram and the moment table
     pass between stages in memory, exactly as their files record them, so
     nothing written is parsed back."""
+    _check_pipeline(cfg)
     out = _outdir(cfg)
     print("== project ==")
     sino = _project(cfg)

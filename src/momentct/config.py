@@ -13,9 +13,10 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError, CoverageError
+from .density_recon import STABILITY_CAP
+from .errors import ConfigError, CoverageError, OrderError, StabilityError
 from .mollifiers import MollifierSpec, make_kernel
-from .numerics import Grid1D
+from .numerics import MAX_MOMENT_ORDER, Grid1D
 from .phantoms import (
     Density,
     DiskDensity,
@@ -82,7 +83,6 @@ class PhantomConfig:
 class MollifierConfig:
     kernel: str = "bump"
     epsilon: float = 0.05
-    max_order: int | None = None  # None -> max(moments.K, 2)
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,6 @@ class MomentConfig:
     K: int = 4
     # None -> fit over every row in (0, pi)
     angles: tuple | None = _parsed(None, lambda text: tuple(float(t) for t in text.split(",")))
-    max_order: int | None = None  # solver order cap override
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,6 @@ class FilterConfig:
     kind: str = "auto"            # auto | riesz | modified_riesz
     cutoff: float | None = None
     reg_floor: float | None = None
-    taper: float = 0.1
 
 
 @dataclass(frozen=True)
@@ -178,6 +176,8 @@ class RunConfig:
         mo = self.moments
         if mo.K < 0:
             raise ConfigError("moment order K must be nonnegative")
+        if mo.K > MAX_MOMENT_ORDER:
+            raise OrderError(f"moment order K={mo.K} exceeds the cap {MAX_MOMENT_ORDER}")
         if mo.angles is not None:
             if len(mo.angles) != mo.K + 1:
                 raise ConfigError(f"need K+1 = {mo.K + 1} moment angles")
@@ -190,13 +190,14 @@ class RunConfig:
             raise ConfigError(f"unknown recon method {r.method!r}")
         if r.m < 1 or r.n < 1 or r.resolution < 1:
             raise ConfigError("recon orders and resolution must be positive")
-        # K >= m + n is enforced against the actual moment table at
-        # reconstruction time, where it maps to the order-error exit code
+        if max(r.m, r.n) > STABILITY_CAP:
+            raise StabilityError(
+                f"recon orders ({r.m}, {r.n}) exceed the stability cap {STABILITY_CAP}")
+        # K >= m + n holds against the moment table the reconstruction reads,
+        # which only `pipeline` takes from this config (`cli.cmd_pipeline`)
         f = self.filter
         if f.kind not in ("auto", "riesz", "modified_riesz"):
             raise ConfigError(f"unknown filter kind {f.kind!r}")
-        if not 0 <= f.taper < 1:
-            raise ConfigError("filter taper must lie in [0, 1)")
         # the cutoff's Nyquist bound needs the sinogram's grid: `apply_filter`
         if f.cutoff is not None and f.cutoff <= 0:
             raise ConfigError(f"filter cutoff must be positive, got {f.cutoff}")
@@ -225,10 +226,8 @@ class RunConfig:
     def make_mollifier(self) -> MollifierSpec | None:
         if self.mollifier is None:
             return None
-        order = self.mollifier.max_order
-        if order is None:
-            order = max(self.moments.K, 2)
-        return make_kernel(self.mollifier.kernel, self.mollifier.epsilon, order)
+        # deconvolution needs the kernel's moments c_j up to order K
+        return make_kernel(self.mollifier.kernel, self.mollifier.epsilon, max(self.moments.K, 2))
 
     def make_angle_grid(self) -> Grid1D:
         g = self.grids
@@ -250,7 +249,6 @@ class RunConfig:
             kind=kind,
             cutoff=f.cutoff,
             reg_floor=DEFAULT_REG_FLOOR if f.reg_floor is None else f.reg_floor,
-            taper_fraction=f.taper,
         )
 
 

@@ -23,9 +23,9 @@ import numpy as np
 from .errors import ConditioningWarning, OrderError, StabilityError
 from .phantoms import Density, MomentTable
 
-#: Above this order the double-precision path is meaningless even with
-#: exact summation; require an explicit override.
-DEFAULT_STABILITY_CAP = 40
+#: The largest order m or n the approximant accepts: above it the
+#: double-precision path is meaningless even with exact summation.
+STABILITY_CAP = 40
 
 #: Decimal digits of cancellation beyond which a warning is emitted.
 _CANCELLATION_WARN_DIGITS = 15.0
@@ -79,14 +79,10 @@ def sup_error_bound(b: BoundInputs) -> float:
     )
 
 
-def minimized_sup_error_bound(sup_norm: float, modulus_fn, m: int, n: int,
-                              deltas=None) -> float:
-    """Bound minimized over a delta grid (default 0.05, 0.10, ..., 0.50)."""
-    if deltas is None:
-        deltas = [0.05 * i for i in range(1, 11)]
-    return min(
-        sup_error_bound(BoundInputs(sup_norm, modulus_fn(d), d, m, n)) for d in deltas
-    )
+def minimized_sup_error_bound(sup_norm: float, modulus_fn, m: int, n: int) -> float:
+    """Bound minimized over the delta grid 0.05, 0.10, ..., 0.50."""
+    deltas = [0.05 * i for i in range(1, 11)]
+    return min(sup_error_bound(BoundInputs(sup_norm, modulus_fn(d), d, m, n)) for d in deltas)
 
 
 def cancellation_log10(m: int, n: int) -> float:
@@ -117,29 +113,24 @@ def _floor_index(order: int, x: float) -> int:
     return min(int(math.floor(order * x)), order)
 
 
-def _check_orders(table: MomentTable, m: int, n: int, stability_cap: int) -> None:
+def check_orders(K: int, m: int, n: int) -> None:
+    """Orders (m, n) must be positive and at most STABILITY_CAP, with K >= m + n."""
     if m < 1 or n < 1:
         raise ValueError("orders m, n must be positive")
-    if m > stability_cap or n > stability_cap:
-        raise StabilityError(
-            f"orders ({m}, {n}) beyond stability cap {stability_cap}; "
-            "raise stability_cap to override"
-        )
-    if table.max_order < m + n:
-        raise OrderError(
-            f"need moments to order m+n = {m + n}, table holds {table.max_order}"
-        )
+    if m > STABILITY_CAP or n > STABILITY_CAP:
+        raise StabilityError(f"orders ({m}, {n}) beyond stability cap {STABILITY_CAP}")
+    if K < m + n:
+        raise OrderError(f"need moments to order m+n = {m + n}, table holds {K}")
 
 
 def moment_approximation(table: MomentTable, m: int, n: int,
-                         x1: float, x2: float,
-                         stability_cap: int = DEFAULT_STABILITY_CAP) -> float:
+                         x1: float, x2: float) -> float:
     """Approximate the density at (x1, x2) from moments up to order m + n.
 
     Coefficients are exact integers; float tables are summed with exact
     float summation (fsum), exact rational tables in rational arithmetic.
     """
-    _check_orders(table, m, n, stability_cap)
+    check_orders(table.max_order, m, n)
     if not (0.0 <= x1 <= 1.0 and 0.0 <= x2 <= 1.0):
         raise ValueError("evaluation point outside the unit square")
 
@@ -159,19 +150,19 @@ def moment_approximation(table: MomentTable, m: int, n: int,
     return math.fsum(terms)
 
 
-def reconstruct_grid(table: MomentTable, m: int, n: int, resolution: int,
-                     stability_cap: int = DEFAULT_STABILITY_CAP) -> ReconGrid:
+def reconstruct_grid(table: MomentTable, m: int, n: int, resolution: int) -> ReconGrid:
     """Moment approximation sampled at pixel centers.
 
-    Each cell (floor(m x1), floor(n x2)) that holds a pixel center is
-    evaluated once, at the first pixel center inside it, and the image
-    indexes into that cell table; every pixel gets exactly the value
-    `moment_approximation` gives at its own center.
+    Orders above STABILITY_CAP raise StabilityError, and a table below
+    order m + n OrderError.  Each cell (floor(m x1), floor(n x2)) that
+    holds a pixel center is evaluated once, at the first pixel center
+    inside it, and the image indexes into that cell table; every pixel
+    gets exactly the value `moment_approximation` gives at its own center.
     """
     if resolution < 1:
         raise ValueError("resolution must be positive")
     # before the cancellation estimate, whose Python loop runs up to m and n
-    _check_orders(table, m, n, stability_cap)
+    check_orders(table.max_order, m, n)
     if not table.is_exact():
         digits = cancellation_log10(m, n)
         if digits > _CANCELLATION_WARN_DIGITS:
@@ -186,8 +177,7 @@ def reconstruct_grid(table: MomentTable, m: int, n: int, resolution: int,
     _, first1, cell1 = np.unique(np.floor(m * xs), return_index=True, return_inverse=True)
     _, first2, cell2 = np.unique(np.floor(n * xs), return_index=True, return_inverse=True)
     cells = np.array([
-        [moment_approximation(table, m, n, float(xs[i]), float(xs[j]),
-                              stability_cap=stability_cap) for j in first2]
+        [moment_approximation(table, m, n, float(xs[i]), float(xs[j])) for j in first2]
         for i in first1
     ])
     return ReconGrid(resolution=resolution, values=cells[cell1[:, None], cell2[None, :]],

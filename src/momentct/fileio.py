@@ -30,8 +30,8 @@ exponent and separator are laid out in 32 bytes from tables (the digits
 four at a time), with every unused byte 0, trailing zeros of the
 significand included, and `bytes.translate` deletes those bytes.
 
-PGM export rejects non-finite values with ValueError.
-Writes go through a temp file and an atomic rename.
+PGM export rejects non-finite values with ValueError.  Every writer hands
+its ASCII text to disk as bytes, through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -256,12 +256,12 @@ def _block_text(x: np.ndarray, ends: np.ndarray) -> bytes:
     return text.tobytes().translate(None, b"\0")
 
 
-def _csv_rows(values: np.ndarray) -> list[str]:
+def _csv_rows(values: np.ndarray) -> list[bytes]:
     # the "%.17g" text of each row, values separated by commas
     values = np.ascontiguousarray(values, dtype=np.float64)
     rows, cols = values.shape
     if values.size == 0:
-        return [""] * rows
+        return [b""] * rows
     # A row bitwise equal to the one before it reuses that row's text (the
     # moment image repeats each row many times); comparing bits keeps -0.0
     # apart from 0.0.
@@ -275,7 +275,7 @@ def _csv_rows(values: np.ndarray) -> list[str]:
     ends = np.tile(ends << np.uint64(40), per_block // cols)
     blocks = (distinct[start:start + per_block] for start in range(0, distinct.size, per_block))
     text = b"".join([_block_text(block, ends[:block.size]) for block in blocks])
-    lines = text.decode("ascii").split("\n")
+    lines = text.split(b"\n")
     return [lines[i] for i in (np.cumsum(new) - 1).tolist()]
 
 
@@ -283,15 +283,15 @@ def _csv_rows(values: np.ndarray) -> list[str]:
 _PGM_LEVELS = np.array([str(i) for i in range(256)], dtype=object)
 
 
-def _atomic_write_text(path, text: str) -> None:
+def _atomic_write(path, data: bytes) -> None:
     path = Path(path)
     # a fresh name opened exclusively with mode 0o666, so the kernel applies
     # the umask as for any other new file (mkstemp would force 0o600)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -305,8 +305,8 @@ _SINO_HEADER = re.compile(
 )
 
 
-def _recorded_grid(start: float, spacing: float, count: int) -> Grid1D:
-    # the header keeps a grid's start and spacing, not its stop
+def recorded_grid(start: float, spacing: float, count: int) -> Grid1D:
+    """A grid as a sinogram header records it: by start and spacing, not stop."""
     return Grid1D(start, start + (count - 1) * spacing, count)
 
 
@@ -316,28 +316,50 @@ def write_sinogram(s: Sinogram, path) -> Sinogram:
     Values and the recorded start and spacing round-trip exactly; each
     grid's stop is rebuilt from them and may differ from s's in the last bit.
     """
-    lines = [
+    header = (
         f"# sinogram kind={s.kind} angles={s.angle_grid.count} "
         f"offsets={s.offset_grid.count} theta0={_fmt(s.angle_grid.start)} "
         f"dtheta={_fmt(s.angle_grid.spacing)} p0={_fmt(s.offset_grid.start)} "
         f"dp={_fmt(s.offset_grid.spacing)}"
-    ]
-    lines += _csv_rows(s.values)
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    )
+    _atomic_write(path, b"\n".join([header.encode("ascii"), *_csv_rows(s.values)]) + b"\n")
     return Sinogram(
-        angle_grid=_recorded_grid(s.angle_grid.start, s.angle_grid.spacing, s.angle_grid.count),
-        offset_grid=_recorded_grid(s.offset_grid.start, s.offset_grid.spacing,
-                                   s.offset_grid.count),
+        angle_grid=recorded_grid(s.angle_grid.start, s.angle_grid.spacing, s.angle_grid.count),
+        offset_grid=recorded_grid(s.offset_grid.start, s.offset_grid.spacing,
+                                  s.offset_grid.count),
         values=s.values, kind=s.kind,
     )
+
+
+def _read_rows(fh, path, rows: int, cols: int) -> np.ndarray:
+    """The `rows` lines of `cols` comma-separated values after a header.
+    FormatError names the file and line of a missing or malformed row, a
+    row of another length, and a non-blank line after the last row."""
+    values = np.empty((rows, cols))
+    for i in range(rows):
+        line = fh.readline()
+        if not line:
+            raise FormatError(f"{path}:{i + 2}: file ends after {i} of {rows} rows")
+        # not np.fromstring, which reads a trailing comma as one more -1
+        try:
+            row = np.array(line.split(","), dtype=float)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{i + 2}: malformed row {i}: {exc}") from None
+        if row.size != cols:
+            raise FormatError(f"{path}:{i + 2}: row {i} has {row.size} values, expected {cols}")
+        values[i] = row
+    for lineno, line in enumerate(fh, start=rows + 2):
+        if line.strip():
+            raise FormatError(f"{path}:{lineno}: text after the {rows} declared rows")
+    return values
 
 
 def read_sinogram(path) -> Sinogram:
     """Read a file written by `write_sinogram`.
 
-    Raises FormatError on a malformed header or row.  NaN and inf values
-    pass through unchecked; the CLI rejects them after reading
-    (`cli._require_finite`).
+    Raises FormatError on a malformed header, and on the rows as
+    `_read_rows` says.  NaN and inf values pass through unchecked; the CLI
+    rejects them after reading (`cli._require_finite`).
     """
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
@@ -347,17 +369,9 @@ def read_sinogram(path) -> Sinogram:
         kind, n_s, m_s, theta0, dtheta, p0, dp = match.groups()
         n, m = int(n_s), int(m_s)
         theta0, dtheta, p0, dp = map(float, (theta0, dtheta, p0, dp))
-        values = np.empty((n, m))
-        for i in range(n):
-            line = fh.readline()
-            if not line:
-                raise FormatError(f"sinogram truncated at row {i}")
-            row = np.fromstring(line, sep=",")
-            if row.size != m:
-                raise FormatError(f"row {i} has {row.size} values, expected {m}")
-            values[i] = row
-    angle_grid = _recorded_grid(theta0, dtheta, n)
-    offset_grid = _recorded_grid(p0, dp, m)
+        values = _read_rows(fh, path, n, m)
+    angle_grid = recorded_grid(theta0, dtheta, n)
+    offset_grid = recorded_grid(p0, dp, m)
     try:
         return Sinogram(angle_grid=angle_grid, offset_grid=offset_grid,
                         values=values, kind=kind)
@@ -369,7 +383,7 @@ def write_moments(table: MomentTable, path) -> None:
     lines = [f"# moments K={table.max_order}"]
     for (a1, a2) in sorted(table.values, key=lambda ab: (ab[0] + ab[1], ab[0])):
         lines.append(f"{a1},{a2},{_fmt(table.values[(a1, a2)])}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def read_moments(path) -> MomentTable:
@@ -409,17 +423,16 @@ def write_recon_csv(rec: ReconGrid, path) -> None:
     header = f"# recon N={rec.resolution}"
     if rec.orders is not None:
         header += f" m={rec.orders[0]} n={rec.orders[1]}"
-    lines = [header, *_csv_rows(rec.values)]
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic_write(path, b"\n".join([header.encode("ascii"), *_csv_rows(rec.values)]) + b"\n")
 
 
 def read_recon_csv(path) -> ReconGrid:
     """Read a file written by `write_recon_csv`.
 
-    Raises FormatError on a malformed header or row.  NaN and inf values
-    pass through unchecked, as in the other readers; the CLI never reads
-    this file back, and its check for the files it does read is
-    `cli._require_finite`.
+    Raises FormatError on a malformed header, and on the rows as
+    `_read_rows` says.  NaN and inf values pass through unchecked, as in
+    the other readers; the CLI never reads this file back, and its check
+    for the files it does read is `cli._require_finite`.
     """
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
@@ -430,15 +443,7 @@ def read_recon_csv(path) -> ReconGrid:
         orders = None
         if match.group(2) is not None:
             orders = (int(match.group(2)), int(match.group(3)))
-        values = np.empty((n, n))
-        for i in range(n):
-            line = fh.readline()
-            if not line:
-                raise FormatError(f"recon grid truncated at row {i}")
-            row = np.fromstring(line, sep=",")
-            if row.size != n:
-                raise FormatError(f"row {i} has {row.size} values, expected {n}")
-            values[i] = row
+        values = _read_rows(fh, path, n, n)
     return ReconGrid(resolution=n, values=values, orders=orders)
 
 
@@ -471,4 +476,4 @@ def write_pgm(values: np.ndarray, path) -> None:
         "255",
     ]
     lines += [" ".join(row.tolist()) for row in _PGM_LEVELS[img]]
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ("\n".join(lines) + "\n").encode("ascii"))

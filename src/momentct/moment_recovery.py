@@ -28,7 +28,7 @@ from .errors import (
     SingularSystemError,
 )
 from .mollifiers import MollifierSpec
-from .numerics import DEFAULT_MAX_ORDER
+from .numerics import MAX_MOMENT_ORDER, Grid1D
 from .phantoms import SQRT2, MomentTable
 from .projector import Sinogram
 
@@ -159,27 +159,21 @@ def deconvolve_moments(hat: AngularMomentSet, m: MollifierSpec) -> AngularMoment
     return AngularMomentSet(hat.angles, hat.max_order, b, "raw")
 
 
-def solve_moment_system(ams: AngularMomentSet, k: int,
-                        max_order: int = DEFAULT_MAX_ORDER, *,
+def solve_moment_system(ams: AngularMomentSet, k: int, *,
                         conditions: list | None = None) -> np.ndarray:
     """Recover (gamma_{0,k}, gamma_{1,k-1}, ..., gamma_{k,0}).
 
     Fits assemble_moment_matrix(ams.angles, k) x = ams.values[:, k] over
     every angle of the set by least squares, with each column scaled to
     unit 2-norm.  With k+1 angles this is the square system; more angles
-    overdetermine it.  When `conditions` is given, (k, condition of the
-    scaled matrix) is appended to it; warns when that condition exceeds
-    1e12.
+    overdetermine it; k is capped only by the set (`recover_moment_table`
+    caps K).  When `conditions` is given, (k, condition of the scaled
+    matrix) is appended to it; warns when that condition exceeds 1e12.
     """
     if ams.provenance != "raw":
         raise MisuseError("moment systems require raw-provenance angular moments")
     if k > ams.max_order:
         raise OrderError(f"order {k} beyond the measured maximum {ams.max_order}")
-    if k > max_order:
-        raise OrderError(
-            f"order {k} exceeds the configured maximum {max_order}; "
-            "pass max_order explicitly to override"
-        )
     distinct = np.unique(ams.angles).size
     if distinct < k + 1:
         raise SingularSystemError(
@@ -200,45 +194,46 @@ def solve_moment_system(ams: AngularMomentSet, k: int,
     return y / col_scales
 
 
-def recover_moment_table(s: Sinogram, m: MollifierSpec | None, K: int,
-                         angles=None, *, max_order: int | None = None,
-                         diagnostics: dict | None = None) -> MomentTable:
-    """Full pipeline: offset moments -> (deconvolution) -> per-order fits.
-
-    `angles` defaults to every recorded row strictly inside (0, pi), and
-    each order is fitted over all of them; an explicit list of K+1 angles
-    selects those rows, which makes order K the square system.  Mollified
-    sinograms require the kernel that produced them; raw and noisy
-    sinograms must not pass one.  When a `diagnostics` dict is given it
-    receives the angles used and, per order, the condition of the scaled
-    matrix that order's fit solved.
-    """
-    cap = max_order if max_order is not None else DEFAULT_MAX_ORDER
-    if K > cap:
-        raise OrderError(
-            f"K={K} exceeds the configured maximum order {cap}; "
-            "pass max_order to override"
-        )
-    if s.kind == "mollified" and m is None:
-        raise MisuseError("mollified sinogram needs its mollifier for deconvolution")
-    if s.kind != "mollified" and m is not None:
-        raise MisuseError(f"kind={s.kind!r} sinogram must not carry a mollifier")
-
+def solve_angles(angle_grid: Grid1D, K: int, angles=None) -> np.ndarray:
+    """The angles order K is fitted over: K+1 strictly increasing `angles`,
+    or by default every grid row strictly inside (0, pi), at least K+1."""
     if angles is None:
-        grid = s.angle_grid.points()
+        grid = angle_grid.points()
         th = grid[(grid > 0.0) & (grid < math.pi)]
         if th.size < K + 1:
             raise ValueError(
                 f"angle grid has {th.size} rows inside (0, pi); order K={K} "
                 f"needs at least K+1 = {K + 1}"
             )
-    else:
-        th = np.asarray(angles, dtype=float)
-        if th.size != K + 1:
-            raise ValueError(f"need exactly K+1 = {K + 1} angles, got {th.size}")
-        if np.any(np.diff(th) <= 0):
-            raise ValueError("angles must be strictly increasing")
+        return th
+    th = np.asarray(angles, dtype=float)
+    if th.size != K + 1:
+        raise ValueError(f"need exactly K+1 = {K + 1} angles, got {th.size}")
+    if np.any(np.diff(th) <= 0):
+        raise ValueError("angles must be strictly increasing")
+    return th
 
+
+def recover_moment_table(s: Sinogram, m: MollifierSpec | None, K: int,
+                         angles=None, *, max_order: int = MAX_MOMENT_ORDER,
+                         diagnostics: dict | None = None) -> MomentTable:
+    """Full pipeline: offset moments -> (deconvolution) -> per-order fits.
+
+    Each order is fitted over the rows `solve_angles` selects; K+1 explicit
+    angles make order K the square system.  K above `max_order` raises
+    OrderError.  Mollified sinograms require the kernel that produced
+    them; raw and noisy sinograms must not pass one.  When a `diagnostics`
+    dict is given it receives the angles used and, per order, the
+    condition of the scaled matrix that order's fit solved.
+    """
+    if K > max_order:
+        raise OrderError(f"K={K} exceeds the maximum order {max_order}")
+    if s.kind == "mollified" and m is None:
+        raise MisuseError("mollified sinogram needs its mollifier for deconvolution")
+    if s.kind != "mollified" and m is not None:
+        raise MisuseError(f"kind={s.kind!r} sinogram must not carry a mollifier")
+
+    th = solve_angles(s.angle_grid, K, angles)
     pad = m.epsilon if m is not None else 0.0
     ams = angular_moments(s, K, th, support_pad=pad)
     if s.kind == "mollified":
@@ -255,7 +250,7 @@ def recover_moment_table(s: Sinogram, m: MollifierSpec | None, K: int,
     values: dict = {}
     conditions: list = []
     for k in range(K + 1):
-        x = solve_moment_system(ams, k, max_order=cap, conditions=conditions)
+        x = solve_moment_system(ams, k, conditions=conditions)
         for j in range(k + 1):
             values[(j, k - j)] = float(x[j])
     if diagnostics is not None:

@@ -1,5 +1,5 @@
 """Shared numerical building blocks: the uniform sampling grid, the
-default moment-order cap and a domain-checked log-Gamma.  Nothing in here
+moment-order cap and a domain-checked log-Gamma.  Nothing in here
 holds state.
 """
 
@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Moment orders above this need an explicit override: the moment systems
+#: The largest moment order K a run may ask for: above it the moment systems
 #: become too ill-conditioned for double precision to be trustworthy.
-DEFAULT_MAX_ORDER = 12
+MAX_MOMENT_ORDER = 12
 
 
 @dataclass(frozen=True)

@@ -45,31 +45,27 @@ class FilterSpec:
     """Ramp filter configuration.
 
     cutoff=None means 0.8 of the offset Nyquist frequency pi/h; a cosine
-    taper rolls off the top `taper_fraction` of the passband.
+    taper rolls off a fixed tenth of the passband, the top one.
     """
 
     kind: str = "riesz"
     cutoff: float | None = None
     reg_floor: float = DEFAULT_REG_FLOOR
-    taper_fraction: float = 0.1
 
     def __post_init__(self) -> None:
         if self.kind not in ("riesz", "modified_riesz"):
             raise ValueError(f"filter kind must be riesz|modified_riesz, got {self.kind!r}")
         if self.reg_floor < 0:
             raise ValueError("regularization floor must be nonnegative")
-        if not 0.0 <= self.taper_fraction < 1.0:
-            raise ValueError("taper fraction must lie in [0, 1)")
 
 
-def _ramp_multiplier(freqs: np.ndarray, cutoff: float, taper_fraction: float) -> np.ndarray:
+def _ramp_multiplier(freqs: np.ndarray, cutoff: float) -> np.ndarray:
     mult = np.abs(freqs)
     window = np.ones_like(mult)
-    lo = (1.0 - taper_fraction) * cutoff
-    if taper_fraction > 0:
-        sel = (np.abs(freqs) > lo) & (np.abs(freqs) <= cutoff)
-        window[sel] = 0.5 * (1.0 + np.cos(math.pi * (np.abs(freqs[sel]) - lo)
-                                          / (cutoff - lo)))
+    lo = 0.9 * cutoff  # the taper covers the top tenth of the passband
+    sel = (np.abs(freqs) > lo) & (np.abs(freqs) <= cutoff)
+    window[sel] = 0.5 * (1.0 + np.cos(math.pi * (np.abs(freqs[sel]) - lo)
+                                      / (cutoff - lo)))
     window[np.abs(freqs) > cutoff] = 0.0
     return mult * window
 
@@ -105,7 +101,7 @@ def apply_filter(s: Sinogram, f: FilterSpec, m: MollifierSpec | None = None) -> 
         raise ValueError(f"cutoff {cutoff:.4g} beyond the Nyquist frequency {nyquist:.4g}")
     n = s.offset_grid.count
     freqs = 2.0 * math.pi * np.fft.fftfreq(n, d=h)
-    mult = _ramp_multiplier(freqs, cutoff, f.taper_fraction)
+    mult = _ramp_multiplier(freqs, cutoff)
 
     if f.kind == "modified_riesz":
         transfer = grid_kernel_transform(m, h, n)

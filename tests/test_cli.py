@@ -156,15 +156,91 @@ class TestErrorContracts:
         cfg = write_config(tmp_path)
         assert main(["moments", "-c", str(cfg), str(tmp_path / "nope.csv")]) == 2
 
-    def test_removed_line_step_factor_key_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("section, key, value", [
+        ("grids", "line_step_factor", "0.25"),
+        ("moments", "window", "full"),
+        ("mollifier", "max_order", "2"),
+        ("moments", "max_order", "3"),
+        ("filter", "taper", "0.1"),
+    ], ids=["line_step_factor", "moment-window", "mollifier-max_order",
+            "moments-max_order", "filter-taper"])
+    def test_removed_key_exits_2(self, tmp_path, capsys, section, key, value):
         cfg = tmp_path / "old.ini"
-        cfg.write_text(f"[grids]\nline_step_factor = 0.25\n[output]\ndirectory = {tmp_path/'o'}\n")
+        cfg.write_text(f"[{section}]\n{key} = {value}\n[output]\ndirectory = {tmp_path/'o'}\n")
         assert main(["project", "-c", str(cfg)]) == 2
+        assert f"unknown key '{key}' in section [{section}]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
-    def test_removed_moment_window_key_exits_2(self, tmp_path):
-        cfg = tmp_path / "old.ini"
-        cfg.write_text(f"[moments]\nwindow = full\n[output]\ndirectory = {tmp_path/'o'}\n")
-        assert main(["project", "-c", str(cfg)]) == 2
+    @pytest.mark.parametrize("old, new, message", [
+        ("K = 2", "K = 13", "moment order K=13 exceeds the cap 12"),
+        ("m = 1", "m = 41", "recon orders (41, 1) exceed the stability cap 40"),
+        ("n = 1", "n = 41", "recon orders (1, 41) exceed the stability cap 40"),
+    ], ids=["K", "m", "n"])
+    def test_order_cap_exits_5_before_any_artifact(self, tmp_path, capsys, old, new, message):
+        cfg = write_config(tmp_path, text=MINI_CONFIG.replace(old, new))
+        assert main(["pipeline", "-c", str(cfg)]) == 5
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run_out").exists()
+
+    def test_angles_auto_above_the_cap_exits_5(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["project", "-c", str(cfg)]) == 0
+        out = tmp_path / "run_out"
+        before = sorted(out.iterdir())
+        capsys.readouterr()
+        assert main(["moments", "-c", str(cfg), "--angles-auto", "13",
+                     str(out / "sinogram.csv")]) == 5
+        assert "moment order K=13 exceeds the cap 12" in capsys.readouterr().err
+        assert sorted(out.iterdir()) == before
+
+    @pytest.mark.parametrize("method", ["moments", "both"])
+    def test_pipeline_order_below_m_plus_n_exits_5_before_any_artifact(
+            self, tmp_path, capsys, method):
+        text = MINI_CONFIG.replace("m = 1", "m = 2").replace("n = 1", "n = 2") \
+            .replace("method = both", f"method = {method}")
+        cfg = write_config(tmp_path, text=text)
+        assert main(["pipeline", "-c", str(cfg)]) == 5
+        assert "need moments to order m+n = 4, table holds 2" in capsys.readouterr().err
+        assert not (tmp_path / "run_out").exists()
+
+    def test_pipeline_fbp_alone_needs_no_order_m_plus_n(self, tmp_path):
+        text = MINI_CONFIG.replace("m = 1", "m = 2").replace("n = 1", "n = 2") \
+            .replace("method = both", "method = fbp")
+        assert main(["pipeline", "-c", str(write_config(tmp_path, text=text))]) == 0
+
+    @pytest.mark.parametrize("cover, angles", [("moment", 4), ("half", 5), ("full", 10)])
+    def test_pipeline_too_few_rows_exits_2_before_any_artifact(
+            self, tmp_path, capsys, cover, angles):
+        # K = 4 needs 5 rows strictly inside (0, pi); each grid has 4
+        text = MINI_CONFIG.replace("K = 2", "K = 4") \
+            .replace("angles = 48", f"angles = {angles}") \
+            .replace("angle_cover = moment", f"angle_cover = {cover}")
+        cfg = write_config(tmp_path, text=text)
+        assert main(["pipeline", "-c", str(cfg)]) == 2
+        assert ("angle grid has 4 rows inside (0, pi); order K=4 needs at least K+1 = 5"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "run_out").exists()
+
+    def test_explicit_moment_angles_need_no_grid_rows_check(self, tmp_path):
+        # four rows inside (0, pi) hold the three listed angles of K = 2
+        text = MINI_CONFIG.replace("angles = 48", "angles = 4") \
+            .replace("K = 2", "K = 2\nangles = 0.7, 1.3, 2.4")
+        assert main(["pipeline", "-c", str(write_config(tmp_path, text=text))]) == 0
+
+    def test_row_after_the_declared_rows_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["project", "-c", str(cfg)]) == 0
+        out = tmp_path / "run_out"
+        sino = out / "sinogram.csv"
+        header, first, *rows = sino.read_text().splitlines()
+        sino.write_text("\n".join([header, first, *rows, first]) + "\n")
+        capsys.readouterr()
+        assert main(["moments", "-c", str(cfg), str(sino)]) == 2
+        assert f"{sino}:50: text after the 48 declared rows" in capsys.readouterr().err
+        assert not (out / "moments.csv").exists()
+        assert main(["reconstruct", "-c", str(cfg), str(sino)]) == 2
+        assert f"{sino}:50: text after the 48 declared rows" in capsys.readouterr().err
+        assert not (out / "recon_fbp.csv").exists()
 
     def test_non_finite_sinogram_exits_2(self, tmp_path):
         cfg = write_config(tmp_path)

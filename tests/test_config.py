@@ -1,7 +1,9 @@
 """The INI loader: sections, keys, defaults, `auto`, and its error messages."""
 
 import math
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,9 @@ from momentct.config import (
     RunConfig,
     load_config,
 )
-from momentct.errors import ConfigError
+from momentct.errors import ConfigError, OrderError, StabilityError
+
+REPO = Path(__file__).resolve().parents[1]
 
 EVERY_KEY = """
 [phantom]
@@ -32,7 +36,6 @@ disks = 0.3,0.3,0.1; 0.7,0.6,0.15,2.0
 [mollifier]
 kernel = cosine
 epsilon = 0.07
-max_order = 6
 
 [noise]
 sigma = 0.005
@@ -47,7 +50,6 @@ margin = 1.3
 [moments]
 K = 3
 angles = 0.3, 0.9, 1.5, 2.4
-max_order = 5
 
 [recon]
 method = fbp
@@ -59,7 +61,6 @@ resolution = 32
 kind = riesz
 cutoff = 40
 reg_floor = 1e-4
-taper = 0.2
 
 [output]
 directory = results
@@ -74,12 +75,12 @@ EVERY_KEY_CONFIG = RunConfig(
         amplitude=3.5,
         disks=((0.3, 0.3, 0.1, None), (0.7, 0.6, 0.15, 2.0)),
     ),
-    mollifier=MollifierConfig(kernel="cosine", epsilon=0.07, max_order=6),
+    mollifier=MollifierConfig(kernel="cosine", epsilon=0.07),
     noise=NoiseConfig(sigma=0.005, seed=9),
     grids=GridConfig(angles=100, angle_cover="half", offsets=300, margin=1.3),
-    moments=MomentConfig(K=3, angles=(0.3, 0.9, 1.5, 2.4), max_order=5),
+    moments=MomentConfig(K=3, angles=(0.3, 0.9, 1.5, 2.4)),
     recon=ReconConfig(method="fbp", m=3, n=4, resolution=32),
-    filter=FilterConfig(kind="riesz", cutoff=40.0, reg_floor=1e-4, taper=0.2),
+    filter=FilterConfig(kind="riesz", cutoff=40.0, reg_floor=1e-4),
     output=OutputConfig(directory="results"),
 )
 
@@ -117,9 +118,10 @@ class TestValues:
 
     def test_keys_match_in_any_case(self, tmp_path):
         cfg = load(tmp_path, "[grids]\nANGLES = 12\nAngle_Cover = full\n"
-                             "[moments]\nk = 3\nMAX_ORDER = 2\n")
+                             "[moments]\nk = 3\n[recon]\nMETHOD = fbp\n")
         assert cfg.grids == GridConfig(angles=12, angle_cover="full")
-        assert cfg.moments == MomentConfig(K=3, max_order=2)
+        assert cfg.moments == MomentConfig(K=3)
+        assert cfg.recon == ReconConfig(method="fbp")
 
     def test_strings_are_stripped(self, tmp_path):
         cfg = load(tmp_path, "[output]\ndirectory =   somewhere   \n")
@@ -132,9 +134,7 @@ class TestValues:
     @pytest.mark.parametrize("spelling", ["auto", "AUTO", "Auto", "  auto  "])
     @pytest.mark.parametrize("section, key", [
         ("phantom", "amplitude"),
-        ("mollifier", "max_order"),
         ("moments", "angles"),
-        ("moments", "max_order"),
         ("filter", "cutoff"),
         ("filter", "reg_floor"),
     ])
@@ -184,7 +184,7 @@ class TestErrors:
         ("[phantom]\ncoeffs = 1,1\n", "bad polynomial term '1,1'"),
         ("[phantom]\ndisks = 0.5,0.5\n", "bad disk '0.5,0.5'"),
         ("[moments]\nangles = 0.5,x\n", "could not convert string to float"),
-        ("[mollifier]\nmax_order = 2.5\n", "invalid literal for int()"),
+        ("[noise]\nseed = 2.5\n", "invalid literal for int()"),
     ])
     def test_bad_value_is_wrapped(self, tmp_path, text, detail):
         with pytest.raises(ConfigError, match="^invalid config value: ") as info:
@@ -242,6 +242,52 @@ class TestFilterBounds:
 
     def test_bounds_hold_at_the_edges(self):
         RunConfig(filter=FilterConfig(cutoff=1e-300, reg_floor=0.0)).validate()
+
+
+class TestOrderCaps:
+    """K <= 12 and m, n <= 40 are checked with the rest of the config."""
+
+    def test_caps_hold_at_the_edges(self):
+        RunConfig(moments=MomentConfig(K=12), recon=ReconConfig(m=40, n=40)).validate()
+
+    def test_moment_order_above_the_cap(self):
+        with pytest.raises(OrderError, match=r"^moment order K=13 exceeds the cap 12$"):
+            RunConfig(moments=MomentConfig(K=13)).validate()
+
+    @pytest.mark.parametrize("m, n", [(41, 2), (2, 41)])
+    def test_recon_order_above_the_stability_cap(self, m, n):
+        with pytest.raises(StabilityError, match=r"exceed the stability cap 40$"):
+            RunConfig(recon=ReconConfig(m=m, n=n)).validate()
+
+    def test_kernel_moments_reach_order_k(self):
+        for K in (0, 1, 2, 5, 12):
+            cfg = RunConfig(mollifier=MollifierConfig(), moments=MomentConfig(K=K))
+            assert cfg.make_mollifier().max_order == max(K, 2)
+
+
+def benchmark_inis():
+    """The INI text of every benchmark workload at seeds 1 and 2."""
+    perfbench = str(REPO / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.remove(perfbench)
+    return [pytest.param(make(seed).ini, id=f"{name}_seed{seed}")
+            for name, make in WORKLOADS.items() for seed in (1, 2)]
+
+
+class TestShippedConfigs:
+    """A key that a shipped or benchmark config still sets cannot be removed."""
+
+    @pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.ini")),
+                             ids=lambda path: path.name)
+    def test_shipped_config_loads(self, path):
+        load_config(path)
+
+    @pytest.mark.parametrize("ini", benchmark_inis())
+    def test_benchmark_workload_config_loads(self, tmp_path, ini):
+        load(tmp_path, ini)
 
 
 class TestFinite:

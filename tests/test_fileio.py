@@ -23,13 +23,13 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 def csv_reference(values):
-    """Per-value 17-digit text, one line per row."""
-    return [",".join(f"{float(x):.17g}" for x in row) for row in values]
+    """Per-value 17-digit text, one line of ASCII bytes per row."""
+    return [",".join(f"{float(x):.17g}" for x in row).encode() for row in values]
 
 
 def assert_percent_text(values):
     """`_csv_rows` gives `"%.17g" % v` for every value, row by row."""
-    lines = fileio._csv_rows(values)
+    lines = [line.decode("ascii") for line in fileio._csv_rows(values)]
     assert len(lines) == len(values)
     for row, line in zip(values.tolist(), lines):
         expected = ",".join(["%.17g" % v for v in row])
@@ -76,12 +76,49 @@ class TestSinogramFormat:
         with pytest.raises(FormatError):
             fileio.read_sinogram(bad)
 
-    def test_truncated_payload(self, sino, tmp_path):
+    @pytest.mark.parametrize("keep, message", [
+        (3, ":4: file ends after 2 of 6 rows"),
+        (-1, ":7: file ends after 5 of 6 rows"),
+    ], ids=["three-lines", "last-row"])
+    def test_truncated_payload(self, sino, tmp_path, keep, message):
         path = tmp_path / "s.csv"
         fileio.write_sinogram(sino, path)
         lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:3]) + "\n")
-        with pytest.raises(FormatError):
+        path.write_text("\n".join(lines[:keep]) + "\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}{message}")):
+            fileio.read_sinogram(path)
+
+    @pytest.mark.parametrize("tail", ["", "\n", "   \n\n"], ids=["none", "newline", "blank"])
+    def test_blank_lines_after_the_rows_are_accepted(self, sino, tmp_path, tail):
+        path = tmp_path / "s.csv"
+        fileio.write_sinogram(sino, path)
+        with open(path, "a") as fh:
+            fh.write(tail)
+        assert np.array_equal(fileio.read_sinogram(path).values, sino.values)
+
+    def test_row_after_the_declared_rows_names_file_and_line(self, tmp_path):
+        # a 3 x 4 sinogram and one more row
+        s = Sinogram(angle_grid=Grid1D(0.5, 1.5, 3), offset_grid=Grid1D(-1.5, 1.5, 4),
+                     values=np.arange(12.0).reshape(3, 4), kind="raw")
+        path = tmp_path / "s.csv"
+        fileio.write_sinogram(s, path)
+        with open(path, "a") as fh:
+            fh.write("\n9,9,9,9\n")
+        with pytest.raises(FormatError,
+                           match=re.escape(f"{path}:6: text after the 3 declared rows")):
+            fileio.read_sinogram(path)
+
+    @pytest.mark.parametrize("row", ["1,2,3,", "1,,2,3", "1,2,3,4junk", "1;2;3;4", ""],
+                             ids=["trailing-comma", "empty-value", "junk", "semicolons", "blank"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row):
+        # a trailing comma once read as one more value, -1
+        path = tmp_path / "s.csv"
+        s = Sinogram(angle_grid=Grid1D(0.5, 1.5, 3), offset_grid=Grid1D(-1.5, 1.5, 4),
+                     values=np.arange(12.0).reshape(3, 4), kind="raw")
+        fileio.write_sinogram(s, path)
+        header, first, *rest = path.read_text().splitlines()
+        path.write_text("\n".join([header, first, row, *rest[1:]]) + "\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}:3: malformed row 1: ")):
             fileio.read_sinogram(path)
 
     def test_rewrite_is_byte_identical(self, sino, tmp_path):
@@ -136,6 +173,23 @@ class TestReconFormat:
         assert back.orders == (3, 4)
         assert np.array_equal(back.values, rec.values)
 
+    def test_row_after_the_declared_rows_names_file_and_line(self, tmp_path):
+        rec = ReconGrid(3, np.arange(9.0).reshape(3, 3))
+        path = tmp_path / "r.csv"
+        fileio.write_recon_csv(rec, path)
+        with open(path, "a") as fh:
+            fh.write("9,9,9\n")
+        with pytest.raises(FormatError,
+                           match=re.escape(f"{path}:5: text after the 3 declared rows")):
+            fileio.read_recon_csv(path)
+
+    def test_short_row_names_file_and_line(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("# recon N=2\n1,2\n3\n")
+        with pytest.raises(FormatError,
+                           match=re.escape(f"{path}:3: row 1 has 1 values, expected 2")):
+            fileio.read_recon_csv(path)
+
 
 class TestPgm:
     def test_format_and_scaling(self, tmp_path):
@@ -164,7 +218,7 @@ class TestWrittenText:
     def test_csv_rows_match_per_value_text(self):
         values = awkward_grid(11)
         assert fileio._csv_rows(values) == csv_reference(values)
-        assert fileio._csv_rows(values)[0].startswith("-0,0,4.9406564584124654e-324,")
+        assert fileio._csv_rows(values)[0].startswith(b"-0,0,4.9406564584124654e-324,")
 
     @pytest.mark.parametrize("layout", ["transposed", "one_column", "one_row"])
     def test_csv_rows_any_layout(self, layout):
@@ -302,8 +356,8 @@ class TestWrittenText:
         rec = reconstruct_grid(MomentTable.from_density(disk, 6), 3, 3, 37)
         path = tmp_path / "m.csv"
         fileio.write_recon_csv(rec, path)
-        assert path.read_text() == "\n".join(
-            ["# recon N=37 m=3 n=3", *csv_reference(rec.values)]) + "\n"
+        assert path.read_bytes() == b"\n".join(
+            [b"# recon N=37 m=3 n=3", *csv_reference(rec.values)]) + b"\n"
 
     @pytest.mark.parametrize("transpose", [False, True], ids=["c_order", "transposed"])
     def test_sinogram_text(self, tmp_path, transpose):
@@ -314,9 +368,9 @@ class TestWrittenText:
         assert sino.values.flags.c_contiguous != transpose
         path = tmp_path / "s.csv"
         fileio.write_sinogram(sino, path)
-        header, *body = path.read_text().split("\n")
-        assert header.startswith("# sinogram kind=raw")
-        assert body == csv_reference(values) + [""]
+        header, *body = path.read_bytes().split(b"\n")
+        assert header.startswith(b"# sinogram kind=raw")
+        assert body == csv_reference(values) + [b""]
 
     @pytest.mark.parametrize("resolution, transpose", [(11, False), (11, True), (1, False)],
                              ids=["c_order", "transposed", "one_column"])
@@ -326,8 +380,8 @@ class TestWrittenText:
         values = values.T if transpose else values
         path = tmp_path / "r.csv"
         fileio.write_recon_csv(ReconGrid(resolution, values, orders=(2, 3)), path)
-        assert path.read_text() == "\n".join(
-            [f"# recon N={resolution} m=2 n=3", *csv_reference(values)]) + "\n"
+        assert path.read_bytes() == b"\n".join(
+            [b"# recon N=%d m=2 n=3" % resolution, *csv_reference(values)]) + b"\n"
 
     @pytest.mark.parametrize("shape", [(16, 16), (64, 4)])
     def test_pgm_text_covers_every_level(self, tmp_path, shape):

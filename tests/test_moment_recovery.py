@@ -151,6 +151,15 @@ class TestSolve:
             expected = [POLY.moment(j, k - j) for j in range(k + 1)]
             assert np.max(np.abs(x - expected)) <= 1e-12
 
+    def test_orders_above_the_table_cap_are_solved(self):
+        # the cap on K is recover_moment_table's; the solve fits any order
+        # the set measures, as convergence runs at K = 2m need
+        ams = raw_moment_set(POLY, np.linspace(0.05, math.pi - 0.05, 40), 14)
+        for k in (13, 14):
+            x = solve_moment_system(ams, k)
+            expected = [POLY.moment(j, k - j) for j in range(k + 1)]
+            assert np.max(np.abs(x - expected)) <= 1e-12
+
     def test_requires_raw_provenance(self):
         m = make_bump(0.1, 3)
         hat = convolve_moments(raw_moment_set(UNIFORM, [0.3, 1.0, 2.0, 2.8], 3), m)
@@ -217,6 +226,10 @@ class TestRecoverTable:
     def test_order_cap(self, uniform_sino):
         with pytest.raises(OrderError):
             recover_moment_table(uniform_sino, None, 14)
+        with pytest.raises(OrderError):
+            recover_moment_table(uniform_sino, None, 13)
+        with pytest.raises(OrderError):
+            recover_moment_table(uniform_sino, None, 3, max_order=2)
 
     def test_range_identity_at_held_out_angles(self, uniform_sino):
         table = recover_moment_table(uniform_sino, None, 4)

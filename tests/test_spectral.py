@@ -21,6 +21,7 @@ from momentct.projector import (
 )
 from momentct.spectral import (
     FilterSpec,
+    _ramp_multiplier,
     apply_filter,
     backproject,
     density_transform_2d,
@@ -116,6 +117,16 @@ class TestApplyFilter:
         mod_filtered = apply_filter(mollify(s, m), FilterSpec(kind="modified_riesz"), m)
         scale = np.max(np.abs(raw_filtered.values))
         assert np.max(np.abs(mod_filtered.values - raw_filtered.values)) <= 1e-3 * scale
+
+    def test_taper_covers_the_top_tenth_of_the_band(self):
+        freqs = np.linspace(-12.0, 12.0, 2401)
+        mult = _ramp_multiplier(freqs, 10.0)
+        a = np.abs(freqs)
+        assert np.array_equal(mult[a <= 9.0], a[a <= 9.0])
+        assert np.all(mult[a > 10.0] == 0.0)
+        band = (a > 9.0) & (a <= 10.0)
+        window = 0.5 * (1.0 + np.cos(math.pi * (a[band] - 9.0) / 1.0))
+        assert np.allclose(mult[band], a[band] * window, rtol=0, atol=1e-12)
 
     def test_misuse_guards(self):
         m = make_bump(0.05, 4)
