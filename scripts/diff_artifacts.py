@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that two source trees give byte-identical `momentct pipeline` runs.
+"""Check that two source trees give byte-identical `momentct` runs.
 
 Usage:
     python3 scripts/diff_artifacts.py PARENT_SRC CHANGE_SRC
@@ -10,14 +10,17 @@ commit and this checkout's `src`.  Both run `momentct pipeline` in a fresh
 interpreter on the shipped demo configuration, on the benchmark's three
 workload configurations (`perfbench/workloads.py`) at seeds 1 and 2, and on
 the CLI tests' `MINI_CONFIG` (`tests/test_cli.py`) at each angle cover
-(moment, half, full), with its `[mollifier]` section and without it.  Each
-run gets the same relative paths in its own temporary directory, so the two
-sides see identical command lines.
+(moment, half, full), with its `[mollifier]` section and without it.  On
+the demo and `MINI_CONFIG` cases each side then also runs `momentct moments`
+on the `sinogram.csv` its pipeline wrote, and `momentct reconstruct` on that
+`moments.csv` and on that `sinogram.csv`, into a second output directory.
+Each case gets the same relative paths in its own temporary directory, so
+the two sides see identical command lines.
 
-Every artifact, the exit status, standard output and standard error are
-compared byte for byte.  Prints one line per difference and exits 1 if
-there is any, 2 on bad arguments or if a run failed on both sides alike,
-0 otherwise.
+Every artifact, and each command's exit status, standard output and
+standard error, are compared byte for byte.  Prints one line per
+difference and exits 1 if there is any, 2 on bad arguments or if a command
+failed on both sides alike, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -37,6 +40,14 @@ from workloads import WORKLOADS  # noqa: E402
 
 SEEDS = (1, 2)
 
+PIPELINE = ("pipeline", "-c", "run.ini", "-o", "out")
+#: the subcommands, on what the pipeline wrote to out/
+SUBCOMMANDS = (
+    ("moments", "-c", "run.ini", "-o", "sub", "out/sinogram.csv"),
+    ("reconstruct", "-c", "run.ini", "-o", "sub", "out/moments.csv"),
+    ("reconstruct", "-c", "run.ini", "-o", "sub", "out/sinogram.csv"),
+)
+
 
 def without_section(ini: str, name: str) -> str:
     """The INI text with its `[name]` section left out."""
@@ -49,39 +60,39 @@ def without_section(ini: str, name: str) -> str:
     return "".join(kept)
 
 
-def cases() -> dict[str, str]:
-    """Case name -> INI text."""
-    out = {"uniform_demo": (REPO / "configs" / "uniform_demo.ini").read_text()}
+def cases() -> dict[str, tuple[str, tuple]]:
+    """Case name -> (INI text, the commands run on it)."""
+    all_commands = (PIPELINE, *SUBCOMMANDS)
+    out = {"uniform_demo": ((REPO / "configs" / "uniform_demo.ini").read_text(),
+                            all_commands)}
     for name, make in WORKLOADS.items():
         for seed in SEEDS:
-            out[f"{name}_seed{seed}"] = make(seed).ini
+            out[f"{name}_seed{seed}"] = (make(seed).ini, (PIPELINE,))
     mini = MINI_CONFIG.format(out="out")
     for cover in ("moment", "half", "full"):
         smoothed = mini.replace("angle_cover = moment", f"angle_cover = {cover}")
-        out[f"mini_{cover}_smoothed"] = smoothed
-        out[f"mini_{cover}_raw"] = without_section(smoothed, "mollifier")
+        out[f"mini_{cover}_smoothed"] = (smoothed, all_commands)
+        out[f"mini_{cover}_raw"] = (without_section(smoothed, "mollifier"), all_commands)
     return out
 
 
-def run(src: Path, ini: str, workdir: Path) -> dict[str, bytes]:
-    """One pipeline run; returns its artifacts plus exit status and streams."""
+def run(src: Path, ini: str, commands: tuple, workdir: Path) -> dict[str, bytes]:
+    """Run the commands in order; returns the artifacts they left, by path
+    under `workdir`, plus each command's exit status and streams."""
     workdir.mkdir(parents=True)
     (workdir / "run.ini").write_text(ini)
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-m", "momentct.cli", "pipeline", "-c", "run.ini", "-o", "out"],
-        cwd=workdir, env=env, capture_output=True,
-    )
-    result = {
-        "<exit status>": str(proc.returncode).encode(),
-        "<stdout>": proc.stdout,
-        "<stderr>": proc.stderr,
-    }
-    out = workdir / "out"
-    if out.is_dir():
-        for path in sorted(out.rglob("*")):
-            if path.is_file():
-                result[str(path.relative_to(out))] = path.read_bytes()
+    result = {}
+    for args in commands:
+        proc = subprocess.run([sys.executable, "-m", "momentct.cli", *args],
+                              cwd=workdir, env=env, capture_output=True)
+        command = " ".join(args)
+        result[f"<{command}: exit status>"] = str(proc.returncode).encode()
+        result[f"<{command}: stdout>"] = proc.stdout
+        result[f"<{command}: stderr>"] = proc.stderr
+    for path in sorted(workdir.rglob("*")):
+        if path.is_file() and path.name != "run.ini":
+            result[str(path.relative_to(workdir))] = path.read_bytes()
     return result
 
 
@@ -97,9 +108,11 @@ def main(argv=None) -> int:
     differences = 0
     failures = 0
     with tempfile.TemporaryDirectory(prefix="diff_artifacts_") as tmp:
-        for case, ini in cases().items():
-            parent = run(args.parent_src.resolve(), ini, Path(tmp) / "parent" / case)
-            change = run(args.change_src.resolve(), ini, Path(tmp) / "change" / case)
+        for case, (ini, commands) in cases().items():
+            parent = run(args.parent_src.resolve(), ini, commands,
+                         Path(tmp) / "parent" / case)
+            change = run(args.change_src.resolve(), ini, commands,
+                         Path(tmp) / "change" / case)
             differing = [name for name in sorted(parent.keys() | change.keys())
                          if parent.get(name) != change.get(name)]
             for name in differing:
@@ -107,12 +120,17 @@ def main(argv=None) -> int:
                     " (only in parent)" if name in parent else " (only in change)"
                 print(f"{case}: {name} differs{side}")
             differences += len(differing)
-            if not differing and parent["<exit status>"] != b"0":
+            statuses = {name: value for name, value in parent.items()
+                        if name.endswith(": exit status>")}
+            if not differing and any(value != b"0" for value in statuses.values()):
                 failures += 1
-                print(f"{case}: both runs exited {parent['<exit status>'].decode()}")
+                print(f"{case}: both sides failed alike: "
+                      + ", ".join(f"{name} {value.decode()}"
+                                  for name, value in statuses.items()))
             if not differing:
-                artifacts = len(parent) - 3
-                print(f"{case}: {artifacts} artifacts, exit status and output identical")
+                artifacts = len(parent) - 3 * len(commands)
+                print(f"{case}: {len(commands)} command(s), {artifacts} artifacts, "
+                      "exit statuses and output identical")
     if differences:
         print(f"{differences} difference(s)")
         return 1

@@ -69,8 +69,6 @@ def _load(args) -> RunConfig:
         cfg = replace(cfg, moments=replace(cfg.moments, angles=th, K=len(th) - 1))
     if getattr(args, "angles_auto", None) is not None:
         cfg = replace(cfg, moments=replace(cfg.moments, angles=None, K=args.angles_auto))
-    if getattr(args, "filter", None) is not None:
-        cfg = replace(cfg, filter=replace(cfg.filter, kind=args.filter))
     if getattr(args, "cutoff", None) is not None:
         cfg = replace(cfg, filter=replace(cfg.filter, cutoff=args.cutoff))
     if getattr(args, "reg_floor", None) is not None:
@@ -143,7 +141,6 @@ def _read_moments(path: Path) -> MomentTable:
 
 
 def _moments(cfg: RunConfig, sino: Sinogram) -> MomentTable:
-    out = _outdir(cfg)
     kernel = cfg.make_mollifier() if sino.kind == "mollified" else None
     diagnostics: dict = {}
     table = recover_moment_table(
@@ -151,7 +148,7 @@ def _moments(cfg: RunConfig, sino: Sinogram) -> MomentTable:
         angles=cfg.moments.angles,
         diagnostics=diagnostics,
     )
-    path = out / "moments.csv"
+    path = _outdir(cfg) / "moments.csv"
     fileio.write_moments(table, path)
     print(f"moments: {path} K={table.max_order}")
     for k, cond in diagnostics["conditions"]:
@@ -175,9 +172,9 @@ def _write_image(rec: ReconGrid, stem: Path) -> None:
 
 
 def _reconstruct_moments(cfg: RunConfig, table: MomentTable) -> None:
-    out = _outdir(cfg)
     density = cfg.make_density()
     rec = reconstruct_grid(table, cfg.recon.m, cfg.recon.n, cfg.recon.resolution)
+    out = _outdir(cfg)
     _write_image(rec, out / "recon_moments")
     err = sup_error(rec, density)
     print(f"moment reconstruction: {out / 'recon_moments.csv'} "
@@ -193,14 +190,14 @@ def _reconstruct_moments(cfg: RunConfig, table: MomentTable) -> None:
 
 
 def _reconstruct_fbp(cfg: RunConfig, sino: Sinogram) -> None:
-    out = _outdir(cfg)
     density = cfg.make_density()
-    fspec = cfg.make_filter(sino.kind)
-    kernel = cfg.make_mollifier() if fspec.kind == "modified_riesz" else None
-    rec = fbp_reconstruct(sino, fspec, kernel, cfg.recon.resolution)
+    kernel = cfg.make_mollifier() if sino.kind == "mollified" else None
+    rec = fbp_reconstruct(sino, cfg.make_filter(), kernel, cfg.recon.resolution)
+    out = _outdir(cfg)
     _write_image(rec, out / "recon_fbp")
+    label = "riesz" if kernel is None else "modified_riesz"
     print(f"fbp reconstruction: {out / 'recon_fbp.csv'} "
-          f"filter={fspec.kind} N={cfg.recon.resolution}")
+          f"filter={label} N={cfg.recon.resolution}")
     print(f"relative l2 error vs phantom: {relative_l2_error(rec, density):.6f}")
 
 
@@ -288,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec = sub.add_parser("reconstruct", help="reconstruct the density")
     common(p_rec)
     p_rec.add_argument("input", nargs="?", help="moment or sinogram CSV")
-    p_rec.add_argument("--filter", choices=("auto", "riesz", "modified_riesz"))
     p_rec.add_argument("--cutoff", type=float, help="filter band cutoff")
     p_rec.add_argument("--reg-floor", dest="reg_floor", type=float,
                        help="kernel-transform regularization floor")

@@ -116,7 +116,6 @@ class ReconConfig:
 
 @dataclass(frozen=True)
 class FilterConfig:
-    kind: str = "auto"            # auto | riesz | modified_riesz
     cutoff: float | None = None
     reg_floor: float | None = None
 
@@ -196,8 +195,6 @@ class RunConfig:
         # K >= m + n holds against the moment table the reconstruction reads,
         # which only `pipeline` takes from this config (`cli.cmd_pipeline`)
         f = self.filter
-        if f.kind not in ("auto", "riesz", "modified_riesz"):
-            raise ConfigError(f"unknown filter kind {f.kind!r}")
         # the cutoff's Nyquist bound needs the sinogram's grid: `apply_filter`
         if f.cutoff is not None and f.cutoff <= 0:
             raise ConfigError(f"filter cutoff must be positive, got {f.cutoff}")
@@ -240,13 +237,9 @@ class RunConfig:
     def make_offset_grid(self) -> Grid1D:
         return offset_grid(self.grids.offsets, self.grids.margin)
 
-    def make_filter(self, sinogram_kind: str) -> FilterSpec:
+    def make_filter(self) -> FilterSpec:
         f = self.filter
-        kind = f.kind
-        if kind == "auto":
-            kind = "modified_riesz" if sinogram_kind == "mollified" else "riesz"
         return FilterSpec(
-            kind=kind,
             cutoff=f.cutoff,
             reg_floor=DEFAULT_REG_FLOOR if f.reg_floor is None else f.reg_floor,
         )

@@ -30,7 +30,7 @@ from .errors import (
 from .mollifiers import MollifierSpec
 from .numerics import MAX_MOMENT_ORDER, Grid1D
 from .phantoms import SQRT2, MomentTable
-from .projector import Sinogram
+from .projector import Sinogram, check_kernel
 
 #: Extra half-width (beyond the kernel width) of the moment integration
 #: window, in grid cells.
@@ -81,6 +81,15 @@ def vandermonde_det_formula(angles, k: int) -> float:
     return det
 
 
+def snap_rows(angle_grid: Grid1D, angles) -> np.ndarray:
+    """Index of the grid row nearest each angle; two angles may not share one."""
+    grid = angle_grid.points()
+    idx = np.array([int(np.argmin(np.abs(grid - a))) for a in angles])
+    if np.unique(idx).size != idx.size:
+        raise ValueError("requested angles collapse onto duplicate sinogram rows")
+    return idx
+
+
 def angular_moments(s: Sinogram, K: int, angles, *,
                     support_pad: float = 0.0) -> AngularMomentSet:
     """Trapezoid offset moments of the rows nearest the requested angles.
@@ -96,11 +105,8 @@ def angular_moments(s: Sinogram, K: int, angles, *,
     req = np.asarray(angles, dtype=float)
     if np.any(req <= 0.0) or np.any(req >= math.pi):
         raise ValueError("requested angles must lie strictly inside (0, pi)")
-    grid = s.angle_grid.points()
-    idx = np.array([int(np.argmin(np.abs(grid - a))) for a in req])
-    if np.unique(idx).size != idx.size:
-        raise ValueError("requested angles collapse onto duplicate sinogram rows")
-    snapped = grid[idx]
+    idx = snap_rows(s.angle_grid, req)
+    snapped = s.angle_grid.points()[idx]
 
     ps = s.offset_grid.points()
     h = s.offset_grid.spacing
@@ -195,8 +201,9 @@ def solve_moment_system(ams: AngularMomentSet, k: int, *,
 
 
 def solve_angles(angle_grid: Grid1D, K: int, angles=None) -> np.ndarray:
-    """The angles order K is fitted over: K+1 strictly increasing `angles`,
-    or by default every grid row strictly inside (0, pi), at least K+1."""
+    """The angles order K is fitted over: K+1 strictly increasing `angles`
+    on distinct grid rows (`snap_rows`), or by default every grid row
+    strictly inside (0, pi), at least K+1."""
     if angles is None:
         grid = angle_grid.points()
         th = grid[(grid > 0.0) & (grid < math.pi)]
@@ -211,6 +218,7 @@ def solve_angles(angle_grid: Grid1D, K: int, angles=None) -> np.ndarray:
         raise ValueError(f"need exactly K+1 = {K + 1} angles, got {th.size}")
     if np.any(np.diff(th) <= 0):
         raise ValueError("angles must be strictly increasing")
+    snap_rows(angle_grid, th)
     return th
 
 
@@ -221,22 +229,18 @@ def recover_moment_table(s: Sinogram, m: MollifierSpec | None, K: int,
 
     Each order is fitted over the rows `solve_angles` selects; K+1 explicit
     angles make order K the square system.  K above `max_order` raises
-    OrderError.  Mollified sinograms require the kernel that produced
-    them; raw and noisy sinograms must not pass one.  When a `diagnostics`
-    dict is given it receives the angles used and, per order, the
-    condition of the scaled matrix that order's fit solved.
+    OrderError.  `check_kernel` holds `m` to the sinogram's kind.  When a
+    `diagnostics` dict is given it receives the angles used and, per order,
+    the condition of the scaled matrix that order's fit solved.
     """
     if K > max_order:
         raise OrderError(f"K={K} exceeds the maximum order {max_order}")
-    if s.kind == "mollified" and m is None:
-        raise MisuseError("mollified sinogram needs its mollifier for deconvolution")
-    if s.kind != "mollified" and m is not None:
-        raise MisuseError(f"kind={s.kind!r} sinogram must not carry a mollifier")
+    check_kernel(s, m)
 
     th = solve_angles(s.angle_grid, K, angles)
     pad = m.epsilon if m is not None else 0.0
     ams = angular_moments(s, K, th, support_pad=pad)
-    if s.kind == "mollified":
+    if m is not None:
         ams = deconvolve_moments(ams, m)
 
     b0 = ams.values[:, 0]

@@ -324,7 +324,3 @@ class MomentTable:
             not isinstance(v, (float, int, np.floating, np.integer))
             for v in self.values.values()
         )
-
-    def scaled(self, factor) -> "MomentTable":
-        return MomentTable(self.max_order, {k: factor * v for k, v in self.values.items()})
-

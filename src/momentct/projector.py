@@ -39,6 +39,17 @@ class Sinogram:
         object.__setattr__(self, "values", v)
 
 
+def check_kernel(s: Sinogram, m: MollifierSpec | None) -> None:
+    """Refuse an inverse's input: a kernel must come with mollified rows and
+    only with them, and filtered rows are already an inverse's output."""
+    if s.kind == "filtered":
+        raise MisuseError("a filtered sinogram cannot be inverted again")
+    if s.kind == "mollified" and m is None:
+        raise MisuseError("mollified sinogram needs the kernel that smoothed it")
+    if s.kind != "mollified" and m is not None:
+        raise MisuseError(f"kind={s.kind!r} sinogram must not carry a kernel")
+
+
 def moment_angle_grid(count: int) -> Grid1D:
     """count angles strictly inside (0, pi): theta_i = pi (i+1)/(count+1)."""
     step = math.pi / (count + 1)

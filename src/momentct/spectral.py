@@ -1,5 +1,6 @@
-"""Fourier-path inversion: ramp filtering per row (with optional kernel
-deconvolution), backprojection, and projection-slice diagnostics.
+"""Fourier-path inversion: ramp filtering per row (with kernel
+deconvolution for mollified rows), backprojection, and projection-slice
+diagnostics.
 
 Conventions: the 1-D transform of a row is (1/sqrt(2 pi)) * integral of
 g(p) e^{-isp} dp, the 2-D transform of the density carries 1/(2 pi).  The
@@ -23,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError, MisuseError
+from .errors import CoverageError
 from .density_recon import ReconGrid
 from .mollifiers import SQRT_2PI, MollifierSpec, sampled_kernel
 from .phantoms import Density
-from .projector import Sinogram, angle_coverage, antipodal_half
+from .projector import Sinogram, angle_coverage, antipodal_half, check_kernel
 
 #: Default regularization floor for the kernel-transform division, in the
 #: 1/sqrt(2 pi)-normalized scale of the continuous transform.
@@ -48,13 +49,10 @@ class FilterSpec:
     taper rolls off a fixed tenth of the passband, the top one.
     """
 
-    kind: str = "riesz"
     cutoff: float | None = None
     reg_floor: float = DEFAULT_REG_FLOOR
 
     def __post_init__(self) -> None:
-        if self.kind not in ("riesz", "modified_riesz"):
-            raise ValueError(f"filter kind must be riesz|modified_riesz, got {self.kind!r}")
         if self.reg_floor < 0:
             raise ValueError("regularization floor must be nonnegative")
 
@@ -84,16 +82,9 @@ def grid_kernel_transform(m: MollifierSpec, spacing: float, count: int) -> np.nd
 
 
 def apply_filter(s: Sinogram, f: FilterSpec, m: MollifierSpec | None = None) -> Sinogram:
-    """Per-row ramp (and deconvolution) filter; output kind 'filtered'."""
-    if f.kind == "modified_riesz":
-        if m is None:
-            raise MisuseError("modified filter requires the smoothing kernel")
-        if s.kind != "mollified":
-            raise MisuseError(f"modified filter expects a mollified sinogram, got {s.kind!r}")
-    else:
-        if s.kind not in ("raw", "noisy"):
-            raise MisuseError(f"plain ramp filter expects raw/noisy data, got {s.kind!r}")
-
+    """Per-row ramp filter, divided by the sampled transform of the kernel
+    `m` when given one (`check_kernel`); output kind 'filtered'."""
+    check_kernel(s, m)
     h = s.offset_grid.spacing
     nyquist = math.pi / h
     cutoff = 0.8 * nyquist if f.cutoff is None else f.cutoff
@@ -103,7 +94,7 @@ def apply_filter(s: Sinogram, f: FilterSpec, m: MollifierSpec | None = None) -> 
     freqs = 2.0 * math.pi * np.fft.fftfreq(n, d=h)
     mult = _ramp_multiplier(freqs, cutoff)
 
-    if f.kind == "modified_riesz":
+    if m is not None:
         transfer = grid_kernel_transform(m, h, n)
         floor = SQRT_2PI * f.reg_floor  # unit-DC scale
         usable = np.abs(transfer) >= floor

@@ -136,6 +136,18 @@ class TestErrorContracts:
                      str(tmp_path / "run_out" / "sinogram.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["moments", "reconstruct"])
+    def test_filtered_sinogram_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path)
+        assert main(["project", "-c", str(cfg)]) == 0
+        sino = tmp_path / "run_out" / "sinogram.csv"
+        sino.write_text(sino.read_text().replace("kind=mollified", "kind=filtered", 1))
+        capsys.readouterr()
+        fresh = tmp_path / "fresh"
+        assert main([command, "-c", str(cfg), "-o", str(fresh), str(sino)]) == 2
+        assert "a filtered sinogram cannot be inverted again" in capsys.readouterr().err
+        assert not fresh.exists()
+
     def test_malformed_sinogram_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("no header here\n")
@@ -162,8 +174,9 @@ class TestErrorContracts:
         ("mollifier", "max_order", "2"),
         ("moments", "max_order", "3"),
         ("filter", "taper", "0.1"),
+        ("filter", "kind", "auto"),
     ], ids=["line_step_factor", "moment-window", "mollifier-max_order",
-            "moments-max_order", "filter-taper"])
+            "moments-max_order", "filter-taper", "filter-kind"])
     def test_removed_key_exits_2(self, tmp_path, capsys, section, key, value):
         cfg = tmp_path / "old.ini"
         cfg.write_text(f"[{section}]\n{key} = {value}\n[output]\ndirectory = {tmp_path/'o'}\n")
@@ -218,6 +231,17 @@ class TestErrorContracts:
         cfg = write_config(tmp_path, text=text)
         assert main(["pipeline", "-c", str(cfg)]) == 2
         assert ("angle grid has 4 rows inside (0, pi); order K=4 needs at least K+1 = 5"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "run_out").exists()
+
+    def test_pipeline_colliding_angles_exit_2_before_any_artifact(self, tmp_path, capsys):
+        # 0.6 and 0.7 both snap to the first of the rows at pi (i+1)/5
+        text = MINI_CONFIG.replace("angles = 48", "angles = 4") \
+            .replace("K = 2", "K = 2\nangles = 0.6, 0.7, 2.4") \
+            .replace("[mollifier]\nkernel = bump\nepsilon = 0.08\n", "")
+        cfg = write_config(tmp_path, text=text)
+        assert main(["pipeline", "-c", str(cfg)]) == 2
+        assert ("requested angles collapse onto duplicate sinogram rows"
                 in capsys.readouterr().err)
         assert not (tmp_path / "run_out").exists()
 

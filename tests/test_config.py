@@ -58,7 +58,6 @@ n = 4
 resolution = 32
 
 [filter]
-kind = riesz
 cutoff = 40
 reg_floor = 1e-4
 
@@ -80,7 +79,7 @@ EVERY_KEY_CONFIG = RunConfig(
     grids=GridConfig(angles=100, angle_cover="half", offsets=300, margin=1.3),
     moments=MomentConfig(K=3, angles=(0.3, 0.9, 1.5, 2.4)),
     recon=ReconConfig(method="fbp", m=3, n=4, resolution=32),
-    filter=FilterConfig(kind="riesz", cutoff=40.0, reg_floor=1e-4),
+    filter=FilterConfig(cutoff=40.0, reg_floor=1e-4),
     output=OutputConfig(directory="results"),
 )
 

@@ -17,7 +17,7 @@ from momentct.moment_recovery import (
     synthesize_angular_moments,
     vandermonde_det_formula,
 )
-from momentct.phantoms import MomentTable, PolynomialDensity, UniformDensity
+from momentct.phantoms import PolynomialDensity, UniformDensity
 from momentct.projector import Sinogram, moment_angle_grid, mollify, offset_grid, project
 
 UNIFORM = UniformDensity()
@@ -250,9 +250,3 @@ class TestRecoverTable:
         assert ks == [0, 1, 2, 3]
         assert all(c >= 1.0 for _, c in diag["conditions"])
 
-
-class TestMomentTableLinearity:
-    def test_scaled_table(self):
-        t = MomentTable.from_density(UNIFORM, 2)
-        t2 = t.scaled(3.0)
-        assert t2.value(1, 1) == pytest.approx(0.75)

@@ -114,7 +114,7 @@ class TestApplyFilter:
         m = make_bump(0.05, 4)
         s = project(DISK, half_circle_grid(8), offset_grid(512))
         raw_filtered = apply_filter(s, FilterSpec())
-        mod_filtered = apply_filter(mollify(s, m), FilterSpec(kind="modified_riesz"), m)
+        mod_filtered = apply_filter(mollify(s, m), FilterSpec(), m)
         scale = np.max(np.abs(raw_filtered.values))
         assert np.max(np.abs(mod_filtered.values - raw_filtered.values)) <= 1e-3 * scale
 
@@ -131,12 +131,14 @@ class TestApplyFilter:
     def test_misuse_guards(self):
         m = make_bump(0.05, 4)
         s = project(DISK, half_circle_grid(4), offset_grid(128))
-        with pytest.raises(MisuseError):
-            apply_filter(s, FilterSpec(kind="modified_riesz"))  # kernel missing
-        with pytest.raises(MisuseError):
-            apply_filter(s, FilterSpec(kind="modified_riesz"), m)  # raw input
-        with pytest.raises(MisuseError):
-            apply_filter(mollify(s, m), FilterSpec())  # mollified into plain ramp
+        with pytest.raises(MisuseError, match="needs the kernel"):
+            apply_filter(mollify(s, m), FilterSpec())  # mollified, kernel missing
+        with pytest.raises(MisuseError, match="must not carry a kernel"):
+            apply_filter(s, FilterSpec(), m)  # raw input with a kernel
+        filtered = apply_filter(s, FilterSpec())
+        for kernel in (None, m):
+            with pytest.raises(MisuseError, match="filtered sinogram"):
+                apply_filter(filtered, FilterSpec(), kernel)  # an inverse's output
 
     def test_grid_kernel_transform_dc(self):
         m = make_bump(0.05, 4)
