@@ -20,17 +20,23 @@ the two sides see identical command lines.
 Every artifact, and each command's exit status, standard output and
 standard error, are compared byte for byte.  Prints one line per
 difference and exits 1 if there is any, 2 on bad arguments or if a command
-failed on both sides alike, 0 otherwise.
+failed on both sides alike, 0 otherwise.  When a `.csv` artifact differs
+and both sides parse to arrays of one shape, its line also gives the
+largest absolute difference and the largest magnitude on either side, so
+that a rounding-level change can be told from a real one.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(REPO / "perfbench"), str(REPO / "tests"), str(REPO / "src")]
@@ -76,6 +82,20 @@ def cases() -> dict[str, tuple[str, tuple]]:
     return out
 
 
+def csv_change(parent: bytes, change: bytes) -> str:
+    """`, max |diff| = ..., max |value| = ...` for two CSV artifacts that
+    parse to arrays of one shape (`#` lines skipped), else ''."""
+    try:
+        a, b = (np.loadtxt(io.BytesIO(data), delimiter=",", comments="#", ndmin=2)
+                for data in (parent, change))
+    except ValueError:
+        return ""
+    if a.shape != b.shape or a.size == 0:
+        return ""
+    scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
+    return f", max |diff| = {np.max(np.abs(b - a)):.3g}, max |value| = {scale:.3g}"
+
+
 def run(src: Path, ini: str, commands: tuple, workdir: Path) -> dict[str, bytes]:
     """Run the commands in order; returns the artifacts they left, by path
     under `workdir`, plus each command's exit status and streams."""
@@ -116,8 +136,11 @@ def main(argv=None) -> int:
             differing = [name for name in sorted(parent.keys() | change.keys())
                          if parent.get(name) != change.get(name)]
             for name in differing:
-                side = "" if name in parent and name in change else \
-                    " (only in parent)" if name in parent else " (only in change)"
+                if name in parent and name in change:
+                    side = csv_change(parent[name], change[name]) \
+                        if name.endswith(".csv") else ""
+                else:
+                    side = " (only in parent)" if name in parent else " (only in change)"
                 print(f"{case}: {name} differs{side}")
             differences += len(differing)
             statuses = {name: value for name, value in parent.items()

@@ -78,9 +78,9 @@ def _load(args) -> RunConfig:
 
 
 def _outdir(cfg: RunConfig) -> Path:
-    out = Path(cfg.output.directory)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """The output directory.  The first artifact written into it creates it,
+    so a run refused before its first artifact leaves no directory behind."""
+    return Path(cfg.output.directory)
 
 
 def _project(cfg: RunConfig) -> Sinogram:
@@ -165,7 +165,8 @@ def _write_image(rec: ReconGrid, stem: Path) -> None:
     """Write `<stem>.csv` and `<stem>.pgm`, or neither.
 
     The PGM goes first: `write_pgm` refuses a NaN, inf or overflowing image
-    before it writes anything, so a refused image leaves no CSV behind.
+    before it writes anything, so a refused image leaves no CSV behind, and
+    no output directory if this would have created it.
     """
     fileio.write_pgm(rec.values, stem.with_suffix(".pgm"))
     fileio.write_recon_csv(rec, stem.with_suffix(".csv"))

@@ -284,7 +284,10 @@ _PGM_LEVELS = np.array([str(i) for i in range(256)], dtype=object)
 
 
 def _atomic_write(path, data: bytes) -> None:
+    """Write `data` to `path` through a temporary file in its directory,
+    which this creates if it is missing."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     # a fresh name opened exclusively with mode 0o666, so the kernel applies
     # the umask as for any other new file (mkstemp would force 0o600)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")

@@ -106,6 +106,24 @@ def antipodal_half(angles: Grid1D, offsets: Grid1D) -> int | None:
     return n // 2
 
 
+def transpose_partner(angles: Grid1D) -> tuple[np.ndarray, np.ndarray] | None:
+    """Partner of each folded row under theta -> pi/2 - theta, or None.
+
+    On a grid that `antipodal_half` folds, the first half = count // 2 rows
+    tile a half turn.  Returns (partner, reverse): row partner[k] < half has
+    the angle pi/2 - theta_k modulo pi, and reverse[k] says that it has that
+    angle plus pi, so it must be read at -p.  The rows at pi/4 and 3pi/4
+    are their own partners.  None when pi/2 - 2 start is not within 1e-9 of
+    a whole number of spacings.
+    """
+    half = angles.count // 2
+    shift = (math.pi / 2 - 2.0 * angles.start) / angles.spacing
+    if abs(shift - round(shift)) > 1e-9:
+        return None
+    raw = round(shift) - np.arange(half)
+    return raw % half, (raw // half) % 2 == 1
+
+
 def _support_windows(thetas: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-angle column range [first, stop) of the offsets whose lines can
     meet the unit square.

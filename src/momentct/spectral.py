@@ -28,7 +28,8 @@ from .errors import CoverageError
 from .density_recon import ReconGrid
 from .mollifiers import SQRT_2PI, MollifierSpec, sampled_kernel
 from .phantoms import Density
-from .projector import Sinogram, angle_coverage, antipodal_half, check_kernel
+from .projector import (Sinogram, angle_coverage, antipodal_half, check_kernel,
+                        transpose_partner)
 
 #: Default regularization floor for the kernel-transform division, in the
 #: 1/sqrt(2 pi)-normalized scale of the continuous transform.
@@ -114,7 +115,12 @@ def backproject(s: Sinogram, resolution: int) -> ReconGrid:
     turn whose rows pair with their antipodes (`antipodal_half`), row
     i + half read at -p is the same line as row i at p, and backprojection
     is linear, so the two are summed first and only half the rows are
-    interpolated; the image agrees with the row-by-row sum up to rounding.
+    interpolated.  When the folded rows also pair under theta -> pi/2 - theta
+    (`transpose_partner`), the pixel grid's symmetry under transpose makes
+    the partner's offsets the transpose of the lead's, so each pair is
+    interpolated once as the complex row lead + 1j * partner and the
+    imaginary image is added back transposed.  Both shortcuts agree with the
+    row-by-row sum up to rounding; other grids are summed row by row.
     """
     cov = angle_coverage(s.angle_grid)
     if cov == "partial":
@@ -127,11 +133,21 @@ def backproject(s: Sinogram, resolution: int) -> ReconGrid:
     if half is not None:
         thetas = thetas[:half]
         values = values[:half] + values[half:, ::-1]
+        pairs = transpose_partner(s.angle_grid)
+        if pairs is not None:
+            partner, reverse = pairs
+            k = np.arange(half)
+            mates = np.where(reverse[:, None], values[partner, ::-1], values[partner])
+            mates[partner == k] = 0.0  # the rows at pi/4 and 3pi/4
+            lead = partner >= k
+            thetas, values = thetas[lead], values[lead] + 1j * mates[lead]
     xs = (np.arange(resolution) + 0.5) / resolution
-    acc = np.zeros((resolution, resolution))
+    acc = np.zeros((resolution, resolution), dtype=values.dtype)
     for theta, row in zip(thetas, values):
         off = np.add.outer(xs * math.cos(theta), xs * math.sin(theta))
         acc += np.interp(off, ps, row, left=0.0, right=0.0)
+    if np.iscomplexobj(acc):
+        acc = acc.real + acc.imag.T
     acc *= factor * s.angle_grid.spacing
     return ReconGrid(resolution=resolution, values=acc, orders=None)
 

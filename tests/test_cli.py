@@ -359,6 +359,15 @@ class TestErrorContracts:
         assert main(["reconstruct", "-c", str(cfg), str(moments)]) == 2
         assert not (tmp_path / "run_out" / "recon_moments.csv").exists()
 
+    def test_non_finite_image_leaves_no_output_directory(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        moments = tmp_path / "huge.csv"
+        moments.write_text("# moments K=2\n0,0,0\n1,0,0\n0,1,0\n2,0,0\n1,1,1e308\n0,2,0\n")
+        fresh = tmp_path / "fresh"
+        assert main(["reconstruct", "-c", str(cfg), "-o", str(fresh), str(moments)]) == 2
+        assert "PGM export needs finite values" in capsys.readouterr().err
+        assert not fresh.exists()
+
 
 class TestProjectReport:
     @pytest.mark.parametrize("cover, span", [

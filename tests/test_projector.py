@@ -25,6 +25,7 @@ from momentct.projector import (
     mollify,
     offset_grid,
     project,
+    transpose_partner,
 )
 
 UNIFORM = UniformDensity()
@@ -225,6 +226,34 @@ class TestAntipodalHalf:
         s = project(disk, SHORT_FULL, offsets)
         want = disk.radon(SHORT_FULL.points()[:, None], offsets.points()[None, :])
         assert np.array_equal(s.values, want)
+
+
+class TestTransposePartner:
+    @pytest.mark.parametrize("angles", [
+        full_circle_grid(4), full_circle_grid(8), full_circle_grid(192),
+        Grid1D(math.pi / 64, math.pi / 64 + 63 * math.pi / 32, 64),
+        Grid1D(-math.pi, math.pi - math.pi / 16, 32),
+    ], ids=["4", "8", "192", "half_spacing_shift", "from_minus_pi"])
+    def test_partner_sits_at_pi_over_2_minus_theta(self, angles):
+        half = angles.count // 2
+        partner, reverse = transpose_partner(angles)
+        thetas = angles.points()
+        read_at = thetas[partner] + math.pi * reverse
+        turns = (read_at - (math.pi / 2 - thetas[:half])) / (2 * math.pi)
+        assert np.all((0 <= partner) & (partner < half))
+        assert np.allclose(turns, np.round(turns), rtol=0, atol=1e-12)
+        assert np.array_equal(partner[partner], np.arange(half))
+
+    def test_eight_angles(self):
+        partner, reverse = transpose_partner(full_circle_grid(8))
+        assert partner.tolist() == [2, 1, 0, 3]  # 0 <-> pi/2, pi/4 and 3pi/4 alone
+        assert reverse.tolist() == [False, False, False, True]  # 3pi/4 = -pi/4 + pi
+
+    @pytest.mark.parametrize("angles", [full_circle_grid(66), full_circle_grid(130),
+                                        Grid1D(0.1, 0.1 + 63 * math.pi / 32, 64)],
+                             ids=["66", "130", "off_grid_start"])
+    def test_none_when_pi_over_2_is_off_the_grid(self, angles):
+        assert transpose_partner(angles) is None
 
 
 def full_grid_reference(d, angles, offsets):

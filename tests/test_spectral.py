@@ -218,13 +218,44 @@ def interp_calls(monkeypatch):
     return calls
 
 
+#: a full turn that starts half a spacing past 0: pi/2 - 2 start is still a
+#: whole number of spacings, and no row sits at pi/4 or 3pi/4
+HALF_SHIFTED = Grid1D(math.pi / 64, math.pi / 64 + 63 * math.pi / 32, 64)
+
+
 class TestBackprojectFold:
     """On full turns whose rows pair with their antipodes, backproject sums
-    each pair before interpolating; elsewhere it interpolates every row."""
+    each pair before interpolating, and interpolates the folded rows at
+    theta and pi/2 - theta together when both are on the grid; elsewhere it
+    interpolates every row."""
 
     def test_folded_full_turn_matches_the_row_by_row_sum(self):
         s = noisy_filtered(full_circle_grid(64), offset_grid(257))
         got = backproject(s, 33).values
+        want = backproject_reference(s, 33)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("angles, calls", [
+        (full_circle_grid(4), 1),
+        (full_circle_grid(8), 3),
+        (full_circle_grid(64), 17),
+        (full_circle_grid(192), 49),
+        (HALF_SHIFTED, 16),
+    ], ids=["4", "8", "64", "192", "half_spacing_shift"])
+    def test_paired_full_turn_matches_the_row_by_row_sum(self, angles, calls, interp_calls):
+        # count // 2 folded rows: those at pi/4 and 3pi/4 alone, the rest in pairs
+        s = noisy_filtered(angles, offset_grid(257))
+        got = backproject(s, 33).values
+        assert len(interp_calls) == calls
+        want = backproject_reference(s, 33)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("count", [66, 130])
+    def test_folded_turn_without_transpose_partners(self, count, interp_calls):
+        # count = 2 (mod 4): pi/2 is count / 4 spacings, not a whole number
+        s = noisy_filtered(full_circle_grid(count), offset_grid(257))
+        got = backproject(s, 33).values
+        assert len(interp_calls) == count // 2
         want = backproject_reference(s, 33)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -247,9 +278,10 @@ class TestBackprojectFold:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("angles, calls", [
-        (full_circle_grid(192), 96),
+        (full_circle_grid(192), 49),
+        (half_circle_grid(96), 96),
         (moment_angle_grid(128), 128),
-    ], ids=["full_turn", "open"])
+    ], ids=["full_turn", "half_turn", "open"])
     def test_interpolated_rows(self, angles, calls, interp_calls):
         s = Sinogram(angles, offset_grid(64), np.ones((angles.count, 64)), "filtered")
         backproject(s, 4)
