@@ -51,7 +51,6 @@ from .projector import (
     project,
 )
 from .spectral import (
-    FilterSpec,
     apply_filter,
     backproject,
     fbp_reconstruct,

@@ -32,11 +32,8 @@ from .density_recon import (
 )
 from .errors import (
     CapabilityError,
-    ConfigError,
     CoverageError,
-    DataQualityError,
     FormatError,
-    MisuseError,
     OrderError,
     SingularSystemError,
     StabilityError,
@@ -57,23 +54,11 @@ from .spectral import fbp_reconstruct
 
 
 def _load(args) -> RunConfig:
+    """The validated config file (defaults without one), with `-o` in place
+    of its output directory when given."""
     cfg = load_config(args.config) if args.config else RunConfig()
-    if getattr(args, "outdir", None):
+    if args.outdir:
         cfg = replace(cfg, output=replace(cfg.output, directory=args.outdir))
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, noise=replace(cfg.noise, seed=args.seed))
-    if getattr(args, "sigma", None) is not None:
-        cfg = replace(cfg, noise=replace(cfg.noise, sigma=args.sigma))
-    if getattr(args, "angles", None) is not None:
-        th = tuple(float(t) for t in args.angles.split(","))
-        cfg = replace(cfg, moments=replace(cfg.moments, angles=th, K=len(th) - 1))
-    if getattr(args, "angles_auto", None) is not None:
-        cfg = replace(cfg, moments=replace(cfg.moments, angles=None, K=args.angles_auto))
-    if getattr(args, "cutoff", None) is not None:
-        cfg = replace(cfg, filter=replace(cfg.filter, cutoff=args.cutoff))
-    if getattr(args, "reg_floor", None) is not None:
-        cfg = replace(cfg, filter=replace(cfg.filter, reg_floor=args.reg_floor))
-    cfg.validate()
     return cfg
 
 
@@ -193,7 +178,7 @@ def _reconstruct_moments(cfg: RunConfig, table: MomentTable) -> None:
 def _reconstruct_fbp(cfg: RunConfig, sino: Sinogram) -> None:
     density = cfg.make_density()
     kernel = cfg.make_mollifier() if sino.kind == "mollified" else None
-    rec = fbp_reconstruct(sino, cfg.make_filter(), kernel, cfg.recon.resolution)
+    rec = fbp_reconstruct(sino, kernel, cfg.recon.resolution)
     out = _outdir(cfg)
     _write_image(rec, out / "recon_fbp")
     label = "riesz" if kernel is None else "modified_riesz"
@@ -269,31 +254,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("-c", "--config", help="INI run configuration")
-        p.add_argument("-o", "--outdir", help="output directory override")
+        p.add_argument("-o", "--outdir", help="output directory, in place of [output] directory")
 
-    p_proj = sub.add_parser("project", help="simulate sinogram data")
-    common(p_proj)
-    p_proj.add_argument("--sigma", type=float, help="noise level override")
-    p_proj.add_argument("--seed", type=int, help="noise seed override")
+    common(sub.add_parser("project", help="simulate sinogram data"))
 
     p_mom = sub.add_parser("moments", help="recover the moment table")
     common(p_mom)
     p_mom.add_argument("sinogram", nargs="?", help="sinogram CSV (default <outdir>/sinogram.csv)")
-    p_mom.add_argument("--angles", help="comma-separated solve angles in radians")
-    p_mom.add_argument("--angles-auto", type=int, metavar="K",
-                       help="order K, fit over every recorded row")
 
     p_rec = sub.add_parser("reconstruct", help="reconstruct the density")
     common(p_rec)
     p_rec.add_argument("input", nargs="?", help="moment or sinogram CSV")
-    p_rec.add_argument("--cutoff", type=float, help="filter band cutoff")
-    p_rec.add_argument("--reg-floor", dest="reg_floor", type=float,
-                       help="kernel-transform regularization floor")
 
-    p_pipe = sub.add_parser("pipeline", help="project + moments + reconstruct")
-    common(p_pipe)
-    p_pipe.add_argument("--sigma", type=float)
-    p_pipe.add_argument("--seed", type=int)
+    common(sub.add_parser("pipeline", help="project + moments + reconstruct"))
 
     sub.add_parser("selftest", help="run the acceptance suite")
     return parser
@@ -303,7 +276,7 @@ _EXIT_CODES = (
     (CoverageError, 3),
     (SingularSystemError, 4),
     ((OrderError, StabilityError), 5),
-    ((ConfigError, FormatError, MisuseError, DataQualityError, CapabilityError, ValueError), 2),
+    (ValueError, 2),
 )
 
 

@@ -25,17 +25,9 @@ from .phantoms import (
     UniformDensity,
 )
 from .projector import full_circle_grid, half_circle_grid, moment_angle_grid, offset_grid
-from .spectral import DEFAULT_REG_FLOOR, FilterSpec
 
 
 # ---- parsers of the tuple fields ------------------------------------------
-
-def _parse_pair(text: str) -> tuple:
-    parts = [t.strip() for t in text.split(",")]
-    if len(parts) != 2:
-        raise ConfigError(f"expected 'x,y', got {text!r}")
-    return float(parts[0]), float(parts[1])
-
 
 def _terms(text: str) -> list:
     return [item.strip() for item in text.split(";") if item.strip()]
@@ -72,11 +64,9 @@ def _parsed(default, parse):
 @dataclass(frozen=True)
 class PhantomConfig:
     kind: str = "uniform"
-    coeffs: tuple = _parsed((), _parse_coeffs)          # ((i, j, c), ...) for polynomial
-    center: tuple = _parsed((0.5, 0.5), _parse_pair)    # disk
-    radius: float = 0.25
-    amplitude: float | None = None  # None -> normalized to unit mass
-    disks: tuple = _parsed((), _parse_disks)  # ((cx, cy, r, amp-or-None), ...) for disks
+    coeffs: tuple = _parsed((), _parse_coeffs)  # ((i, j, c), ...) for polynomial
+    # ((cx, cy, r, amp), ...) for disks; amp None -> an equal share of unit mass
+    disks: tuple = _parsed((), _parse_disks)
 
 
 @dataclass(frozen=True)
@@ -115,12 +105,6 @@ class ReconConfig:
 
 
 @dataclass(frozen=True)
-class FilterConfig:
-    cutoff: float | None = None
-    reg_floor: float | None = None
-
-
-@dataclass(frozen=True)
 class OutputConfig:
     directory: str = "out"
 
@@ -140,7 +124,6 @@ class RunConfig:
     grids: GridConfig = field(default_factory=GridConfig)
     moments: MomentConfig = field(default_factory=MomentConfig)
     recon: ReconConfig = field(default_factory=ReconConfig)
-    filter: FilterConfig = field(default_factory=FilterConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
     def validate(self) -> None:
@@ -151,7 +134,7 @@ class RunConfig:
                 if not all(math.isfinite(x) for x in _floats(value)):
                     raise ConfigError(f"[{section.name}] {f.name} must be finite, got {value}")
         p = self.phantom
-        if p.kind not in ("uniform", "polynomial", "disk", "disks"):
+        if p.kind not in ("uniform", "polynomial", "disks"):
             raise ConfigError(f"unknown phantom kind {p.kind!r}")
         if p.kind == "polynomial" and not p.coeffs:
             raise ConfigError("polynomial phantom needs coeffs")
@@ -165,6 +148,8 @@ class RunConfig:
                 raise ConfigError("mollifier epsilon must be positive")
         if self.noise.sigma < 0:
             raise ConfigError("noise sigma must be nonnegative")
+        if self.noise.seed < 0:
+            raise ConfigError(f"[noise] seed must be nonnegative, got {self.noise.seed}")
         g = self.grids
         if g.angles < 2 or g.offsets < 2:
             raise ConfigError("grids need at least 2 angles and 2 offsets")
@@ -194,12 +179,6 @@ class RunConfig:
                 f"recon orders ({r.m}, {r.n}) exceed the stability cap {STABILITY_CAP}")
         # K >= m + n holds against the moment table the reconstruction reads,
         # which only `pipeline` takes from this config (`cli.cmd_pipeline`)
-        f = self.filter
-        # the cutoff's Nyquist bound needs the sinogram's grid: `apply_filter`
-        if f.cutoff is not None and f.cutoff <= 0:
-            raise ConfigError(f"filter cutoff must be positive, got {f.cutoff}")
-        if f.reg_floor is not None and f.reg_floor < 0:
-            raise ConfigError(f"filter reg_floor must be nonnegative, got {f.reg_floor}")
 
     # ---- factories -------------------------------------------------
 
@@ -209,10 +188,6 @@ class RunConfig:
             return UniformDensity()
         if p.kind == "polynomial":
             return PolynomialDensity.from_dict({(i, j): c for i, j, c in p.coeffs})
-        if p.kind == "disk":
-            if p.amplitude is None:
-                return DiskDensity.unit_mass(p.center, p.radius)
-            return DiskDensity(center=p.center, radius=p.radius, amplitude=p.amplitude)
         disks = []
         for cx, cy, r, amp in p.disks:
             if amp is None:
@@ -236,13 +211,6 @@ class RunConfig:
 
     def make_offset_grid(self) -> Grid1D:
         return offset_grid(self.grids.offsets, self.grids.margin)
-
-    def make_filter(self) -> FilterSpec:
-        f = self.filter
-        return FilterSpec(
-            cutoff=f.cutoff,
-            reg_floor=DEFAULT_REG_FLOOR if f.reg_floor is None else f.reg_floor,
-        )
 
 
 # ---- parsing ----------------------------------------------------------

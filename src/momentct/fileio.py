@@ -337,8 +337,10 @@ def write_sinogram(s: Sinogram, path) -> Sinogram:
 def _read_rows(fh, path, rows: int, cols: int) -> np.ndarray:
     """The `rows` lines of `cols` comma-separated values after a header.
     FormatError names the file and line of a missing or malformed row, a
-    row of another length, and a non-blank line after the last row."""
-    values = np.empty((rows, cols))
+    row of another length, and a non-blank line after the last row.  The
+    rows are collected as read, not into an array sized from the header's
+    counts, so a header that overstates them fails on the file's end."""
+    values = []
     for i in range(rows):
         line = fh.readline()
         if not line:
@@ -350,11 +352,11 @@ def _read_rows(fh, path, rows: int, cols: int) -> np.ndarray:
             raise FormatError(f"{path}:{i + 2}: malformed row {i}: {exc}") from None
         if row.size != cols:
             raise FormatError(f"{path}:{i + 2}: row {i} has {row.size} values, expected {cols}")
-        values[i] = row
+        values.append(row)
     for lineno, line in enumerate(fh, start=rows + 2):
         if line.strip():
             raise FormatError(f"{path}:{lineno}: text after the {rows} declared rows")
-    return values
+    return np.array(values).reshape(rows, cols)
 
 
 def read_sinogram(path) -> Sinogram:

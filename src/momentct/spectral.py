@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,31 +30,19 @@ from .phantoms import Density
 from .projector import (Sinogram, angle_coverage, antipodal_half, check_kernel,
                         transpose_partner)
 
-#: Default regularization floor for the kernel-transform division, in the
-#: 1/sqrt(2 pi)-normalized scale of the continuous transform.
-DEFAULT_REG_FLOOR = 1e-6 / SQRT_2PI
+#: Ramp filter cutoff as a fraction of the offset Nyquist frequency pi/h; a
+#: cosine taper rolls off the top tenth of the passband.
+CUTOFF_FRACTION = 0.8
+
+#: Magnitude floor below which the kernel's sampled transform (unit DC) is
+#: not divided by; those frequencies are zeroed instead.
+REG_FLOOR = 1e-6
 
 
 @functools.cache
 def _gauss_legendre_128() -> tuple[np.ndarray, np.ndarray]:
     """128-node Gauss-Legendre rule on [-1, 1], built on first use."""
     return np.polynomial.legendre.leggauss(128)
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    """Ramp filter configuration.
-
-    cutoff=None means 0.8 of the offset Nyquist frequency pi/h; a cosine
-    taper rolls off a fixed tenth of the passband, the top one.
-    """
-
-    cutoff: float | None = None
-    reg_floor: float = DEFAULT_REG_FLOOR
-
-    def __post_init__(self) -> None:
-        if self.reg_floor < 0:
-            raise ValueError("regularization floor must be nonnegative")
 
 
 def _ramp_multiplier(freqs: np.ndarray, cutoff: float) -> np.ndarray:
@@ -82,23 +69,19 @@ def grid_kernel_transform(m: MollifierSpec, spacing: float, count: int) -> np.nd
     return np.real(np.fft.fft(padded))
 
 
-def apply_filter(s: Sinogram, f: FilterSpec, m: MollifierSpec | None = None) -> Sinogram:
-    """Per-row ramp filter, divided by the sampled transform of the kernel
-    `m` when given one (`check_kernel`); output kind 'filtered'."""
+def apply_filter(s: Sinogram, m: MollifierSpec | None = None) -> Sinogram:
+    """Per-row ramp filter up to CUTOFF_FRACTION of the Nyquist frequency,
+    divided by the sampled transform of the kernel `m` when given one
+    (`check_kernel`); output kind 'filtered'."""
     check_kernel(s, m)
     h = s.offset_grid.spacing
-    nyquist = math.pi / h
-    cutoff = 0.8 * nyquist if f.cutoff is None else f.cutoff
-    if cutoff > nyquist * (1 + 1e-12):
-        raise ValueError(f"cutoff {cutoff:.4g} beyond the Nyquist frequency {nyquist:.4g}")
     n = s.offset_grid.count
     freqs = 2.0 * math.pi * np.fft.fftfreq(n, d=h)
-    mult = _ramp_multiplier(freqs, cutoff)
+    mult = _ramp_multiplier(freqs, CUTOFF_FRACTION * (math.pi / h))
 
     if m is not None:
         transfer = grid_kernel_transform(m, h, n)
-        floor = SQRT_2PI * f.reg_floor  # unit-DC scale
-        usable = np.abs(transfer) >= floor
+        usable = np.abs(transfer) >= REG_FLOOR
         mult = np.where(usable, mult / np.where(usable, transfer, 1.0), 0.0)
 
     spectra = np.fft.fft(s.values, axis=1) * mult[None, :]
@@ -152,10 +135,9 @@ def backproject(s: Sinogram, resolution: int) -> ReconGrid:
     return ReconGrid(resolution=resolution, values=acc, orders=None)
 
 
-def fbp_reconstruct(s: Sinogram, f: FilterSpec, m: MollifierSpec | None,
-                    resolution: int) -> ReconGrid:
+def fbp_reconstruct(s: Sinogram, m: MollifierSpec | None, resolution: int) -> ReconGrid:
     """Filtered backprojection: R*(filtered rows) / (4 pi)."""
-    filtered = apply_filter(s, f, m)
+    filtered = apply_filter(s, m)
     rec = backproject(filtered, resolution)
     return ReconGrid(resolution=resolution, values=rec.values / (4.0 * math.pi),
                      orders=None)

@@ -55,7 +55,7 @@ from momentct.projector import (
     offset_grid,
     project,
 )
-from momentct.spectral import FilterSpec, fbp_reconstruct, projection_slice_residual
+from momentct.spectral import fbp_reconstruct, projection_slice_residual
 
 UNIFORM = UniformDensity()
 POLY = PolynomialDensity.from_dict({(1, 1): 4.0})
@@ -226,16 +226,14 @@ def test_c09_convergence_with_recovered_moments():
 def test_c10_fbp_paths():
     t0 = time.time()
     sino = project(DISK, half_circle_grid(180), offset_grid(512))
-    rec_raw = fbp_reconstruct(sino, FilterSpec(), None, 128)
+    rec_raw = fbp_reconstruct(sino, None, 128)
     xs = (np.arange(128) + 0.5) / 128
     xx, yy = np.meshgrid(xs, xs, indexing="ij")
     truth = np.asarray(DISK.evaluate(xx, yy))
     rel_raw = float(np.linalg.norm(rec_raw.values - truth) / np.linalg.norm(truth))
 
     kernel = make_bump(0.02, 2)
-    rec_mod = fbp_reconstruct(
-        mollify(sino, kernel), FilterSpec(), kernel, 128
-    )
+    rec_mod = fbp_reconstruct(mollify(sino, kernel), kernel, 128)
     rel_paths = float(
         np.linalg.norm(rec_mod.values - rec_raw.values) / np.linalg.norm(rec_raw.values)
     )

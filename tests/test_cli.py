@@ -173,16 +173,54 @@ class TestErrorContracts:
         ("moments", "window", "full"),
         ("mollifier", "max_order", "2"),
         ("moments", "max_order", "3"),
-        ("filter", "taper", "0.1"),
-        ("filter", "kind", "auto"),
+        ("phantom", "center", "0.5, 0.5"),
+        ("phantom", "radius", "0.25"),
+        ("phantom", "amplitude", "auto"),
     ], ids=["line_step_factor", "moment-window", "mollifier-max_order",
-            "moments-max_order", "filter-taper", "filter-kind"])
+            "moments-max_order", "center", "radius", "amplitude"])
     def test_removed_key_exits_2(self, tmp_path, capsys, section, key, value):
         cfg = tmp_path / "old.ini"
         cfg.write_text(f"[{section}]\n{key} = {value}\n[output]\ndirectory = {tmp_path/'o'}\n")
         assert main(["project", "-c", str(cfg)]) == 2
         assert f"unknown key '{key}' in section [{section}]" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("cutoff", "40"), ("reg_floor", "1e-4"), ("taper", "0.1"), ("kind", "auto"),
+    ])
+    def test_removed_filter_section_exits_2(self, tmp_path, capsys, key, value):
+        # the ramp filter's cutoff and floor are constants of `spectral`
+        cfg = write_config(tmp_path, text=MINI_CONFIG.replace(
+            "[output]", f"[filter]\n{key} = {value}\n[output]"))
+        assert main(["pipeline", "-c", str(cfg)]) == 2
+        assert "unknown config section [filter]" in capsys.readouterr().err
+        assert not (tmp_path / "run_out").exists()
+
+    def test_removed_disk_kind_exits_2(self, tmp_path, capsys):
+        # one disk is a one-entry `disks` list
+        cfg = write_config(tmp_path, text=MINI_CONFIG.replace("kind = uniform", "kind = disk"))
+        assert main(["pipeline", "-c", str(cfg)]) == 2
+        assert "unknown phantom kind 'disk'" in capsys.readouterr().err
+        assert not (tmp_path / "run_out").exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("project", "--sigma", "0.01"),
+        ("project", "--seed", "3"),
+        ("pipeline", "--sigma", "0.01"),
+        ("pipeline", "--seed", "3"),
+        ("moments", "--angles", "0.8,1.6,2.4"),
+        ("moments", "--angles-auto", "1"),
+        ("reconstruct", "--cutoff", "40"),
+        ("reconstruct", "--reg-floor", "1e-4"),
+    ])
+    def test_removed_flag_exits_2(self, tmp_path, capsys, command, flag, value):
+        # the INI file is the one way to set a run's values; -o alone remains
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main([command, "-c", str(cfg), flag, value])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "run_out").exists()
 
     @pytest.mark.parametrize("old, new, message", [
         ("K = 2", "K = 13", "moment order K=13 exceeds the cap 12"),
@@ -201,8 +239,8 @@ class TestErrorContracts:
         out = tmp_path / "run_out"
         before = sorted(out.iterdir())
         capsys.readouterr()
-        assert main(["moments", "-c", str(cfg), "--angles-auto", "13",
-                     str(out / "sinogram.csv")]) == 5
+        cfg13 = write_config(tmp_path, name="k13.ini", text=MINI_CONFIG.replace("K = 2", "K = 13"))
+        assert main(["moments", "-c", str(cfg13), str(out / "sinogram.csv")]) == 5
         assert "moment order K=13 exceeds the cap 12" in capsys.readouterr().err
         assert sorted(out.iterdir()) == before
 
@@ -293,15 +331,10 @@ class TestErrorContracts:
 
     @pytest.mark.parametrize("old, new", [
         ("sigma = 0.01", "sigma = nan"),
-        ("[output]", "[filter]\ncutoff = nan\n[output]"),
         ("epsilon = 0.08", "epsilon = inf"),
-        ("kind = uniform", "kind = disk\nradius = nan"),
-        ("kind = uniform", "kind = disk\ncenter = 0.5, nan"),
-        ("kind = uniform", "kind = disk\namplitude = nan"),
         ("kind = uniform", "kind = disks\ndisks = 0.5,0.5,0.2,nan"),
         ("kind = uniform", "kind = polynomial\ncoeffs = 0,0:1; 1,0:nan"),
-    ], ids=["sigma", "cutoff", "epsilon", "radius", "center", "amplitude",
-            "disk-list", "coeffs"])
+    ], ids=["sigma", "epsilon", "disk-list", "coeffs"])
     def test_non_finite_config_float_exits_2_before_any_artifact(
             self, tmp_path, capsys, old, new):
         cfg = write_config(tmp_path, text=MINI_CONFIG.replace(old, new))
@@ -309,37 +342,40 @@ class TestErrorContracts:
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "run_out").exists()
 
-    @pytest.mark.parametrize("ini, message", [
-        ("[filter]\nreg_floor = -1\n", "filter reg_floor must be nonnegative, got -1.0"),
-        ("[filter]\ncutoff = -5\n", "filter cutoff must be positive, got -5.0"),
-        ("[filter]\ncutoff = 0\n", "filter cutoff must be positive, got 0.0"),
-    ], ids=["reg-floor", "cutoff", "zero-cutoff"])
-    def test_filter_bound_exits_2_before_any_artifact(self, tmp_path, capsys, ini, message):
-        cfg = write_config(tmp_path, text=MINI_CONFIG.replace("[output]", ini + "[output]"))
-        assert main(["pipeline", "-c", str(cfg)]) == 2
-        assert message in capsys.readouterr().err
-        assert not (tmp_path / "run_out").exists()
-
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--reg-floor", "-1", "filter reg_floor must be nonnegative"),
-        ("--cutoff", "-5", "filter cutoff must be positive"),
-    ])
-    def test_filter_bound_flag_exits_2_before_any_artifact(self, tmp_path, capsys, flag,
-                                                           value, message):
+    @pytest.mark.parametrize("ini", ["[filter]\nreg_floor = -1\n", "[filter]\ncutoff = -5\n"],
+                             ids=["reg-floor", "cutoff"])
+    def test_filter_section_exits_2_before_any_artifact(self, tmp_path, capsys, ini):
         cfg = write_config(tmp_path, text=MINI_CONFIG.replace("method = both", "method = fbp"))
         assert main(["project", "-c", str(cfg)]) == 0
         out = tmp_path / "run_out"
         before = sorted(out.iterdir())
         capsys.readouterr()
-        assert main(["reconstruct", "-c", str(cfg), str(out / "sinogram.csv"),
-                     flag, value]) == 2
-        assert message in capsys.readouterr().err
+        cfg_filter = write_config(tmp_path, name="filter.ini", text=MINI_CONFIG.replace(
+            "method = both", "method = fbp").replace("[output]", ini + "[output]"))
+        assert main(["reconstruct", "-c", str(cfg_filter), str(out / "sinogram.csv")]) == 2
+        assert "unknown config section [filter]" in capsys.readouterr().err
         assert sorted(out.iterdir()) == before
 
-    def test_non_finite_sigma_flag_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        assert main(["pipeline", "-c", str(cfg), "--sigma", "nan"]) == 2
+    def test_non_finite_sigma_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, text=MINI_CONFIG.replace("sigma = 0.01", "sigma = nan"))
+        assert main(["pipeline", "-c", str(cfg)]) == 2
         assert "[noise] sigma must be finite, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "run_out").exists()
+
+    def test_negative_seed_exits_2_before_any_artifact(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, text=MINI_CONFIG.replace("seed = 3", "seed = -1"))
+        assert main(["pipeline", "-c", str(cfg)]) == 2
+        assert "[noise] seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "run_out").exists()
+
+    def test_oversized_sinogram_header_exits_2(self, tmp_path, capsys):
+        # counts no array could hold, and no rows: the file ends first
+        cfg = write_config(tmp_path)
+        sino = tmp_path / "huge.csv"
+        sino.write_text("# sinogram kind=raw angles=1000000000 offsets=1000000000 "
+                        "theta0=0.5 dtheta=0.5 p0=-1.5 dp=1\n")
+        assert main(["moments", "-c", str(cfg), str(sino)]) == 2
+        assert f"{sino}:2: file ends after 0 of 1000000000 rows" in capsys.readouterr().err
         assert not (tmp_path / "run_out").exists()
 
     def test_non_finite_image_is_not_exported_as_pgm(self, tmp_path, capsys):
@@ -375,9 +411,10 @@ class TestProjectReport:
         ("full", 2 * math.pi),          # periodic closure over the whole turn
     ], ids=["moment", "full"])
     def test_l1_line_compares_with_the_integrated_span(self, tmp_path, capsys, cover, span):
-        text = MINI_CONFIG.replace("angle_cover = moment", f"angle_cover = {cover}")
+        text = MINI_CONFIG.replace("angle_cover = moment", f"angle_cover = {cover}") \
+            .replace("sigma = 0.01", "sigma = 0")
         cfg = write_config(tmp_path, text=text)
-        assert main(["project", "-c", str(cfg), "--sigma", "0"]) == 0
+        assert main(["project", "-c", str(cfg)]) == 0
         line = next(line for line in capsys.readouterr().out.splitlines()
                     if line.startswith("l1 norm"))
         match = re.fullmatch(r"l1 norm: (\S+) \(mass \* angle span = (\S+)\)", line)
@@ -387,22 +424,21 @@ class TestProjectReport:
         assert l1 == pytest.approx(reference, rel=1e-3)
 
 
-class TestFlags:
-    def test_angles_auto_flag(self, tmp_path):
-        cfg = write_config(tmp_path)
+class TestSettings:
+    def test_fit_over_every_row(self, tmp_path):
+        cfg = write_config(tmp_path, text=MINI_CONFIG.replace("K = 2", "K = 1"))
         out = tmp_path / "run_out"
         assert main(["project", "-c", str(cfg)]) == 0
-        assert main(["moments", "-c", str(cfg), "--angles-auto", "1",
-                     str(out / "sinogram.csv")]) == 0
+        assert main(["moments", "-c", str(cfg), str(out / "sinogram.csv")]) == 0
         header = (out / "moments.csv").read_text().splitlines()[0]
         assert header == "# moments K=1"
 
     def test_explicit_angle_list(self, tmp_path):
-        cfg = write_config(tmp_path)
+        cfg = write_config(tmp_path, text=MINI_CONFIG.replace(
+            "K = 2", "K = 2\nangles = 0.8,1.6,2.4"))
         out = tmp_path / "run_out"
         assert main(["project", "-c", str(cfg)]) == 0
-        assert main(["moments", "-c", str(cfg), "--angles", "0.8,1.6,2.4",
-                     str(out / "sinogram.csv")]) == 0
+        assert main(["moments", "-c", str(cfg), str(out / "sinogram.csv")]) == 0
         header = (out / "moments.csv").read_text().splitlines()[0]
         assert header == "# moments K=2"
 
@@ -419,12 +455,12 @@ class TestFlags:
         # the moment-table deviation from the noiseless run must too
         from momentct.fileio import read_moments
 
-        cfg = write_config(tmp_path)
         tables = {}
         for sigma in (0.0, 0.01, 0.05):
             out = tmp_path / f"s{sigma}"
-            assert main(["project", "-c", str(cfg), "-o", str(out),
-                         "--sigma", str(sigma)]) == 0
+            cfg = write_config(tmp_path, name=f"s{sigma}.ini",
+                               text=MINI_CONFIG.replace("sigma = 0.01", f"sigma = {sigma}"))
+            assert main(["project", "-c", str(cfg), "-o", str(out)]) == 0
             assert main(["moments", "-c", str(cfg), "-o", str(out),
                          str(out / "sinogram.csv")]) == 0
             tables[sigma] = read_moments(out / "moments.csv")

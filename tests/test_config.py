@@ -5,11 +5,11 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from momentct.cli import main
 from momentct.config import (
-    FilterConfig,
     GridConfig,
     MollifierConfig,
     MomentConfig,
@@ -21,6 +21,7 @@ from momentct.config import (
     load_config,
 )
 from momentct.errors import ConfigError, OrderError, StabilityError
+from momentct.phantoms import DiskDensity
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -28,9 +29,6 @@ EVERY_KEY = """
 [phantom]
 kind = polynomial
 coeffs = 0,0:1.5; 1,2:-0.25
-center = 0.4, 0.6
-radius = 0.2
-amplitude = 3.5
 disks = 0.3,0.3,0.1; 0.7,0.6,0.15,2.0
 
 [mollifier]
@@ -57,10 +55,6 @@ m = 3
 n = 4
 resolution = 32
 
-[filter]
-cutoff = 40
-reg_floor = 1e-4
-
 [output]
 directory = results
 """
@@ -69,9 +63,6 @@ EVERY_KEY_CONFIG = RunConfig(
     phantom=PhantomConfig(
         kind="polynomial",
         coeffs=((0, 0, 1.5), (1, 2, -0.25)),
-        center=(0.4, 0.6),
-        radius=0.2,
-        amplitude=3.5,
         disks=((0.3, 0.3, 0.1, None), (0.7, 0.6, 0.15, 2.0)),
     ),
     mollifier=MollifierConfig(kernel="cosine", epsilon=0.07),
@@ -79,12 +70,10 @@ EVERY_KEY_CONFIG = RunConfig(
     grids=GridConfig(angles=100, angle_cover="half", offsets=300, margin=1.3),
     moments=MomentConfig(K=3, angles=(0.3, 0.9, 1.5, 2.4)),
     recon=ReconConfig(method="fbp", m=3, n=4, resolution=32),
-    filter=FilterConfig(cutoff=40.0, reg_floor=1e-4),
     output=OutputConfig(directory="results"),
 )
 
-SECTIONS = ["phantom", "mollifier", "noise", "grids", "moments", "recon",
-            "filter", "output"]
+SECTIONS = ["phantom", "mollifier", "noise", "grids", "moments", "recon", "output"]
 
 
 def load(tmp_path, text):
@@ -131,19 +120,12 @@ class TestValues:
             load(tmp_path, "[Grids]\nangles = 12\n")
 
     @pytest.mark.parametrize("spelling", ["auto", "AUTO", "Auto", "  auto  "])
-    @pytest.mark.parametrize("section, key", [
-        ("phantom", "amplitude"),
-        ("moments", "angles"),
-        ("filter", "cutoff"),
-        ("filter", "reg_floor"),
-    ])
-    def test_auto_in_any_case_means_none(self, tmp_path, spelling, section, key):
-        cfg = load(tmp_path, f"[{section}]\n{key} = {spelling}\n")
-        assert getattr(getattr(cfg, section), key) is None
+    def test_auto_in_any_case_means_none(self, tmp_path, spelling):
+        assert load(tmp_path, f"[moments]\nangles = {spelling}\n").moments.angles is None
 
     def test_auto_is_not_a_number(self, tmp_path):
         with pytest.raises(ConfigError, match="^invalid config value: "):
-            load(tmp_path, "[phantom]\nradius = auto\n")
+            load(tmp_path, "[noise]\nsigma = auto\n")
 
     def test_disk_amplitude_is_optional(self, tmp_path):
         cfg = load(tmp_path, "[phantom]\nkind = disks\ndisks = 0.5,0.5,0.2;\n")
@@ -179,7 +161,6 @@ class TestErrors:
     @pytest.mark.parametrize("text, detail", [
         ("[grids]\nangles = many\n", "invalid literal for int()"),
         ("[noise]\nsigma = loud\n", "could not convert string to float"),
-        ("[phantom]\ncenter = 1,2,3\n", "expected 'x,y'"),
         ("[phantom]\ncoeffs = 1,1\n", "bad polynomial term '1,1'"),
         ("[phantom]\ndisks = 0.5,0.5\n", "bad disk '0.5,0.5'"),
         ("[moments]\nangles = 0.5,x\n", "could not convert string to float"),
@@ -229,18 +210,32 @@ class TestMalformedFile:
         assert capsys.readouterr().err.startswith("error: invalid config value: ")
 
 
-class TestFilterBounds:
-    @pytest.mark.parametrize("cutoff", [0.0, -5.0])
-    def test_cutoff_must_be_positive(self, cutoff):
-        with pytest.raises(ConfigError, match=r"^filter cutoff must be positive, got "):
-            RunConfig(filter=FilterConfig(cutoff=cutoff)).validate()
+class TestNoiseSeed:
+    def test_negative_seed_is_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"^\[noise\] seed must be nonnegative, got -1$"):
+            load(tmp_path, "[noise]\nseed = -1\n")
 
-    def test_reg_floor_must_be_nonnegative(self):
-        with pytest.raises(ConfigError, match=r"^filter reg_floor must be nonnegative, got -1"):
-            RunConfig(filter=FilterConfig(reg_floor=-1.0)).validate()
+    def test_zero_seed_is_accepted(self):
+        RunConfig(noise=NoiseConfig(seed=0)).validate()
 
-    def test_bounds_hold_at_the_edges(self):
-        RunConfig(filter=FilterConfig(cutoff=1e-300, reg_floor=0.0)).validate()
+
+class TestOneDisk:
+    """A one-entry `disks` list states a single disk: the sum of one term is
+    that term, bit for bit."""
+
+    @pytest.mark.parametrize("entry, disk", [
+        ("0.5,0.5,0.25", DiskDensity.unit_mass(center=(0.5, 0.5), radius=0.25)),
+        ("0.35,0.4,0.18,2.5", DiskDensity(center=(0.35, 0.4), radius=0.18, amplitude=2.5)),
+    ], ids=["unit-mass", "amplitude"])
+    def test_equals_the_disk_bitwise(self, tmp_path, entry, disk):
+        density = load(tmp_path, f"[phantom]\nkind = disks\ndisks = {entry}\n").make_density()
+        theta, p = np.meshgrid(np.linspace(0.0, 2 * math.pi, 37), np.linspace(-0.5, 1.5, 201),
+                               indexing="ij")
+        assert np.array_equal(density.radon(theta, p), disk.radon(theta, p))
+        xs = (np.arange(64) + 0.5) / 64
+        xx, yy = np.meshgrid(xs, xs, indexing="ij")
+        assert np.array_equal(density.evaluate(xx, yy), disk.evaluate(xx, yy))
+        assert density.mass == disk.mass
 
 
 class TestOrderCaps:
@@ -293,10 +288,7 @@ class TestFinite:
     @pytest.mark.parametrize("cfg", [
         RunConfig(noise=NoiseConfig(sigma=math.nan)),
         RunConfig(mollifier=MollifierConfig(epsilon=math.inf)),
-        RunConfig(filter=FilterConfig(cutoff=math.nan)),
-        RunConfig(filter=FilterConfig(reg_floor=-math.inf)),
         RunConfig(grids=GridConfig(margin=math.nan)),
-        RunConfig(phantom=PhantomConfig(kind="disk", center=(0.5, math.nan))),
         RunConfig(phantom=PhantomConfig(kind="disks", disks=((0.5, 0.5, 0.2, math.nan),))),
         RunConfig(phantom=PhantomConfig(kind="polynomial", coeffs=((1, 0, math.inf),))),
         RunConfig(moments=MomentConfig(K=1, angles=(0.5, math.nan))),
@@ -306,6 +298,7 @@ class TestFinite:
             cfg.validate()
 
     def test_unused_blocks_are_checked_too(self):
-        # a disk radius is checked even for a uniform phantom
-        with pytest.raises(ConfigError, match=r"^\[phantom\] radius must be finite, got nan$"):
-            RunConfig(phantom=PhantomConfig(radius=math.nan)).validate()
+        # a disk list is checked even for a uniform phantom
+        with pytest.raises(ConfigError, match=r"^\[phantom\] disks must be finite, got "
+                                              r"\(\(0\.5, 0\.5, nan, None\),\)$"):
+            RunConfig(phantom=PhantomConfig(disks=((0.5, 0.5, math.nan, None),))).validate()

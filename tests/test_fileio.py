@@ -88,6 +88,15 @@ class TestSinogramFormat:
         with pytest.raises(FormatError, match=re.escape(f"{path}{message}")):
             fileio.read_sinogram(path)
 
+    def test_oversized_header_fails_at_the_file_end(self, tmp_path):
+        # 1e9 x 1e9 values: no array is sized from the header's counts
+        path = tmp_path / "s.csv"
+        path.write_text("# sinogram kind=raw angles=1000000000 offsets=1000000000 "
+                        "theta0=0.5 dtheta=0.5 p0=-1.5 dp=1\n")
+        with pytest.raises(FormatError,
+                           match=re.escape(f"{path}:2: file ends after 0 of 1000000000 rows")):
+            fileio.read_sinogram(path)
+
     @pytest.mark.parametrize("tail", ["", "\n", "   \n\n"], ids=["none", "newline", "blank"])
     def test_blank_lines_after_the_rows_are_accepted(self, sino, tmp_path, tail):
         path = tmp_path / "s.csv"
@@ -181,6 +190,13 @@ class TestReconFormat:
             fh.write("9,9,9\n")
         with pytest.raises(FormatError,
                            match=re.escape(f"{path}:5: text after the 3 declared rows")):
+            fileio.read_recon_csv(path)
+
+    def test_oversized_header_fails_at_the_file_end(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("# recon N=1000000000\n")
+        with pytest.raises(FormatError,
+                           match=re.escape(f"{path}:2: file ends after 0 of 1000000000 rows")):
             fileio.read_recon_csv(path)
 
     def test_short_row_names_file_and_line(self, tmp_path):
