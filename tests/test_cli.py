@@ -334,7 +334,9 @@ class TestErrorContracts:
         ("epsilon = 0.08", "epsilon = inf"),
         ("kind = uniform", "kind = disks\ndisks = 0.5,0.5,0.2,nan"),
         ("kind = uniform", "kind = polynomial\ncoeffs = 0,0:1; 1,0:nan"),
-    ], ids=["sigma", "epsilon", "disk-list", "coeffs"])
+        ("margin = 1.1", "margin = nan"),
+        ("K = 2", "K = 1\nangles = 0.5, nan"),
+    ], ids=["sigma", "epsilon", "disk-list", "coeffs", "margin", "moment-angles"])
     def test_non_finite_config_float_exits_2_before_any_artifact(
             self, tmp_path, capsys, old, new):
         cfg = write_config(tmp_path, text=MINI_CONFIG.replace(old, new))

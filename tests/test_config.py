@@ -165,6 +165,8 @@ class TestErrors:
         ("[phantom]\ndisks = 0.5,0.5\n", "bad disk '0.5,0.5'"),
         ("[moments]\nangles = 0.5,x\n", "could not convert string to float"),
         ("[noise]\nseed = 2.5\n", "invalid literal for int()"),
+        ("[phantom]\ndisks = 0.5,0.5,0.2,1,2\n", "bad disk '0.5,0.5,0.2,1,2'"),
+        ("[moments]\nK = two\n", "invalid literal for int()"),
     ])
     def test_bad_value_is_wrapped(self, tmp_path, text, detail):
         with pytest.raises(ConfigError, match="^invalid config value: ") as info:

@@ -20,6 +20,7 @@ from momentct.projector import (
     project,
 )
 from momentct.spectral import (
+    CUTOFF_FRACTION,
     _ramp_multiplier,
     apply_filter,
     backproject,
@@ -97,6 +98,28 @@ class TestApplyFilter:
         s = project(DISK, half_circle_grid(16), offset_grid(256))
         out = apply_filter(s)
         assert np.max(np.abs(out.values.mean(axis=1))) <= 1e-10
+
+    @pytest.mark.parametrize("k, band", [
+        (10, "pass"), (60, "pass"), (97, "taper"), (110, "stop"), (120, "stop"),
+    ])
+    def test_gain_on_one_frequency_bin(self, k, band):
+        # a row on FFT bin k of 256 comes back times the ramp's gain: |w| up
+        # to 0.9 of the cutoff (bin 92.16), nothing above it (bin 102.4)
+        og = offset_grid(256)
+        row = np.cos(2.0 * math.pi * k * np.arange(256) / 256 + 0.3)
+        out = apply_filter(Sinogram(half_circle_grid(2), og, np.tile(row, (2, 1)), "raw"))
+        omega = 2.0 * math.pi * k / (256 * og.spacing)
+        cutoff = CUTOFF_FRACTION * math.pi / og.spacing
+        gain = out.values[0] @ row / (row @ row)
+        assert np.max(np.abs(out.values - gain * row)) <= 1e-9 * omega
+        if band == "pass":
+            assert gain == pytest.approx(omega, rel=1e-12)
+        elif band == "taper":
+            assert 0.9 * cutoff < omega < cutoff
+            assert 0.0 < gain < omega
+        else:
+            assert omega > cutoff
+            assert abs(gain) <= 1e-12 * omega
 
     def test_modified_cancels_smoothing_in_band(self):
         m = make_bump(0.05, 4)
