@@ -23,11 +23,9 @@ from .mollifiers import (
 from .moment_recovery import (
     AngularMomentSet,
     angular_moments,
-    convolve_moments,
     deconvolve_moments,
     recover_moment_table,
     solve_moment_system,
-    synthesize_angular_moments,
 )
 from .numerics import Grid1D, log_gamma
 from .phantoms import (
@@ -54,7 +52,6 @@ from .spectral import (
     apply_filter,
     backproject,
     fbp_reconstruct,
-    projection_slice_residual,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -81,9 +81,11 @@ def _project(cfg: RunConfig) -> Sinogram:
     kernel = cfg.make_mollifier()
     if kernel is not None:
         sino = mollify(sino, kernel)
+    # the PGM first: `write_pgm` refuses a non-finite sinogram before any
+    # artifact exists
+    fileio.write_pgm(sino.values, out / "sinogram.pgm")
     path = out / "sinogram.csv"
     stored = fileio.write_sinogram(sino, path)
-    fileio.write_pgm(sino.values, out / "sinogram.pgm")
     n = cfg.recon.resolution
     xs = (np.arange(n) + 0.5) / n
     xx, yy = np.meshgrid(xs, xs, indexing="ij")
@@ -219,7 +221,6 @@ def cmd_pipeline(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     print("== project ==")
     sino = _project(cfg)
-    _require_finite(sino.values, out / "sinogram.csv")
     print("== moments ==")
     table = _moments(cfg, sino)
     print("== reconstruct ==")

@@ -138,8 +138,14 @@ class RunConfig:
             raise ConfigError(f"unknown phantom kind {p.kind!r}")
         if p.kind == "polynomial" and not p.coeffs:
             raise ConfigError("polynomial phantom needs coeffs")
-        if p.kind == "disks" and not p.disks:
-            raise ConfigError("disks phantom needs a disk list")
+        if p.kind == "disks":
+            if not p.disks:
+                raise ConfigError("disks phantom needs a disk list")
+            for _, _, r, _ in p.disks:
+                # an amplitude left out divides a share of unit mass by pi r^2
+                if r <= 0 or math.pi * r * r == 0.0:
+                    raise ConfigError(f"[phantom] disk radius must be positive with a "
+                                      f"nonzero area pi r^2, got {r}")
         if self.mollifier is not None:
             mc = self.mollifier
             if mc.kernel not in ("bump", "cosine"):

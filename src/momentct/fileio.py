@@ -375,10 +375,9 @@ def read_sinogram(path) -> Sinogram:
         n, m = int(n_s), int(m_s)
         theta0, dtheta, p0, dp = map(float, (theta0, dtheta, p0, dp))
         values = _read_rows(fh, path, n, m)
-    angle_grid = recorded_grid(theta0, dtheta, n)
-    offset_grid = recorded_grid(p0, dp, m)
     try:
-        return Sinogram(angle_grid=angle_grid, offset_grid=offset_grid,
+        return Sinogram(angle_grid=recorded_grid(theta0, dtheta, n),
+                        offset_grid=recorded_grid(p0, dp, m),
                         values=values, kind=kind)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc

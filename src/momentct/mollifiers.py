@@ -151,6 +151,6 @@ def sampled_kernel(m: MollifierSpec, spacing: float):
     offsets = np.arange(-n, n + 1) * spacing
     weights = np.asarray(evaluate_kernel(m, offsets), dtype=float)
     total = float(weights.sum()) * spacing
-    if total <= 0.0:
-        raise ValueError("sampled kernel has nonpositive mass; grid far too coarse")
+    if not 0.0 < total < math.inf:
+        raise ValueError(f"sampled kernel has mass {total}; it must be positive and finite")
     return offsets, weights / total

@@ -62,25 +62,6 @@ def assemble_moment_matrix(angles, k: int) -> np.ndarray:
         * np.sin(th)[:, None] ** (k - j)[None, :]
 
 
-def vandermonde_det_formula(angles, k: int) -> float:
-    """Determinant of the assembled order-k matrix via the factored form:
-    prod_j C(k,j) * prod_i sin^k(theta_i) * prod_{i<j} (cot t_j - cot t_i).
-
-    The node-difference product alternates in sign (cot decreases on
-    (0, pi)), so the determinant is nonzero but not sign-definite.
-    """
-    th = np.asarray(angles, dtype=float)
-    t = 1.0 / np.tan(th)
-    det = 1.0
-    for j in range(k + 1):
-        det *= math.comb(k, j)
-    det *= float(np.prod(np.sin(th) ** k))
-    for i in range(th.size):
-        for j in range(i + 1, th.size):
-            det *= t[j] - t[i]
-    return det
-
-
 def snap_rows(angle_grid: Grid1D, angles) -> np.ndarray:
     """Index of the grid row nearest each angle; two angles may not share one."""
     grid = angle_grid.points()
@@ -134,20 +115,6 @@ def _check_kernel_moments(m: MollifierSpec, K: int) -> None:
         )
     if abs(m.moments[0] - 1.0) > 1e-8:
         raise ValueError("kernel moment c_0 must equal 1 (unit mass)")
-
-
-def convolve_moments(ams: AngularMomentSet, m: MollifierSpec) -> AngularMomentSet:
-    """Forward triangular relation: bhat[k] = sum_j C(k,j) c_j b[k-j]."""
-    if ams.provenance != "raw":
-        raise MisuseError("forward relation expects raw-provenance moments")
-    _check_kernel_moments(m, ams.max_order)
-    b = ams.values
-    bhat = np.empty_like(b)
-    for k in range(ams.max_order + 1):
-        bhat[:, k] = sum(
-            math.comb(k, j) * m.moments[j] * b[:, k - j] for j in range(k + 1)
-        )
-    return AngularMomentSet(ams.angles, ams.max_order, bhat, "mollified")
 
 
 def deconvolve_moments(hat: AngularMomentSet, m: MollifierSpec) -> AngularMomentSet:
@@ -262,19 +229,3 @@ def recover_moment_table(s: Sinogram, m: MollifierSpec | None, K: int,
         diagnostics["conditions"] = conditions
     return MomentTable(max_order=K, values=values)
 
-
-def synthesize_angular_moments(table: MomentTable, angles, K: int) -> np.ndarray:
-    """Re-synthesize b[i, k] from a moment table (range-test direction)."""
-    if K > table.max_order:
-        raise OrderError(f"table only reaches order {table.max_order}")
-    th = np.asarray(angles, dtype=float)
-    out = np.zeros((th.size, K + 1))
-    for k in range(K + 1):
-        for j in range(k + 1):
-            out[:, k] += (
-                math.comb(k, j)
-                * np.cos(th) ** j
-                * np.sin(th) ** (k - j)
-                * float(table.value(j, k - j))
-            )
-    return out

@@ -26,6 +26,9 @@ class Grid1D:
     def __post_init__(self) -> None:
         if self.count < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.count}")
+        if not all(map(math.isfinite, (self.start, self.stop, self.spacing))):
+            raise ValueError(f"grid needs a finite start, stop and spacing, got "
+                             f"[{self.start}, {self.stop}] in {self.count} points")
         if not self.stop > self.start:
             raise ValueError(f"grid requires stop > start, got [{self.start}, {self.stop}]")
 

@@ -297,6 +297,8 @@ class MomentTable:
                 if (a1, a2) not in self.values:
                     raise ValueError(f"missing moment ({a1}, {a2})")
         for (a1, a2) in self.values:
+            if a1 < 0 or a2 < 0:
+                raise ValueError(f"entry ({a1}, {a2}) has a negative index")
             if a1 + a2 > self.max_order:
                 raise ValueError(f"entry ({a1}, {a2}) beyond order {self.max_order}")
 

@@ -1,6 +1,5 @@
 """Fourier-path inversion: ramp filtering per row (with kernel
-deconvolution for mollified rows), backprojection, and projection-slice
-diagnostics.
+deconvolution for mollified rows) and backprojection.
 
 Conventions: the 1-D transform of a row is (1/sqrt(2 pi)) * integral of
 g(p) e^{-isp} dp, the 2-D transform of the density carries 1/(2 pi).  The
@@ -18,15 +17,13 @@ marginally resolved kernels and is only used for positivity validation.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from .errors import CoverageError
 from .density_recon import ReconGrid
-from .mollifiers import SQRT_2PI, MollifierSpec, sampled_kernel
-from .phantoms import Density
+from .mollifiers import MollifierSpec, sampled_kernel
 from .projector import (Sinogram, angle_coverage, antipodal_half, check_kernel,
                         transpose_partner)
 
@@ -37,12 +34,6 @@ CUTOFF_FRACTION = 0.8
 #: Magnitude floor below which the kernel's sampled transform (unit DC) is
 #: not divided by; those frequencies are zeroed instead.
 REG_FLOOR = 1e-6
-
-
-@functools.cache
-def _gauss_legendre_128() -> tuple[np.ndarray, np.ndarray]:
-    """128-node Gauss-Legendre rule on [-1, 1], built on first use."""
-    return np.polynomial.legendre.leggauss(128)
 
 
 def _ramp_multiplier(freqs: np.ndarray, cutoff: float) -> np.ndarray:
@@ -142,43 +133,3 @@ def fbp_reconstruct(s: Sinogram, m: MollifierSpec | None, resolution: int) -> Re
     return ReconGrid(resolution=resolution, values=rec.values / (4.0 * math.pi),
                      orders=None)
 
-
-def row_transform(s: Sinogram, row_index: int, s_values) -> np.ndarray:
-    """(1/sqrt(2 pi)) trapezoid transform of one row at arbitrary frequencies."""
-    sv = np.atleast_1d(np.asarray(s_values, dtype=float))
-    nyquist = math.pi / s.offset_grid.spacing
-    if np.any(np.abs(sv) > nyquist):
-        raise ValueError(f"requested frequency beyond the Nyquist limit {nyquist:.4g}")
-    ps = s.offset_grid.points()
-    h = s.offset_grid.spacing
-    row = s.values[row_index]
-    phases = np.exp(-1j * np.outer(sv, ps))
-    weights = np.full(ps.size, h)
-    weights[0] = weights[-1] = 0.5 * h
-    return (phases * (row * weights)[None, :]).sum(axis=1) / SQRT_2PI
-
-
-def density_transform_2d(d: Density, xi1: float, xi2: float) -> complex:
-    """2-D transform (1/(2 pi)) integral of f(x) e^{-i <x, xi>} dx by
-    tensor Gauss-Legendre quadrature on the unit square."""
-    nodes, weights = _gauss_legendre_128()
-    x = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
-    xx, yy = np.meshgrid(x, x, indexing="ij")
-    f = np.asarray(d.evaluate(xx, yy), dtype=float)
-    phase = np.exp(-1j * (xi1 * xx + xi2 * yy))
-    return complex((f * phase * np.outer(w, w)).sum() / (2.0 * math.pi))
-
-
-def projection_slice_residual(d: Density, s: Sinogram, theta: float, s_values) -> float:
-    """max_s |F2 f(s w) - (1/sqrt(2 pi)) F1(row at theta)(s)|."""
-    grid = s.angle_grid.points()
-    idx = int(np.argmin(np.abs(grid - theta)))
-    actual = grid[idx]
-    slice_vals = row_transform(s, idx, s_values) / SQRT_2PI
-    c, sn = math.cos(actual), math.sin(actual)
-    residual = 0.0
-    for sval, slc in zip(np.atleast_1d(s_values), np.atleast_1d(slice_vals)):
-        f2 = density_transform_2d(d, sval * c, sval * sn)
-        residual = max(residual, abs(f2 - slc))
-    return residual

@@ -31,11 +31,8 @@ from momentct.moment_recovery import (
     AngularMomentSet,
     angular_moments,
     assemble_moment_matrix,
-    convolve_moments,
     deconvolve_moments,
     recover_moment_table,
-    synthesize_angular_moments,
-    vandermonde_det_formula,
 )
 from momentct.phantoms import (
     DiskDensity,
@@ -55,7 +52,13 @@ from momentct.projector import (
     offset_grid,
     project,
 )
-from momentct.spectral import fbp_reconstruct, projection_slice_residual
+from momentct.spectral import fbp_reconstruct
+from oracles import (
+    convolve_moments,
+    projection_slice_residual,
+    synthesize_angular_moments,
+    vandermonde_det_formula,
+)
 
 UNIFORM = UniformDensity()
 POLY = PolynomialDensity.from_dict({(1, 1): 4.0})

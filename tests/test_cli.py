@@ -4,10 +4,13 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from momentct import cli
 from momentct.cli import main
 
 MINI_CONFIG = """
@@ -380,6 +383,61 @@ class TestErrorContracts:
         assert f"{sino}:2: file ends after 0 of 1000000000 rows" in capsys.readouterr().err
         assert not (tmp_path / "run_out").exists()
 
+    def test_non_finite_offset_grid_exits_2_before_any_artifact(self, tmp_path, capsys):
+        # each end is finite, but their distance overflows the spacing
+        cfg = write_config(tmp_path, text=MINI_CONFIG.replace("margin = 1.1", "margin = 1e308"))
+        assert main(["pipeline", "-c", str(cfg)]) == 2
+        assert "grid needs a finite start, stop and spacing" in capsys.readouterr().err
+        assert not (tmp_path / "run_out").exists()
+
+    @pytest.mark.filterwarnings("error")  # refused before any numpy arithmetic
+    @pytest.mark.parametrize("field, value", [("dp", "1e308"), ("dtheta", "inf")])
+    @pytest.mark.parametrize("command", ["moments", "reconstruct"])
+    def test_non_finite_header_grid_exits_2_before_any_artifact(
+            self, tmp_path, capsys, command, field, value):
+        cfg = write_config(tmp_path)
+        assert main(["project", "-c", str(cfg), "-o", str(tmp_path / "data")]) == 0
+        sino = tmp_path / "data" / "sinogram.csv"
+        sino.write_text(re.sub(rf" {field}=\S+", f" {field}={value}", sino.read_text(), count=1))
+        capsys.readouterr()
+        assert main([command, "-c", str(cfg), str(sino)]) == 2
+        assert "grid needs a finite start, stop and spacing" in capsys.readouterr().err
+        assert not (tmp_path / "run_out").exists()
+
+    def test_non_finite_kernel_mass_exits_2_before_any_artifact(self, tmp_path, capsys):
+        # a kernel this narrow samples to an infinite mass, and NaN rows
+        cfg = write_config(tmp_path, text=MINI_CONFIG.replace("epsilon = 0.08", "epsilon = 1e-320"))
+        assert main(["pipeline", "-c", str(cfg)]) == 2
+        assert "sampled kernel has mass inf" in capsys.readouterr().err
+        assert not (tmp_path / "run_out").exists()
+
+    def test_non_finite_sinogram_writes_no_artifact(self, tmp_path, capsys, monkeypatch):
+        # whatever makes the rows non-finite, sinogram.pgm refuses them first
+        def nan_rows(sino, kernel):
+            return replace(sino, values=np.full_like(sino.values, np.nan))
+        monkeypatch.setattr(cli, "mollify", nan_rows)
+        assert main(["pipeline", "-c", str(write_config(tmp_path))]) == 2
+        assert "PGM export needs finite values" in capsys.readouterr().err
+        assert not (tmp_path / "run_out").exists()
+
+    @pytest.mark.parametrize("radius", ["0", "-0.1", "1e-200"])
+    def test_degenerate_disk_exits_2_before_any_artifact(self, tmp_path, capsys, radius):
+        cfg = write_config(tmp_path, text=MINI_CONFIG.replace(
+            "kind = uniform", f"kind = disks\ndisks = 0.5,0.5,{radius}"))
+        assert main(["pipeline", "-c", str(cfg)]) == 2
+        assert f"disk radius must be positive with a nonzero area pi r^2, got {float(radius)}" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "run_out").exists()
+
+    def test_negative_moment_index_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        moments = tmp_path / "extra.csv"
+        moments.write_text("# moments K=2\n0,0,1\n1,0,0.5\n0,1,0.5\n"
+                           "2,0,0.3\n1,1,0.25\n0,2,0.3\n-1,0,7\n")
+        assert main(["reconstruct", "-c", str(cfg), str(moments)]) == 2
+        assert "entry (-1, 0) has a negative index" in capsys.readouterr().err
+        assert not (tmp_path / "run_out").exists()
+
     def test_non_finite_image_is_not_exported_as_pgm(self, tmp_path, capsys):
         # finite moments whose approximant overflows: m = n = 1 scales
         # gamma(1, 1) by 4 in every cell
@@ -485,3 +543,17 @@ class TestScripts:
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
+
+
+class TestSelftest:
+    def test_acceptance_suite_collects_outside_the_checkout(self, tmp_path):
+        # `momentct selftest` hands this file to pytest from any working
+        # directory; the package and the oracles beside the file must import
+        suite = Path(__file__).resolve().parent / "test_acceptance.py"
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+             str(suite)],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stdout + done.stderr
+        criteria = re.findall(r"^\S+::test_c(\d\d)_\w+$", done.stdout, flags=re.M)
+        assert criteria == [f"{i:02d}" for i in range(1, 13)]

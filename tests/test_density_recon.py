@@ -256,10 +256,7 @@ class TestConvergence:
         # consistency: the radial-kernel moment table reproduces the
         # offset-moment coupling used by the deconvolution stage
         from momentct.mollifiers import make_bump
-        from momentct.moment_recovery import (
-            convolve_moments,
-            synthesize_angular_moments,
-        )
+        from oracles import convolve_moments, synthesize_angular_moments
         from test_moment_recovery import raw_moment_set
 
         eps, K = 0.1, 4

@@ -130,6 +130,17 @@ class TestSinogramFormat:
         with pytest.raises(FormatError, match=re.escape(f"{path}:3: malformed row 1: ")):
             fileio.read_sinogram(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("dp", "1e308"), ("p0", "-inf"), ("dtheta", "inf"), ("theta0", "nan"),
+    ])
+    def test_non_finite_grid_is_a_format_error(self, sino, tmp_path, field, value):
+        path = tmp_path / "s.csv"
+        fileio.write_sinogram(sino, path)
+        text = path.read_text()
+        path.write_text(re.sub(rf" {field}=\S+", f" {field}={value}", text, count=1))
+        with pytest.raises(FormatError, match="finite start, stop and spacing"):
+            fileio.read_sinogram(path)
+
     def test_rewrite_is_byte_identical(self, sino, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         fileio.write_sinogram(sino, a)
@@ -169,6 +180,12 @@ class TestMomentFormat:
         bad = tmp_path / "bad.csv"
         bad.write_text("# moments K=1\n0,0,1\n1,0,0.5\n0,1,0.5\n0,0,7\n")
         with pytest.raises(FormatError, match=re.escape(f"{bad}:5: repeated moment (0, 0)")):
+            fileio.read_moments(bad)
+
+    def test_negative_index_is_rejected(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# moments K=1\n0,0,1\n1,0,0.5\n0,1,0.5\n-1,0,7\n")
+        with pytest.raises(FormatError, match=re.escape("entry (-1, 0) has a negative index")):
             fileio.read_moments(bad)
 
 

@@ -145,6 +145,13 @@ class TestSampledKernel:
         with pytest.warns(ResolutionWarning):
             sampled_kernel(m, 0.003)
 
+    def test_non_finite_mass_is_rejected(self):
+        # a width this far below the spacing samples only the peak, which overflows
+        m = make_bump(1e-320, 2)
+        with pytest.warns(ResolutionWarning), \
+                pytest.raises(ValueError, match="mass inf; it must be positive and finite"):
+            sampled_kernel(m, 0.01)
+
     def test_construction_validation(self):
         with pytest.raises(ValueError):
             make_bump(-0.1, 2)

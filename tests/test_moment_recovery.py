@@ -10,15 +10,13 @@ from momentct.moment_recovery import (
     AngularMomentSet,
     angular_moments,
     assemble_moment_matrix,
-    convolve_moments,
     deconvolve_moments,
     recover_moment_table,
     solve_moment_system,
-    synthesize_angular_moments,
-    vandermonde_det_formula,
 )
 from momentct.phantoms import PolynomialDensity, UniformDensity
 from momentct.projector import Sinogram, moment_angle_grid, mollify, offset_grid, project
+from oracles import convolve_moments, synthesize_angular_moments, vandermonde_det_formula
 
 UNIFORM = UniformDensity()
 POLY = PolynomialDensity.from_dict({(1, 1): 4.0})

@@ -18,6 +18,14 @@ class TestGrid1D:
         with pytest.raises(ValueError):
             Grid1D(1.0, 0.0, 4)
 
+    @pytest.mark.parametrize("start, stop", [
+        (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan),
+        (-1e308, 1e308),  # finite ends, but stop - start overflows the spacing
+    ], ids=["inf-stop", "inf-start", "nan-start", "nan-stop", "inf-spacing"])
+    def test_rejects_non_finite(self, start, stop):
+        with pytest.raises(ValueError, match="finite start, stop and spacing"):
+            Grid1D(start, stop, 4)
+
 
 class TestLogGamma:
     def test_known_values(self):

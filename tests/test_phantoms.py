@@ -218,6 +218,11 @@ class TestMomentTable:
         with pytest.raises(ValueError):
             MomentTable(max_order=0, values={(0, 0): 1.0, (1, 1): 0.1})
 
+    @pytest.mark.parametrize("key", [(-1, 0), (0, -1), (-1, 1)])
+    def test_rejects_negative_index(self, key):
+        with pytest.raises(ValueError, match=r"has a negative index"):
+            MomentTable(max_order=1, values={(0, 0): 1.0, (1, 0): 0.5, (0, 1): 0.5, key: 7.0})
+
     def test_disk_not_inside_square_rejected(self):
         with pytest.raises(ValueError):
             DiskDensity(center=(0.1, 0.5), radius=0.2, amplitude=1.0)

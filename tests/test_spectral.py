@@ -24,12 +24,10 @@ from momentct.spectral import (
     _ramp_multiplier,
     apply_filter,
     backproject,
-    density_transform_2d,
     fbp_reconstruct,
     grid_kernel_transform,
-    projection_slice_residual,
-    row_transform,
 )
+from oracles import density_transform_2d, projection_slice_residual, row_transform
 
 UNIFORM = UniformDensity()
 DISK = DiskDensity.unit_mass(center=(0.5, 0.5), radius=0.25)
