@@ -130,11 +130,7 @@ def _read_moments(path: Path) -> MomentTable:
 def _moments(cfg: RunConfig, sino: Sinogram) -> MomentTable:
     kernel = cfg.make_mollifier() if sino.kind == "mollified" else None
     diagnostics: dict = {}
-    table = recover_moment_table(
-        sino, kernel, cfg.moments.K,
-        angles=cfg.moments.angles,
-        diagnostics=diagnostics,
-    )
+    table = recover_moment_table(sino, kernel, cfg.moments.K, diagnostics=diagnostics)
     path = _outdir(cfg) / "moments.csv"
     fileio.write_moments(table, path)
     print(f"moments: {path} K={table.max_order}")
@@ -208,7 +204,7 @@ def _check_pipeline(cfg: RunConfig) -> None:
     angles = cfg.make_angle_grid()
     # the moment stage fits the rows of the grid as sinogram.csv records it
     solve_angles(fileio.recorded_grid(angles.start, angles.spacing, angles.count),
-                 cfg.moments.K, cfg.moments.angles)
+                 cfg.moments.K)
     if cfg.recon.method in ("moments", "both"):
         check_orders(cfg.moments.K, cfg.recon.m, cfg.recon.n)
 

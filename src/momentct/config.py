@@ -91,9 +91,7 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class MomentConfig:
-    K: int = 4
-    # None -> fit over every row in (0, pi)
-    angles: tuple | None = _parsed(None, lambda text: tuple(float(t) for t in text.split(",")))
+    K: int = 4  # each order is fitted over every row in (0, pi)
 
 
 @dataclass(frozen=True)
@@ -168,13 +166,6 @@ class RunConfig:
             raise ConfigError("moment order K must be nonnegative")
         if mo.K > MAX_MOMENT_ORDER:
             raise OrderError(f"moment order K={mo.K} exceeds the cap {MAX_MOMENT_ORDER}")
-        if mo.angles is not None:
-            if len(mo.angles) != mo.K + 1:
-                raise ConfigError(f"need K+1 = {mo.K + 1} moment angles")
-            if any(not 0 < a < math.pi for a in mo.angles):
-                raise ConfigError("moment angles must lie strictly inside (0, pi)")
-            if any(b <= a for a, b in zip(mo.angles, mo.angles[1:])):
-                raise ConfigError("moment angles must be strictly increasing")
         r = self.recon
         if r.method not in ("moments", "fbp", "both"):
             raise ConfigError(f"unknown recon method {r.method!r}")
@@ -226,10 +217,8 @@ _CONVERTERS = {"int": int, "float": float, "str": str.strip}
 
 
 def _parse_value(f, text: str):
-    """One key's value: `auto` in any case means None in an `X | None` field."""
-    if f.type.endswith(" | None") and text.strip().lower() == "auto":
-        return None
-    return (f.metadata.get("parse") or _CONVERTERS[f.type.removesuffix(" | None")])(text)
+    """One key's value: its field's own parser, or else its type's."""
+    return (f.metadata.get("parse") or _CONVERTERS[f.type])(text)
 
 
 def load_config(path) -> RunConfig:

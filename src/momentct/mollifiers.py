@@ -71,8 +71,12 @@ class MollifierSpec:
 def make_kernel(kind: str, epsilon: float, max_order: int = 12) -> MollifierSpec:
     if kind not in _PROFILES:
         raise ValueError(f"unknown kernel kind {kind!r}; have {sorted(_PROFILES)}")
-    if epsilon <= 0:
-        raise ValueError(f"kernel width must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"kernel width must be positive and finite, got {epsilon}")
+    s_max = DEFAULT_OMEGA_BAND / epsilon
+    if not math.isfinite(s_max):
+        raise ValueError(f"kernel width {epsilon} is too narrow: the band |s| <= "
+                         f"{DEFAULT_OMEGA_BAND:g}/eps its transform is checked on overflows")
     if max_order < 0:
         raise ValueError("max moment order must be nonnegative")
     nodes, weights = _gauss_legendre()
@@ -85,7 +89,7 @@ def make_kernel(kind: str, epsilon: float, max_order: int = 12) -> MollifierSpec
     )
     spec = MollifierSpec(kind=kind, epsilon=epsilon, max_order=max_order,
                          norm_const=norm_const, moments=moments)
-    validate_omega_band(spec, DEFAULT_OMEGA_BAND / epsilon, 257)
+    validate_omega_band(spec, s_max, 257)
     return spec
 
 
@@ -121,9 +125,10 @@ def fourier_of_kernel(m: MollifierSpec, s) -> np.ndarray:
 
 
 def validate_omega_band(m: MollifierSpec, s_max: float, count: int = 513) -> None:
-    """Raise unless the transform stays strictly positive on [0, s_max]."""
+    """Raise unless the transform stays strictly positive on [0, s_max]; a
+    NaN value fails too."""
     s = np.linspace(0.0, s_max, count)
-    if np.any(np.asarray(fourier_of_kernel(m, s)) <= 0.0):
+    if not np.all(np.asarray(fourier_of_kernel(m, s)) > 0.0):
         raise OmegaMembershipError(
             f"{m.kind} kernel (eps={m.epsilon}) transform not positive up to s={s_max:.6g}"
         )

@@ -167,44 +167,34 @@ def solve_moment_system(ams: AngularMomentSet, k: int, *,
     return y / col_scales
 
 
-def solve_angles(angle_grid: Grid1D, K: int, angles=None) -> np.ndarray:
-    """The angles order K is fitted over: K+1 strictly increasing `angles`
-    on distinct grid rows (`snap_rows`), or by default every grid row
-    strictly inside (0, pi), at least K+1."""
-    if angles is None:
-        grid = angle_grid.points()
-        th = grid[(grid > 0.0) & (grid < math.pi)]
-        if th.size < K + 1:
-            raise ValueError(
-                f"angle grid has {th.size} rows inside (0, pi); order K={K} "
-                f"needs at least K+1 = {K + 1}"
-            )
-        return th
-    th = np.asarray(angles, dtype=float)
-    if th.size != K + 1:
-        raise ValueError(f"need exactly K+1 = {K + 1} angles, got {th.size}")
-    if np.any(np.diff(th) <= 0):
-        raise ValueError("angles must be strictly increasing")
-    snap_rows(angle_grid, th)
+def solve_angles(angle_grid: Grid1D, K: int) -> np.ndarray:
+    """The angles order K is fitted over: every grid row strictly inside
+    (0, pi), at least K+1 of them."""
+    grid = angle_grid.points()
+    th = grid[(grid > 0.0) & (grid < math.pi)]
+    if th.size < K + 1:
+        raise ValueError(
+            f"angle grid has {th.size} rows inside (0, pi); order K={K} "
+            f"needs at least K+1 = {K + 1}"
+        )
     return th
 
 
-def recover_moment_table(s: Sinogram, m: MollifierSpec | None, K: int,
-                         angles=None, *, max_order: int = MAX_MOMENT_ORDER,
+def recover_moment_table(s: Sinogram, m: MollifierSpec | None, K: int, *,
+                         max_order: int = MAX_MOMENT_ORDER,
                          diagnostics: dict | None = None) -> MomentTable:
     """Full pipeline: offset moments -> (deconvolution) -> per-order fits.
 
-    Each order is fitted over the rows `solve_angles` selects; K+1 explicit
-    angles make order K the square system.  K above `max_order` raises
-    OrderError.  `check_kernel` holds `m` to the sinogram's kind.  When a
-    `diagnostics` dict is given it receives the angles used and, per order,
-    the condition of the scaled matrix that order's fit solved.
+    Each order is fitted over the rows `solve_angles` selects.  K above
+    `max_order` raises OrderError.  `check_kernel` holds `m` to the
+    sinogram's kind.  When a `diagnostics` dict is given it receives, per
+    order, the condition of the scaled matrix that order's fit solved.
     """
     if K > max_order:
         raise OrderError(f"K={K} exceeds the maximum order {max_order}")
     check_kernel(s, m)
 
-    th = solve_angles(s.angle_grid, K, angles)
+    th = solve_angles(s.angle_grid, K)
     pad = m.epsilon if m is not None else 0.0
     ams = angular_moments(s, K, th, support_pad=pad)
     if m is not None:
@@ -225,7 +215,6 @@ def recover_moment_table(s: Sinogram, m: MollifierSpec | None, K: int,
         for j in range(k + 1):
             values[(j, k - j)] = float(x[j])
     if diagnostics is not None:
-        diagnostics["angles"] = ams.angles
         diagnostics["conditions"] = conditions
     return MomentTable(max_order=K, values=values)
 

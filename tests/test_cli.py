@@ -179,8 +179,9 @@ class TestErrorContracts:
         ("phantom", "center", "0.5, 0.5"),
         ("phantom", "radius", "0.25"),
         ("phantom", "amplitude", "auto"),
+        ("moments", "angles", "0.5, 1.5, 2.5"),
     ], ids=["line_step_factor", "moment-window", "mollifier-max_order",
-            "moments-max_order", "center", "radius", "amplitude"])
+            "moments-max_order", "center", "radius", "amplitude", "moments-angles"])
     def test_removed_key_exits_2(self, tmp_path, capsys, section, key, value):
         cfg = tmp_path / "old.ini"
         cfg.write_text(f"[{section}]\n{key} = {value}\n[output]\ndirectory = {tmp_path/'o'}\n")
@@ -275,23 +276,6 @@ class TestErrorContracts:
                 in capsys.readouterr().err)
         assert not (tmp_path / "run_out").exists()
 
-    def test_pipeline_colliding_angles_exit_2_before_any_artifact(self, tmp_path, capsys):
-        # 0.6 and 0.7 both snap to the first of the rows at pi (i+1)/5
-        text = MINI_CONFIG.replace("angles = 48", "angles = 4") \
-            .replace("K = 2", "K = 2\nangles = 0.6, 0.7, 2.4") \
-            .replace("[mollifier]\nkernel = bump\nepsilon = 0.08\n", "")
-        cfg = write_config(tmp_path, text=text)
-        assert main(["pipeline", "-c", str(cfg)]) == 2
-        assert ("requested angles collapse onto duplicate sinogram rows"
-                in capsys.readouterr().err)
-        assert not (tmp_path / "run_out").exists()
-
-    def test_explicit_moment_angles_need_no_grid_rows_check(self, tmp_path):
-        # four rows inside (0, pi) hold the three listed angles of K = 2
-        text = MINI_CONFIG.replace("angles = 48", "angles = 4") \
-            .replace("K = 2", "K = 2\nangles = 0.7, 1.3, 2.4")
-        assert main(["pipeline", "-c", str(write_config(tmp_path, text=text))]) == 0
-
     def test_row_after_the_declared_rows_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["project", "-c", str(cfg)]) == 0
@@ -338,8 +322,7 @@ class TestErrorContracts:
         ("kind = uniform", "kind = disks\ndisks = 0.5,0.5,0.2,nan"),
         ("kind = uniform", "kind = polynomial\ncoeffs = 0,0:1; 1,0:nan"),
         ("margin = 1.1", "margin = nan"),
-        ("K = 2", "K = 1\nangles = 0.5, nan"),
-    ], ids=["sigma", "epsilon", "disk-list", "coeffs", "margin", "moment-angles"])
+    ], ids=["sigma", "epsilon", "disk-list", "coeffs", "margin"])
     def test_non_finite_config_float_exits_2_before_any_artifact(
             self, tmp_path, capsys, old, new):
         cfg = write_config(tmp_path, text=MINI_CONFIG.replace(old, new))
@@ -405,10 +388,10 @@ class TestErrorContracts:
         assert not (tmp_path / "run_out").exists()
 
     def test_non_finite_kernel_mass_exits_2_before_any_artifact(self, tmp_path, capsys):
-        # a kernel this narrow samples to an infinite mass, and NaN rows
+        # a kernel this narrow would sample to an infinite mass, and NaN rows
         cfg = write_config(tmp_path, text=MINI_CONFIG.replace("epsilon = 0.08", "epsilon = 1e-320"))
         assert main(["pipeline", "-c", str(cfg)]) == 2
-        assert "sampled kernel has mass inf" in capsys.readouterr().err
+        assert "kernel width 1e-320 is too narrow" in capsys.readouterr().err
         assert not (tmp_path / "run_out").exists()
 
     def test_non_finite_sinogram_writes_no_artifact(self, tmp_path, capsys, monkeypatch):
@@ -492,15 +475,6 @@ class TestSettings:
         assert main(["moments", "-c", str(cfg), str(out / "sinogram.csv")]) == 0
         header = (out / "moments.csv").read_text().splitlines()[0]
         assert header == "# moments K=1"
-
-    def test_explicit_angle_list(self, tmp_path):
-        cfg = write_config(tmp_path, text=MINI_CONFIG.replace(
-            "K = 2", "K = 2\nangles = 0.8,1.6,2.4"))
-        out = tmp_path / "run_out"
-        assert main(["project", "-c", str(cfg)]) == 0
-        assert main(["moments", "-c", str(cfg), str(out / "sinogram.csv")]) == 0
-        header = (out / "moments.csv").read_text().splitlines()[0]
-        assert header == "# moments K=2"
 
     def test_shipped_demo_config_parses(self):
         from momentct.config import load_config

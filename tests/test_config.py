@@ -1,5 +1,6 @@
-"""The INI loader: sections, keys, defaults, `auto`, and its error messages."""
+"""The INI loader: sections, keys, defaults, and its error messages."""
 
+import configparser
 import math
 import sys
 from dataclasses import fields
@@ -47,7 +48,6 @@ margin = 1.3
 
 [moments]
 K = 3
-angles = 0.3, 0.9, 1.5, 2.4
 
 [recon]
 method = fbp
@@ -68,7 +68,7 @@ EVERY_KEY_CONFIG = RunConfig(
     mollifier=MollifierConfig(kernel="cosine", epsilon=0.07),
     noise=NoiseConfig(sigma=0.005, seed=9),
     grids=GridConfig(angles=100, angle_cover="half", offsets=300, margin=1.3),
-    moments=MomentConfig(K=3, angles=(0.3, 0.9, 1.5, 2.4)),
+    moments=MomentConfig(K=3),
     recon=ReconConfig(method="fbp", m=3, n=4, resolution=32),
     output=OutputConfig(directory="results"),
 )
@@ -119,10 +119,6 @@ class TestValues:
         with pytest.raises(ConfigError, match=r"^unknown config section \[Grids\]$"):
             load(tmp_path, "[Grids]\nangles = 12\n")
 
-    @pytest.mark.parametrize("spelling", ["auto", "AUTO", "Auto", "  auto  "])
-    def test_auto_in_any_case_means_none(self, tmp_path, spelling):
-        assert load(tmp_path, f"[moments]\nangles = {spelling}\n").moments.angles is None
-
     def test_auto_is_not_a_number(self, tmp_path):
         with pytest.raises(ConfigError, match="^invalid config value: "):
             load(tmp_path, "[noise]\nsigma = auto\n")
@@ -163,7 +159,6 @@ class TestErrors:
         ("[noise]\nsigma = loud\n", "could not convert string to float"),
         ("[phantom]\ncoeffs = 1,1\n", "bad polynomial term '1,1'"),
         ("[phantom]\ndisks = 0.5,0.5\n", "bad disk '0.5,0.5'"),
-        ("[moments]\nangles = 0.5,x\n", "could not convert string to float"),
         ("[noise]\nseed = 2.5\n", "invalid literal for int()"),
         ("[phantom]\ndisks = 0.5,0.5,0.2,1,2\n", "bad disk '0.5,0.5,0.2,1,2'"),
         ("[moments]\nK = two\n", "invalid literal for int()"),
@@ -285,6 +280,22 @@ class TestShippedConfigs:
     def test_benchmark_workload_config_loads(self, tmp_path, ini):
         load(tmp_path, ini)
 
+    def test_every_key_has_a_caller(self):
+        # a key that no shipped or benchmark config sets is a knob only the
+        # tests turn
+        texts = [path.read_text() for path in (REPO / "configs").glob("*.ini")]
+        texts += [param.values[0] for param in benchmark_inis()]
+        used = set()
+        for text in texts:
+            parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+            parser.read_string(text)
+            used |= {(section, key) for section in parser.sections() for key in parser[section]}
+        # EVERY_KEY_CONFIG holds every block, [mollifier] included
+        unused = [f"[{section.name}] {key.name}" for section in fields(RunConfig)
+                  for key in fields(getattr(EVERY_KEY_CONFIG, section.name))
+                  if (section.name, key.name.lower()) not in used]
+        assert unused == []
+
 
 class TestFinite:
     @pytest.mark.parametrize("cfg", [
@@ -293,7 +304,6 @@ class TestFinite:
         RunConfig(grids=GridConfig(margin=math.nan)),
         RunConfig(phantom=PhantomConfig(kind="disks", disks=((0.5, 0.5, 0.2, math.nan),))),
         RunConfig(phantom=PhantomConfig(kind="polynomial", coeffs=((1, 0, math.inf),))),
-        RunConfig(moments=MomentConfig(K=1, angles=(0.5, math.nan))),
     ])
     def test_non_finite_float_is_rejected(self, cfg):
         with pytest.raises(ConfigError, match="must be finite"):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from momentct.mollifiers import (
     fourier_of_kernel,
     make_bump,
     make_cosine,
+    make_kernel,
     sampled_kernel,
     validate_omega_band,
 )
@@ -126,6 +128,12 @@ class TestFourier:
         with pytest.raises(OmegaMembershipError):
             validate_omega_band(m, 60.0)  # crosses the first transform zero
 
+    @pytest.mark.filterwarnings("error")
+    def test_nan_transform_fails_the_band(self):
+        m = replace(make_bump(0.1, 2), norm_const=math.nan)
+        with pytest.raises(OmegaMembershipError):
+            validate_omega_band(m, 30.0)
+
     def test_tabulated_band_is_positive(self):
         # the 257 points construction checks, for both kernel families
         for m in (make_cosine(0.05, 2), make_bump(0.05, 2)):
@@ -146,8 +154,9 @@ class TestSampledKernel:
             sampled_kernel(m, 0.003)
 
     def test_non_finite_mass_is_rejected(self):
-        # a width this far below the spacing samples only the peak, which overflows
-        m = make_bump(1e-320, 2)
+        # a width this far below the spacing samples only the peak, which
+        # overflows; `make_kernel` refuses the width, so the spec is built by hand
+        m = replace(make_bump(0.05, 2), epsilon=1e-320)
         with pytest.warns(ResolutionWarning), \
                 pytest.raises(ValueError, match="mass inf; it must be positive and finite"):
             sampled_kernel(m, 0.01)
@@ -157,3 +166,22 @@ class TestSampledKernel:
             make_bump(-0.1, 2)
         with pytest.raises(ValueError):
             make_bump(0.1, -1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["bump", "cosine"])
+    @pytest.mark.parametrize("eps", [1e-320, 1e-308])
+    def test_width_whose_band_overflows_is_rejected(self, kind, eps):
+        # 1/1e-320 overflows; 1/1e-308 does not, but the band bound 4/1e-308 does
+        with pytest.raises(ValueError, match=r"is too narrow: the band \|s\| <= 4/eps"):
+            make_kernel(kind, eps)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_non_finite_width_is_rejected(self, eps):
+        with pytest.raises(ValueError, match="kernel width must be positive and finite"):
+            make_kernel("bump", eps)
+
+    @pytest.mark.filterwarnings("error")
+    def test_narrowest_width_with_a_finite_band_is_accepted(self):
+        eps = DEFAULT_OMEGA_BAND / np.finfo(float).max * 1.01
+        assert make_kernel("bump", eps).epsilon == eps

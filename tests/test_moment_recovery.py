@@ -70,6 +70,13 @@ class TestAngularMoments:
         with pytest.raises(ValueError):
             angular_moments(s, 2, [0.5, math.pi])
 
+    def test_angles_on_one_row_are_refused(self):
+        # 0.6 and 0.7 both snap to the first of the rows at pi (i+1)/5
+        s = Sinogram(moment_angle_grid(4), offset_grid(129), np.zeros((4, 129)), "raw")
+        with pytest.raises(ValueError,
+                           match="^requested angles collapse onto duplicate sinogram rows$"):
+            angular_moments(s, 2, [0.6, 0.7, 2.4])
+
     def test_provenance_tagging(self):
         s = Sinogram(moment_angle_grid(16), offset_grid(129), np.zeros((16, 129)), "raw")
         assert angular_moments(s, 1, [0.5, 1.0]).provenance == "raw"
@@ -244,6 +251,7 @@ class TestRecoverTable:
     def test_diagnostics_channel(self, uniform_sino):
         diag = {}
         recover_moment_table(uniform_sino, None, 3, diagnostics=diag)
+        assert list(diag) == ["conditions"]
         ks = [k for k, _ in diag["conditions"]]
         assert ks == [0, 1, 2, 3]
         assert all(c >= 1.0 for _, c in diag["conditions"])
