@@ -38,8 +38,9 @@ from .errors import (
     SingularSystemError,
     StabilityError,
 )
+from .mollifiers import MollifierSpec
 from .moment_recovery import recover_moment_table, solve_angles
-from .phantoms import MomentTable
+from .phantoms import Density, MomentTable
 from .projector import (
     Sinogram,
     add_noise,
@@ -68,17 +69,16 @@ def _outdir(cfg: RunConfig) -> Path:
     return Path(cfg.output.directory)
 
 
-def _project(cfg: RunConfig) -> Sinogram:
-    """Simulate the data, write its artifacts, and return the sinogram as
-    `sinogram.csv` records it."""
+def _project(cfg: RunConfig, density: Density, kernel: MollifierSpec | None) -> Sinogram:
+    """Simulate the data of the phantom, smoothed by the kernel when there
+    is one, write its artifacts, and return the sinogram as `sinogram.csv`
+    records it."""
     out = _outdir(cfg)
-    density = cfg.make_density()
     angles = cfg.make_angle_grid()
     offsets = cfg.make_offset_grid()
     sino = project(density, angles, offsets)
     if cfg.noise.sigma > 0:
         sino = add_noise(sino, cfg.noise.sigma, cfg.noise.seed)
-    kernel = cfg.make_mollifier()
     if kernel is not None:
         sino = mollify(sino, kernel)
     # the PGM first: `write_pgm` refuses a non-finite sinogram before any
@@ -106,7 +106,7 @@ def _project(cfg: RunConfig) -> Sinogram:
 
 
 def cmd_project(cfg: RunConfig) -> int:
-    _project(cfg)
+    _project(cfg, cfg.make_density(), cfg.make_mollifier())
     return 0
 
 
@@ -127,8 +127,13 @@ def _read_moments(path: Path) -> MomentTable:
     return table
 
 
-def _moments(cfg: RunConfig, sino: Sinogram) -> MomentTable:
-    kernel = cfg.make_mollifier() if sino.kind == "mollified" else None
+def _file_kernel(cfg: RunConfig, sino: Sinogram) -> MollifierSpec | None:
+    """The kernel that inverts a sinogram read from a file: the config's for
+    mollified rows, none for any other kind."""
+    return cfg.make_mollifier() if sino.kind == "mollified" else None
+
+
+def _moments(cfg: RunConfig, sino: Sinogram, kernel: MollifierSpec | None) -> MomentTable:
     diagnostics: dict = {}
     table = recover_moment_table(sino, kernel, cfg.moments.K, diagnostics=diagnostics)
     path = _outdir(cfg) / "moments.csv"
@@ -140,7 +145,8 @@ def _moments(cfg: RunConfig, sino: Sinogram) -> MomentTable:
 
 
 def cmd_moments(cfg: RunConfig, sino_path: Path) -> int:
-    _moments(cfg, _read_sinogram(sino_path))
+    sino = _read_sinogram(sino_path)
+    _moments(cfg, sino, _file_kernel(cfg, sino))
     return 0
 
 
@@ -155,8 +161,7 @@ def _write_image(rec: ReconGrid, stem: Path) -> None:
     fileio.write_recon_csv(rec, stem.with_suffix(".csv"))
 
 
-def _reconstruct_moments(cfg: RunConfig, table: MomentTable) -> None:
-    density = cfg.make_density()
+def _reconstruct_moments(cfg: RunConfig, table: MomentTable, density: Density) -> None:
     rec = reconstruct_grid(table, cfg.recon.m, cfg.recon.n, cfg.recon.resolution)
     out = _outdir(cfg)
     _write_image(rec, out / "recon_moments")
@@ -173,9 +178,8 @@ def _reconstruct_moments(cfg: RunConfig, table: MomentTable) -> None:
         print("sup error bound: n/a (phantom not uniformly continuous)")
 
 
-def _reconstruct_fbp(cfg: RunConfig, sino: Sinogram) -> None:
-    density = cfg.make_density()
-    kernel = cfg.make_mollifier() if sino.kind == "mollified" else None
+def _reconstruct_fbp(cfg: RunConfig, sino: Sinogram, density: Density,
+                     kernel: MollifierSpec | None) -> None:
     rec = fbp_reconstruct(sino, kernel, cfg.recon.resolution)
     out = _outdir(cfg)
     _write_image(rec, out / "recon_fbp")
@@ -189,9 +193,10 @@ def cmd_reconstruct(cfg: RunConfig, input_path: Path) -> int:
     with open(input_path) as fh:
         head = fh.readline()
     if head.startswith("# moments"):
-        _reconstruct_moments(cfg, _read_moments(input_path))
+        _reconstruct_moments(cfg, _read_moments(input_path), cfg.make_density())
     elif head.startswith("# sinogram"):
-        _reconstruct_fbp(cfg, _read_sinogram(input_path))
+        sino = _read_sinogram(input_path)
+        _reconstruct_fbp(cfg, sino, cfg.make_density(), _file_kernel(cfg, sino))
     else:
         raise FormatError(f"unrecognized input header: {head.strip()!r}")
     return 0
@@ -212,19 +217,22 @@ def _check_pipeline(cfg: RunConfig) -> None:
 def cmd_pipeline(cfg: RunConfig) -> int:
     """The three stages in one process.  The sinogram and the moment table
     pass between stages in memory, exactly as their files record them, so
-    nothing written is parsed back."""
+    nothing written is parsed back; the phantom and the kernel are built
+    once and shared by the stages."""
     _check_pipeline(cfg)
     out = _outdir(cfg)
     print("== project ==")
-    sino = _project(cfg)
+    density = cfg.make_density()
+    kernel = cfg.make_mollifier()
+    sino = _project(cfg, density, kernel)
     print("== moments ==")
-    table = _moments(cfg, sino)
+    table = _moments(cfg, sino, kernel)
     print("== reconstruct ==")
     if cfg.recon.method in ("moments", "both"):
         _require_finite(list(table.values.values()), out / "moments.csv")
-        _reconstruct_moments(cfg, table)
+        _reconstruct_moments(cfg, table, density)
     if cfg.recon.method in ("fbp", "both"):
-        _reconstruct_fbp(cfg, sino)
+        _reconstruct_fbp(cfg, sino, density, kernel)
     return 0
 
 

@@ -12,7 +12,6 @@ transform first crosses zero near eps * s = 4.97, the cosine near 6.28).
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -20,13 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OmegaMembershipError, ResolutionWarning
+from .numerics import gauss_legendre
 
-
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """200-node Gauss-Legendre rule on [-1, 1], built on first use."""
-    return np.polynomial.legendre.leggauss(200)
-
+#: Nodes of the Gauss-Legendre rule for the kernel's mass, moments and transform.
+_KERNEL_NODES = 200
 
 #: Half-width of the positivity band checked at construction, in units of eps * s.
 DEFAULT_OMEGA_BAND = 4.0
@@ -79,7 +75,7 @@ def make_kernel(kind: str, epsilon: float, max_order: int = 12) -> MollifierSpec
                          f"{DEFAULT_OMEGA_BAND:g}/eps its transform is checked on overflows")
     if max_order < 0:
         raise ValueError("max moment order must be nonnegative")
-    nodes, weights = _gauss_legendre()
+    nodes, weights = gauss_legendre(_KERNEL_NODES)
     base = _PROFILES[kind](nodes)
     norm_const = 1.0 / float(np.sum(weights * base))
     # c_j(eps) = eps^j c_j(1), from the moments of the unit-width profile
@@ -116,7 +112,7 @@ def fourier_of_kernel(m: MollifierSpec, s) -> np.ndarray:
     beyond the validated band.
     """
     s = np.asarray(s, dtype=float)
-    nodes, weights = _gauss_legendre()
+    nodes, weights = gauss_legendre(_KERNEL_NODES)
     base = m.norm_const * _PROFILES[m.kind](nodes)
     # substitute t = eps * u: transform depends on s only through eps * s
     arg = np.multiply.outer(s * m.epsilon, nodes)

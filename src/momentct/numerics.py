@@ -1,10 +1,11 @@
 """Shared numerical building blocks: the uniform sampling grid, the
-moment-order cap and a domain-checked log-Gamma.  Nothing in here
-holds state.
+moment-order cap, a domain-checked log-Gamma and the Gauss-Legendre rules.
+Nothing in here holds state but the cache of read-only rules.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +39,19 @@ class Grid1D:
 
     def points(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
+
+
+@functools.cache
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule on [-1, 1] as (nodes, weights).
+
+    Built once per n and shared by every caller, so both arrays are
+    read-only.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def log_gamma(x: float) -> float:

@@ -16,26 +16,25 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapabilityError
+from .numerics import gauss_legendre
 
 SQRT2 = math.sqrt(2.0)
 
 _EDGE_TOL = 1e-9  # tolerated excursion outside [0,1]^2 from clipped-line roundoff
 
 
-def _clip_chord(theta, p):
-    """Clip the lines <x, (cos t, sin t)> = p against the unit square.
+def _clip_chord(c, s, p):
+    """Clip the lines <x, (c, s)> = p against the unit square.
 
-    theta and p broadcast against each other.  Each line is parameterized
-    x(u) = p*w + u*w_perp with w_perp = (-sin t, cos t); returns the
-    broadcast (cos t, sin t, p), the chord's start parameter and its
-    length, which is 0 where the line misses the square.
+    c, s and p share one shape: each line's unit direction (cos theta,
+    sin theta) and its offset.  Each line is parameterized
+    x(u) = p*w + u*w_perp with w = (c, s) and w_perp = (-s, c); returns the
+    chord's start parameter and its length, which is 0 where the line
+    misses the square.
     """
-    theta, p = np.broadcast_arrays(np.asarray(theta, dtype=float),
-                                   np.asarray(p, dtype=float))
-    c, s = np.cos(theta), np.sin(theta)
-    lo = np.full(theta.shape, -np.inf)
-    hi = np.full(theta.shape, np.inf)
-    feasible = np.ones(theta.shape, dtype=bool)
+    lo = np.full(p.shape, -np.inf)
+    hi = np.full(p.shape, np.inf)
+    feasible = np.ones(p.shape, dtype=bool)
     # coordinates along the line: x1 = p*c - u*s, x2 = p*s + u*c
     for slope, intercept in ((-s, p * c), (c, p * s)):
         parallel = np.abs(slope) < 1e-15
@@ -46,7 +45,7 @@ def _clip_chord(theta, p):
         lo = np.where(parallel, lo, np.maximum(lo, np.minimum(u0, u1)))
         hi = np.where(parallel, hi, np.minimum(hi, np.maximum(u0, u1)))
     length = np.where(feasible & (hi > lo), hi - lo, 0.0)
-    return c, s, p, lo, length
+    return lo, length
 
 
 def _check_points(x1, x2):
@@ -76,7 +75,19 @@ class Density:
         """Exact line integral over the line <x, (cos theta, sin theta)> = p.
 
         theta and p are broadcastable arrays (or scalars); the result has
-        their broadcast shape and is exactly 0 on lines that miss the support.
+        their broadcast shape, is a scalar for scalars, and is exactly 0 on
+        lines that miss the support.
+        """
+        theta, p = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(p, dtype=float))
+        return self.line_integrals(np.cos(theta), np.sin(theta), p)[()]
+
+    def line_integrals(self, c, s, p):
+        """Exact line integrals over the lines <x, (c, s)> = p.
+
+        c, s and p are float arrays (or numpy scalars) of one shape: each
+        line's unit direction (cos theta, sin theta) and offset.  Taking the direction, not the
+        angle, lets a caller compute it once per angle.  Returns an array of
+        that shape, exactly 0 on lines that miss the support.
         """
         raise NotImplementedError
 
@@ -107,8 +118,8 @@ class UniformDensity(Density):
     def moment_fraction(self, a1: int, a2: int) -> Fraction:
         return Fraction(1, (a1 + 1) * (a2 + 1))
 
-    def radon(self, theta, p):
-        return _clip_chord(theta, p)[4][()]
+    def line_integrals(self, c, s, p):
+        return _clip_chord(c, s, p)[1]
 
     @property
     def sup_norm(self) -> float:
@@ -148,12 +159,12 @@ class PolynomialDensity(Density):
     def moment(self, a1: int, a2: int) -> float:
         return math.fsum(c / ((i + a1 + 1) * (j + a2 + 1)) for i, j, c in self.coeffs)
 
-    def radon(self, theta, p):
+    def line_integrals(self, c, s, p):
         # f restricted to a line is a polynomial of the same degree in u, so
         # Gauss-Legendre with ceil((deg + 1) / 2) nodes on the chord is exact
-        c, s, p, lo, length = _clip_chord(theta, p)
+        lo, length = _clip_chord(c, s, p)
         degree = max((i + j for i, j, _ in self.coeffs), default=0)
-        nodes, weights = np.polynomial.legendre.leggauss(math.ceil((degree + 1) / 2))
+        nodes, weights = gauss_legendre(math.ceil((degree + 1) / 2))
         # node-major (nodes, hits) layout, so the ufunc loops run over hits
         hit = length > 0.0
         half = 0.5 * length[hit]
@@ -162,7 +173,7 @@ class PolynomialDensity(Density):
         f = self.evaluate(p * c - u * s, p * s + u * c)
         out = np.zeros(length.shape)
         out[hit] = half * (f * weights[:, None]).sum(axis=0)
-        return out[()]
+        return out
 
     def moment_fraction(self, a1: int, a2: int) -> Fraction:
         total = Fraction(0)
@@ -240,11 +251,11 @@ class DiskDensity(Density):
                 )
         return self.amplitude * math.fsum(terms)
 
-    def radon(self, theta, p):
+    def line_integrals(self, c, s, p):
         cx, cy = self.center
-        d = cx * np.cos(theta) + cy * np.sin(theta) - np.asarray(p, dtype=float)
+        d = cx * c + cy * s - p
         under = self.radius**2 - d * d
-        return (self.amplitude * 2.0 * np.sqrt(np.maximum(under, 0.0)))[()]
+        return self.amplitude * 2.0 * np.sqrt(np.maximum(under, 0.0))
 
     @property
     def sup_norm(self) -> float:
@@ -267,8 +278,8 @@ class SumOfDisksDensity(Density):
     def moment(self, a1: int, a2: int) -> float:
         return math.fsum(d.moment(a1, a2) for d in self.disks)
 
-    def radon(self, theta, p):
-        return sum(d.radon(theta, p) for d in self.disks)
+    def line_integrals(self, c, s, p):
+        return sum(d.line_integrals(c, s, p) for d in self.disks)
 
     @property
     def sup_norm(self) -> float:

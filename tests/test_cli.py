@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from momentct import cli
+from momentct import cli, config
 from momentct.cli import main
 
 MINI_CONFIG = """
@@ -81,6 +81,25 @@ class TestPipeline:
         for name in ARTIFACTS:
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
                                shallow=False), name
+
+    def test_builds_the_kernel_and_the_phantom_once(self, tmp_path, monkeypatch):
+        # MINI_CONFIG smooths and runs every stage: project, the moment
+        # deconvolution and both reconstructions use the same two objects
+        calls = {"make_kernel": 0, "make_density": 0}
+        make_kernel, make_density = config.make_kernel, config.RunConfig.make_density
+
+        def counted_kernel(*args, **kwargs):
+            calls["make_kernel"] += 1
+            return make_kernel(*args, **kwargs)
+
+        def counted_density(self):
+            calls["make_density"] += 1
+            return make_density(self)
+
+        monkeypatch.setattr(config, "make_kernel", counted_kernel)
+        monkeypatch.setattr(config.RunConfig, "make_density", counted_density)
+        assert main(["pipeline", "-c", str(write_config(tmp_path))]) == 0
+        assert calls == {"make_kernel": 1, "make_density": 1}
 
     @staticmethod
     def assert_subcommands_compose_to_pipeline(tmp_path, cfg):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from momentct.numerics import Grid1D, log_gamma
+from momentct.numerics import Grid1D, gauss_legendre, log_gamma
 
 
 class TestGrid1D:
@@ -25,6 +25,23 @@ class TestGrid1D:
     def test_rejects_non_finite(self, start, stop):
         with pytest.raises(ValueError, match="finite start, stop and spacing"):
             Grid1D(start, stop, 4)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [1, 3, 200])
+    def test_integrates_degree_2n_minus_1_exactly(self, n):
+        nodes, weights = gauss_legendre(n)
+        for k in range(2 * n):
+            want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert float(np.sum(weights * nodes**k)) == pytest.approx(want, abs=1e-13)
+
+    def test_shared_rule_is_read_only(self):
+        nodes, weights = gauss_legendre(3)
+        assert gauss_legendre(3)[0] is nodes
+        with pytest.raises(ValueError, match="read-only"):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0] = 0.0
 
 
 class TestLogGamma:

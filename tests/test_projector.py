@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from momentct.phantoms import (
     UniformDensity,
 )
 from momentct.projector import (
+    _BLOCK_LINES,
     Sinogram,
     add_noise,
     angle_coverage,
@@ -294,13 +296,21 @@ WINDOW_OFFSETS = {
     "edges_minus_tol": Grid1D(-1.5 - 5e-10, 1.5 - 5e-10, 301),
 }
 
+#: (angles, offsets) of the whole-grid comparison: every pair of the grids
+#: above, and two acceptance-size grids whose windows span several blocks
+WINDOW_GRIDS = {
+    **{f"{a}-{o}": (angles, offsets) for a, angles in WINDOW_ANGLES.items()
+       for o, offsets in WINDOW_OFFSETS.items()},
+    "open_256-offsets_1024": (moment_angle_grid(256), offset_grid(1024)),
+    "full_turn_192-offsets_1024": (full_circle_grid(192), offset_grid(1024)),
+}
+
 
 class TestSupportWindow:
     """project evaluates d.radon only where a line can meet the unit square;
     the result is bitwise the whole-grid projection."""
 
-    @pytest.mark.parametrize("offsets", WINDOW_OFFSETS.values(), ids=WINDOW_OFFSETS.keys())
-    @pytest.mark.parametrize("angles", WINDOW_ANGLES.values(), ids=WINDOW_ANGLES.keys())
+    @pytest.mark.parametrize("angles, offsets", WINDOW_GRIDS.values(), ids=WINDOW_GRIDS.keys())
     @pytest.mark.parametrize("d", WINDOW_PHANTOMS.values(), ids=WINDOW_PHANTOMS.keys())
     def test_bitwise_equal_to_the_whole_grid(self, d, angles, offsets):
         got = project(d, angles, offsets).values
@@ -326,17 +336,33 @@ class TestSupportWindow:
     ], ids=["open", "full_turn"])
     def test_radon_sees_fewer_points_than_the_grid(self, monkeypatch, angles, sampled_rows):
         points = []
-        radon = UniformDensity.radon
+        line_integrals = UniformDensity.line_integrals
 
-        def counted(self, theta, p):
-            points.append(np.broadcast(theta, p).size)
-            return radon(self, theta, p)
+        def counted(self, c, s, p):
+            points.append(p.size)
+            return line_integrals(self, c, s, p)
 
-        monkeypatch.setattr(UniformDensity, "radon", counted)
+        monkeypatch.setattr(UniformDensity, "line_integrals", counted)
         offsets = offset_grid(1024)
         project(UNIFORM, angles, offsets)
-        assert len(points) == 1
         # a window spans |cos| + |sin| <= sqrt(2) of the 2.2 sqrt(2) offset
         # span, plus one offset on each side
-        assert points[0] <= sampled_rows * (offsets.count / 2.2 + 3)
-        assert points[0] < 0.5 * angles.count * offsets.count
+        assert sum(points) <= sampled_rows * (offsets.count / 2.2 + 3)
+        assert sum(points) < 0.5 * angles.count * offsets.count
+        # the rows come in blocks of at most _BLOCK_LINES lines, or one row
+        assert len(points) > 1
+        assert max(points) <= _BLOCK_LINES + offsets.count
+
+    def test_traced_peak_is_bounded_by_the_blocks(self):
+        # one call over all 108k in-window lines held 3 Gauss nodes per line
+        # in each temporary and peaked at about 25 MB; the output is 2 MB
+        d = WINDOW_PHANTOMS["polynomial"]
+        angles, offsets = moment_angle_grid(256), offset_grid(1024)
+        project(d, angles, offsets)  # build the cached quadrature rule first
+        tracemalloc.start()
+        try:
+            project(d, angles, offsets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
