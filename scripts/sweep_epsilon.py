@@ -51,7 +51,7 @@ def main() -> None:
         errs = []
         for seed in range(args.seeds):
             noisy = add_noise(sino, args.sigma, seed)
-            table = recover_moment_table(mollify(noisy, kernel), kernel, args.order)
+            table = recover_moment_table(mollify(noisy, kernel), args.order)
             errs.append(max(abs(v - oracle[k]) for k, v in table.values.items()))
         print(f"{eps:7.3f} {eps / dp:7.1f} {np.mean(errs):14.3e} {np.max(errs):15.3e}")
 

@@ -4,7 +4,8 @@ Subcommands mirror the reconstruction procedure: `project` simulates the
 measured data, `moments` recovers the moment table, `reconstruct` produces
 density images (from moments and/or by filtered backprojection), `pipeline`
 runs all three in one process, and `selftest` executes the acceptance
-suite.
+suite.  Only `project` and `pipeline` read `[mollifier]`; the inverses
+take the kernel that a smoothed `sinogram.csv` records.
 
 Exit codes: 0 success, 2 invalid configuration/input, 3 coverage error,
 4 singular system, 5 insufficient moment order or stability cap.
@@ -127,15 +128,9 @@ def _read_moments(path: Path) -> MomentTable:
     return table
 
 
-def _file_kernel(cfg: RunConfig, sino: Sinogram) -> MollifierSpec | None:
-    """The kernel that inverts a sinogram read from a file: the config's for
-    mollified rows, none for any other kind."""
-    return cfg.make_mollifier() if sino.kind == "mollified" else None
-
-
-def _moments(cfg: RunConfig, sino: Sinogram, kernel: MollifierSpec | None) -> MomentTable:
+def _moments(cfg: RunConfig, sino: Sinogram) -> MomentTable:
     diagnostics: dict = {}
-    table = recover_moment_table(sino, kernel, cfg.moments.K, diagnostics=diagnostics)
+    table = recover_moment_table(sino, cfg.moments.K, diagnostics=diagnostics)
     path = _outdir(cfg) / "moments.csv"
     fileio.write_moments(table, path)
     print(f"moments: {path} K={table.max_order}")
@@ -145,8 +140,7 @@ def _moments(cfg: RunConfig, sino: Sinogram, kernel: MollifierSpec | None) -> Mo
 
 
 def cmd_moments(cfg: RunConfig, sino_path: Path) -> int:
-    sino = _read_sinogram(sino_path)
-    _moments(cfg, sino, _file_kernel(cfg, sino))
+    _moments(cfg, _read_sinogram(sino_path))
     return 0
 
 
@@ -178,12 +172,11 @@ def _reconstruct_moments(cfg: RunConfig, table: MomentTable, density: Density) -
         print("sup error bound: n/a (phantom not uniformly continuous)")
 
 
-def _reconstruct_fbp(cfg: RunConfig, sino: Sinogram, density: Density,
-                     kernel: MollifierSpec | None) -> None:
-    rec = fbp_reconstruct(sino, kernel, cfg.recon.resolution)
+def _reconstruct_fbp(cfg: RunConfig, sino: Sinogram, density: Density) -> None:
+    rec = fbp_reconstruct(sino, cfg.recon.resolution)
     out = _outdir(cfg)
     _write_image(rec, out / "recon_fbp")
-    label = "riesz" if kernel is None else "modified_riesz"
+    label = "riesz" if sino.kernel is None else "modified_riesz"
     print(f"fbp reconstruction: {out / 'recon_fbp.csv'} "
           f"filter={label} N={cfg.recon.resolution}")
     print(f"relative l2 error vs phantom: {relative_l2_error(rec, density):.6f}")
@@ -195,8 +188,7 @@ def cmd_reconstruct(cfg: RunConfig, input_path: Path) -> int:
     if head.startswith("# moments"):
         _reconstruct_moments(cfg, _read_moments(input_path), cfg.make_density())
     elif head.startswith("# sinogram"):
-        sino = _read_sinogram(input_path)
-        _reconstruct_fbp(cfg, sino, cfg.make_density(), _file_kernel(cfg, sino))
+        _reconstruct_fbp(cfg, _read_sinogram(input_path), cfg.make_density())
     else:
         raise FormatError(f"unrecognized input header: {head.strip()!r}")
     return 0
@@ -215,24 +207,23 @@ def _check_pipeline(cfg: RunConfig) -> None:
 
 
 def cmd_pipeline(cfg: RunConfig) -> int:
-    """The three stages in one process.  The sinogram and the moment table
-    pass between stages in memory, exactly as their files record them, so
-    nothing written is parsed back; the phantom and the kernel are built
+    """The three stages in one process.  The sinogram (with its kernel) and
+    the moment table pass between stages in memory, exactly as their files
+    record them, so nothing written is parsed back; the phantom is built
     once and shared by the stages."""
     _check_pipeline(cfg)
     out = _outdir(cfg)
     print("== project ==")
     density = cfg.make_density()
-    kernel = cfg.make_mollifier()
-    sino = _project(cfg, density, kernel)
+    sino = _project(cfg, density, cfg.make_mollifier())
     print("== moments ==")
-    table = _moments(cfg, sino, kernel)
+    table = _moments(cfg, sino)
     print("== reconstruct ==")
     if cfg.recon.method in ("moments", "both"):
         _require_finite(list(table.values.values()), out / "moments.csv")
         _reconstruct_moments(cfg, table, density)
     if cfg.recon.method in ("fbp", "both"):
-        _reconstruct_fbp(cfg, sino, density, kernel)
+        _reconstruct_fbp(cfg, sino, density)
     return 0
 
 

@@ -47,7 +47,8 @@ import numpy as np
 
 from .density_recon import ReconGrid
 from .errors import FormatError
-from .numerics import Grid1D
+from .mollifiers import make_kernel
+from .numerics import MAX_MOMENT_ORDER, Grid1D
 from .phantoms import MomentTable
 from .projector import Sinogram
 
@@ -304,7 +305,7 @@ def _atomic_write(path, data: bytes) -> None:
 
 _SINO_HEADER = re.compile(
     r"^# sinogram kind=(\w+) angles=(\d+) offsets=(\d+) "
-    r"theta0=(\S+) dtheta=(\S+) p0=(\S+) dp=(\S+)$"
+    r"theta0=(\S+) dtheta=(\S+) p0=(\S+) dp=(\S+)(?: kernel=(\w+) epsilon=(\S+))?$"
 )
 
 
@@ -318,6 +319,7 @@ def write_sinogram(s: Sinogram, path) -> Sinogram:
 
     Values and the recorded start and spacing round-trip exactly; each
     grid's stop is rebuilt from them and may differ from s's in the last bit.
+    The header of mollified rows ends with their kernel's kind and width.
     """
     header = (
         f"# sinogram kind={s.kind} angles={s.angle_grid.count} "
@@ -325,12 +327,14 @@ def write_sinogram(s: Sinogram, path) -> Sinogram:
         f"dtheta={_fmt(s.angle_grid.spacing)} p0={_fmt(s.offset_grid.start)} "
         f"dp={_fmt(s.offset_grid.spacing)}"
     )
+    if s.kernel is not None:
+        header += f" kernel={s.kernel.kind} epsilon={_fmt(s.kernel.epsilon)}"
     _atomic_write(path, b"\n".join([header.encode("ascii"), *_csv_rows(s.values)]) + b"\n")
     return Sinogram(
         angle_grid=recorded_grid(s.angle_grid.start, s.angle_grid.spacing, s.angle_grid.count),
         offset_grid=recorded_grid(s.offset_grid.start, s.offset_grid.spacing,
                                   s.offset_grid.count),
-        values=s.values, kind=s.kind,
+        values=s.values, kind=s.kind, kernel=s.kernel,
     )
 
 
@@ -362,25 +366,29 @@ def _read_rows(fh, path, rows: int, cols: int) -> np.ndarray:
 def read_sinogram(path) -> Sinogram:
     """Read a file written by `write_sinogram`.
 
-    Raises FormatError on a malformed header, and on the rows as
-    `_read_rows` says.  NaN and inf values pass through unchecked; the CLI
-    rejects them after reading (`cli._require_finite`).
+    Raises FormatError on a malformed header, on kernel fields that do not
+    come with mollified rows, or only with them, or that `make_kernel`
+    refuses, and on the rows as `_read_rows` says.  The kernel is built at
+    MAX_MOMENT_ORDER, the highest order a run fits; its c_j and samples do
+    not depend on that order.  NaN and inf values pass through unchecked;
+    the CLI rejects them after reading (`cli._require_finite`).
     """
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         match = _SINO_HEADER.match(header)
         if not match:
             raise FormatError(f"malformed sinogram header: {header!r}")
-        kind, n_s, m_s, theta0, dtheta, p0, dp = match.groups()
+        kind, n_s, m_s, theta0, dtheta, p0, dp, kernel, eps = match.groups()
         n, m = int(n_s), int(m_s)
         theta0, dtheta, p0, dp = map(float, (theta0, dtheta, p0, dp))
         values = _read_rows(fh, path, n, m)
     try:
         return Sinogram(angle_grid=recorded_grid(theta0, dtheta, n),
-                        offset_grid=recorded_grid(p0, dp, m),
-                        values=values, kind=kind)
+                        offset_grid=recorded_grid(p0, dp, m), values=values, kind=kind,
+                        kernel=None if kernel is None else
+                        make_kernel(kernel, float(eps), MAX_MOMENT_ORDER))
     except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def write_moments(table: MomentTable, path) -> None:

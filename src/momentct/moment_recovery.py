@@ -30,7 +30,7 @@ from .errors import (
 from .mollifiers import MollifierSpec
 from .numerics import MAX_MOMENT_ORDER, Grid1D
 from .phantoms import SQRT2, MomentTable
-from .projector import Sinogram, check_kernel
+from .projector import Sinogram
 
 #: Extra half-width (beyond the kernel width) of the moment integration
 #: window, in grid cells.
@@ -180,25 +180,26 @@ def solve_angles(angle_grid: Grid1D, K: int) -> np.ndarray:
     return th
 
 
-def recover_moment_table(s: Sinogram, m: MollifierSpec | None, K: int, *,
+def recover_moment_table(s: Sinogram, K: int, *,
                          max_order: int = MAX_MOMENT_ORDER,
                          diagnostics: dict | None = None) -> MomentTable:
     """Full pipeline: offset moments -> (deconvolution) -> per-order fits.
 
-    Each order is fitted over the rows `solve_angles` selects.  K above
-    `max_order` raises OrderError.  `check_kernel` holds `m` to the
-    sinogram's kind.  When a `diagnostics` dict is given it receives, per
-    order, the condition of the scaled matrix that order's fit solved.
+    Each order is fitted over the rows `solve_angles` selects.  Mollified
+    rows are deconvolved with `s.kernel`.  K above `max_order` raises
+    OrderError.  When a `diagnostics` dict is given it receives, per order,
+    the condition of the scaled matrix that order's fit solved.
     """
     if K > max_order:
         raise OrderError(f"K={K} exceeds the maximum order {max_order}")
-    check_kernel(s, m)
+    if s.kind == "filtered":
+        raise MisuseError("a filtered sinogram cannot be inverted again")
 
     th = solve_angles(s.angle_grid, K)
-    pad = m.epsilon if m is not None else 0.0
+    pad = s.kernel.epsilon if s.kernel is not None else 0.0
     ams = angular_moments(s, K, th, support_pad=pad)
-    if m is not None:
-        ams = deconvolve_moments(ams, m)
+    if s.kernel is not None:
+        ams = deconvolve_moments(ams, s.kernel)
 
     b0 = ams.values[:, 0]
     scale = float(np.median(np.abs(b0)))

@@ -28,26 +28,24 @@ class Sinogram:
     offset_grid: Grid1D
     values: np.ndarray
     kind: str
+    kernel: MollifierSpec | None = None  # what smoothed the rows; set exactly on mollified
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        if (self.kernel is None) == (self.kind == "mollified"):
+            raise ValueError("mollified sinogram needs the kernel that smoothed it"
+                             if self.kernel is None else
+                             f"kind={self.kind!r} sinogram must not carry a kernel")
+        # the 2 ceil(eps / h) + 1 samples of `sampled_kernel` must fit on the grid
+        if self.kernel and self.kernel.epsilon / self.offset_grid.spacing \
+                > (self.offset_grid.count - 1) // 2:
+            raise ValueError("kernel wider than the offset grid")
         v = np.asarray(self.values, dtype=float)
         expected = (self.angle_grid.count, self.offset_grid.count)
         if v.shape != expected:
             raise ValueError(f"values shape {v.shape} does not match grids {expected}")
         object.__setattr__(self, "values", v)
-
-
-def check_kernel(s: Sinogram, m: MollifierSpec | None) -> None:
-    """Refuse an inverse's input: a kernel must come with mollified rows and
-    only with them, and filtered rows are already an inverse's output."""
-    if s.kind == "filtered":
-        raise MisuseError("a filtered sinogram cannot be inverted again")
-    if s.kind == "mollified" and m is None:
-        raise MisuseError("mollified sinogram needs the kernel that smoothed it")
-    if s.kind != "mollified" and m is not None:
-        raise MisuseError(f"kind={s.kind!r} sinogram must not carry a kernel")
 
 
 def moment_angle_grid(count: int) -> Grid1D:
@@ -207,19 +205,21 @@ def mollify(s: Sinogram, m: MollifierSpec) -> Sinogram:
     """
     if s.kind not in ("raw", "noisy"):
         raise MisuseError(f"can only mollify raw or noisy sinograms, got {s.kind!r}")
+    smoothed = replace(s, kind="mollified", kernel=m)  # refuses a kernel wider than the grid
     dp = s.offset_grid.spacing
     _, weights = sampled_kernel(m, dp)
     kernel = weights * dp
-    if kernel.size > s.offset_grid.count:
-        raise ValueError("kernel wider than the offset grid")
     out = np.empty_like(s.values)
     for i in range(s.values.shape[0]):
         out[i] = np.convolve(s.values[i], kernel, mode="same")
-    return replace(s, values=out, kind="mollified")
+    return replace(smoothed, values=out)
 
 
 def add_noise(s: Sinogram, sigma: float, seed: int) -> Sinogram:
-    """Add i.i.d. zero-mean Gaussian noise, one seeded stream per row."""
+    """Add i.i.d. zero-mean Gaussian noise, one seeded stream per row, to raw
+    or noisy rows (smoothed rows relabelled noisy would lose their kernel)."""
+    if s.kind not in ("raw", "noisy"):
+        raise MisuseError(f"can only add noise to raw or noisy sinograms, got {s.kind!r}")
     if sigma < 0:
         raise ValueError(f"noise level must be nonnegative, got {sigma}")
     if sigma == 0.0:

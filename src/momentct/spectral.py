@@ -7,8 +7,8 @@ per-row ramp filter is realized on the FFT frequencies s_k = 2 pi k/(N h);
 the inversion constant 1/(4 pi), together with the angular rectangle rule,
 makes backprojection of the filtered rows reproduce the density.
 
-For rows smoothed by a kernel the filter divides by the transform of the
-kernel *as sampled on the offset grid* (signed, with a magnitude floor):
+For mollified rows the filter divides by the transform of the sinogram's
+`kernel` *as sampled on the offset grid* (signed, with a magnitude floor):
 that is the transform of the convolution actually applied to the data, so
 the division cancels it exactly in the passband.  The continuous kernel
 transform would disagree with it badly near the Nyquist frequency for
@@ -21,11 +21,10 @@ import math
 
 import numpy as np
 
-from .errors import CoverageError
+from .errors import CoverageError, MisuseError
 from .density_recon import ReconGrid
 from .mollifiers import MollifierSpec, sampled_kernel
-from .projector import (Sinogram, angle_coverage, antipodal_half, check_kernel,
-                        transpose_partner)
+from .projector import Sinogram, angle_coverage, antipodal_half, transpose_partner
 
 #: Ramp filter cutoff as a fraction of the offset Nyquist frequency pi/h; a
 #: cosine taper rolls off the top tenth of the passband.
@@ -60,18 +59,19 @@ def grid_kernel_transform(m: MollifierSpec, spacing: float, count: int) -> np.nd
     return np.real(np.fft.fft(padded))
 
 
-def apply_filter(s: Sinogram, m: MollifierSpec | None = None) -> Sinogram:
+def apply_filter(s: Sinogram) -> Sinogram:
     """Per-row ramp filter up to CUTOFF_FRACTION of the Nyquist frequency,
-    divided by the sampled transform of the kernel `m` when given one
-    (`check_kernel`); output kind 'filtered'."""
-    check_kernel(s, m)
+    divided by the sampled transform of `s.kernel` on mollified rows;
+    output kind 'filtered'."""
+    if s.kind == "filtered":
+        raise MisuseError("a filtered sinogram cannot be inverted again")
     h = s.offset_grid.spacing
     n = s.offset_grid.count
     freqs = 2.0 * math.pi * np.fft.fftfreq(n, d=h)
     mult = _ramp_multiplier(freqs, CUTOFF_FRACTION * (math.pi / h))
 
-    if m is not None:
-        transfer = grid_kernel_transform(m, h, n)
+    if s.kernel is not None:
+        transfer = grid_kernel_transform(s.kernel, h, n)
         usable = np.abs(transfer) >= REG_FLOOR
         mult = np.where(usable, mult / np.where(usable, transfer, 1.0), 0.0)
 
@@ -126,9 +126,9 @@ def backproject(s: Sinogram, resolution: int) -> ReconGrid:
     return ReconGrid(resolution=resolution, values=acc, orders=None)
 
 
-def fbp_reconstruct(s: Sinogram, m: MollifierSpec | None, resolution: int) -> ReconGrid:
+def fbp_reconstruct(s: Sinogram, resolution: int) -> ReconGrid:
     """Filtered backprojection: R*(filtered rows) / (4 pi)."""
-    filtered = apply_filter(s, m)
+    filtered = apply_filter(s)
     rec = backproject(filtered, resolution)
     return ReconGrid(resolution=resolution, values=rec.values / (4.0 * math.pi),
                      orders=None)

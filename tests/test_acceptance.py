@@ -80,7 +80,7 @@ def test_c01_moment_recovery_exactness():
     worst = {}
     for name, density in (("uniform", UNIFORM), ("4x1x2", POLY)):
         sino = project(density, moment_angle_grid(256), offset_grid(1024))
-        table = recover_moment_table(sino, None, 6)
+        table = recover_moment_table(sino, 6)
         worst[name] = max(
             abs(v - density.moment(a, b)) for (a, b), v in table.values.items()
         )
@@ -110,13 +110,13 @@ def test_c03_end_to_end_mollified_pipeline():
     kernel = make_bump(0.05, 4)
     sino = project(UNIFORM, moment_angle_grid(256), offset_grid(1024))
 
-    table = recover_moment_table(mollify(sino, kernel), kernel, 4)
+    table = recover_moment_table(mollify(sino, kernel), 4)
     clean_err = max(
         abs(v - UNIFORM.moment(a, b)) for (a, b), v in table.values.items()
     )
 
     noisy = mollify(add_noise(sino, 0.01, seed=1), kernel)
-    noisy_table = recover_moment_table(noisy, kernel, 2)
+    noisy_table = recover_moment_table(noisy, 2)
     noisy_err = max(
         abs(v - UNIFORM.moment(a, b)) for (a, b), v in noisy_table.values.items()
     )
@@ -148,7 +148,7 @@ def test_c05_evenness_and_homogeneity():
     held_out = np.array([0.45, 1.234, 2.05, 2.8])
     for density in (UNIFORM, POLY):
         sino = project(density, moment_angle_grid(64), offset_grid(2049))
-        table = recover_moment_table(sino, None, 4)
+        table = recover_moment_table(sino, 4)
         measured = angular_moments(sino, 4, held_out)
         predicted = synthesize_angular_moments(table, measured.angles, 4)
         range_worst = max(range_worst, float(np.max(np.abs(predicted - measured.values))))
@@ -217,7 +217,7 @@ def test_c09_convergence_with_recovered_moments():
         for m in kernel_orders:
             kernel = make_bump(1.0 / m, 2 * m)
             table = recover_moment_table(
-                mollify(sino, kernel), kernel, 2 * m, max_order=2 * m
+                mollify(sino, kernel), 2 * m, max_order=2 * m
             )
             errors.append(sup_error(reconstruct_grid(table, m, m, 16), density))
         for prev, nxt in zip(errors, errors[1:]):
@@ -229,14 +229,14 @@ def test_c09_convergence_with_recovered_moments():
 def test_c10_fbp_paths():
     t0 = time.time()
     sino = project(DISK, half_circle_grid(180), offset_grid(512))
-    rec_raw = fbp_reconstruct(sino, None, 128)
+    rec_raw = fbp_reconstruct(sino, 128)
     xs = (np.arange(128) + 0.5) / 128
     xx, yy = np.meshgrid(xs, xs, indexing="ij")
     truth = np.asarray(DISK.evaluate(xx, yy))
     rel_raw = float(np.linalg.norm(rec_raw.values - truth) / np.linalg.norm(truth))
 
     kernel = make_bump(0.02, 2)
-    rec_mod = fbp_reconstruct(mollify(sino, kernel), kernel, 128)
+    rec_mod = fbp_reconstruct(mollify(sino, kernel), 128)
     rel_paths = float(
         np.linalg.norm(rec_mod.values - rec_raw.values) / np.linalg.norm(rec_raw.values)
     )

@@ -56,6 +56,11 @@ ARTIFACTS = [
 ]
 
 
+#: MINI_CONFIG smoothed by a narrower kernel, and not smoothed at all
+SMOOTHED_005 = MINI_CONFIG.replace("epsilon = 0.08", "epsilon = 0.05")
+WITHOUT_MOLLIFIER = MINI_CONFIG.replace("[mollifier]\nkernel = bump\nepsilon = 0.08\n", "")
+
+
 def write_config(tmp_path, name="run.ini", out="run_out", text=MINI_CONFIG):
     path = tmp_path / name
     path.write_text(text.format(out=tmp_path / out))
@@ -123,11 +128,35 @@ class TestPipeline:
         # 48 angles over the full turn: the sinogram header's start and
         # spacing rebuild a stop one bit off the projected grid's, so the
         # in-memory hand-off must use the grid as the file records it
-        text = MINI_CONFIG.replace("angle_cover = moment", "angle_cover = full") \
-            .replace("sigma = 0.01", "sigma = 0") \
-            .replace("[mollifier]\nkernel = bump\nepsilon = 0.08\n", "")
+        text = WITHOUT_MOLLIFIER.replace("angle_cover = moment", "angle_cover = full") \
+            .replace("sigma = 0.01", "sigma = 0")
         cfg = write_config(tmp_path, text=text)
         self.assert_subcommands_compose_to_pipeline(tmp_path, cfg)
+
+    def test_inverses_take_the_kernel_from_the_sinogram_file(self, tmp_path, capsys):
+        # smoothed at eps = 0.05; a config at 0.08, or with no [mollifier]
+        # section, must not change what moments and reconstruct make of it
+        matched = write_config(tmp_path, name="matched.ini", text=SMOOTHED_005)
+        assert main(["project", "-c", str(matched), "-o", str(tmp_path / "data")]) == 0
+        sino = tmp_path / "data" / "sinogram.csv"
+        configs = {"matched": matched,
+                   "wider": write_config(tmp_path, name="wider.ini"),
+                   "none": write_config(tmp_path, name="none.ini", text=WITHOUT_MOLLIFIER)}
+        printed = {}
+        for name, cfg in configs.items():
+            out = tmp_path / name
+            capsys.readouterr()
+            for args in (["moments", str(sino)], ["reconstruct", str(out / "moments.csv")],
+                         ["reconstruct", str(sino)]):
+                assert main([args[0], "-c", str(cfg), "-o", str(out), args[1]]) == 0, \
+                    (name, args)
+            printed[name] = capsys.readouterr().out.replace(str(out), "OUT")
+        assert "filter=modified_riesz" in printed["matched"]
+        for name in ("wider", "none"):
+            assert printed[name] == printed["matched"], name
+            for artifact in ARTIFACTS[3:]:
+                assert filecmp.cmp(tmp_path / "matched" / artifact, tmp_path / name / artifact,
+                                   shallow=False), (name, artifact)
 
 
 class TestErrorContracts:
@@ -146,29 +175,43 @@ class TestErrorContracts:
         cfg.write_text(f"[grids]\nmargin = 0.9\n[output]\ndirectory = {tmp_path/'o'}\n")
         assert main(["project", "-c", str(cfg)]) == 3
 
-    def test_mollified_sinogram_without_kernel_block_exits_2(self, tmp_path):
-        cfg = write_config(tmp_path)
-        assert main(["project", "-c", str(cfg)]) == 0
-        stripped = "\n".join(
-            line for line in MINI_CONFIG.splitlines()
-            if not line.startswith(("[mollifier]", "kernel", "epsilon"))
-        )
-        cfg2 = write_config(tmp_path, name="stripped.ini", text=stripped)
-        code = main(["moments", "-c", str(cfg2),
-                     str(tmp_path / "run_out" / "sinogram.csv")])
-        assert code == 2
-
     @pytest.mark.parametrize("command", ["moments", "reconstruct"])
     def test_filtered_sinogram_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path)
         assert main(["project", "-c", str(cfg)]) == 0
         sino = tmp_path / "run_out" / "sinogram.csv"
-        sino.write_text(sino.read_text().replace("kind=mollified", "kind=filtered", 1))
+        sino.write_text(re.sub(r"kind=mollified(.*) kernel=\S+ epsilon=\S+", r"kind=filtered\1",
+                               sino.read_text(), count=1))
         capsys.readouterr()
         fresh = tmp_path / "fresh"
         assert main([command, "-c", str(cfg), "-o", str(fresh), str(sino)]) == 2
         assert "a filtered sinogram cannot be inverted again" in capsys.readouterr().err
         assert not fresh.exists()
+
+    @pytest.mark.parametrize("pattern, text, message", [
+        (r" kernel=\S+ epsilon=\S+", "", "mollified sinogram needs the kernel that smoothed it"),
+        ("kind=mollified", "kind=raw", "kind='raw' sinogram must not carry a kernel"),
+        ("kernel=bump", "kernel=gauss", "unknown kernel kind 'gauss'"),
+        *[(r"epsilon=\S+", f"epsilon={eps}", f"kernel width must be positive and finite, got {eps}")
+          for eps in ("-0.05", "nan", "inf")],
+        (r"epsilon=\S+", "epsilon=1e-320", "kernel width 1e-320 is too narrow"),
+        (r"epsilon=\S+", "epsilon=5", "kernel wider than the offset grid"),
+    ], ids=["mollified-without", "raw-with", "gauss", "negative", "nan", "inf", "subnormal",
+            "wider-than-the-grid"])
+    @pytest.mark.parametrize("command", ["moments", "reconstruct"])
+    def test_bad_kernel_header_exits_2_before_any_artifact(
+            self, tmp_path, capsys, command, pattern, text, message):
+        cfg = write_config(tmp_path)
+        assert main(["project", "-c", str(cfg), "-o", str(tmp_path / "data")]) == 0
+        sino = tmp_path / "data" / "sinogram.csv"
+        header, rows = sino.read_text().split("\n", 1)
+        edited = re.sub(pattern, text, header, count=1)
+        assert edited != header
+        sino.write_text(edited + "\n" + rows)
+        capsys.readouterr()
+        assert main([command, "-c", str(cfg), str(sino)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {sino}: {message}")
+        assert not (tmp_path / "run_out").exists()
 
     def test_malformed_sinogram_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -536,6 +579,16 @@ class TestScripts:
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
+
+    def test_sweep_epsilon_from_a_plain_checkout(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "sweep_epsilon.py"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        done = subprocess.run([sys.executable, str(script), "--seeds", "1", "--angles", "16",
+                               "--offsets", "256", "--widths", "0.05,0.08", "--order", "2"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        rows = [line.split()[0] for line in done.stdout.splitlines()[2:]]
+        assert rows == ["0.050", "0.080"], done.stdout
 
 
 class TestSelftest:

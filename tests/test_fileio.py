@@ -11,9 +11,10 @@ import pytest
 from momentct import fileio
 from momentct.density_recon import ReconGrid, reconstruct_grid
 from momentct.errors import FormatError
-from momentct.numerics import Grid1D
+from momentct.mollifiers import make_cosine
+from momentct.numerics import MAX_MOMENT_ORDER, Grid1D
 from momentct.phantoms import DiskDensity, MomentTable, UniformDensity
-from momentct.projector import Sinogram, moment_angle_grid, offset_grid, project
+from momentct.projector import Sinogram, moment_angle_grid, mollify, offset_grid, project
 
 #: values whose 17-digit text is easy to get wrong: signed zeros, the
 #: smallest subnormal, huge and inexact values, and 2**53 + 1, which rounds
@@ -69,6 +70,26 @@ class TestSinogramFormat:
         assert header.startswith("# sinogram kind=raw angles=6 offsets=33 theta0=")
         for field in ("dtheta=", "p0=", "dp="):
             assert field in header
+        assert "kernel=" not in header and "epsilon=" not in header
+
+    def test_mollified_roundtrip_carries_the_kernel(self, sino, tmp_path):
+        m = make_cosine(0.25, 4)
+        mol = mollify(sino, m)
+        path = tmp_path / "s.csv"
+        assert fileio.write_sinogram(mol, path).kernel is m
+        fileio.write_sinogram(sino, tmp_path / "raw.csv")
+        raw_header = (tmp_path / "raw.csv").read_text().splitlines()[0]
+        assert path.read_text().splitlines()[0] == \
+            raw_header.replace("kind=raw", "kind=mollified") + " kernel=cosine epsilon=0.25"
+        back = fileio.read_sinogram(path)
+        assert back.kind == "mollified"
+        assert (back.kernel.kind, back.kernel.epsilon) == (m.kind, m.epsilon)
+        # rebuilt at the highest order any run fits; the shared c_j are bitwise equal
+        assert back.kernel.max_order == MAX_MOMENT_ORDER
+        assert back.kernel.moments[:m.max_order + 1] == m.moments
+        assert np.array_equal(back.values, mol.values)
+        fileio.write_sinogram(back, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
     def test_malformed_header(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -81,7 +81,7 @@ class TestAngularMoments:
         s = Sinogram(moment_angle_grid(16), offset_grid(129), np.zeros((16, 129)), "raw")
         assert angular_moments(s, 1, [0.5, 1.0]).provenance == "raw"
         mol = Sinogram(moment_angle_grid(16), offset_grid(129),
-                       np.zeros((16, 129)), "mollified")
+                       np.zeros((16, 129)), "mollified", make_bump(0.05, 4))
         assert angular_moments(mol, 1, [0.5, 1.0]).provenance == "mollified"
 
 
@@ -200,44 +200,43 @@ def uniform_sino():
 
 class TestRecoverTable:
     def test_uniform_raw_recovery(self, uniform_sino):
-        table = recover_moment_table(uniform_sino, None, 4)
+        table = recover_moment_table(uniform_sino, 4)
         for (a, b), v in table.values.items():
             assert v == pytest.approx(1.0 / ((a + 1) * (b + 1)), abs=1e-5)
 
     def test_uniform_mollified_recovery(self, uniform_sino):
         m = make_bump(0.05, 4)
-        table = recover_moment_table(mollify(uniform_sino, m), m, 4)
+        table = recover_moment_table(mollify(uniform_sino, m), 4)
         for (a, b), v in table.values.items():
             assert v == pytest.approx(1.0 / ((a + 1) * (b + 1)), abs=1e-4)
 
     def test_cosine_kernel_cross_check(self, uniform_sino):
         m = make_cosine(0.05, 4)
-        table = recover_moment_table(mollify(uniform_sino, m), m, 4)
+        table = recover_moment_table(mollify(uniform_sino, m), 4)
         for (a, b), v in table.values.items():
             assert v == pytest.approx(1.0 / ((a + 1) * (b + 1)), abs=1e-4)
 
     def test_zero_sinogram(self):
         s = Sinogram(moment_angle_grid(32), offset_grid(257), np.zeros((32, 257)), "raw")
-        table = recover_moment_table(s, None, 3)
+        table = recover_moment_table(s, 3)
         assert all(v == 0.0 for v in table.values.values())
 
-    def test_mollifier_consistency_guards(self, uniform_sino):
-        m = make_bump(0.05, 4)
-        with pytest.raises(MisuseError):
-            recover_moment_table(mollify(uniform_sino, m), None, 2)
-        with pytest.raises(MisuseError):
-            recover_moment_table(uniform_sino, m, 2)
+    def test_filtered_rows_are_refused(self, uniform_sino):
+        filtered = Sinogram(uniform_sino.angle_grid, uniform_sino.offset_grid,
+                            uniform_sino.values, "filtered")
+        with pytest.raises(MisuseError, match="^a filtered sinogram cannot be inverted again$"):
+            recover_moment_table(filtered, 2)
 
     def test_order_cap(self, uniform_sino):
         with pytest.raises(OrderError):
-            recover_moment_table(uniform_sino, None, 14)
+            recover_moment_table(uniform_sino, 14)
         with pytest.raises(OrderError):
-            recover_moment_table(uniform_sino, None, 13)
+            recover_moment_table(uniform_sino, 13)
         with pytest.raises(OrderError):
-            recover_moment_table(uniform_sino, None, 3, max_order=2)
+            recover_moment_table(uniform_sino, 3, max_order=2)
 
     def test_range_identity_at_held_out_angles(self, uniform_sino):
-        table = recover_moment_table(uniform_sino, None, 4)
+        table = recover_moment_table(uniform_sino, 4)
         held_out = np.array([0.45, 1.234, 2.8])
         ams = angular_moments(uniform_sino, 4, held_out)
         predicted = synthesize_angular_moments(table, ams.angles, 4)
@@ -246,11 +245,11 @@ class TestRecoverTable:
     def test_too_few_rows_for_order(self):
         s = Sinogram(moment_angle_grid(3), offset_grid(129), np.zeros((3, 129)), "raw")
         with pytest.raises(ValueError):
-            recover_moment_table(s, None, 3)
+            recover_moment_table(s, 3)
 
     def test_diagnostics_channel(self, uniform_sino):
         diag = {}
-        recover_moment_table(uniform_sino, None, 3, diagnostics=diag)
+        recover_moment_table(uniform_sino, 3, diagnostics=diag)
         assert list(diag) == ["conditions"]
         ks = [k for k, _ in diag["conditions"]]
         assert ks == [0, 1, 2, 3]

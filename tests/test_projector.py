@@ -118,8 +118,36 @@ class TestMollify:
         s = small_sinogram(n_angles=4, n_offsets=129)
         mol = mollify(s, m)
         assert mol.kind == "mollified"
+        assert mol.kernel is m
         with pytest.raises(MisuseError):
             mollify(mol, m)
+
+
+class TestSinogramKernel:
+    def test_kernel_comes_with_mollified_rows_and_only_with_them(self):
+        m = make_bump(0.05, 4)
+        grids = (moment_angle_grid(4), offset_grid(129))
+        values = np.zeros((4, 129))
+        assert Sinogram(*grids, values, "mollified", m).kernel is m
+        with pytest.raises(ValueError, match="^mollified sinogram needs the kernel"):
+            Sinogram(*grids, values, "mollified")
+        for kind in ("raw", "noisy", "filtered"):
+            assert Sinogram(*grids, values, kind).kernel is None
+            with pytest.raises(ValueError, match=f"^kind='{kind}' sinogram must not carry"):
+                Sinogram(*grids, values, kind, m)
+
+    @pytest.mark.parametrize("count", [128, 129])
+    def test_kernel_samples_must_fit_on_the_offset_grid(self, count):
+        # the widest kernel whose 2 ceil(eps / h) + 1 samples fit, and one a bit wider
+        grids = (moment_angle_grid(4), Grid1D(0.0, count - 1.0, count))
+        values = np.zeros((4, count))
+        half = (count - 1) // 2
+        assert Sinogram(*grids, values, "mollified", make_bump(half, 2)).kernel.epsilon == half
+        wider = make_bump(half + 0.5, 2)
+        with pytest.raises(ValueError, match="^kernel wider than the offset grid$"):
+            Sinogram(*grids, values, "mollified", wider)
+        with pytest.raises(ValueError, match="^kernel wider than the offset grid$"):
+            mollify(Sinogram(*grids, values, "raw"), wider)
 
     def test_spectral_identity_on_resolved_band(self):
         # per-row transform of the smoothed row equals the raw transform
@@ -173,6 +201,18 @@ class TestNoise:
         s = small_sinogram(n_angles=4, n_offsets=129)
         with pytest.raises(ValueError):
             add_noise(s, -0.1, seed=0)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.01], ids=["zero", "positive"])
+    def test_smoothed_or_filtered_rows_are_refused(self, sigma):
+        # noise on smoothed rows would relabel them noisy and drop the kernel
+        s = small_sinogram(n_angles=4, n_offsets=129)
+        mol = mollify(s, make_bump(0.05, 4))
+        filtered = Sinogram(s.angle_grid, s.offset_grid, s.values, "filtered")
+        for rows in (mol, filtered):
+            with pytest.raises(MisuseError, match=f"^can only add noise to raw or noisy "
+                                                  f"sinograms, got '{rows.kind}'$"):
+                add_noise(rows, sigma, seed=1)
+        assert add_noise(add_noise(s, sigma, seed=1), sigma, seed=2).kind == "noisy"
 
 
 class TestL1Norm:

@@ -123,7 +123,7 @@ class TestApplyFilter:
         m = make_bump(0.05, 4)
         s = project(DISK, half_circle_grid(8), offset_grid(512))
         raw_filtered = apply_filter(s)
-        mod_filtered = apply_filter(mollify(s, m), m)
+        mod_filtered = apply_filter(mollify(s, m))
         scale = np.max(np.abs(raw_filtered.values))
         assert np.max(np.abs(mod_filtered.values - raw_filtered.values)) <= 1e-3 * scale
 
@@ -138,16 +138,11 @@ class TestApplyFilter:
         assert np.allclose(mult[band], a[band] * window, rtol=0, atol=1e-12)
 
     def test_misuse_guards(self):
-        m = make_bump(0.05, 4)
         s = project(DISK, half_circle_grid(4), offset_grid(128))
-        with pytest.raises(MisuseError, match="needs the kernel"):
-            apply_filter(mollify(s, m))  # mollified, kernel missing
-        with pytest.raises(MisuseError, match="must not carry a kernel"):
-            apply_filter(s, m)  # raw input with a kernel
         filtered = apply_filter(s)
-        for kernel in (None, m):
+        for inverse in (apply_filter, lambda rows: fbp_reconstruct(rows, 8)):
             with pytest.raises(MisuseError, match="filtered sinogram"):
-                apply_filter(filtered, kernel)  # an inverse's output
+                inverse(filtered)  # an inverse's output
 
     def test_grid_kernel_transform_dc(self):
         m = make_bump(0.05, 4)
@@ -300,7 +295,7 @@ class TestBackprojectFold:
 class TestFbp:
     def test_disk_reconstruction_quality(self):
         s = project(DISK, half_circle_grid(90), offset_grid(257))
-        rec = fbp_reconstruct(s, None, 64)
+        rec = fbp_reconstruct(s, 64)
         xs = (np.arange(64) + 0.5) / 64
         xx, yy = np.meshgrid(xs, xs, indexing="ij")
         truth = np.asarray(DISK.evaluate(xx, yy))
@@ -309,10 +304,10 @@ class TestFbp:
 
     def test_zero_sinogram_gives_zero_grid(self):
         s = Sinogram(half_circle_grid(16), offset_grid(128), np.zeros((16, 128)), "raw")
-        rec = fbp_reconstruct(s, None, 16)
+        rec = fbp_reconstruct(s, 16)
         assert np.all(rec.values == 0.0)
 
     def test_mass_roughly_preserved(self):
         s = project(DISK, half_circle_grid(90), offset_grid(257))
-        rec = fbp_reconstruct(s, None, 64)
+        rec = fbp_reconstruct(s, 64)
         assert rec.values.mean() == pytest.approx(1.0, abs=0.1)
