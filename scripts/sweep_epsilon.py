@@ -47,7 +47,7 @@ def main() -> None:
     print(f"{'eps':>7} {'eps/dp':>7} {'max|err| mean':>14} {'max|err| worst':>15}")
     dp = sino.offset_grid.spacing
     for eps in (float(t) for t in args.widths.split(",")):
-        kernel = make_bump(eps, args.order)
+        kernel = make_bump(eps)
         errs = []
         for seed in range(args.seeds):
             noisy = add_noise(sino, args.sigma, seed)

@@ -16,6 +16,7 @@ from .mollifiers import (
     MollifierSpec,
     evaluate_kernel,
     fourier_of_kernel,
+    kernel_moments,
     make_bump,
     make_cosine,
     validate_omega_band,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 from .density_recon import STABILITY_CAP
 from .errors import ConfigError, CoverageError, OrderError, StabilityError
 from .mollifiers import MollifierSpec, make_kernel
-from .numerics import MAX_MOMENT_ORDER, Grid1D
+from .numerics import Grid1D
 from .phantoms import (
     Density,
     DiskDensity,
@@ -25,6 +25,10 @@ from .phantoms import (
     UniformDensity,
 )
 from .projector import full_circle_grid, half_circle_grid, moment_angle_grid, offset_grid
+
+#: The largest moment order K a run may ask for: above it the moment systems
+#: become too ill-conditioned for double precision to be trustworthy.
+MAX_MOMENT_ORDER = 12
 
 
 # ---- parsers of the tuple fields ------------------------------------------
@@ -195,8 +199,7 @@ class RunConfig:
     def make_mollifier(self) -> MollifierSpec | None:
         if self.mollifier is None:
             return None
-        # deconvolution needs the kernel's moments c_j up to order K
-        return make_kernel(self.mollifier.kernel, self.mollifier.epsilon, max(self.moments.K, 2))
+        return make_kernel(self.mollifier.kernel, self.mollifier.epsilon)
 
     def make_angle_grid(self) -> Grid1D:
         g = self.grids

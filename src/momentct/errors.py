@@ -18,7 +18,7 @@ class CapabilityError(ValueError):
 
 
 class MisuseError(ValueError):
-    """Operation applied to data of the wrong provenance."""
+    """Operation applied to data of the wrong kind (raw, smoothed or filtered)."""
 
 
 class DataQualityError(ValueError):

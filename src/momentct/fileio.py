@@ -48,7 +48,7 @@ import numpy as np
 from .density_recon import ReconGrid
 from .errors import FormatError
 from .mollifiers import make_kernel
-from .numerics import MAX_MOMENT_ORDER, Grid1D
+from .numerics import Grid1D
 from .phantoms import MomentTable
 from .projector import Sinogram
 
@@ -368,10 +368,10 @@ def read_sinogram(path) -> Sinogram:
 
     Raises FormatError on a malformed header, on kernel fields that do not
     come with mollified rows, or only with them, or that `make_kernel`
-    refuses, and on the rows as `_read_rows` says.  The kernel is built at
-    MAX_MOMENT_ORDER, the highest order a run fits; its c_j and samples do
-    not depend on that order.  NaN and inf values pass through unchecked;
-    the CLI rejects them after reading (`cli._require_finite`).
+    refuses, and on the rows as `_read_rows` says.  The kernel is rebuilt
+    from the recorded kind and width, which fix it.  NaN and inf values pass
+    through unchecked; the CLI rejects them after reading
+    (`cli._require_finite`).
     """
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
@@ -386,7 +386,7 @@ def read_sinogram(path) -> Sinogram:
         return Sinogram(angle_grid=recorded_grid(theta0, dtheta, n),
                         offset_grid=recorded_grid(p0, dp, m), values=values, kind=kind,
                         kernel=None if kernel is None else
-                        make_kernel(kernel, float(eps), MAX_MOMENT_ORDER))
+                        make_kernel(kernel, float(eps)))
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 

@@ -1,5 +1,5 @@
-"""Compactly supported smoothing kernels, their scaled families, signed
-moment sequences and Fourier transforms.
+"""Compactly supported smoothing kernels, each fixed by its kind and width,
+with their signed moment sequences and Fourier transforms on demand.
 
 Two kernel families ship: the standard bump exp(-1/(1-u^2)) and a truncated
 cosine (Hann) profile.  Both are smooth, nonnegative, even, unit-mass and
@@ -12,6 +12,7 @@ transform first crosses zero near eps * s = 4.97, the cosine near 6.28).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -46,25 +47,27 @@ def _cosine_profile(u: np.ndarray) -> np.ndarray:
 _PROFILES = {"bump": _bump_profile, "cosine": _cosine_profile}
 
 
+@functools.cache
+def _norm_const(kind: str) -> float:
+    """1 / mass of the unit-width profile: the normalizer of every width."""
+    nodes, weights = gauss_legendre(_KERNEL_NODES)
+    return 1.0 / float(np.sum(weights * _PROFILES[kind](nodes)))
+
+
 @dataclass(frozen=True)
 class MollifierSpec:
-    """A scaled kernel phi_eps(t) = phi(t/eps)/eps with unit mass.
-
-    `moments[j]` holds c_j, the integral of phi(u) (-u)^j du scaled by
-    eps^j; odd entries vanish by symmetry.  Construction checks that the
-    transform is strictly positive on the band |s| <= DEFAULT_OMEGA_BAND/eps
-    (257 points) and raises OmegaMembershipError otherwise; the transform
-    itself is evaluated on demand by `fourier_of_kernel`.
+    """A scaled kernel phi_eps(t) = phi(t/eps)/eps with unit mass, fixed by
+    its kind and width alone.  `make_kernel` checks that the transform is
+    strictly positive on the band |s| <= DEFAULT_OMEGA_BAND/eps (257 points)
+    and raises OmegaMembershipError otherwise; the moments c_j and the
+    transform are evaluated on demand (`kernel_moments`, `fourier_of_kernel`).
     """
 
     kind: str
     epsilon: float
-    max_order: int
-    norm_const: float
-    moments: tuple
 
 
-def make_kernel(kind: str, epsilon: float, max_order: int = 12) -> MollifierSpec:
+def make_kernel(kind: str, epsilon: float) -> MollifierSpec:
     if kind not in _PROFILES:
         raise ValueError(f"unknown kernel kind {kind!r}; have {sorted(_PROFILES)}")
     if not 0 < epsilon < math.inf:
@@ -73,36 +76,41 @@ def make_kernel(kind: str, epsilon: float, max_order: int = 12) -> MollifierSpec
     if not math.isfinite(s_max):
         raise ValueError(f"kernel width {epsilon} is too narrow: the band |s| <= "
                          f"{DEFAULT_OMEGA_BAND:g}/eps its transform is checked on overflows")
-    if max_order < 0:
-        raise ValueError("max moment order must be nonnegative")
-    nodes, weights = gauss_legendre(_KERNEL_NODES)
-    base = _PROFILES[kind](nodes)
-    norm_const = 1.0 / float(np.sum(weights * base))
-    # c_j(eps) = eps^j c_j(1), from the moments of the unit-width profile
-    moments = tuple(
-        epsilon**j * (norm_const * float(np.sum(weights * base * (-nodes) ** j)))
-        for j in range(max_order + 1)
-    )
-    spec = MollifierSpec(kind=kind, epsilon=epsilon, max_order=max_order,
-                         norm_const=norm_const, moments=moments)
+    spec = MollifierSpec(kind=kind, epsilon=epsilon)
     validate_omega_band(spec, s_max, 257)
     return spec
 
 
-def make_bump(epsilon: float, max_order: int = 12) -> MollifierSpec:
+def make_bump(epsilon: float) -> MollifierSpec:
     """Bump kernel exp(-1/(1-(t/eps)^2)), normalized to unit mass."""
-    return make_kernel("bump", epsilon, max_order)
+    return make_kernel("bump", epsilon)
 
 
-def make_cosine(epsilon: float, max_order: int = 12) -> MollifierSpec:
+def make_cosine(epsilon: float) -> MollifierSpec:
     """Truncated-cosine kernel (1 + cos(pi t/eps))/(2 eps)."""
-    return make_kernel("cosine", epsilon, max_order)
+    return make_kernel("cosine", epsilon)
+
+
+def kernel_moments(m: MollifierSpec, K: int) -> tuple:
+    """(c_0, ..., c_K), c_j the integral of phi_eps(t) (-t)^j dt; odd ones
+    vanish by symmetry.  Raises ValueError when eps^j overflows."""
+    nodes, weights = gauss_legendre(_KERNEL_NODES)
+    base = _PROFILES[m.kind](nodes)
+    try:
+        # c_j(eps) = eps^j c_j(1), from the moments of the unit-width profile
+        return tuple(
+            m.epsilon**j * (_norm_const(m.kind) * float(np.sum(weights * base * (-nodes) ** j)))
+            for j in range(K + 1)
+        )
+    except OverflowError:
+        raise ValueError(f"kernel width {m.epsilon} is too wide: its moments "
+                         f"eps^j c_j(1) up to order {K} overflow") from None
 
 
 def evaluate_kernel(m: MollifierSpec, t) -> np.ndarray:
     """Pointwise phi_eps(t); zero outside [-eps, eps]."""
     u = np.asarray(t, dtype=float) / m.epsilon
-    return m.norm_const * _PROFILES[m.kind](u) / m.epsilon
+    return _norm_const(m.kind) * _PROFILES[m.kind](u) / m.epsilon
 
 
 def fourier_of_kernel(m: MollifierSpec, s) -> np.ndarray:
@@ -113,7 +121,7 @@ def fourier_of_kernel(m: MollifierSpec, s) -> np.ndarray:
     """
     s = np.asarray(s, dtype=float)
     nodes, weights = gauss_legendre(_KERNEL_NODES)
-    base = m.norm_const * _PROFILES[m.kind](nodes)
+    base = _norm_const(m.kind) * _PROFILES[m.kind](nodes)
     # substitute t = eps * u: transform depends on s only through eps * s
     arg = np.multiply.outer(s * m.epsilon, nodes)
     vals = (weights * base * np.cos(arg)).sum(axis=-1) / SQRT_2PI

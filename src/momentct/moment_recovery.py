@@ -27,8 +27,8 @@ from .errors import (
     OrderError,
     SingularSystemError,
 )
-from .mollifiers import MollifierSpec
-from .numerics import MAX_MOMENT_ORDER, Grid1D
+from .mollifiers import MollifierSpec, kernel_moments
+from .numerics import Grid1D
 from .phantoms import SQRT2, MomentTable
 from .projector import Sinogram
 
@@ -39,18 +39,21 @@ _WINDOW_GUARD_CELLS = 2
 
 @dataclass(frozen=True)
 class AngularMomentSet:
-    """Offset moments b[i, k] of sinogram rows at the recorded angles."""
+    """Offset moments b[i, k] of sinogram rows at the recorded angles, of
+    orders k = 0..max_order; `kernel` is what smoothed the rows, None on
+    raw moments."""
 
     angles: np.ndarray
-    max_order: int
     values: np.ndarray  # shape (len(angles), max_order + 1)
-    provenance: str  # "raw" | "mollified"
+    kernel: MollifierSpec | None = None
 
     def __post_init__(self) -> None:
-        if self.provenance not in ("raw", "mollified"):
-            raise ValueError(f"bad provenance {self.provenance!r}")
-        if self.values.shape != (self.angles.size, self.max_order + 1):
-            raise ValueError("values shape does not match angles/max_order")
+        if self.values.ndim != 2 or len(self.values) != self.angles.size:
+            raise ValueError("values shape does not match the angles")
+
+    @property
+    def max_order(self) -> int:
+        return self.values.shape[1] - 1
 
 
 def assemble_moment_matrix(angles, k: int) -> np.ndarray:
@@ -71,15 +74,15 @@ def snap_rows(angle_grid: Grid1D, angles) -> np.ndarray:
     return idx
 
 
-def angular_moments(s: Sinogram, K: int, angles, *,
-                    support_pad: float = 0.0) -> AngularMomentSet:
+def angular_moments(s: Sinogram, K: int, angles) -> AngularMomentSet:
     """Trapezoid offset moments of the rows nearest the requested angles.
 
     Each requested angle is snapped to the nearest sampled angle (always
-    within half a grid cell); the returned set records the snapped values.
-    The integration runs over the offset range [-1 - pad, sqrt2 + pad] plus
-    a two-cell guard, which contains the (possibly kernel-widened) support
-    of any admissible density; cells beyond it carry no signal, only noise.
+    within half a grid cell); the returned set records the snapped values
+    and carries `s.kernel`.  The integration runs over the offset range
+    [-1 - eps, sqrt2 + eps] (eps the kernel's width, 0 on unsmoothed rows)
+    plus a two-cell guard, which contains the kernel-widened support of any
+    admissible density; cells beyond it carry no signal, only noise.
     """
     if K < 0:
         raise OrderError("moment order must be nonnegative")
@@ -91,7 +94,7 @@ def angular_moments(s: Sinogram, K: int, angles, *,
 
     ps = s.offset_grid.points()
     h = s.offset_grid.spacing
-    pad = support_pad + _WINDOW_GUARD_CELLS * h
+    pad = (s.kernel.epsilon if s.kernel else 0.0) + _WINDOW_GUARD_CELLS * h
     mask = (ps >= -1.0 - pad) & (ps <= SQRT2 + pad)
     pw = ps[mask]
     rows = s.values[idx][:, mask]
@@ -103,33 +106,23 @@ def angular_moments(s: Sinogram, K: int, angles, *,
     for k in range(K + 1):
         weighted = rows * powers[k]
         values[:, k] = h * (weighted.sum(axis=1) - 0.5 * (weighted[:, 0] + weighted[:, -1]))
-    provenance = "mollified" if s.kind == "mollified" else "raw"
-    return AngularMomentSet(angles=snapped, max_order=K, values=values,
-                            provenance=provenance)
+    return AngularMomentSet(angles=snapped, values=values, kernel=s.kernel)
 
 
-def _check_kernel_moments(m: MollifierSpec, K: int) -> None:
-    if m.max_order < K:
-        raise OrderError(
-            f"kernel moment sequence only reaches order {m.max_order}, need {K}"
-        )
-    if abs(m.moments[0] - 1.0) > 1e-8:
-        raise ValueError("kernel moment c_0 must equal 1 (unit mass)")
-
-
-def deconvolve_moments(hat: AngularMomentSet, m: MollifierSpec) -> AngularMomentSet:
-    """Exact inverse of the forward relation, by forward recursion in k."""
-    if hat.provenance != "mollified":
-        raise MisuseError("deconvolution expects mollified-provenance moments")
-    _check_kernel_moments(m, hat.max_order)
+def deconvolve_moments(hat: AngularMomentSet) -> AngularMomentSet:
+    """Exact inverse of the forward relation in the moments c_j of the
+    set's kernel, by forward recursion in k; the result is raw."""
+    if hat.kernel is None:
+        raise MisuseError("deconvolution expects moments of smoothed rows")
+    c = kernel_moments(hat.kernel, hat.max_order)
     bhat = hat.values
     b = np.empty_like(bhat)
     for k in range(hat.max_order + 1):
         acc = bhat[:, k].copy()
         for j in range(1, k + 1):
-            acc -= math.comb(k, j) * m.moments[j] * b[:, k - j]
-        b[:, k] = acc / m.moments[0]
-    return AngularMomentSet(hat.angles, hat.max_order, b, "raw")
+            acc -= math.comb(k, j) * c[j] * b[:, k - j]
+        b[:, k] = acc / c[0]
+    return AngularMomentSet(hat.angles, b)
 
 
 def solve_moment_system(ams: AngularMomentSet, k: int, *,
@@ -139,12 +132,12 @@ def solve_moment_system(ams: AngularMomentSet, k: int, *,
     Fits assemble_moment_matrix(ams.angles, k) x = ams.values[:, k] over
     every angle of the set by least squares, with each column scaled to
     unit 2-norm.  With k+1 angles this is the square system; more angles
-    overdetermine it; k is capped only by the set (`recover_moment_table`
-    caps K).  When `conditions` is given, (k, condition of the scaled
+    overdetermine it; k is capped only by the set (`RunConfig.validate`
+    caps a run's K).  When `conditions` is given, (k, condition of the scaled
     matrix) is appended to it; warns when that condition exceeds 1e12.
     """
-    if ams.provenance != "raw":
-        raise MisuseError("moment systems require raw-provenance angular moments")
+    if ams.kernel is not None:
+        raise MisuseError("moment systems require raw angular moments; deconvolve first")
     if k > ams.max_order:
         raise OrderError(f"order {k} beyond the measured maximum {ams.max_order}")
     distinct = np.unique(ams.angles).size
@@ -181,25 +174,22 @@ def solve_angles(angle_grid: Grid1D, K: int) -> np.ndarray:
 
 
 def recover_moment_table(s: Sinogram, K: int, *,
-                         max_order: int = MAX_MOMENT_ORDER,
                          diagnostics: dict | None = None) -> MomentTable:
     """Full pipeline: offset moments -> (deconvolution) -> per-order fits.
 
     Each order is fitted over the rows `solve_angles` selects.  Mollified
-    rows are deconvolved with `s.kernel`.  K above `max_order` raises
-    OrderError.  When a `diagnostics` dict is given it receives, per order,
-    the condition of the scaled matrix that order's fit solved.
+    rows are deconvolved with `s.kernel`.  K is not capped here; a run's
+    config caps it (`RunConfig.validate`).  When a `diagnostics` dict is
+    given it receives, per order, the condition of the scaled matrix that
+    order's fit solved.
     """
-    if K > max_order:
-        raise OrderError(f"K={K} exceeds the maximum order {max_order}")
     if s.kind == "filtered":
         raise MisuseError("a filtered sinogram cannot be inverted again")
 
     th = solve_angles(s.angle_grid, K)
-    pad = s.kernel.epsilon if s.kernel is not None else 0.0
-    ams = angular_moments(s, K, th, support_pad=pad)
-    if s.kernel is not None:
-        ams = deconvolve_moments(ams, s.kernel)
+    ams = angular_moments(s, K, th)
+    if ams.kernel is not None:
+        ams = deconvolve_moments(ams)
 
     b0 = ams.values[:, 0]
     scale = float(np.median(np.abs(b0)))

@@ -1,6 +1,6 @@
-"""Shared numerical building blocks: the uniform sampling grid, the
-moment-order cap, a domain-checked log-Gamma and the Gauss-Legendre rules.
-Nothing in here holds state but the cache of read-only rules.
+"""Shared numerical building blocks: the uniform sampling grid, a
+domain-checked log-Gamma and the Gauss-Legendre rules.  Nothing in here
+holds state but the cache of read-only rules.
 """
 
 from __future__ import annotations
@@ -10,11 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-#: The largest moment order K a run may ask for: above it the moment systems
-#: become too ill-conditioned for double precision to be trustworthy.
-MAX_MOMENT_ORDER = 12
-
 
 @dataclass(frozen=True)
 class Grid1D:

@@ -20,8 +20,8 @@ import math
 import numpy as np
 
 from momentct.errors import MisuseError, OrderError
-from momentct.mollifiers import SQRT_2PI, MollifierSpec
-from momentct.moment_recovery import AngularMomentSet, _check_kernel_moments
+from momentct.mollifiers import SQRT_2PI, MollifierSpec, kernel_moments
+from momentct.moment_recovery import AngularMomentSet
 from momentct.phantoms import Density, MomentTable
 from momentct.projector import Sinogram
 
@@ -46,17 +46,18 @@ def vandermonde_det_formula(angles, k: int) -> float:
 
 
 def convolve_moments(ams: AngularMomentSet, m: MollifierSpec) -> AngularMomentSet:
-    """Forward triangular relation: bhat[k] = sum_j C(k,j) c_j b[k-j]."""
-    if ams.provenance != "raw":
-        raise MisuseError("forward relation expects raw-provenance moments")
-    _check_kernel_moments(m, ams.max_order)
+    """Forward triangular relation: bhat[k] = sum_j C(k,j) c_j b[k-j], for
+    the kernel m; the result carries m."""
+    if ams.kernel is not None:
+        raise MisuseError("forward relation expects raw moments")
+    c = kernel_moments(m, ams.max_order)
     b = ams.values
     bhat = np.empty_like(b)
     for k in range(ams.max_order + 1):
         bhat[:, k] = sum(
-            math.comb(k, j) * m.moments[j] * b[:, k - j] for j in range(k + 1)
+            math.comb(k, j) * c[j] * b[:, k - j] for j in range(k + 1)
         )
-    return AngularMomentSet(ams.angles, ams.max_order, bhat, "mollified")
+    return AngularMomentSet(ams.angles, bhat, m)
 
 
 def synthesize_angular_moments(table: MomentTable, angles, K: int) -> np.ndarray:

@@ -93,21 +93,21 @@ def test_c01_moment_recovery_exactness():
 
 def test_c02_deconvolution_is_algebraic_inverse():
     rng = np.random.default_rng(20240811)
-    kernel = make_bump(0.1, 8)
+    kernel = make_bump(0.1)
     worst = 0.0
     for _ in range(50):
         K = int(rng.integers(1, 9))
         angles = np.sort(rng.uniform(0.1, math.pi - 0.1, K + 1))
         values = rng.uniform(-3.0, 3.0, size=(K + 1, K + 1))
-        ams = AngularMomentSet(angles, K, values, "raw")
-        back = deconvolve_moments(convolve_moments(ams, kernel), kernel)
+        ams = AngularMomentSet(angles, values)
+        back = deconvolve_moments(convolve_moments(ams, kernel))
         worst = max(worst, float(np.max(np.abs(back.values - values))))
     report(2, worst <= 1e-12, f"roundtrip error {worst:.2e} (tol 1e-12)")
 
 
 def test_c03_end_to_end_mollified_pipeline():
     t0 = time.time()
-    kernel = make_bump(0.05, 4)
+    kernel = make_bump(0.05)
     sino = project(UNIFORM, moment_angle_grid(256), offset_grid(1024))
 
     table = recover_moment_table(mollify(sino, kernel), 4)
@@ -128,7 +128,7 @@ def test_c03_end_to_end_mollified_pipeline():
 
 
 def test_c04_l1_norm_bounds():
-    kernel = make_bump(0.05, 2)
+    kernel = make_bump(0.05)
     worst_ratio = 0.0
     for density in (UNIFORM, POLY, DISK, TWO_DISKS):
         sino = project(density, full_circle_grid(64), offset_grid(513))
@@ -158,7 +158,7 @@ def test_c05_evenness_and_homogeneity():
 
 
 def test_c06_convolution_theorem():
-    kernel = make_bump(0.05, 4)
+    kernel = make_bump(0.05)
     sino = project(DISK, moment_angle_grid(16), offset_grid(1025))
     mol = mollify(sino, kernel)
     h = sino.offset_grid.spacing
@@ -215,9 +215,9 @@ def test_c09_convergence_with_recovered_moments():
         sino = project(density, moment_angle_grid(256), offset_grid(2049))
         errors = []
         for m in kernel_orders:
-            kernel = make_bump(1.0 / m, 2 * m)
+            kernel = make_bump(1.0 / m)
             table = recover_moment_table(
-                mollify(sino, kernel), 2 * m, max_order=2 * m
+                mollify(sino, kernel), 2 * m
             )
             errors.append(sup_error(reconstruct_grid(table, m, m, 16), density))
         for prev, nxt in zip(errors, errors[1:]):
@@ -235,7 +235,7 @@ def test_c10_fbp_paths():
     truth = np.asarray(DISK.evaluate(xx, yy))
     rel_raw = float(np.linalg.norm(rec_raw.values - truth) / np.linalg.norm(truth))
 
-    kernel = make_bump(0.02, 2)
+    kernel = make_bump(0.02)
     rec_mod = fbp_reconstruct(mollify(sino, kernel), 128)
     rel_paths = float(
         np.linalg.norm(rec_mod.values - rec_raw.values) / np.linalg.norm(rec_raw.values)

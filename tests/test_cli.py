@@ -196,8 +196,10 @@ class TestErrorContracts:
           for eps in ("-0.05", "nan", "inf")],
         (r"epsilon=\S+", "epsilon=1e-320", "kernel width 1e-320 is too narrow"),
         (r"epsilon=\S+", "epsilon=5", "kernel wider than the offset grid"),
+        # eps^2 overflows a double; the grid rule refuses the width first
+        (r"epsilon=\S+", "epsilon=1e30", "kernel wider than the offset grid"),
     ], ids=["mollified-without", "raw-with", "gauss", "negative", "nan", "inf", "subnormal",
-            "wider-than-the-grid"])
+            "wider-than-the-grid", "moments-overflow"])
     @pytest.mark.parametrize("command", ["moments", "reconstruct"])
     def test_bad_kernel_header_exits_2_before_any_artifact(
             self, tmp_path, capsys, command, pattern, text, message):
@@ -455,6 +457,22 @@ class TestErrorContracts:
         assert main(["pipeline", "-c", str(cfg)]) == 2
         assert "kernel width 1e-320 is too narrow" in capsys.readouterr().err
         assert not (tmp_path / "run_out").exists()
+
+    def test_kernel_whose_moments_overflow_exits_2_before_any_artifact(self, tmp_path, capsys):
+        # eps^2 overflows a double; the grid rule refuses the width first
+        cfg = write_config(tmp_path, text=MINI_CONFIG.replace("epsilon = 0.08", "epsilon = 1e155"))
+        assert main(["pipeline", "-c", str(cfg)]) == 2
+        assert "kernel wider than the offset grid" in capsys.readouterr().err
+        assert not (tmp_path / "run_out").exists()
+
+    def test_kernel_whose_moments_overflow_on_a_wide_grid_exits_2(self, tmp_path, capsys):
+        # the kernel fits this grid, so only the deconvolution's eps^2 refuses it
+        text = MINI_CONFIG.replace("epsilon = 0.08", "epsilon = 1e299") \
+            .replace("margin = 1.1", "margin = 1e300")
+        cfg = write_config(tmp_path, text=text)
+        assert main(["pipeline", "-c", str(cfg)]) == 2
+        assert "kernel width 1e+299 is too wide" in capsys.readouterr().err
+        assert not (tmp_path / "run_out" / "moments.csv").exists()
 
     def test_non_finite_sinogram_writes_no_artifact(self, tmp_path, capsys, monkeypatch):
         # whatever makes the rows non-finite, sinogram.pgm refuses them first

@@ -250,11 +250,6 @@ class TestOrderCaps:
         with pytest.raises(StabilityError, match=r"exceed the stability cap 40$"):
             RunConfig(recon=ReconConfig(m=m, n=n)).validate()
 
-    def test_kernel_moments_reach_order_k(self):
-        for K in (0, 1, 2, 5, 12):
-            cfg = RunConfig(mollifier=MollifierConfig(), moments=MomentConfig(K=K))
-            assert cfg.make_mollifier().max_order == max(K, 2)
-
 
 def benchmark_inis():
     """The INI text of every benchmark workload at seeds 1 and 2."""

@@ -255,14 +255,15 @@ class TestConvergence:
     def test_smoothed_moments_match_triangular_relation(self):
         # consistency: the radial-kernel moment table reproduces the
         # offset-moment coupling used by the deconvolution stage
-        from momentct.mollifiers import make_bump
+        from momentct.mollifiers import kernel_moments, make_bump
         from oracles import convolve_moments, synthesize_angular_moments
         from test_moment_recovery import raw_moment_set
 
         eps, K = 0.1, 4
-        kernel = make_bump(eps, K)
+        kernel = make_bump(eps)
         ams = raw_moment_set(POLY, [0.5, 1.1, 1.7, 2.3, 2.9], K)
         bhat = convolve_moments(ams, kernel)
+        c = kernel_moments(kernel, K)
 
         gam = {}
         for a in range(K + 1):
@@ -271,7 +272,7 @@ class TestConvergence:
                 for i in range(0, a + 1, 2):
                     for l in range(0, b + 1, 2):
                         k = i + l
-                        mu = kernel.moments[k] * math.comb(k // 2, i // 2) / math.comb(k, i)
+                        mu = c[k] * math.comb(k // 2, i // 2) / math.comb(k, i)
                         total += math.comb(a, i) * math.comb(b, l) * mu \
                             * POLY.moment(a - i, b - l)
                 gam[(a, b)] = total

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from momentct.config import MomentConfig, RunConfig
 from momentct.errors import MisuseError, OrderError
-from momentct.mollifiers import make_bump, make_cosine
+from momentct.mollifiers import kernel_moments, make_bump, make_cosine
 from momentct.moment_recovery import (
     AngularMomentSet,
     angular_moments,
@@ -35,7 +36,7 @@ def raw_moment_set(density, angles, K):
     """Oracle-grade angular moment set built from closed forms."""
     th = np.asarray(angles, dtype=float)
     values = np.array([[exact_b(density, t, k) for k in range(K + 1)] for t in th])
-    return AngularMomentSet(angles=th, max_order=K, values=values, provenance="raw")
+    return AngularMomentSet(angles=th, values=values)
 
 
 def analytic_uniform_sinogram(angle_grid, offsets):
@@ -79,27 +80,28 @@ class TestAngularMoments:
 
     def test_provenance_tagging(self):
         s = Sinogram(moment_angle_grid(16), offset_grid(129), np.zeros((16, 129)), "raw")
-        assert angular_moments(s, 1, [0.5, 1.0]).provenance == "raw"
+        assert angular_moments(s, 1, [0.5, 1.0]).kernel is None
+        m = make_bump(0.05)
         mol = Sinogram(moment_angle_grid(16), offset_grid(129),
-                       np.zeros((16, 129)), "mollified", make_bump(0.05, 4))
-        assert angular_moments(mol, 1, [0.5, 1.0]).provenance == "mollified"
+                       np.zeros((16, 129)), "mollified", m)
+        assert angular_moments(mol, 1, [0.5, 1.0]).kernel is m
 
 
 class TestDeconvolution:
     def test_order_zero_passthrough(self):
-        m = make_bump(0.1, 4)
+        m = make_bump(0.1)
         ams = raw_moment_set(UNIFORM, [0.5, 1.1, 1.9, 2.4, 2.9], 0)
         hat = convolve_moments(ams, m)
         assert np.allclose(hat.values, ams.values, atol=1e-15)
 
     def test_order_two_single_correction(self):
-        m = make_bump(0.1, 4)
+        m = make_bump(0.1)
         ams = raw_moment_set(UNIFORM, [0.9, 1.7], 2)
         hat = convolve_moments(ams, m)
-        c2 = m.moments[2]
+        c2 = kernel_moments(m, 2)[2]
         expected = ams.values[:, 2] + c2 * ams.values[:, 0]
         assert np.allclose(hat.values[:, 2], expected, atol=1e-15)
-        back = deconvolve_moments(hat, m)
+        back = deconvolve_moments(hat)
         assert np.allclose(back.values, ams.values, atol=1e-13)
 
     @settings(deadline=None, max_examples=40)
@@ -108,26 +110,20 @@ class TestDeconvolution:
         rng = np.random.default_rng(seed)
         angles = np.sort(rng.uniform(0.1, math.pi - 0.1, K + 1))
         values = rng.uniform(-2.0, 2.0, size=(K + 1, K + 1))
-        ams = AngularMomentSet(angles, K, values, "raw")
+        ams = AngularMomentSet(angles, values)
         # random symmetric unit-mass moment sequence
-        m = make_bump(float(rng.uniform(0.02, 0.5)), K)
-        back = deconvolve_moments(convolve_moments(ams, m), m)
+        m = make_bump(float(rng.uniform(0.02, 0.5)))
+        back = deconvolve_moments(convolve_moments(ams, m))
         assert np.max(np.abs(back.values - values)) <= 1e-12
 
     def test_provenance_guards(self):
-        m = make_bump(0.1, 2)
+        m = make_bump(0.1)
         ams = raw_moment_set(UNIFORM, [0.5, 1.5], 1)
         with pytest.raises(MisuseError):
-            deconvolve_moments(ams, m)
+            deconvolve_moments(ams)
         hat = convolve_moments(ams, m)
         with pytest.raises(MisuseError):
             convolve_moments(hat, m)
-
-    def test_kernel_order_guard(self):
-        m = make_bump(0.1, 2)
-        ams = raw_moment_set(UNIFORM, list(np.linspace(0.3, 2.8, 6)), 5)
-        with pytest.raises(OrderError):
-            convolve_moments(ams, m)
 
 
 class TestSolve:
@@ -166,7 +162,7 @@ class TestSolve:
             assert np.max(np.abs(x - expected)) <= 1e-12
 
     def test_requires_raw_provenance(self):
-        m = make_bump(0.1, 3)
+        m = make_bump(0.1)
         hat = convolve_moments(raw_moment_set(UNIFORM, [0.3, 1.0, 2.0, 2.8], 3), m)
         with pytest.raises(MisuseError):
             solve_moment_system(hat, 1)
@@ -205,13 +201,13 @@ class TestRecoverTable:
             assert v == pytest.approx(1.0 / ((a + 1) * (b + 1)), abs=1e-5)
 
     def test_uniform_mollified_recovery(self, uniform_sino):
-        m = make_bump(0.05, 4)
+        m = make_bump(0.05)
         table = recover_moment_table(mollify(uniform_sino, m), 4)
         for (a, b), v in table.values.items():
             assert v == pytest.approx(1.0 / ((a + 1) * (b + 1)), abs=1e-4)
 
     def test_cosine_kernel_cross_check(self, uniform_sino):
-        m = make_cosine(0.05, 4)
+        m = make_cosine(0.05)
         table = recover_moment_table(mollify(uniform_sino, m), 4)
         for (a, b), v in table.values.items():
             assert v == pytest.approx(1.0 / ((a + 1) * (b + 1)), abs=1e-4)
@@ -228,12 +224,13 @@ class TestRecoverTable:
             recover_moment_table(filtered, 2)
 
     def test_order_cap(self, uniform_sino):
+        # the one cap on K is the run config's; the recovery fits any order
+        # the rows support, as convergence runs at K = 2m need
         with pytest.raises(OrderError):
-            recover_moment_table(uniform_sino, 14)
+            RunConfig(moments=MomentConfig(K=14)).validate()
         with pytest.raises(OrderError):
-            recover_moment_table(uniform_sino, 13)
-        with pytest.raises(OrderError):
-            recover_moment_table(uniform_sino, 3, max_order=2)
+            RunConfig(moments=MomentConfig(K=13)).validate()
+        assert recover_moment_table(uniform_sino, 13).max_order == 13
 
     def test_range_identity_at_held_out_angles(self, uniform_sino):
         table = recover_moment_table(uniform_sino, 4)

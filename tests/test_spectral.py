@@ -120,7 +120,7 @@ class TestApplyFilter:
             assert abs(gain) <= 1e-12 * omega
 
     def test_modified_cancels_smoothing_in_band(self):
-        m = make_bump(0.05, 4)
+        m = make_bump(0.05)
         s = project(DISK, half_circle_grid(8), offset_grid(512))
         raw_filtered = apply_filter(s)
         mod_filtered = apply_filter(mollify(s, m))
@@ -145,7 +145,7 @@ class TestApplyFilter:
                 inverse(filtered)  # an inverse's output
 
     def test_grid_kernel_transform_dc(self):
-        m = make_bump(0.05, 4)
+        m = make_bump(0.05)
         t = grid_kernel_transform(m, 0.005, 256)
         assert t[0] == pytest.approx(1.0, abs=1e-14)
 
