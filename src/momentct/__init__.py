@@ -3,7 +3,6 @@ from (noisy, kernel-smoothed) line-integral data, with an independent
 Fourier-domain inversion path for cross-validation."""
 
 from .density_recon import (
-    BoundInputs,
     ReconGrid,
     minimized_sup_error_bound,
     moment_approximation,

@@ -3,9 +3,10 @@
 Subcommands mirror the reconstruction procedure: `project` simulates the
 measured data, `moments` recovers the moment table, `reconstruct` produces
 density images (from moments and/or by filtered backprojection), `pipeline`
-runs all three in one process, and `selftest` executes the acceptance
-suite.  Only `project` and `pipeline` read `[mollifier]`; the inverses
-take the kernel that a smoothed `sinogram.csv` records.
+computes all three in one process before it writes anything, and
+`selftest` executes the acceptance suite.  Only `project` and `pipeline`
+read `[mollifier]`; the inverses take the kernel that a smoothed
+`sinogram.csv` records.
 
 Exit codes: 0 success, 2 invalid configuration/input, 3 coverage error,
 4 singular system, 5 insufficient moment order or stability cap.
@@ -25,7 +26,6 @@ from . import fileio
 from .config import RunConfig, load_config
 from .density_recon import (
     ReconGrid,
-    check_orders,
     minimized_sup_error_bound,
     reconstruct_grid,
     relative_l2_error,
@@ -40,7 +40,7 @@ from .errors import (
     StabilityError,
 )
 from .mollifiers import MollifierSpec
-from .moment_recovery import recover_moment_table, solve_angles
+from .moment_recovery import recover_moment_table
 from .phantoms import Density, MomentTable
 from .projector import (
     Sinogram,
@@ -70,28 +70,31 @@ def _outdir(cfg: RunConfig) -> Path:
     return Path(cfg.output.directory)
 
 
-def _project(cfg: RunConfig, density: Density, kernel: MollifierSpec | None) -> Sinogram:
-    """Simulate the data of the phantom, smoothed by the kernel when there
-    is one, write its artifacts, and return the sinogram as `sinogram.csv`
-    records it."""
-    out = _outdir(cfg)
-    angles = cfg.make_angle_grid()
-    offsets = cfg.make_offset_grid()
-    sino = project(density, angles, offsets)
+def _simulate(cfg: RunConfig, density: Density, kernel: MollifierSpec | None) -> Sinogram:
+    """The phantom's data on the config's grids, with noise when sigma > 0,
+    smoothed by the kernel when there is one."""
+    sino = project(density, cfg.make_angle_grid(), cfg.make_offset_grid())
     if cfg.noise.sigma > 0:
         sino = add_noise(sino, cfg.noise.sigma, cfg.noise.seed)
     if kernel is not None:
         sino = mollify(sino, kernel)
+    return sino
+
+
+def _write_projection(cfg: RunConfig, sino: Sinogram, density: Density) -> None:
+    """Write the sinogram and phantom artifacts and print the data checks."""
+    out = _outdir(cfg)
     # the PGM first: `write_pgm` refuses a non-finite sinogram before any
     # artifact exists
     fileio.write_pgm(sino.values, out / "sinogram.pgm")
     path = out / "sinogram.csv"
-    stored = fileio.write_sinogram(sino, path)
+    fileio.write_sinogram(sino, path)
     n = cfg.recon.resolution
     xs = (np.arange(n) + 0.5) / n
     xx, yy = np.meshgrid(xs, xs, indexing="ij")
     fileio.write_pgm(np.asarray(density.evaluate(xx, yy), dtype=float),
                      out / "phantom.pgm")
+    angles, offsets = sino.angle_grid, sino.offset_grid
     # the angular span l1_norm integrates over: the whole turn on full-turn
     # grids (periodic closure), the sampled span otherwise
     full = angle_coverage(angles) == "full"
@@ -103,44 +106,46 @@ def _project(cfg: RunConfig, density: Density, kernel: MollifierSpec | None) -> 
         print(f"evenness residual: {evenness_residual(sino):.3e}")
     else:
         print("evenness residual: n/a (needs a full-turn angle grid)")
-    return stored
 
 
 def cmd_project(cfg: RunConfig) -> int:
-    _project(cfg, cfg.make_density(), cfg.make_mollifier())
+    density = cfg.make_density()
+    _write_projection(cfg, _simulate(cfg, density, cfg.make_mollifier()), density)
     return 0
 
 
-def _require_finite(values, path) -> None:
+def _require_finite(values, message: str) -> None:
+    """Refuse NaN and inf: in a file read, or in a result not yet written."""
     if not np.all(np.isfinite(values)):
-        raise FormatError(f"{path}: non-finite values in the input")
+        raise ValueError(message)
 
 
 def _read_sinogram(path: Path) -> Sinogram:
     sino = fileio.read_sinogram(path)
-    _require_finite(sino.values, path)
+    _require_finite(sino.values, f"{path}: non-finite values in the input")
     return sino
 
 
 def _read_moments(path: Path) -> MomentTable:
     table = fileio.read_moments(path)
-    _require_finite(list(table.values.values()), path)
+    _require_finite(list(table.values.values()), f"{path}: non-finite values in the input")
     return table
 
 
-def _moments(cfg: RunConfig, sino: Sinogram) -> MomentTable:
-    diagnostics: dict = {}
-    table = recover_moment_table(sino, cfg.moments.K, diagnostics=diagnostics)
+def _write_moments(cfg: RunConfig, table: MomentTable, diagnostics: dict) -> None:
+    """Write the moment table and print each order's condition estimate."""
     path = _outdir(cfg) / "moments.csv"
     fileio.write_moments(table, path)
     print(f"moments: {path} K={table.max_order}")
     for k, cond in diagnostics["conditions"]:
         print(f"order {k}: condition estimate {cond:.3e}")
-    return table
 
 
 def cmd_moments(cfg: RunConfig, sino_path: Path) -> int:
-    _moments(cfg, _read_sinogram(sino_path))
+    diagnostics: dict = {}
+    table = recover_moment_table(_read_sinogram(sino_path), cfg.moments.K,
+                                 diagnostics=diagnostics)
+    _write_moments(cfg, table, diagnostics)
     return 0
 
 
@@ -155,8 +160,8 @@ def _write_image(rec: ReconGrid, stem: Path) -> None:
     fileio.write_recon_csv(rec, stem.with_suffix(".csv"))
 
 
-def _reconstruct_moments(cfg: RunConfig, table: MomentTable, density: Density) -> None:
-    rec = reconstruct_grid(table, cfg.recon.m, cfg.recon.n, cfg.recon.resolution)
+def _write_moment_image(cfg: RunConfig, rec: ReconGrid, density: Density) -> None:
+    """Write the moment image and print its error against the phantom."""
     out = _outdir(cfg)
     _write_image(rec, out / "recon_moments")
     err = sup_error(rec, density)
@@ -172,11 +177,13 @@ def _reconstruct_moments(cfg: RunConfig, table: MomentTable, density: Density) -
         print("sup error bound: n/a (phantom not uniformly continuous)")
 
 
-def _reconstruct_fbp(cfg: RunConfig, sino: Sinogram, density: Density) -> None:
-    rec = fbp_reconstruct(sino, cfg.recon.resolution)
+def _write_fbp_image(cfg: RunConfig, rec: ReconGrid, kernel: MollifierSpec | None,
+                     density: Density) -> None:
+    """Write the FBP image of rows smoothed by `kernel` (None: raw rows)
+    and print its error against the phantom."""
     out = _outdir(cfg)
     _write_image(rec, out / "recon_fbp")
-    label = "riesz" if sino.kernel is None else "modified_riesz"
+    label = "riesz" if kernel is None else "modified_riesz"
     print(f"fbp reconstruction: {out / 'recon_fbp.csv'} "
           f"filter={label} N={cfg.recon.resolution}")
     print(f"relative l2 error vs phantom: {relative_l2_error(rec, density):.6f}")
@@ -185,45 +192,50 @@ def _reconstruct_fbp(cfg: RunConfig, sino: Sinogram, density: Density) -> None:
 def cmd_reconstruct(cfg: RunConfig, input_path: Path) -> int:
     with open(input_path) as fh:
         head = fh.readline()
+    r = cfg.recon
     if head.startswith("# moments"):
-        _reconstruct_moments(cfg, _read_moments(input_path), cfg.make_density())
+        table, density = _read_moments(input_path), cfg.make_density()
+        _write_moment_image(cfg, reconstruct_grid(table, r.m, r.n, r.resolution), density)
     elif head.startswith("# sinogram"):
-        _reconstruct_fbp(cfg, _read_sinogram(input_path), cfg.make_density())
+        sino, density = _read_sinogram(input_path), cfg.make_density()
+        _write_fbp_image(cfg, fbp_reconstruct(sino, r.resolution), sino.kernel, density)
     else:
         raise FormatError(f"unrecognized input header: {head.strip()!r}")
     return 0
 
 
-def _check_pipeline(cfg: RunConfig) -> None:
-    """Raise before any artifact what a later stage would raise on the config
-    alone: too few rows for K (exit 2), K < m + n (exit 5).  The subcommands
-    read files whose grid and K the config does not decide."""
-    angles = cfg.make_angle_grid()
-    # the moment stage fits the rows of the grid as sinogram.csv records it
-    solve_angles(fileio.recorded_grid(angles.start, angles.spacing, angles.count),
-                 cfg.moments.K)
-    if cfg.recon.method in ("moments", "both"):
-        check_orders(cfg.moments.K, cfg.recon.m, cfg.recon.n)
-
-
 def cmd_pipeline(cfg: RunConfig) -> int:
-    """The three stages in one process.  The sinogram (with its kernel) and
-    the moment table pass between stages in memory, exactly as their files
-    record them, so nothing written is parsed back; the phantom is built
-    once and shared by the stages."""
-    _check_pipeline(cfg)
-    out = _outdir(cfg)
-    print("== project ==")
+    """The three stages in one process, all computed before anything is
+    written, so a run that any stage refuses leaves no artifact.  The later
+    stages run on the sinogram as `sinogram.csv` records it, kernel
+    included, and on the moment table as computed, so nothing written is
+    parsed back; the phantom is built once and shared by the stages."""
     density = cfg.make_density()
-    sino = _project(cfg, density, cfg.make_mollifier())
+    sino = _simulate(cfg, density, cfg.make_mollifier())
+    _require_finite(sino.values, "the computed sinogram has non-finite values")
+    stored = fileio.recorded(sino)
+    diagnostics: dict = {}
+    table = recover_moment_table(stored, cfg.moments.K, diagnostics=diagnostics)
+    _require_finite(list(table.values.values()),
+                    "the computed moment table has non-finite values")
+    r = cfg.recon
+    moment_image = fbp_image = None
+    if r.method in ("moments", "both"):
+        moment_image = reconstruct_grid(table, r.m, r.n, r.resolution)
+        _require_finite(moment_image.values, "the computed moment image has non-finite values")
+    if r.method in ("fbp", "both"):
+        fbp_image = fbp_reconstruct(stored, r.resolution)
+        _require_finite(fbp_image.values, "the computed FBP image has non-finite values")
+
+    print("== project ==")
+    _write_projection(cfg, sino, density)
     print("== moments ==")
-    table = _moments(cfg, sino)
+    _write_moments(cfg, table, diagnostics)
     print("== reconstruct ==")
-    if cfg.recon.method in ("moments", "both"):
-        _require_finite(list(table.values.values()), out / "moments.csv")
-        _reconstruct_moments(cfg, table, density)
-    if cfg.recon.method in ("fbp", "both"):
-        _reconstruct_fbp(cfg, sino, density)
+    if moment_image is not None:
+        _write_moment_image(cfg, moment_image, density)
+    if fbp_image is not None:
+        _write_fbp_image(cfg, fbp_image, stored.kernel, density)
     return 0
 
 

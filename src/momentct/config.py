@@ -30,6 +30,12 @@ from .projector import full_circle_grid, half_circle_grid, moment_angle_grid, of
 #: become too ill-conditioned for double precision to be trustworthy.
 MAX_MOMENT_ORDER = 12
 
+#: The values each enumerated key allows.
+PHANTOM_KINDS = ("uniform", "polynomial", "disks")   # [phantom] kind
+KERNELS = ("bump", "cosine")                         # [mollifier] kernel
+ANGLE_COVERS = ("moment", "half", "full")            # [grids] angle_cover
+RECON_METHODS = ("moments", "fbp", "both")           # [recon] method
+
 
 # ---- parsers of the tuple fields ------------------------------------------
 
@@ -136,8 +142,11 @@ class RunConfig:
                 if not all(math.isfinite(x) for x in _floats(value)):
                     raise ConfigError(f"[{section.name}] {f.name} must be finite, got {value}")
         p = self.phantom
-        if p.kind not in ("uniform", "polynomial", "disks"):
+        if p.kind not in PHANTOM_KINDS:
             raise ConfigError(f"unknown phantom kind {p.kind!r}")
+        for i, j, c in p.coeffs:
+            if i < 0 or j < 0:
+                raise ConfigError(f"[phantom] coeffs term '{i},{j}:{c}' has a negative exponent")
         if p.kind == "polynomial" and not p.coeffs:
             raise ConfigError("polynomial phantom needs coeffs")
         if p.kind == "disks":
@@ -150,7 +159,7 @@ class RunConfig:
                                       f"nonzero area pi r^2, got {r}")
         if self.mollifier is not None:
             mc = self.mollifier
-            if mc.kernel not in ("bump", "cosine"):
+            if mc.kernel not in KERNELS:
                 raise ConfigError(f"unknown kernel {mc.kernel!r}")
             if mc.epsilon <= 0:
                 raise ConfigError("mollifier epsilon must be positive")
@@ -161,7 +170,7 @@ class RunConfig:
         g = self.grids
         if g.angles < 2 or g.offsets < 2:
             raise ConfigError("grids need at least 2 angles and 2 offsets")
-        if g.angle_cover not in ("moment", "half", "full"):
+        if g.angle_cover not in ANGLE_COVERS:
             raise ConfigError(f"unknown angle cover {g.angle_cover!r}")
         if g.margin < 1.0:
             raise CoverageError(f"offset margin must be >= 1, got {g.margin}")
@@ -171,7 +180,7 @@ class RunConfig:
         if mo.K > MAX_MOMENT_ORDER:
             raise OrderError(f"moment order K={mo.K} exceeds the cap {MAX_MOMENT_ORDER}")
         r = self.recon
-        if r.method not in ("moments", "fbp", "both"):
+        if r.method not in RECON_METHODS:
             raise ConfigError(f"unknown recon method {r.method!r}")
         if r.m < 1 or r.n < 1 or r.resolution < 1:
             raise ConfigError("recon orders and resolution must be positive")

@@ -50,39 +50,26 @@ class ReconGrid:
         return np.meshgrid(xs, xs, indexing="ij")
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """Inputs of the uniform-approximation error bound."""
-
-    sup_norm: float
-    modulus: float
-    delta: float
-    m: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.sup_norm < 0 or self.modulus < 0:
-            raise ValueError("sup_norm and modulus must be nonnegative")
-        if self.m < 1 or self.n < 1:
-            raise ValueError("orders must be positive")
-
-
-def sup_error_bound(b: BoundInputs) -> float:
+def sup_error_bound(sup_norm: float, modulus: float, delta: float, m: int, n: int) -> float:
     """modulus + 4||f|| / (delta^2 (min(m,n)+2)) + 2||f|| / (delta^4 (m+2)(n+2))."""
-    alpha_star = min(b.m, b.n)
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    if sup_norm < 0 or modulus < 0:
+        raise ValueError("sup_norm and modulus must be nonnegative")
+    if m < 1 or n < 1:
+        raise ValueError("orders must be positive")
+    alpha_star = min(m, n)
     return (
-        b.modulus
-        + 4.0 * b.sup_norm / (b.delta**2 * (alpha_star + 2))
-        + 2.0 * b.sup_norm / (b.delta**4 * (b.m + 2) * (b.n + 2))
+        modulus
+        + 4.0 * sup_norm / (delta**2 * (alpha_star + 2))
+        + 2.0 * sup_norm / (delta**4 * (m + 2) * (n + 2))
     )
 
 
 def minimized_sup_error_bound(sup_norm: float, modulus_fn, m: int, n: int) -> float:
     """Bound minimized over the delta grid 0.05, 0.10, ..., 0.50."""
     deltas = [0.05 * i for i in range(1, 11)]
-    return min(sup_error_bound(BoundInputs(sup_norm, modulus_fn(d), d, m, n)) for d in deltas)
+    return min(sup_error_bound(sup_norm, modulus_fn(d), d, m, n) for d in deltas)
 
 
 def cancellation_log10(m: int, n: int) -> float:

@@ -40,6 +40,7 @@ import functools
 import math
 import os
 import re
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -309,17 +310,29 @@ _SINO_HEADER = re.compile(
 )
 
 
-def recorded_grid(start: float, spacing: float, count: int) -> Grid1D:
+def _recorded_grid(start: float, spacing: float, count: int) -> Grid1D:
     """A grid as a sinogram header records it: by start and spacing, not stop."""
     return Grid1D(start, start + (count - 1) * spacing, count)
 
 
-def write_sinogram(s: Sinogram, path) -> Sinogram:
-    """Write s and return it as `read_sinogram` reads the file back.
+def recorded(s: Sinogram) -> Sinogram:
+    """s as `read_sinogram` reads back the file `write_sinogram` makes of it.
 
-    Values and the recorded start and spacing round-trip exactly; each
-    grid's stop is rebuilt from them and may differ from s's in the last bit.
-    The header of mollified rows ends with their kernel's kind and width.
+    Values, kind, kernel and each grid's start and spacing round-trip
+    exactly; each grid's stop is rebuilt from them and may differ from s's
+    in the last bit.  Nothing is written or formatted.
+    """
+    angles, offsets = (_recorded_grid(g.start, g.spacing, g.count)
+                       for g in (s.angle_grid, s.offset_grid))
+    return replace(s, angle_grid=angles, offset_grid=offsets)
+
+
+def write_sinogram(s: Sinogram, path) -> None:
+    """Write s: a header of its kind and grids, then one row per angle.
+
+    The grids are recorded by start, spacing and count, so the file reads
+    back as `recorded(s)`.  The header of mollified rows ends with their
+    kernel's kind and width.
     """
     header = (
         f"# sinogram kind={s.kind} angles={s.angle_grid.count} "
@@ -330,12 +343,6 @@ def write_sinogram(s: Sinogram, path) -> Sinogram:
     if s.kernel is not None:
         header += f" kernel={s.kernel.kind} epsilon={_fmt(s.kernel.epsilon)}"
     _atomic_write(path, b"\n".join([header.encode("ascii"), *_csv_rows(s.values)]) + b"\n")
-    return Sinogram(
-        angle_grid=recorded_grid(s.angle_grid.start, s.angle_grid.spacing, s.angle_grid.count),
-        offset_grid=recorded_grid(s.offset_grid.start, s.offset_grid.spacing,
-                                  s.offset_grid.count),
-        values=s.values, kind=s.kind, kernel=s.kernel,
-    )
 
 
 def _read_rows(fh, path, rows: int, cols: int) -> np.ndarray:
@@ -383,8 +390,8 @@ def read_sinogram(path) -> Sinogram:
         theta0, dtheta, p0, dp = map(float, (theta0, dtheta, p0, dp))
         values = _read_rows(fh, path, n, m)
     try:
-        return Sinogram(angle_grid=recorded_grid(theta0, dtheta, n),
-                        offset_grid=recorded_grid(p0, dp, m), values=values, kind=kind,
+        return Sinogram(angle_grid=_recorded_grid(theta0, dtheta, n),
+                        offset_grid=_recorded_grid(p0, dp, m), values=values, kind=kind,
                         kernel=None if kernel is None else
                         make_kernel(kernel, float(eps)))
     except ValueError as exc:
@@ -401,10 +408,11 @@ def write_moments(table: MomentTable, path) -> None:
 def read_moments(path) -> MomentTable:
     """Read a file written by `write_moments`.
 
-    Raises FormatError on a malformed header or an incomplete table, and,
-    naming the file and line, on a row that is not `a1,a2,value` or that
-    repeats an (a1, a2).  NaN and inf values pass through unchecked; the
-    CLI rejects them after reading (`cli._require_finite`).
+    Raises FormatError on a malformed header; naming the file, on a table
+    that is incomplete or holds an entry beyond its order; and, naming the
+    file and line, on a row that is not `a1,a2,value` or that repeats an
+    (a1, a2).  NaN and inf values pass through unchecked; the CLI rejects
+    them after reading (`cli._require_finite`).
     """
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
@@ -428,7 +436,7 @@ def read_moments(path) -> MomentTable:
     try:
         return MomentTable(max_order=K, values=values)
     except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def write_recon_csv(rec: ReconGrid, path) -> None:

@@ -28,7 +28,6 @@ from .errors import (
     SingularSystemError,
 )
 from .mollifiers import MollifierSpec, kernel_moments
-from .numerics import Grid1D
 from .phantoms import SQRT2, MomentTable
 from .projector import Sinogram
 
@@ -65,15 +64,6 @@ def assemble_moment_matrix(angles, k: int) -> np.ndarray:
         * np.sin(th)[:, None] ** (k - j)[None, :]
 
 
-def snap_rows(angle_grid: Grid1D, angles) -> np.ndarray:
-    """Index of the grid row nearest each angle; two angles may not share one."""
-    grid = angle_grid.points()
-    idx = np.array([int(np.argmin(np.abs(grid - a))) for a in angles])
-    if np.unique(idx).size != idx.size:
-        raise ValueError("requested angles collapse onto duplicate sinogram rows")
-    return idx
-
-
 def angular_moments(s: Sinogram, K: int, angles) -> AngularMomentSet:
     """Trapezoid offset moments of the rows nearest the requested angles.
 
@@ -89,8 +79,11 @@ def angular_moments(s: Sinogram, K: int, angles) -> AngularMomentSet:
     req = np.asarray(angles, dtype=float)
     if np.any(req <= 0.0) or np.any(req >= math.pi):
         raise ValueError("requested angles must lie strictly inside (0, pi)")
-    idx = snap_rows(s.angle_grid, req)
-    snapped = s.angle_grid.points()[idx]
+    grid = s.angle_grid.points()
+    idx = np.array([int(np.argmin(np.abs(grid - a))) for a in req])
+    if np.unique(idx).size != idx.size:
+        raise ValueError("requested angles collapse onto duplicate sinogram rows")
+    snapped = grid[idx]
 
     ps = s.offset_grid.points()
     h = s.offset_grid.spacing
@@ -160,33 +153,24 @@ def solve_moment_system(ams: AngularMomentSet, k: int, *,
     return y / col_scales
 
 
-def solve_angles(angle_grid: Grid1D, K: int) -> np.ndarray:
-    """The angles order K is fitted over: every grid row strictly inside
-    (0, pi), at least K+1 of them."""
-    grid = angle_grid.points()
-    th = grid[(grid > 0.0) & (grid < math.pi)]
-    if th.size < K + 1:
-        raise ValueError(
-            f"angle grid has {th.size} rows inside (0, pi); order K={K} "
-            f"needs at least K+1 = {K + 1}"
-        )
-    return th
-
-
 def recover_moment_table(s: Sinogram, K: int, *,
                          diagnostics: dict | None = None) -> MomentTable:
     """Full pipeline: offset moments -> (deconvolution) -> per-order fits.
 
-    Each order is fitted over the rows `solve_angles` selects.  Mollified
-    rows are deconvolved with `s.kernel`.  K is not capped here; a run's
-    config caps it (`RunConfig.validate`).  When a `diagnostics` dict is
-    given it receives, per order, the condition of the scaled matrix that
-    order's fit solved.
+    Each order is fitted over every row strictly inside (0, pi), at least
+    K+1 of them; mollified rows are deconvolved with `s.kernel` first.  K is
+    not capped here; a run's config caps it (`RunConfig.validate`).  When a
+    `diagnostics` dict is given it receives, per order, the condition of the
+    scaled matrix that order's fit solved.
     """
     if s.kind == "filtered":
         raise MisuseError("a filtered sinogram cannot be inverted again")
 
-    th = solve_angles(s.angle_grid, K)
+    grid = s.angle_grid.points()
+    th = grid[(grid > 0.0) & (grid < math.pi)]
+    if th.size < K + 1:
+        raise ValueError(f"angle grid has {th.size} rows inside (0, pi); order K={K} "
+                         f"needs at least K+1 = {K + 1}")
     ams = angular_moments(s, K, th)
     if ams.kernel is not None:
         ams = deconvolve_moments(ams)

@@ -472,15 +472,67 @@ class TestErrorContracts:
         cfg = write_config(tmp_path, text=text)
         assert main(["pipeline", "-c", str(cfg)]) == 2
         assert "kernel width 1e+299 is too wide" in capsys.readouterr().err
-        assert not (tmp_path / "run_out" / "moments.csv").exists()
+        assert not (tmp_path / "run_out").exists()
+
+    def test_margin_too_wide_for_the_moments_exits_2_before_any_artifact(
+            self, tmp_path, capsys):
+        # the grid holds the square in a few offsets; the moment stage refuses
+        # the rows, and the pipeline has written nothing by then
+        text = WITHOUT_MOLLIFIER.replace("margin = 1.1", "margin = 1e300")
+        cfg = write_config(tmp_path, text=text)
+        assert main(["pipeline", "-c", str(cfg)]) == 2
+        assert "order-0 row moments disagree" in capsys.readouterr().err
+        assert not (tmp_path / "run_out").exists()
 
     def test_non_finite_sinogram_writes_no_artifact(self, tmp_path, capsys, monkeypatch):
-        # whatever makes the rows non-finite, sinogram.pgm refuses them first
+        # whatever makes the rows non-finite, the pipeline refuses them before
+        # any artifact
         def nan_rows(sino, kernel):
             return replace(sino, values=np.full_like(sino.values, np.nan))
         monkeypatch.setattr(cli, "mollify", nan_rows)
         assert main(["pipeline", "-c", str(write_config(tmp_path))]) == 2
-        assert "PGM export needs finite values" in capsys.readouterr().err
+        assert "the computed sinogram has non-finite values" in capsys.readouterr().err
+        assert not (tmp_path / "run_out").exists()
+
+    @pytest.mark.parametrize("stage, what", [
+        ("reconstruct_grid", "moment image"),
+        ("fbp_reconstruct", "FBP image"),
+    ])
+    def test_non_finite_image_in_pipeline_writes_nothing(
+            self, tmp_path, capsys, monkeypatch, stage, what):
+        # the images are computed, and checked, before the first artifact
+        compute = getattr(cli, stage)
+
+        def nan_image(*args):
+            rec = compute(*args)
+            return replace(rec, values=np.full_like(rec.values, np.nan))
+        monkeypatch.setattr(cli, stage, nan_image)
+        assert main(["pipeline", "-c", str(write_config(tmp_path))]) == 2
+        captured = capsys.readouterr()
+        assert f"the computed {what} has non-finite values" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "run_out").exists()
+
+    @pytest.mark.parametrize("coeffs, term", [
+        ("-1,0:1", "'-1,0:1.0'"),
+        ("0,-2:1; 0,0:1", "'0,-2:1.0'"),
+    ], ids=["i", "j"])
+    def test_negative_exponent_exits_2_before_any_artifact(self, tmp_path, capsys, coeffs, term):
+        text = MINI_CONFIG.replace("kind = uniform", f"kind = polynomial\ncoeffs = {coeffs}")
+        assert main(["pipeline", "-c", str(write_config(tmp_path, text=text))]) == 2
+        assert f"[phantom] coeffs term {term} has a negative exponent" in capsys.readouterr().err
+        assert not (tmp_path / "run_out").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("# moments K=2\n0,0,1\n", "missing moment (0, 1)"),
+        ("# moments K=1\n0,0,1\n1,0,0\n0,1,0\n3,0,1\n", "entry (3, 0) beyond order 1"),
+    ], ids=["missing", "beyond-order"])
+    def test_incomplete_moment_table_names_the_file(self, tmp_path, capsys, text, message):
+        moments = tmp_path / "table.csv"
+        moments.write_text(text)
+        cfg = write_config(tmp_path)
+        assert main(["reconstruct", "-c", str(cfg), str(moments)]) == 2
+        assert f"error: {moments}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "run_out").exists()
 
     @pytest.mark.parametrize("radius", ["0", "-0.1", "1e-200"])

@@ -11,6 +11,10 @@ import pytest
 
 from momentct.cli import main
 from momentct.config import (
+    ANGLE_COVERS,
+    KERNELS,
+    PHANTOM_KINDS,
+    RECON_METHODS,
     GridConfig,
     MollifierConfig,
     MomentConfig,
@@ -276,20 +280,30 @@ class TestShippedConfigs:
         load(tmp_path, ini)
 
     def test_every_key_has_a_caller(self):
-        # a key that no shipped or benchmark config sets is a knob only the
-        # tests turn
+        # a key or value that no shipped or benchmark config sets is a knob
+        # only the tests turn
         texts = [path.read_text() for path in (REPO / "configs").glob("*.ini")]
         texts += [param.values[0] for param in benchmark_inis()]
-        used = set()
+        set_values = set()
         for text in texts:
             parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
             parser.read_string(text)
-            used |= {(section, key) for section in parser.sections() for key in parser[section]}
+            set_values |= {(section, key, value.strip()) for section in parser.sections()
+                           for key, value in parser[section].items()}
+        used = {(section, key) for section, key, _ in set_values}
         # EVERY_KEY_CONFIG holds every block, [mollifier] included
         unused = [f"[{section.name}] {key.name}" for section in fields(RunConfig)
                   for key in fields(getattr(EVERY_KEY_CONFIG, section.name))
                   if (section.name, key.name.lower()) not in used]
         assert unused == []
+        enumerated = {("phantom", "kind"): PHANTOM_KINDS, ("mollifier", "kernel"): KERNELS,
+                      ("grids", "angle_cover"): ANGLE_COVERS, ("recon", "method"): RECON_METHODS}
+        unset = {f"{key} = {value}" for (section, key), values in enumerated.items()
+                 for value in values if (section, key, value) not in set_values}
+        # each of these waits on a decision (ROADMAP items 5 and 6); a new
+        # value without a caller, or a value that gains one, changes the set
+        assert unset == {"kernel = cosine", "angle_cover = half",
+                         "method = moments", "method = fbp"}
 
 
 class TestFinite:

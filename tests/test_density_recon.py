@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from momentct import density_recon
 from momentct.density_recon import (
-    BoundInputs,
     ReconGrid,
     cancellation_log10,
     minimized_sup_error_bound,
@@ -171,23 +170,22 @@ class TestSupError:
 
 class TestBound:
     def test_hand_arithmetic(self):
-        b = BoundInputs(sup_norm=1.0, modulus=0.1, delta=0.5, m=8, n=8)
-        assert sup_error_bound(b) == pytest.approx(0.1 + 1.6 + 0.32, abs=1e-12)
+        b = sup_error_bound(sup_norm=1.0, modulus=0.1, delta=0.5, m=8, n=8)
+        assert b == pytest.approx(0.1 + 1.6 + 0.32, abs=1e-12)
 
     def test_vanishes_for_zero_function(self):
-        b = BoundInputs(sup_norm=0.0, modulus=0.0, delta=0.3, m=4, n=4)
-        assert sup_error_bound(b) == 0.0
+        assert sup_error_bound(sup_norm=0.0, modulus=0.0, delta=0.3, m=4, n=4) == 0.0
 
     def test_order_limit_at_fixed_delta(self):
         vals = [
-            sup_error_bound(BoundInputs(1.0, 0.0, 2.0, m, m)) for m in (4, 16, 64, 256)
+            sup_error_bound(1.0, 0.0, 2.0, m, m) for m in (4, 16, 64, 256)
         ]
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 0.01
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            BoundInputs(1.0, 0.0, -0.5, 4, 4)
+            sup_error_bound(1.0, 0.0, -0.5, 4, 4)
 
 
 class TestConvergence:

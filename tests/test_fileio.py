@@ -14,7 +14,14 @@ from momentct.errors import FormatError
 from momentct.mollifiers import make_cosine
 from momentct.numerics import Grid1D
 from momentct.phantoms import DiskDensity, MomentTable, UniformDensity
-from momentct.projector import Sinogram, moment_angle_grid, mollify, offset_grid, project
+from momentct.projector import (
+    Sinogram,
+    full_circle_grid,
+    moment_angle_grid,
+    mollify,
+    offset_grid,
+    project,
+)
 
 #: values whose 17-digit text is easy to get wrong: signed zeros, the
 #: smallest subnormal, huge and inexact values, and 2**53 + 1, which rounds
@@ -72,11 +79,23 @@ class TestSinogramFormat:
             assert field in header
         assert "kernel=" not in header and "epsilon=" not in header
 
+    @pytest.mark.parametrize("angles", [moment_angle_grid(6), full_circle_grid(48)],
+                             ids=["moment", "full"])
+    def test_recorded_is_what_the_file_reads_back(self, tmp_path, angles):
+        # on the full turn the recorded stop is one bit off the projected one
+        s = project(UniformDensity(), angles, offset_grid(33))
+        path = tmp_path / "s.csv"
+        assert fileio.write_sinogram(s, path) is None
+        back, stored = fileio.read_sinogram(path), fileio.recorded(s)
+        assert (stored.angle_grid, stored.offset_grid) == (back.angle_grid, back.offset_grid)
+        assert stored.values is s.values and stored.kind == back.kind
+
     def test_mollified_roundtrip_carries_the_kernel(self, sino, tmp_path):
         m = make_cosine(0.25)
         mol = mollify(sino, m)
         path = tmp_path / "s.csv"
-        assert fileio.write_sinogram(mol, path).kernel is m
+        assert fileio.recorded(mol).kernel is m
+        fileio.write_sinogram(mol, path)
         fileio.write_sinogram(sino, tmp_path / "raw.csv")
         raw_header = (tmp_path / "raw.csv").read_text().splitlines()[0]
         assert path.read_text().splitlines()[0] == \
