@@ -23,7 +23,10 @@ difference and exits 1 if there is any, 2 on bad arguments or if a command
 failed on both sides alike, 0 otherwise.  When a `.csv` artifact differs
 and both sides parse to arrays of one shape, its line also gives the
 largest absolute difference and the largest magnitude on either side, so
-that a rounding-level change can be told from a real one.
+that a rounding-level change can be told from a real one.  Each case also
+prints the peak RSS of each side's `pipeline` run, in MB of 1024 KiB as
+perfbench's `peak_rss_mb`, so that a memory regression shows beside the
+byte-identity check; it is read from `os.wait4`, not compared.
 """
 
 from __future__ import annotations
@@ -45,6 +48,20 @@ from test_cli import MINI_CONFIG  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SEEDS = (1, 2)
+
+#: Run by a small interpreter (`python -I -S -c SPAWN STATUS COMMAND...`):
+#: spawns COMMAND, waits for it, and writes its wait status and peak RSS
+#: (wait4's ru_maxrss, in KiB) to the file STATUS.  A process's peak RSS
+#: also counts the memory of the process it was spawned from, so the
+#: command is spawned from this interpreter of about 8 MB, not from the
+#: script, which holds numpy and the artifacts.
+SPAWN = """
+import os, sys
+pid = os.posix_spawn(sys.argv[2], sys.argv[2:], os.environ)
+_, status, usage = os.wait4(pid, 0)
+with open(sys.argv[1], "w") as fh:
+    fh.write(f"{os.waitstatus_to_exitcode(status)} {usage.ru_maxrss}")
+"""
 
 PIPELINE = ("pipeline", "-c", "run.ini", "-o", "out")
 #: the subcommands, on what the pipeline wrote to out/
@@ -96,24 +113,29 @@ def csv_change(parent: bytes, change: bytes) -> str:
     return f", max |diff| = {np.max(np.abs(b - a)):.3g}, max |value| = {scale:.3g}"
 
 
-def run(src: Path, ini: str, commands: tuple, workdir: Path) -> dict[str, bytes]:
+def run(src: Path, ini: str, commands: tuple, workdir: Path) -> tuple[dict[str, bytes], dict]:
     """Run the commands in order; returns the artifacts they left, by path
-    under `workdir`, plus each command's exit status and streams."""
+    under `workdir`, plus each command's exit status and streams, and the
+    peak RSS of each command, in MB."""
     workdir.mkdir(parents=True)
     (workdir / "run.ini").write_text(ini)
     env = dict(os.environ, PYTHONPATH=str(src))
-    result = {}
+    status_file = workdir.with_name(f"{workdir.name}.status")
+    result, peaks = {}, {}
     for args in commands:
-        proc = subprocess.run([sys.executable, "-m", "momentct.cli", *args],
-                              cwd=workdir, env=env, capture_output=True)
+        proc = subprocess.run([sys.executable, "-I", "-S", "-c", SPAWN, str(status_file),
+                               sys.executable, "-m", "momentct.cli", *args],
+                              cwd=workdir, env=env, capture_output=True, check=True)
+        status, maxrss = status_file.read_text().split()
         command = " ".join(args)
-        result[f"<{command}: exit status>"] = str(proc.returncode).encode()
+        result[f"<{command}: exit status>"] = status.encode()
         result[f"<{command}: stdout>"] = proc.stdout
         result[f"<{command}: stderr>"] = proc.stderr
+        peaks[command] = int(maxrss) / 1024
     for path in sorted(workdir.rglob("*")):
         if path.is_file() and path.name != "run.ini":
             result[str(path.relative_to(workdir))] = path.read_bytes()
-    return result
+    return result, peaks
 
 
 def main(argv=None) -> int:
@@ -129,10 +151,13 @@ def main(argv=None) -> int:
     failures = 0
     with tempfile.TemporaryDirectory(prefix="diff_artifacts_") as tmp:
         for case, (ini, commands) in cases().items():
-            parent = run(args.parent_src.resolve(), ini, commands,
-                         Path(tmp) / "parent" / case)
-            change = run(args.change_src.resolve(), ini, commands,
-                         Path(tmp) / "change" / case)
+            parent, parent_peaks = run(args.parent_src.resolve(), ini, commands,
+                                       Path(tmp) / "parent" / case)
+            change, change_peaks = run(args.change_src.resolve(), ini, commands,
+                                       Path(tmp) / "change" / case)
+            pipeline = " ".join(PIPELINE)
+            print(f"{case}: pipeline peak RSS {parent_peaks[pipeline]:.2f} MB parent, "
+                  f"{change_peaks[pipeline]:.2f} MB change")
             differing = [name for name in sorted(parent.keys() | change.keys())
                          if parent.get(name) != change.get(name)]
             for name in differing:

@@ -18,6 +18,7 @@ from .errors import ConfigError, CoverageError, OrderError, StabilityError
 from .mollifiers import MollifierSpec, make_kernel
 from .numerics import Grid1D
 from .phantoms import (
+    SQRT2,
     Density,
     DiskDensity,
     PolynomialDensity,
@@ -174,6 +175,18 @@ class RunConfig:
             raise ConfigError(f"unknown angle cover {g.angle_cover!r}")
         if g.margin < 1.0:
             raise CoverageError(f"offset margin must be >= 1, got {g.margin}")
+        try:
+            spacing = self.make_offset_grid().spacing
+        except ValueError as exc:
+            raise ConfigError(f"[grids] margin = {g.margin}: {exc}") from None
+        # the rows' support, [-1, sqrt2] widened by the kernel on each side,
+        # is what the moments integrate; a wider spacing samples it at most once
+        support = SQRT2 + 1.0 + 2.0 * (self.mollifier.epsilon if self.mollifier else 0.0)
+        if spacing > support:
+            raise ConfigError(
+                f"[grids] margin = {g.margin} spaces the {g.offsets} offsets {spacing:.3g} "
+                f"apart, wider than the rows' support ({support:.3g}): the grid cannot "
+                f"resolve the unit square")
         mo = self.moments
         if mo.K < 0:
             raise ConfigError("moment order K must be nonnegative")

@@ -81,7 +81,9 @@ def angular_moments(s: Sinogram, K: int, angles) -> AngularMomentSet:
         raise ValueError("requested angles must lie strictly inside (0, pi)")
     grid = s.angle_grid.points()
     idx = np.array([int(np.argmin(np.abs(grid - a))) for a in req])
-    if np.unique(idx).size != idx.size:
+    # a repeat shows as a zero difference once sorted (np.unique imports
+    # numpy.ma on its first call)
+    if np.any(np.diff(np.sort(idx)) == 0):
         raise ValueError("requested angles collapse onto duplicate sinogram rows")
     snapped = grid[idx]
 
@@ -133,7 +135,7 @@ def solve_moment_system(ams: AngularMomentSet, k: int, *,
         raise MisuseError("moment systems require raw angular moments; deconvolve first")
     if k > ams.max_order:
         raise OrderError(f"order {k} beyond the measured maximum {ams.max_order}")
-    distinct = np.unique(ams.angles).size
+    distinct = ams.angles.size - np.count_nonzero(np.diff(np.sort(ams.angles)) == 0)
     if distinct < k + 1:
         raise SingularSystemError(
             f"need {k + 1} distinct angles for order {k}, have {distinct}"
@@ -151,6 +153,16 @@ def solve_moment_system(ams: AngularMomentSet, k: int, *,
     if conditions is not None:
         conditions.append((k, cond))
     return y / col_scales
+
+
+def _median(x: np.ndarray) -> float:
+    """np.median of a nonempty 1-D array, NaN when it holds one; np.median
+    itself imports numpy.ma on its first call."""
+    s = np.sort(x)
+    half = s.size // 2
+    if np.isnan(s[-1]):  # the sort puts NaN last
+        return math.nan
+    return float(s[half] if s.size % 2 else (s[half - 1] + s[half]) / 2)
 
 
 def recover_moment_table(s: Sinogram, K: int, *,
@@ -176,8 +188,8 @@ def recover_moment_table(s: Sinogram, K: int, *,
         ams = deconvolve_moments(ams)
 
     b0 = ams.values[:, 0]
-    scale = float(np.median(np.abs(b0)))
-    if float(np.max(np.abs(b0 - np.median(b0)))) > max(1e-3, 0.05 * scale):
+    scale = _median(np.abs(b0))
+    if float(np.max(np.abs(b0 - _median(b0)))) > max(1e-3, 0.05 * scale):
         raise DataQualityError(
             "order-0 row moments disagree across angles beyond tolerance; "
             "offset coverage or data quality is suspect"

@@ -231,6 +231,13 @@ def add_noise(s: Sinogram, sigma: float, seed: int) -> Sinogram:
     return replace(s, values=out, kind="noisy")
 
 
+def row_blocks(s: Sinogram) -> list[slice]:
+    """The rows of s as consecutive blocks of at most `_BLOCK_LINES` samples
+    (or one row), which bound a per-row computation's temporaries."""
+    step = max(1, _BLOCK_LINES // s.offset_grid.count)
+    return [slice(start, start + step) for start in range(0, s.angle_grid.count, step)]
+
+
 def l1_norm(s: Sinogram) -> float:
     """Double integral of |values| over offset and angle.
 
@@ -239,7 +246,8 @@ def l1_norm(s: Sinogram) -> float:
     the trapezoid rule over the sampled span.
     """
     dp = s.offset_grid.spacing
-    row_ints = np.trapezoid(np.abs(s.values), dx=dp, axis=1)
+    row_ints = np.concatenate([np.trapezoid(np.abs(s.values[rows]), dx=dp, axis=1)
+                               for rows in row_blocks(s)])
     dth = s.angle_grid.spacing
     if angle_coverage(s.angle_grid) == "full":
         return float(dth * row_ints.sum())

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import CoverageError, MisuseError
 from .density_recon import ReconGrid
 from .mollifiers import MollifierSpec, sampled_kernel
-from .projector import Sinogram, angle_coverage, antipodal_half, transpose_partner
+from .projector import Sinogram, angle_coverage, antipodal_half, row_blocks, transpose_partner
 
 #: Ramp filter cutoff as a fraction of the offset Nyquist frequency pi/h; a
 #: cosine taper rolls off the top tenth of the passband.
@@ -62,7 +62,8 @@ def grid_kernel_transform(m: MollifierSpec, spacing: float, count: int) -> np.nd
 def apply_filter(s: Sinogram) -> Sinogram:
     """Per-row ramp filter up to CUTOFF_FRACTION of the Nyquist frequency,
     divided by the sampled transform of `s.kernel` on mollified rows;
-    output kind 'filtered'."""
+    output kind 'filtered'.  The rows are transformed in `row_blocks`, so
+    only one block's spectra exist at a time."""
     if s.kind == "filtered":
         raise MisuseError("a filtered sinogram cannot be inverted again")
     h = s.offset_grid.spacing
@@ -75,8 +76,11 @@ def apply_filter(s: Sinogram) -> Sinogram:
         usable = np.abs(transfer) >= REG_FLOOR
         mult = np.where(usable, mult / np.where(usable, transfer, 1.0), 0.0)
 
-    spectra = np.fft.fft(s.values, axis=1) * mult[None, :]
-    filtered = np.real(np.fft.ifft(spectra, axis=1))
+    filtered = np.empty_like(s.values)
+    for rows in row_blocks(s):
+        spectra = np.fft.fft(s.values[rows], axis=1)
+        spectra *= mult
+        filtered[rows] = np.fft.ifft(spectra, axis=1).real
     return Sinogram(angle_grid=s.angle_grid, offset_grid=s.offset_grid,
                     values=filtered, kind="filtered")
 

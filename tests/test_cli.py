@@ -79,6 +79,17 @@ class TestPipeline:
         assert "sup error" in printed
         assert "relative l2 error" in printed
 
+    def test_does_not_import_numpy_ma(self, tmp_path):
+        # np.unique and np.median import numpy.ma (about 17 ms and 1.3 MB) on
+        # their first call; only a fresh interpreter shows whether a run does
+        code = ("import sys\nfrom momentct.cli import main\n"
+                f"assert main(['pipeline', '-c', {str(write_config(tmp_path))!r}]) == 0\n"
+                "assert 'numpy.ma' not in sys.modules, 'the run imported numpy.ma'\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
     def test_reproducible_byte_for_byte(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["pipeline", "-c", str(cfg), "-o", str(tmp_path / "a")]) == 0
@@ -474,14 +485,17 @@ class TestErrorContracts:
         assert "kernel width 1e+299 is too wide" in capsys.readouterr().err
         assert not (tmp_path / "run_out").exists()
 
+    @pytest.mark.filterwarnings("error")  # refused before any numpy arithmetic
     def test_margin_too_wide_for_the_moments_exits_2_before_any_artifact(
             self, tmp_path, capsys):
-        # the grid holds the square in a few offsets; the moment stage refuses
-        # the rows, and the pipeline has written nothing by then
+        # the offsets lie 1.1e298 apart, so no row resolves the unit square;
+        # the config is refused before anything is computed
         text = WITHOUT_MOLLIFIER.replace("margin = 1.1", "margin = 1e300")
         cfg = write_config(tmp_path, text=text)
         assert main(["pipeline", "-c", str(cfg)]) == 2
-        assert "order-0 row moments disagree" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "[grids] margin = 1e+300 spaces the 256 offsets 1.11e+298 apart" in err
+        assert "cannot resolve the unit square" in err
         assert not (tmp_path / "run_out").exists()
 
     def test_non_finite_sinogram_writes_no_artifact(self, tmp_path, capsys, monkeypatch):

@@ -255,6 +255,29 @@ class TestOrderCaps:
             RunConfig(recon=ReconConfig(m=m, n=n)).validate()
 
 
+class TestMarginCap:
+    """The offset spacing may not exceed the width of the rows' support,
+    sqrt2 + 1 + 2 eps: on the default 1024 offsets, a margin of about 873."""
+
+    def test_cap_holds_at_the_edge(self):
+        RunConfig(grids=GridConfig(margin=873.0)).validate()
+        with pytest.raises(ConfigError, match=r"^\[grids\] margin = 874\.0 spaces the 1024 "
+                                              r"offsets 2\.42 apart, wider than the rows' "
+                                              r"support \(2\.41\)"):
+            RunConfig(grids=GridConfig(margin=874.0)).validate()
+
+    def test_kernel_widens_the_support(self):
+        # a spacing of 4.15: wider than the raw rows' support, not the smoothed
+        with pytest.raises(ConfigError, match="cannot resolve the unit square"):
+            RunConfig(grids=GridConfig(margin=1500.0)).validate()
+        RunConfig(mollifier=MollifierConfig(epsilon=1.0), grids=GridConfig(margin=1500.0)).validate()
+
+    def test_non_finite_spacing_names_the_key(self):
+        with pytest.raises(ConfigError, match=r"^\[grids\] margin = 1e\+308: grid needs a "
+                                              r"finite start, stop and spacing"):
+            RunConfig(grids=GridConfig(margin=1e308)).validate()
+
+
 def benchmark_inis():
     """The INI text of every benchmark workload at seeds 1 and 2."""
     perfbench = str(REPO / "perfbench")

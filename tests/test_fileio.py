@@ -2,6 +2,7 @@ import math
 import os
 import re
 import stat
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -35,9 +36,16 @@ def csv_reference(values):
     return [",".join(f"{float(x):.17g}" for x in row).encode() for row in values]
 
 
+def csv_rows(values):
+    """The rows of the text `_csv_chunks` makes, without their newlines."""
+    text = b"".join(fileio._csv_chunks(values))
+    assert text.endswith(b"\n") or text == b""
+    return text.split(b"\n")[:-1]
+
+
 def assert_percent_text(values):
-    """`_csv_rows` gives `"%.17g" % v` for every value, row by row."""
-    lines = [line.decode("ascii") for line in fileio._csv_rows(values)]
+    """`_csv_chunks` gives `"%.17g" % v` for every value, row by row."""
+    lines = [line.decode("ascii") for line in csv_rows(values)]
     assert len(lines) == len(values)
     for row, line in zip(values.tolist(), lines):
         expected = ",".join(["%.17g" % v for v in row])
@@ -287,8 +295,8 @@ class TestWrittenText:
 
     def test_csv_rows_match_per_value_text(self):
         values = awkward_grid(11)
-        assert fileio._csv_rows(values) == csv_reference(values)
-        assert fileio._csv_rows(values)[0].startswith(b"-0,0,4.9406564584124654e-324,")
+        assert csv_rows(values) == csv_reference(values)
+        assert csv_rows(values)[0].startswith(b"-0,0,4.9406564584124654e-324,")
 
     @pytest.mark.parametrize("layout", ["transposed", "one_column", "one_row"])
     def test_csv_rows_any_layout(self, layout):
@@ -296,7 +304,7 @@ class TestWrittenText:
         values = {"transposed": base.T, "one_column": base[:, :1],
                   "one_row": base[:1]}[layout]
         assert values.flags.c_contiguous == (layout == "one_row")
-        assert fileio._csv_rows(values) == csv_reference(values)
+        assert csv_rows(values) == csv_reference(values)
 
     @pytest.mark.parametrize("rows", [
         [[1.5, -2.0], [1.5, -2.0], [1.5, -2.0], [0.25, 3.0], [1.5, -2.0]],
@@ -305,7 +313,7 @@ class TestWrittenText:
     ], ids=["repeated", "signed_zeros", "nan"])
     def test_csv_rows_repeated_rows(self, rows):
         values = np.array(rows)
-        assert fileio._csv_rows(values) == csv_reference(values)
+        assert csv_rows(values) == csv_reference(values)
 
     def test_random_bit_patterns(self):
         bits = np.random.default_rng(20261018).integers(0, 2**64, size=(1024, 1024),
@@ -403,7 +411,7 @@ class TestWrittenText:
 
         monkeypatch.setattr(fileio, "_percent_text", spy)
         values = np.random.default_rng(1).standard_normal((128, 512))
-        assert fileio._csv_rows(values) == csv_reference(values)
+        assert csv_rows(values) == csv_reference(values)
         assert formatted == []
         # next to a power of ten, where log10 may round k the wrong way, the
         # redo keeps the value on the fast path; only an exact power of ten
@@ -417,7 +425,7 @@ class TestWrittenText:
             assert v in powers or (len(digits) == 18 and digits[-1] == 5), v
         # the spy sees what the fast path leaves out
         formatted.clear()
-        fileio._csv_rows(np.array([[1.0, math.nan, 5e-324]]))
+        csv_rows(np.array([[1.0, math.nan, 5e-324]]))
         assert len(formatted) == 2 and math.isnan(formatted[0]) and formatted[1] == 5e-324
 
     def test_moment_image_text(self, tmp_path):
@@ -475,6 +483,90 @@ class TestWrittenText:
         assert lines[1] == f"# offset=-3 scale={scale:.17g}"
         assert lines[2] == "13 7"  # width, height
         assert lines[4:] == [" ".join(str(p) for p in row) for row in pixels.T[::-1, :]]
+
+
+def traced_peak(call):
+    """The traced peak of call(), run once first to build the cached tables."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreaming:
+    """The writers make and write their text one block of rows at a time."""
+
+    @pytest.mark.parametrize("rows, cols", [(256, 1024), (512, 2048)])
+    @pytest.mark.parametrize("writer", ["sinogram", "recon", "pgm"])
+    def test_traced_peak_is_bounded_by_the_blocks(self, tmp_path, writer, rows, cols):
+        # whole-file text and whole-grid temporaries peaked at 5-13 MB on
+        # 256 x 1024 values and 21-51 MB on 512 x 2048; the values
+        # themselves, 2 and 8 MB, are not traced here
+        values = np.random.default_rng(5).standard_normal((rows, cols))
+        if writer == "sinogram":
+            sino = Sinogram(angle_grid=moment_angle_grid(rows), offset_grid=offset_grid(cols),
+                            values=values, kind="raw")
+            peak = traced_peak(lambda: fileio.write_sinogram(sino, tmp_path / "s.csv"))
+        elif writer == "recon":
+            side = math.isqrt(rows * cols)  # a square image of as many values
+            rec = ReconGrid(side, values.reshape(side, side))
+            peak = traced_peak(lambda: fileio.write_recon_csv(rec, tmp_path / "r.csv"))
+        else:
+            peak = traced_peak(lambda: fileio.write_pgm(values, tmp_path / "v.pgm"))
+        assert peak < 2.5e6
+
+    @pytest.mark.parametrize("rows", [
+        # runs of repeats that straddle the 2-row blocks, and a repeat of a
+        # row two blocks back
+        [[1.5, -2.0, 0.0]] * 5 + [[0.25, 3.0, 1.0]] * 2 + [[1.5, -2.0, 0.0]] * 3,
+        [[-0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [-0.0, 1.0, 2.0]],
+        [[7.0, 8.0, 9.0]] * 7,
+        [[math.nan, 1.0, math.inf]] * 3 + [[1.0, math.nan, -math.inf]] * 3,
+    ], ids=["runs", "signed_zeros", "one_run", "non_finite"])
+    def test_repeated_rows_across_blocks(self, monkeypatch, rows):
+        monkeypatch.setattr(fileio, "_BLOCK", 6)
+        values = np.array(rows)
+        chunks = list(fileio._csv_chunks(values))
+        assert b"".join(chunks).split(b"\n")[:-1] == csv_reference(values)
+        # each chunk is whole rows, at most one block of them
+        assert all(chunk.endswith(b"\n") and 1 <= chunk.count(b"\n") <= 2
+                   for chunk in chunks)
+
+    @pytest.mark.parametrize("shape", [(5, 11), (1, 23), (23, 1), (1, 1)],
+                             ids=["row_wider_than_a_block", "one_row", "one_column",
+                                  "one_value"])
+    def test_blocks_of_any_shape(self, monkeypatch, shape):
+        monkeypatch.setattr(fileio, "_BLOCK", 4)
+        pool = AWKWARD + NON_FINITE
+        values = np.resize(np.array(pool), shape)
+        values[1:2] = values[:1]  # a repeat, where there are two rows
+        chunks = list(fileio._csv_chunks(values))
+        assert b"".join(chunks).split(b"\n")[:-1] == csv_reference(values)
+        step = max(1, 4 // shape[1])
+        assert all(chunk.endswith(b"\n") and 1 <= chunk.count(b"\n") <= step
+                   for chunk in chunks)
+
+    def test_pgm_rows_across_blocks(self, monkeypatch, tmp_path):
+        # 13 image rows of 7 pixels in blocks of one row, then of two
+        values = np.linspace(-3.0, 5.0, 7 * 13).reshape(7, 13)
+        scale = 8.0 / 255.0
+        pixels = np.clip(np.rint((values + 3.0) / scale), 0, 255).astype(int)
+        expected = [" ".join(str(p) for p in row) for row in pixels.T[::-1, :]]
+        for block in (5, 14):
+            monkeypatch.setattr(fileio, "_BLOCK", block)
+            fileio.write_pgm(values, tmp_path / "b.pgm")
+            assert (tmp_path / "b.pgm").read_text().splitlines()[4:] == expected
+
+    def test_a_failing_chunk_leaves_no_file(self, tmp_path):
+        def chunks():
+            yield b"partial"
+            raise RuntimeError("mid-write")
+        with pytest.raises(RuntimeError, match="mid-write"):
+            fileio._atomic_write(tmp_path / "f.csv", chunks())
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPgmRejectsNonFinite:

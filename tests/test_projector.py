@@ -229,6 +229,28 @@ class TestL1Norm:
         s = small_sinogram(n_angles=32, n_offsets=513, cover="full")
         assert l1_norm(mollify(s, m)) <= l1_norm(s) + 1e-6
 
+    @pytest.mark.parametrize("cover", ["full", "moment"])
+    def test_row_blocks_match_the_whole_grid(self, cover):
+        # 70 rows of 1025 offsets: eight blocks of 7 rows and one of 6
+        s = small_sinogram(DISK, n_angles=70, n_offsets=1025, cover=cover)
+        rows = np.trapezoid(np.abs(s.values), dx=s.offset_grid.spacing, axis=1)
+        dth = s.angle_grid.spacing
+        whole = dth * rows.sum() if cover == "full" else np.trapezoid(rows, dx=dth)
+        assert l1_norm(s) == float(whole)
+
+    @pytest.mark.parametrize("rows, cols", [(256, 1024), (512, 2048)])
+    def test_traced_peak_is_bounded_by_the_blocks(self, rows, cols):
+        # |values| of the whole grid took 4 and 17 MB
+        values = np.random.default_rng(4).standard_normal((rows, cols))
+        s = Sinogram(moment_angle_grid(rows), offset_grid(cols), values, "raw")
+        tracemalloc.start()
+        try:
+            l1_norm(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
 
 class TestEvenness:
     def test_residual_tiny_on_full_grid(self):

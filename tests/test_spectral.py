@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,29 @@ class TestApplyFilter:
         for inverse in (apply_filter, lambda rows: fbp_reconstruct(rows, 8)):
             with pytest.raises(MisuseError, match="filtered sinogram"):
                 inverse(filtered)  # an inverse's output
+
+    def test_row_blocks_match_one_transform_of_the_grid(self):
+        # 43 rows of 1024 offsets: five blocks of 8 rows and one of 3
+        s = project(DISK, half_circle_grid(43), offset_grid(1024))
+        h = s.offset_grid.spacing
+        mult = _ramp_multiplier(2.0 * math.pi * np.fft.fftfreq(1024, d=h),
+                                CUTOFF_FRACTION * math.pi / h)
+        whole = np.real(np.fft.ifft(np.fft.fft(s.values, axis=1) * mult, axis=1))
+        assert np.array_equal(apply_filter(s).values.view(np.uint64), whole.view(np.uint64))
+
+    @pytest.mark.parametrize("rows, cols", [(256, 1024), (512, 2048)])
+    def test_traced_peak_is_bounded_by_the_blocks(self, rows, cols):
+        # the spectra of the whole grid took 6 and 25 MB beside the output
+        values = np.random.default_rng(2).standard_normal((rows, cols))
+        s = Sinogram(moment_angle_grid(rows), offset_grid(cols), values, "raw")
+        apply_filter(s)  # plan the transforms first
+        tracemalloc.start()
+        try:
+            apply_filter(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < values.nbytes + 1e6  # the output and one block's spectra
 
     def test_grid_kernel_transform_dc(self):
         m = make_bump(0.05)
