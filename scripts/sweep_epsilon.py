@@ -17,7 +17,7 @@ import numpy as np
 # run from a plain checkout: the repository's src comes first on the import path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from momentct.mollifiers import make_bump  # noqa: E402
+from momentct.mollifiers import make_kernel  # noqa: E402
 from momentct.moment_recovery import recover_moment_table  # noqa: E402
 from momentct.phantoms import UniformDensity  # noqa: E402
 from momentct.projector import (  # noqa: E402
@@ -47,7 +47,7 @@ def main() -> None:
     print(f"{'eps':>7} {'eps/dp':>7} {'max|err| mean':>14} {'max|err| worst':>15}")
     dp = sino.offset_grid.spacing
     for eps in (float(t) for t in args.widths.split(",")):
-        kernel = make_bump(eps)
+        kernel = make_kernel("bump", eps)
         errs = []
         for seed in range(args.seeds):
             noisy = add_noise(sino, args.sigma, seed)

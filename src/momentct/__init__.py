@@ -14,11 +14,8 @@ from .density_recon import (
 from .mollifiers import (
     MollifierSpec,
     evaluate_kernel,
-    fourier_of_kernel,
     kernel_moments,
-    make_bump,
-    make_cosine,
-    validate_omega_band,
+    make_kernel,
 )
 from .moment_recovery import (
     AngularMomentSet,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 from .density_recon import STABILITY_CAP
 from .errors import ConfigError, CoverageError, OrderError, StabilityError
-from .mollifiers import MollifierSpec, make_kernel
+from .mollifiers import PROFILES, MollifierSpec, make_kernel
 from .numerics import Grid1D
 from .phantoms import (
     SQRT2,
@@ -33,7 +33,7 @@ MAX_MOMENT_ORDER = 12
 
 #: The values each enumerated key allows.
 PHANTOM_KINDS = ("uniform", "polynomial", "disks")   # [phantom] kind
-KERNELS = ("bump", "cosine")                         # [mollifier] kernel
+KERNELS = tuple(PROFILES)                            # [mollifier] kernel
 ANGLE_COVERS = ("moment", "half", "full")            # [grids] angle_cover
 RECON_METHODS = ("moments", "fbp", "both")           # [recon] method
 
@@ -162,8 +162,11 @@ class RunConfig:
             mc = self.mollifier
             if mc.kernel not in KERNELS:
                 raise ConfigError(f"unknown kernel {mc.kernel!r}")
-            if mc.epsilon <= 0:
-                raise ConfigError("mollifier epsilon must be positive")
+            # no row's support is wider than the unit square's diameter; a
+            # wider kernel is refused before any arithmetic can overflow on it
+            if not 0 < mc.epsilon <= SQRT2:
+                raise ConfigError(f"[mollifier] epsilon must lie in (0, sqrt 2], the unit "
+                                  f"square's diameter, got {mc.epsilon}")
         if self.noise.sigma < 0:
             raise ConfigError("noise sigma must be nonnegative")
         if self.noise.seed < 0:

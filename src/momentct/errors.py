@@ -25,10 +25,6 @@ class DataQualityError(ValueError):
     """Measured data violates a structural invariant beyond tolerance."""
 
 
-class OmegaMembershipError(ValueError):
-    """Kernel transform is not strictly positive on the validated band."""
-
-
 class StabilityError(ValueError):
     """Evaluation would be dominated by catastrophic cancellation."""
 

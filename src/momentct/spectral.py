@@ -12,7 +12,7 @@ For mollified rows the filter divides by the transform of the sinogram's
 that is the transform of the convolution actually applied to the data, so
 the division cancels it exactly in the passband.  The continuous kernel
 transform would disagree with it badly near the Nyquist frequency for
-marginally resolved kernels and is only used for positivity validation.
+marginally resolved kernels.
 """
 
 from __future__ import annotations
@@ -47,11 +47,10 @@ def _ramp_multiplier(freqs: np.ndarray, cutoff: float) -> np.ndarray:
 
 
 def grid_kernel_transform(m: MollifierSpec, spacing: float, count: int) -> np.ndarray:
-    """Signed DFT of the grid-sampled kernel on the FFT bins (unit DC)."""
+    """Signed DFT of the grid-sampled kernel on the FFT bins (unit DC).  The
+    samples fit in `count`: `Sinogram` refuses a kernel wider than its grid."""
     offsets, weights = sampled_kernel(m, spacing)
     half = offsets.size // 2
-    if offsets.size > count:
-        raise ValueError("sampled kernel longer than the offset grid")
     padded = np.zeros(count)
     padded[: half + 1] = weights[half:] * spacing
     if half:

@@ -9,7 +9,10 @@ against, kept out of the package because no run of the pipeline uses them.
   and `_gauss_legendre_128`: the projection-slice theorem checked on one
   row (criterion 7);
 - `vandermonde_det_formula`: the factored determinant of the order-k
-  moment matrix (criterion 11).
+  moment matrix (criterion 11);
+- `fourier_of_kernel`: the continuous transform of a kernel, which the
+  smoothed rows' spectra must show in band (criterion 6) and
+  whose positivity on eps * s <= 4 is checked per kind.
 """
 
 from __future__ import annotations
@@ -20,10 +23,19 @@ import math
 import numpy as np
 
 from momentct.errors import MisuseError, OrderError
-from momentct.mollifiers import SQRT_2PI, MollifierSpec, kernel_moments
+from momentct.mollifiers import (
+    _KERNEL_NODES,
+    PROFILES,
+    MollifierSpec,
+    _norm_const,
+    kernel_moments,
+)
 from momentct.moment_recovery import AngularMomentSet
+from momentct.numerics import gauss_legendre
 from momentct.phantoms import Density, MomentTable
 from momentct.projector import Sinogram
+
+SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def vandermonde_det_formula(angles, k: int) -> float:
@@ -122,3 +134,18 @@ def projection_slice_residual(d: Density, s: Sinogram, theta: float, s_values) -
         f2 = density_transform_2d(d, sval * c, sval * sn)
         residual = max(residual, abs(f2 - slc))
     return residual
+
+
+def fourier_of_kernel(m: MollifierSpec, s) -> np.ndarray:
+    """(1/sqrt(2 pi)) integral of phi_eps(t) e^{-ist} dt, real by symmetry.
+
+    Equals 1/sqrt(2 pi) at s = 0 and decays with |s|; may change sign
+    beyond the band eps * s <= 4.
+    """
+    s = np.asarray(s, dtype=float)
+    nodes, weights = gauss_legendre(_KERNEL_NODES)
+    base = _norm_const(m.kind) * PROFILES[m.kind](nodes)
+    # substitute t = eps * u: transform depends on s only through eps * s
+    arg = np.multiply.outer(s * m.epsilon, nodes)
+    vals = (weights * base * np.cos(arg)).sum(axis=-1) / SQRT_2PI
+    return vals if vals.shape else float(vals)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from momentct import cli, config
+from momentct import cli, config, phantoms
 from momentct.cli import main
 
 MINI_CONFIG = """
@@ -116,6 +116,18 @@ class TestPipeline:
         monkeypatch.setattr(config.RunConfig, "make_density", counted_density)
         assert main(["pipeline", "-c", str(write_config(tmp_path))]) == 0
         assert calls == {"make_kernel": 1, "make_density": 1}
+
+    def test_phantom_without_a_modulus_skips_its_sup_norm(self, tmp_path, capsys, monkeypatch):
+        # the bound needs a modulus of continuity, which disks lack; their sup
+        # norm, a 257^2 grid evaluation, would only feed that bound
+        def sup_norm(self):
+            raise AssertionError("sup norm evaluated")
+
+        monkeypatch.setattr(phantoms.SumOfDisksDensity, "sup_norm", property(sup_norm))
+        text = MINI_CONFIG.replace("kind = uniform", "kind = disks\ndisks = 0.5,0.5,0.2")
+        assert main(["pipeline", "-c", str(write_config(tmp_path, text=text))]) == 0
+        assert "sup error bound: n/a (phantom not uniformly continuous)\n" \
+            in capsys.readouterr().out
 
     @staticmethod
     def assert_subcommands_compose_to_pipeline(tmp_path, cfg):
@@ -469,20 +481,25 @@ class TestErrorContracts:
         assert "kernel width 1e-320 is too narrow" in capsys.readouterr().err
         assert not (tmp_path / "run_out").exists()
 
+    @pytest.mark.filterwarnings("error")  # refused before any numpy arithmetic
     def test_kernel_whose_moments_overflow_exits_2_before_any_artifact(self, tmp_path, capsys):
-        # eps^2 overflows a double; the grid rule refuses the width first
+        # eps^2 overflows a double; the config's cap on the width refuses it first
         cfg = write_config(tmp_path, text=MINI_CONFIG.replace("epsilon = 0.08", "epsilon = 1e155"))
         assert main(["pipeline", "-c", str(cfg)]) == 2
-        assert "kernel wider than the offset grid" in capsys.readouterr().err
+        assert "[mollifier] epsilon must lie in (0, sqrt 2], the unit square's diameter, " \
+               "got 1e+155" in capsys.readouterr().err
         assert not (tmp_path / "run_out").exists()
 
+    @pytest.mark.filterwarnings("error")  # refused before any numpy arithmetic
     def test_kernel_whose_moments_overflow_on_a_wide_grid_exits_2(self, tmp_path, capsys):
-        # the kernel fits this grid, so only the deconvolution's eps^2 refuses it
+        # the kernel would fit this grid, and the moment sums would overflow
+        # on it; the config's cap on the width refuses it first
         text = MINI_CONFIG.replace("epsilon = 0.08", "epsilon = 1e299") \
             .replace("margin = 1.1", "margin = 1e300")
         cfg = write_config(tmp_path, text=text)
         assert main(["pipeline", "-c", str(cfg)]) == 2
-        assert "kernel width 1e+299 is too wide" in capsys.readouterr().err
+        assert "[mollifier] epsilon must lie in (0, sqrt 2], the unit square's diameter, " \
+               "got 1e+299" in capsys.readouterr().err
         assert not (tmp_path / "run_out").exists()
 
     @pytest.mark.filterwarnings("error")  # refused before any numpy arithmetic

@@ -278,6 +278,20 @@ class TestMarginCap:
             RunConfig(grids=GridConfig(margin=1e308)).validate()
 
 
+class TestKernelWidthCap:
+    """[mollifier] epsilon lies in (0, sqrt 2]: a kernel wider than the unit
+    square's diameter is refused before anything is computed with it."""
+
+    def test_cap_holds_at_the_diameter(self):
+        RunConfig(mollifier=MollifierConfig(epsilon=math.sqrt(2.0))).validate()
+
+    @pytest.mark.parametrize("eps", [1.5, 0.0, -0.05])
+    def test_width_outside_the_cap_is_refused(self, eps):
+        with pytest.raises(ConfigError, match=rf"^\[mollifier\] epsilon must lie in \(0, sqrt 2\], "
+                                              rf"the unit square's diameter, got {eps}$"):
+            RunConfig(mollifier=MollifierConfig(epsilon=eps)).validate()
+
+
 def benchmark_inis():
     """The INI text of every benchmark workload at seeds 1 and 2."""
     perfbench = str(REPO / "perfbench")

@@ -253,12 +253,12 @@ class TestConvergence:
     def test_smoothed_moments_match_triangular_relation(self):
         # consistency: the radial-kernel moment table reproduces the
         # offset-moment coupling used by the deconvolution stage
-        from momentct.mollifiers import kernel_moments, make_bump
+        from momentct.mollifiers import kernel_moments, make_kernel
         from oracles import convolve_moments, synthesize_angular_moments
         from test_moment_recovery import raw_moment_set
 
         eps, K = 0.1, 4
-        kernel = make_bump(eps)
+        kernel = make_kernel("bump", eps)
         ams = raw_moment_set(POLY, [0.5, 1.1, 1.7, 2.3, 2.9], K)
         bhat = convolve_moments(ams, kernel)
         c = kernel_moments(kernel, K)

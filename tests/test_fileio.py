@@ -12,7 +12,7 @@ import pytest
 from momentct import fileio
 from momentct.density_recon import ReconGrid, reconstruct_grid
 from momentct.errors import FormatError
-from momentct.mollifiers import make_cosine
+from momentct.mollifiers import make_kernel
 from momentct.numerics import Grid1D
 from momentct.phantoms import DiskDensity, MomentTable, UniformDensity
 from momentct.projector import (
@@ -99,7 +99,7 @@ class TestSinogramFormat:
         assert stored.values is s.values and stored.kind == back.kind
 
     def test_mollified_roundtrip_carries_the_kernel(self, sino, tmp_path):
-        m = make_cosine(0.25)
+        m = make_kernel("cosine", 0.25)
         mol = mollify(sino, m)
         path = tmp_path / "s.csv"
         assert fileio.recorded(mol).kernel is m

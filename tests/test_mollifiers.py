@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from momentct.errors import OmegaMembershipError, ResolutionWarning
+from momentct import mollifiers
+from momentct.errors import ResolutionWarning
 from momentct.mollifiers import (
-    DEFAULT_OMEGA_BAND,
+    PROFILES,
     MollifierSpec,
     evaluate_kernel,
-    fourier_of_kernel,
     kernel_moments,
-    make_bump,
-    make_cosine,
     make_kernel,
     sampled_kernel,
-    validate_omega_band,
 )
+from oracles import fourier_of_kernel
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -28,15 +26,15 @@ COSINE_C2_UNIT = 1.0 / 3.0 - 2.0 / math.pi**2
 
 
 class TestMoments:
-    @pytest.mark.parametrize("make", [make_bump, make_cosine])
+    @pytest.mark.parametrize("kind", ["bump", "cosine"])
     @pytest.mark.parametrize("eps", [0.01, 0.05, 0.1, 0.5])
-    def test_c0_is_one_and_c1_vanishes(self, make, eps):
-        c = kernel_moments(make(eps), 6)
+    def test_c0_is_one_and_c1_vanishes(self, kind, eps):
+        c = kernel_moments(make_kernel(kind, eps), 6)
         assert c[0] == pytest.approx(1.0, abs=1e-12)
         assert abs(c[1]) <= 1e-12
 
     def test_odd_vanish_even_positive(self):
-        c = kernel_moments(make_bump(0.1), 9)
+        c = kernel_moments(make_kernel("bump", 0.1), 9)
         for j in range(10):
             if j % 2:
                 assert abs(c[j]) <= 1e-12
@@ -44,31 +42,31 @@ class TestMoments:
                 assert c[j] > 0.0
 
     def test_c2_scaling_law(self):
-        base = kernel_moments(make_bump(1.0), 4)[2]
+        base = kernel_moments(make_kernel("bump", 1.0), 4)[2]
         assert base == pytest.approx(BUMP_C2_UNIT, abs=1e-10)
         for eps in (0.01, 0.05, 0.1, 0.5):
-            c = kernel_moments(make_bump(eps), 4)
+            c = kernel_moments(make_kernel("bump", eps), 4)
             assert c[2] == pytest.approx(eps**2 * base, rel=1e-8)
 
     def test_cosine_c2_closed_form(self):
         # integral of (1+cos pi u)/2 * u^2 on [-1,1] is 1/3 - 2/pi^2
-        c = kernel_moments(make_cosine(1.0), 4)
+        c = kernel_moments(make_kernel("cosine", 1.0), 4)
         assert c[2] == pytest.approx(COSINE_C2_UNIT, abs=1e-12)
-        c5 = kernel_moments(make_cosine(0.05), 4)
+        c5 = kernel_moments(make_kernel("cosine", 0.05), 4)
         assert c5[2] == pytest.approx(0.05**2 * COSINE_C2_UNIT, rel=1e-10)
 
     @settings(deadline=None, max_examples=10)
     @given(st.floats(0.01, 0.5), st.integers(2, 8))
     def test_scaling_invariance(self, eps, order):
-        unit = kernel_moments(make_bump(1.0), order)
-        c = kernel_moments(make_bump(eps), order)
+        unit = kernel_moments(make_kernel("bump", 1.0), order)
+        c = kernel_moments(make_kernel("bump", eps), order)
         for j in range(0, order + 1, 2):
             assert c[j] / eps**j == pytest.approx(unit[j], rel=1e-8)
 
     @pytest.mark.filterwarnings("error")
     def test_moments_whose_power_overflows_are_refused(self):
-        # eps^j raises OverflowError in float arithmetic; the width fits the
-        # transform band, so only the moments can refuse it
+        # eps^j raises OverflowError in float arithmetic; construction checks
+        # only the kind and 1/eps, so only the moments can refuse this width
         m = make_kernel("bump", 1e299)
         assert kernel_moments(m, 1)[0] == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(ValueError, match=r"^kernel width 1e\+299 is too wide: its moments "
@@ -77,17 +75,17 @@ class TestMoments:
 
 
 class TestKernel:
-    @pytest.mark.parametrize("make", [make_bump, make_cosine])
+    @pytest.mark.parametrize("kind", ["bump", "cosine"])
     @pytest.mark.parametrize("eps", [0.01, 0.05, 0.1, 0.5])
-    def test_unit_mass_by_fine_quadrature(self, make, eps):
-        m = make(eps)
+    def test_unit_mass_by_fine_quadrature(self, kind, eps):
+        m = make_kernel(kind, eps)
         x, w = np.polynomial.legendre.leggauss(400)
         tau = eps * x
         mass = eps * np.sum(w * evaluate_kernel(m, tau))
         assert mass == pytest.approx(1.0, abs=1e-10)
 
     def test_support_boundary_and_symmetry(self):
-        m = make_bump(0.3)
+        m = make_kernel("bump", 0.3)
         assert evaluate_kernel(m, 0.3) == 0.0
         assert evaluate_kernel(m, -0.3) == 0.0
         assert evaluate_kernel(m, 0.31) == 0.0
@@ -96,27 +94,27 @@ class TestKernel:
 
     def test_peak_scales_inversely_with_width(self):
         peak_base = BUMP_NORM * math.exp(-1.0)
-        m = make_bump(0.5)
+        m = make_kernel("bump", 0.5)
         assert evaluate_kernel(m, 0.0) == pytest.approx(2.0 * peak_base, rel=1e-10)
 
     def test_nonnegative(self):
-        m = make_cosine(0.2)
+        m = make_kernel("cosine", 0.2)
         t = np.linspace(-0.3, 0.3, 1001)
         assert np.all(np.asarray(evaluate_kernel(m, t)) >= 0.0)
 
 
 class TestFourier:
     def test_dc_value(self):
-        for m in (make_bump(0.07), make_cosine(0.5)):
+        for m in (make_kernel("bump", 0.07), make_kernel("cosine", 0.5)):
             assert fourier_of_kernel(m, 0.0) == pytest.approx(INV_SQRT_2PI, abs=1e-12)
 
     def test_symmetry_in_s(self):
-        m = make_bump(0.1)
+        m = make_kernel("bump", 0.1)
         for s in (0.5, 3.0, 12.0):
             assert fourier_of_kernel(m, s) == pytest.approx(fourier_of_kernel(m, -s))
 
     def test_value_in_unit_interval_and_oracle(self):
-        m = make_bump(0.1)
+        m = make_kernel("bump", 0.1)
         got = fourier_of_kernel(m, 5.0)
         assert 0.0 < got < INV_SQRT_2PI
         # independent trapezoid oracle on a fine grid
@@ -128,42 +126,44 @@ class TestFourier:
         s = 10.0
         errors = []
         for eps in (0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625, 0.003125):
-            m = make_bump(eps)
+            m = make_kernel("bump", eps)
             errors.append(abs(fourier_of_kernel(m, s) - INV_SQRT_2PI))
         assert all(b <= a + 1e-15 for a, b in zip(errors, errors[1:]))
         assert errors[-1] <= 1e-4
 
-    def test_omega_validation(self):
-        m = make_bump(0.1)
-        validate_omega_band(m, 30.0)  # eps*s = 3, inside the safe band
-        with pytest.raises(OmegaMembershipError):
-            validate_omega_band(m, 60.0)  # crosses the first transform zero
+    def test_first_zero_lies_beyond_the_band(self):
+        m = make_kernel("bump", 0.1)
+        assert fourier_of_kernel(m, 30.0) > 0.0  # eps*s = 3, inside the band
+        assert fourier_of_kernel(m, 50.0) < 0.0  # past the first zero near eps*s = 4.97
 
     @pytest.mark.filterwarnings("error")
-    def test_nan_transform_fails_the_band(self):
-        m = MollifierSpec("bump", math.nan)
-        with pytest.raises(OmegaMembershipError):
-            validate_omega_band(m, 30.0)
-
-    def test_tabulated_band_is_positive(self):
-        # the 257 points construction checks, for both kernel families
-        for m in (make_cosine(0.05), make_bump(0.05)):
-            s = np.linspace(0.0, DEFAULT_OMEGA_BAND / m.epsilon, 257)
-            assert np.all(np.asarray(fourier_of_kernel(m, s)) > 0.0)
+    @pytest.mark.parametrize("kind", sorted(PROFILES))
+    def test_band_is_positive_at_every_width(self, kind):
+        # the transform depends on s only through eps * s, so positivity on
+        # the 257 points with eps * s in [0, 4] is a fact about the kind:
+        # every width from the narrowest whose band 4/eps is finite to the
+        # widest double gives the same values
+        unit = fourier_of_kernel(make_kernel(kind, 1.0), np.linspace(0.0, 4.0, 257))
+        assert np.all(unit > 0.0)
+        for eps in (2.3e-308, 1e-150, 1e-3, 0.05, 1e150, 1.7e308):
+            s = np.linspace(0.0, 4.0 / eps, 257)
+            vals = fourier_of_kernel(make_kernel(kind, eps), s)
+            np.testing.assert_allclose(vals, unit, rtol=1e-13, atol=0.0)
 
 
 class TestSampledKernel:
     def test_unit_discrete_mass(self):
-        m = make_bump(0.05)
+        m = make_kernel("bump", 0.05)
         offsets, weights = sampled_kernel(m, 0.003)
         assert offsets.size == weights.size
         assert weights.sum() * 0.003 == pytest.approx(1.0, rel=1e-14)
 
     def test_resolution_warning(self):
-        m = make_bump(0.004)
+        m = make_kernel("bump", 0.004)
         with pytest.warns(ResolutionWarning):
             sampled_kernel(m, 0.003)
 
+    @pytest.mark.filterwarnings("error")  # refused by the mass check, not numpy overflow
     def test_non_finite_mass_is_rejected(self):
         # a width this far below the spacing samples only the peak, which
         # overflows; `make_kernel` refuses the width, so the spec is built by hand
@@ -174,15 +174,21 @@ class TestSampledKernel:
 
     def test_construction_validation(self):
         with pytest.raises(ValueError):
-            make_bump(-0.1)
+            make_kernel("bump", -0.1)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("kind", ["bump", "cosine"])
-    @pytest.mark.parametrize("eps", [1e-320, 1e-308])
-    def test_width_whose_band_overflows_is_rejected(self, kind, eps):
-        # 1/1e-320 overflows; 1/1e-308 does not, but the band bound 4/1e-308 does
-        with pytest.raises(ValueError, match=r"is too narrow: the band \|s\| <= 4/eps"):
-            make_kernel(kind, eps)
+    def test_width_whose_reciprocal_overflows_is_rejected(self, kind):
+        with pytest.raises(ValueError, match=r"^kernel width 1e-320 is too narrow: "
+                                             r"1/eps overflows$"):
+            make_kernel(kind, 1e-320)
+
+    @pytest.mark.parametrize("kind", ["bump", "cosine"])
+    def test_width_far_below_the_spacing_builds_and_warns_at_sampling(self, kind):
+        m = make_kernel(kind, 1e-308)
+        with pytest.warns(ResolutionWarning):
+            offsets, weights = sampled_kernel(m, 0.01)
+        assert weights.tolist() == [0.0, 100.0, 0.0]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("eps", [math.inf, math.nan])
@@ -191,6 +197,25 @@ class TestSampledKernel:
             make_kernel("bump", eps)
 
     @pytest.mark.filterwarnings("error")
-    def test_narrowest_width_with_a_finite_band_is_accepted(self):
-        eps = DEFAULT_OMEGA_BAND / np.finfo(float).max * 1.01
+    def test_narrowest_width_with_a_finite_reciprocal_is_accepted(self):
+        eps = 1.01 / np.finfo(float).max
         assert make_kernel("bump", eps).epsilon == eps
+        with pytest.raises(ValueError, match="is too narrow"):
+            make_kernel("bump", 0.99 / np.finfo(float).max)
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("kind", ["bump", "cosine"])
+    def test_checks_only_its_inputs(self, monkeypatch, kind):
+        # no transform and no quadrature: positivity on the band is a fact
+        # about the kind (TestFourier), not something to recompute per width
+        calls = []
+        gauss_legendre = mollifiers.gauss_legendre
+
+        def counted(n):
+            calls.append(n)
+            return gauss_legendre(n)
+
+        monkeypatch.setattr(mollifiers, "gauss_legendre", counted)
+        assert make_kernel(kind, 0.05) == MollifierSpec(kind, 0.05)
+        assert calls == []

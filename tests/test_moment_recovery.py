@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from momentct.config import MomentConfig, RunConfig
 from momentct.errors import MisuseError, OrderError
-from momentct.mollifiers import kernel_moments, make_bump, make_cosine
+from momentct.mollifiers import kernel_moments, make_kernel
 from momentct.moment_recovery import (
     AngularMomentSet,
     angular_moments,
@@ -81,7 +81,7 @@ class TestAngularMoments:
     def test_provenance_tagging(self):
         s = Sinogram(moment_angle_grid(16), offset_grid(129), np.zeros((16, 129)), "raw")
         assert angular_moments(s, 1, [0.5, 1.0]).kernel is None
-        m = make_bump(0.05)
+        m = make_kernel("bump", 0.05)
         mol = Sinogram(moment_angle_grid(16), offset_grid(129),
                        np.zeros((16, 129)), "mollified", m)
         assert angular_moments(mol, 1, [0.5, 1.0]).kernel is m
@@ -89,13 +89,13 @@ class TestAngularMoments:
 
 class TestDeconvolution:
     def test_order_zero_passthrough(self):
-        m = make_bump(0.1)
+        m = make_kernel("bump", 0.1)
         ams = raw_moment_set(UNIFORM, [0.5, 1.1, 1.9, 2.4, 2.9], 0)
         hat = convolve_moments(ams, m)
         assert np.allclose(hat.values, ams.values, atol=1e-15)
 
     def test_order_two_single_correction(self):
-        m = make_bump(0.1)
+        m = make_kernel("bump", 0.1)
         ams = raw_moment_set(UNIFORM, [0.9, 1.7], 2)
         hat = convolve_moments(ams, m)
         c2 = kernel_moments(m, 2)[2]
@@ -112,12 +112,12 @@ class TestDeconvolution:
         values = rng.uniform(-2.0, 2.0, size=(K + 1, K + 1))
         ams = AngularMomentSet(angles, values)
         # random symmetric unit-mass moment sequence
-        m = make_bump(float(rng.uniform(0.02, 0.5)))
+        m = make_kernel("bump", float(rng.uniform(0.02, 0.5)))
         back = deconvolve_moments(convolve_moments(ams, m))
         assert np.max(np.abs(back.values - values)) <= 1e-12
 
     def test_provenance_guards(self):
-        m = make_bump(0.1)
+        m = make_kernel("bump", 0.1)
         ams = raw_moment_set(UNIFORM, [0.5, 1.5], 1)
         with pytest.raises(MisuseError):
             deconvolve_moments(ams)
@@ -162,7 +162,7 @@ class TestSolve:
             assert np.max(np.abs(x - expected)) <= 1e-12
 
     def test_requires_raw_provenance(self):
-        m = make_bump(0.1)
+        m = make_kernel("bump", 0.1)
         hat = convolve_moments(raw_moment_set(UNIFORM, [0.3, 1.0, 2.0, 2.8], 3), m)
         with pytest.raises(MisuseError):
             solve_moment_system(hat, 1)
@@ -201,13 +201,13 @@ class TestRecoverTable:
             assert v == pytest.approx(1.0 / ((a + 1) * (b + 1)), abs=1e-5)
 
     def test_uniform_mollified_recovery(self, uniform_sino):
-        m = make_bump(0.05)
+        m = make_kernel("bump", 0.05)
         table = recover_moment_table(mollify(uniform_sino, m), 4)
         for (a, b), v in table.values.items():
             assert v == pytest.approx(1.0 / ((a + 1) * (b + 1)), abs=1e-4)
 
     def test_cosine_kernel_cross_check(self, uniform_sino):
-        m = make_cosine(0.05)
+        m = make_kernel("cosine", 0.05)
         table = recover_moment_table(mollify(uniform_sino, m), 4)
         for (a, b), v in table.values.items():
             assert v == pytest.approx(1.0 / ((a + 1) * (b + 1)), abs=1e-4)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from momentct.errors import CoverageError, MisuseError
-from momentct.mollifiers import make_bump
+from momentct.mollifiers import make_kernel
 from momentct.numerics import Grid1D
 from momentct.phantoms import (
     DiskDensity,
@@ -84,7 +84,7 @@ class TestProject:
 
 class TestMollify:
     def test_plateau_unchanged(self):
-        m = make_bump(0.05)
+        m = make_kernel("bump", 0.05)
         s = small_sinogram(n_angles=8, n_offsets=513)
         mol = mollify(s, m)
         ps = s.offset_grid.points()
@@ -98,7 +98,7 @@ class TestMollify:
             assert np.max(np.abs(mol.values[4, sel] - s.values[4, sel])) <= 1e-10
 
     def test_mass_preserved_per_row(self):
-        m = make_bump(0.05)
+        m = make_kernel("bump", 0.05)
         s = small_sinogram(n_angles=8, n_offsets=513)
         mol = mollify(s, m)
         h = s.offset_grid.spacing
@@ -108,13 +108,13 @@ class TestMollify:
             )
 
     def test_peak_reduced_for_disk(self):
-        m = make_bump(0.05)
+        m = make_kernel("bump", 0.05)
         s = small_sinogram(DISK, n_angles=8, n_offsets=513)
         mol = mollify(s, m)
         assert mol.values.max() < s.values.max()
 
     def test_kind_transitions(self):
-        m = make_bump(0.05)
+        m = make_kernel("bump", 0.05)
         s = small_sinogram(n_angles=4, n_offsets=129)
         mol = mollify(s, m)
         assert mol.kind == "mollified"
@@ -125,7 +125,7 @@ class TestMollify:
 
 class TestSinogramKernel:
     def test_kernel_comes_with_mollified_rows_and_only_with_them(self):
-        m = make_bump(0.05)
+        m = make_kernel("bump", 0.05)
         grids = (moment_angle_grid(4), offset_grid(129))
         values = np.zeros((4, 129))
         assert Sinogram(*grids, values, "mollified", m).kernel is m
@@ -142,8 +142,8 @@ class TestSinogramKernel:
         grids = (moment_angle_grid(4), Grid1D(0.0, count - 1.0, count))
         values = np.zeros((4, count))
         half = (count - 1) // 2
-        assert Sinogram(*grids, values, "mollified", make_bump(half)).kernel.epsilon == half
-        wider = make_bump(half + 0.5)
+        assert Sinogram(*grids, values, "mollified", make_kernel("bump", half)).kernel.epsilon == half
+        wider = make_kernel("bump", half + 0.5)
         with pytest.raises(ValueError, match="^kernel wider than the offset grid$"):
             Sinogram(*grids, values, "mollified", wider)
         with pytest.raises(ValueError, match="^kernel wider than the offset grid$"):
@@ -152,12 +152,12 @@ class TestSinogramKernel:
     def test_spectral_identity_on_resolved_band(self):
         # per-row transform of the smoothed row equals the raw transform
         # times the kernel transform (unit-DC normalization)
-        m = make_bump(0.05)
+        m = make_kernel("bump", 0.05)
         s = small_sinogram(DISK, n_angles=6, n_offsets=1025)
         mol = mollify(s, m)
         h = s.offset_grid.spacing
         freqs = 2.0 * math.pi * np.fft.fftfreq(1025, d=h)
-        from momentct.mollifiers import fourier_of_kernel
+        from oracles import fourier_of_kernel
 
         transfer = SQRT_2PI * np.asarray(fourier_of_kernel(m, freqs))
         for i in range(6):
@@ -206,7 +206,7 @@ class TestNoise:
     def test_smoothed_or_filtered_rows_are_refused(self, sigma):
         # noise on smoothed rows would relabel them noisy and drop the kernel
         s = small_sinogram(n_angles=4, n_offsets=129)
-        mol = mollify(s, make_bump(0.05))
+        mol = mollify(s, make_kernel("bump", 0.05))
         filtered = Sinogram(s.angle_grid, s.offset_grid, s.values, "filtered")
         for rows in (mol, filtered):
             with pytest.raises(MisuseError, match=f"^can only add noise to raw or noisy "
@@ -225,7 +225,7 @@ class TestL1Norm:
         assert l1_norm(s) == 0.0
 
     def test_mollified_bounded_by_raw(self):
-        m = make_bump(0.05)
+        m = make_kernel("bump", 0.05)
         s = small_sinogram(n_angles=32, n_offsets=513, cover="full")
         assert l1_norm(mollify(s, m)) <= l1_norm(s) + 1e-6
 

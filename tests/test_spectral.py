@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from momentct.errors import CoverageError, MisuseError
-from momentct.mollifiers import make_bump
+from momentct.mollifiers import make_kernel
 from momentct.numerics import Grid1D
 from momentct.phantoms import DiskDensity, UniformDensity
 from momentct.projector import (
@@ -121,7 +121,7 @@ class TestApplyFilter:
             assert abs(gain) <= 1e-12 * omega
 
     def test_modified_cancels_smoothing_in_band(self):
-        m = make_bump(0.05)
+        m = make_kernel("bump", 0.05)
         s = project(DISK, half_circle_grid(8), offset_grid(512))
         raw_filtered = apply_filter(s)
         mod_filtered = apply_filter(mollify(s, m))
@@ -169,7 +169,7 @@ class TestApplyFilter:
         assert peak < values.nbytes + 1e6  # the output and one block's spectra
 
     def test_grid_kernel_transform_dc(self):
-        m = make_bump(0.05)
+        m = make_kernel("bump", 0.05)
         t = grid_kernel_transform(m, 0.005, 256)
         assert t[0] == pytest.approx(1.0, abs=1e-14)
 
