@@ -6,6 +6,7 @@ from .density_recon import (
     ReconGrid,
     minimized_sup_error_bound,
     moment_approximation,
+    phantom_image,
     reconstruct_grid,
     relative_l2_error,
     sup_error,

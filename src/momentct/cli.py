@@ -27,6 +27,7 @@ from .config import RunConfig, load_config
 from .density_recon import (
     ReconGrid,
     minimized_sup_error_bound,
+    phantom_image,
     reconstruct_grid,
     relative_l2_error,
     sup_error,
@@ -81,19 +82,17 @@ def _simulate(cfg: RunConfig, density: Density, kernel: MollifierSpec | None) ->
     return sino
 
 
-def _write_projection(cfg: RunConfig, sino: Sinogram, density: Density) -> None:
-    """Write the sinogram and phantom artifacts and print the data checks."""
+def _write_projection(cfg: RunConfig, sino: Sinogram, density: Density,
+                      truth: np.ndarray) -> None:
+    """Write the sinogram and the phantom image `truth` (`phantom_image`)
+    and print the data checks."""
     out = _outdir(cfg)
     # the PGM first: `write_pgm` refuses a non-finite sinogram before any
     # artifact exists
     fileio.write_pgm(sino.values, out / "sinogram.pgm")
     path = out / "sinogram.csv"
     fileio.write_sinogram(sino, path)
-    n = cfg.recon.resolution
-    xs = (np.arange(n) + 0.5) / n
-    xx, yy = np.meshgrid(xs, xs, indexing="ij")
-    fileio.write_pgm(np.asarray(density.evaluate(xx, yy), dtype=float),
-                     out / "phantom.pgm")
+    fileio.write_pgm(truth, out / "phantom.pgm")
     angles, offsets = sino.angle_grid, sino.offset_grid
     # the angular span l1_norm integrates over: the whole turn on full-turn
     # grids (periodic closure), the sampled span otherwise
@@ -110,7 +109,8 @@ def _write_projection(cfg: RunConfig, sino: Sinogram, density: Density) -> None:
 
 def cmd_project(cfg: RunConfig) -> int:
     density = cfg.make_density()
-    _write_projection(cfg, _simulate(cfg, density, cfg.make_mollifier()), density)
+    sino = _simulate(cfg, density, cfg.make_mollifier())
+    _write_projection(cfg, sino, density, phantom_image(density, cfg.recon.resolution))
     return 0
 
 
@@ -160,11 +160,13 @@ def _write_image(rec: ReconGrid, stem: Path) -> None:
     fileio.write_recon_csv(rec, stem.with_suffix(".csv"))
 
 
-def _write_moment_image(cfg: RunConfig, rec: ReconGrid, density: Density) -> None:
-    """Write the moment image and print its error against the phantom."""
+def _write_moment_image(cfg: RunConfig, rec: ReconGrid, density: Density,
+                        truth: np.ndarray) -> None:
+    """Write the moment image and print its error against the phantom
+    image `truth`, and the phantom's error bound."""
     out = _outdir(cfg)
     _write_image(rec, out / "recon_moments")
-    err = sup_error(rec, density)
+    err = sup_error(rec, truth)
     print(f"moment reconstruction: {out / 'recon_moments.csv'} "
           f"orders=({cfg.recon.m},{cfg.recon.n}) N={cfg.recon.resolution}")
     print(f"sup error vs phantom: {err:.6f}")
@@ -180,15 +182,15 @@ def _write_moment_image(cfg: RunConfig, rec: ReconGrid, density: Density) -> Non
 
 
 def _write_fbp_image(cfg: RunConfig, rec: ReconGrid, kernel: MollifierSpec | None,
-                     density: Density) -> None:
+                     truth: np.ndarray) -> None:
     """Write the FBP image of rows smoothed by `kernel` (None: raw rows)
-    and print its error against the phantom."""
+    and print its error against the phantom image `truth`."""
     out = _outdir(cfg)
     _write_image(rec, out / "recon_fbp")
     label = "riesz" if kernel is None else "modified_riesz"
     print(f"fbp reconstruction: {out / 'recon_fbp.csv'} "
           f"filter={label} N={cfg.recon.resolution}")
-    print(f"relative l2 error vs phantom: {relative_l2_error(rec, density):.6f}")
+    print(f"relative l2 error vs phantom: {relative_l2_error(rec, truth):.6f}")
 
 
 def cmd_reconstruct(cfg: RunConfig, input_path: Path) -> int:
@@ -197,10 +199,12 @@ def cmd_reconstruct(cfg: RunConfig, input_path: Path) -> int:
     r = cfg.recon
     if head.startswith("# moments"):
         table, density = _read_moments(input_path), cfg.make_density()
-        _write_moment_image(cfg, reconstruct_grid(table, r.m, r.n, r.resolution), density)
+        rec = reconstruct_grid(table, r.m, r.n, r.resolution)
+        _write_moment_image(cfg, rec, density, phantom_image(density, r.resolution))
     elif head.startswith("# sinogram"):
         sino, density = _read_sinogram(input_path), cfg.make_density()
-        _write_fbp_image(cfg, fbp_reconstruct(sino, r.resolution), sino.kernel, density)
+        rec = fbp_reconstruct(sino, r.resolution)
+        _write_fbp_image(cfg, rec, sino.kernel, phantom_image(density, r.resolution))
     else:
         raise FormatError(f"unrecognized input header: {head.strip()!r}")
     return 0
@@ -211,7 +215,8 @@ def cmd_pipeline(cfg: RunConfig) -> int:
     written, so a run that any stage refuses leaves no artifact.  The later
     stages run on the sinogram as `sinogram.csv` records it, kernel
     included, and on the moment table as computed, so nothing written is
-    parsed back; the phantom is built once and shared by the stages."""
+    parsed back; the phantom is built, and evaluated at the pixel centers,
+    once and shared by the stages."""
     density = cfg.make_density()
     sino = _simulate(cfg, density, cfg.make_mollifier())
     _require_finite(sino.values, "the computed sinogram has non-finite values")
@@ -228,16 +233,17 @@ def cmd_pipeline(cfg: RunConfig) -> int:
     if r.method in ("fbp", "both"):
         fbp_image = fbp_reconstruct(stored, r.resolution)
         _require_finite(fbp_image.values, "the computed FBP image has non-finite values")
+    truth = phantom_image(density, r.resolution)
 
     print("== project ==")
-    _write_projection(cfg, sino, density)
+    _write_projection(cfg, sino, density, truth)
     print("== moments ==")
     _write_moments(cfg, table, diagnostics)
     print("== reconstruct ==")
     if moment_image is not None:
-        _write_moment_image(cfg, moment_image, density)
+        _write_moment_image(cfg, moment_image, density, truth)
     if fbp_image is not None:
-        _write_fbp_image(cfg, fbp_image, stored.kernel, density)
+        _write_fbp_image(cfg, fbp_image, stored.kernel, truth)
     return 0
 
 

@@ -30,6 +30,11 @@ exponent and separator are laid out in 32 bytes from tables (the digits
 four at a time), with every unused byte 0, trailing zeros of the
 significand included, and `bytes.translate` deletes those bytes.
 
+A PGM pixel's text is a 4-byte word from one of two tables by level
+0..255: the level's digits and a space, or a newline for the last pixel of
+an image row, padded with bytes 0, which `bytes.translate` deletes too.
+A PGM block is whole columns of the values, the image rows it emits.
+
 PGM export rejects non-finite values with ValueError.  Every writer hands
 its ASCII text to disk as bytes, through a temp file and an atomic rename,
 so a reader never sees a partial file.  The sinogram, reconstruction and
@@ -309,16 +314,28 @@ def _csv_chunks(values: np.ndarray) -> Iterator[bytes]:
             yield b"\n".join([lines[i] for i in picks]) + b"\n"
 
 
-#: PGM pixel text by level; indexing it with a pixel image gathers the text
-_PGM_LEVELS = np.array([str(i) for i in range(256)], dtype=object)
+@functools.cache
+def _pgm_words() -> tuple[np.ndarray, np.ndarray]:
+    """Each PGM level's text followed by a space, and followed by a newline,
+    as a 4-byte word padded with bytes 0, by level; built on first use."""
+    return tuple(np.array([_word(b"%d%s" % (level, end)) for level in range(256)],
+                          dtype="<u4")
+                 for end in (b" ", b"\n"))
 
 
-def _pgm_text(rows: np.ndarray, vmin: float, scale: float) -> bytes:
-    """The PGM lines of image rows, each value as its level: (value - vmin)
-    / scale, rounded and clipped to 0..255."""
-    levels = np.clip(np.rint((rows - vmin) / scale), 0, 255).astype(int)
-    lines = [" ".join(row) for row in _PGM_LEVELS[levels].tolist()]
-    return ("\n".join(lines) + "\n").encode("ascii")
+def _pgm_text(columns: np.ndarray, vmin: float, scale: float) -> bytes:
+    """The PGM lines of the image rows that are `columns` in reverse order,
+    each value as its level: (value - vmin) / scale, rounded and clipped to
+    0..255."""
+    spaced, ended = _pgm_words()
+    levels = columns - vmin  # a copy, in the columns' own layout
+    levels /= scale
+    np.rint(levels, out=levels)
+    np.clip(levels, 0, 255, out=levels)
+    image = levels.astype(np.intp)[:, ::-1].T  # x2 axis points up in data, down in the image
+    words = spaced.take(image)
+    words[:, -1] = ended.take(image[:, -1])
+    return words.tobytes().translate(None, b"\0")
 
 
 def _atomic_write(path, chunks: Iterable[bytes]) -> None:
@@ -524,10 +541,10 @@ def write_pgm(values: np.ndarray, path) -> None:
     scale = span / 255.0
     if scale == 0.0:  # a constant image, or a span too small to divide by 255
         scale = 1.0
-    image = v[:, ::-1].T  # x2 axis points up in data, down in the image
-    header = (f"P2\n# offset={_fmt(vmin)} scale={_fmt(scale)}\n"
-              f"{image.shape[1]} {image.shape[0]}\n255\n")
-    step = max(1, _BLOCK // image.shape[1])
-    blocks = (image[start:start + step] for start in range(0, len(image), step))
+    width, height = v.shape
+    header = f"P2\n# offset={_fmt(vmin)} scale={_fmt(scale)}\n{width} {height}\n255\n"
+    # image row i is column height - 1 - i of v: blocks of whole columns, last first
+    step = max(1, _BLOCK // width)
+    blocks = (v[:, max(stop - step, 0):stop] for stop in range(height, 0, -step))
     _atomic_write(path, chain([header.encode("ascii")],
                               (_pgm_text(block, vmin, scale) for block in blocks)))

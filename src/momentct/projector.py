@@ -231,11 +231,12 @@ def add_noise(s: Sinogram, sigma: float, seed: int) -> Sinogram:
     return replace(s, values=out, kind="noisy")
 
 
-def row_blocks(s: Sinogram) -> list[slice]:
-    """The rows of s as consecutive blocks of at most `_BLOCK_LINES` samples
-    (or one row), which bound a per-row computation's temporaries."""
-    step = max(1, _BLOCK_LINES // s.offset_grid.count)
-    return [slice(start, start + step) for start in range(0, s.angle_grid.count, step)]
+def row_blocks(rows: int, width: int) -> list[slice]:
+    """`rows` rows of `width` samples each (a sinogram's, or an image's) as
+    consecutive blocks of at most `_BLOCK_LINES` samples (or one row), which
+    bound a per-row computation's temporaries."""
+    step = max(1, _BLOCK_LINES // width)
+    return [slice(start, start + step) for start in range(0, rows, step)]
 
 
 def l1_norm(s: Sinogram) -> float:
@@ -247,7 +248,7 @@ def l1_norm(s: Sinogram) -> float:
     """
     dp = s.offset_grid.spacing
     row_ints = np.concatenate([np.trapezoid(np.abs(s.values[rows]), dx=dp, axis=1)
-                               for rows in row_blocks(s)])
+                               for rows in row_blocks(*s.values.shape)])
     dth = s.angle_grid.spacing
     if angle_coverage(s.angle_grid) == "full":
         return float(dth * row_ints.sum())

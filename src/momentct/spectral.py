@@ -76,7 +76,7 @@ def apply_filter(s: Sinogram) -> Sinogram:
         mult = np.where(usable, mult / np.where(usable, transfer, 1.0), 0.0)
 
     filtered = np.empty_like(s.values)
-    for rows in row_blocks(s):
+    for rows in row_blocks(*s.values.shape):
         spectra = np.fft.fft(s.values[rows], axis=1)
         spectra *= mult
         filtered[rows] = np.fft.ifft(spectra, axis=1).real
@@ -98,6 +98,11 @@ def backproject(s: Sinogram, resolution: int) -> ReconGrid:
     interpolated once as the complex row lead + 1j * partner and the
     imaginary image is added back transposed.  Both shortcuts agree with the
     row-by-row sum up to rounding; other grids are summed row by row.
+
+    Each row is interpolated over bands of whole pixel rows (`row_blocks`),
+    so only one band's offsets and samples exist at a time, and they stay
+    in cache beside the accumulator; each pixel adds the angles in the
+    same order as one call over the whole image would.
     """
     cov = angle_coverage(s.angle_grid)
     if cov == "partial":
@@ -120,9 +125,12 @@ def backproject(s: Sinogram, resolution: int) -> ReconGrid:
             thetas, values = thetas[lead], values[lead] + 1j * mates[lead]
     xs = (np.arange(resolution) + 0.5) / resolution
     acc = np.zeros((resolution, resolution), dtype=values.dtype)
+    bands = row_blocks(resolution, resolution)
     for theta, row in zip(thetas, values):
-        off = np.add.outer(xs * math.cos(theta), xs * math.sin(theta))
-        acc += np.interp(off, ps, row, left=0.0, right=0.0)
+        x1_cos, x2_sin = xs * math.cos(theta), xs * math.sin(theta)
+        for band in bands:
+            acc[band] += np.interp(np.add.outer(x1_cos[band], x2_sin), ps, row,
+                                   left=0.0, right=0.0)
     if np.iscomplexobj(acc):
         acc = acc.real + acc.imag.T
     acc *= factor * s.angle_grid.spacing

@@ -117,6 +117,29 @@ class TestPipeline:
         assert main(["pipeline", "-c", str(write_config(tmp_path))]) == 0
         assert calls == {"make_kernel": 1, "make_density": 1}
 
+    def test_evaluates_the_phantom_image_once(self, tmp_path, monkeypatch):
+        # phantom.pgm, the sup error and the relative L2 error share one
+        # evaluation at the pixel centers; project's own calls do not count
+        outside, in_project = [], []
+        evaluate, project = phantoms.UniformDensity.evaluate, cli.project
+
+        def counted(self, x1, x2):
+            if not in_project:
+                outside.append(np.shape(x1))
+            return evaluate(self, x1, x2)
+
+        def flagged(*args, **kwargs):
+            in_project.append(True)
+            try:
+                return project(*args, **kwargs)
+            finally:
+                in_project.pop()
+
+        monkeypatch.setattr(phantoms.UniformDensity, "evaluate", counted)
+        monkeypatch.setattr(cli, "project", flagged)
+        assert main(["pipeline", "-c", str(write_config(tmp_path))]) == 0  # method = both
+        assert outside == [(16, 16)]
+
     def test_phantom_without_a_modulus_skips_its_sup_norm(self, tmp_path, capsys, monkeypatch):
         # the bound needs a modulus of continuity, which disks lack; their sup
         # norm, a 257^2 grid evaluation, would only feed that bound

@@ -12,6 +12,7 @@ from momentct.density_recon import (
     cancellation_log10,
     minimized_sup_error_bound,
     moment_approximation,
+    phantom_image,
     reconstruct_grid,
     relative_l2_error,
     sup_error,
@@ -83,14 +84,14 @@ class TestGrid:
     def test_uniform_meets_bound(self):
         t = MomentTable.from_density(UNIFORM, 16)
         rec = reconstruct_grid(t, 8, 8, 32)
-        err = sup_error(rec, UNIFORM)
+        err = sup_error(rec, phantom_image(UNIFORM, 32))
         bound = minimized_sup_error_bound(1.0, UNIFORM.modulus_bound, 8, 8)
         assert err <= bound
 
     def test_poly_error_shrinks_with_order(self):
         t = MomentTable.from_density(POLY, 32, exact=True)
-        e8 = sup_error(reconstruct_grid(t, 8, 8, 32), POLY)
-        e16 = sup_error(reconstruct_grid(t, 16, 16, 32), POLY)
+        e8 = sup_error(reconstruct_grid(t, 8, 8, 32), phantom_image(POLY, 32))
+        e16 = sup_error(reconstruct_grid(t, 16, 16, 32), phantom_image(POLY, 32))
         assert e16 < e8
 
     def test_zero_table_gives_zero_grid(self):
@@ -98,10 +99,11 @@ class TestGrid:
         assert np.all(rec.values == 0.0)
 
     def test_pixel_convention(self):
-        rec = ReconGrid(resolution=4, values=np.zeros((4, 4)))
-        xx, yy = rec.pixel_centers()
-        assert xx[0, 0] == pytest.approx(0.125)
-        assert yy[0, 3] == pytest.approx(0.875)
+        # pixel [i, j] is at ((i + 0.5) / N, (j + 0.5) / N): x1 = 0.125, x2 = 0.875
+        image = phantom_image(PolynomialDensity.from_dict({(1, 0): 1.0, (0, 1): 10.0}), 4)
+        assert image.shape == (4, 4)
+        assert image[0, 3] == pytest.approx(0.125 + 8.75)
+        assert image[3, 0] == pytest.approx(0.875 + 1.25)
 
 
 def random_table(K, seed):
@@ -160,12 +162,12 @@ class TestSupError:
         xs = (np.arange(8) + 0.5) / 8
         xx, yy = np.meshgrid(xs, xs, indexing="ij")
         rec = ReconGrid(8, np.asarray(POLY.evaluate(xx, yy)))
-        assert sup_error(rec, POLY) == 0.0
+        assert sup_error(rec, phantom_image(POLY, 8)) == 0.0
 
     def test_zero_grid_vs_uniform(self):
         rec = ReconGrid(8, np.zeros((8, 8)))
-        assert sup_error(rec, UNIFORM) == 1.0
-        assert relative_l2_error(rec, UNIFORM) == pytest.approx(1.0)
+        assert sup_error(rec, phantom_image(UNIFORM, 8)) == 1.0
+        assert relative_l2_error(rec, phantom_image(UNIFORM, 8)) == pytest.approx(1.0)
 
 
 class TestBound:
@@ -197,7 +199,7 @@ class TestConvergence:
             t = MomentTable.from_density(d, 64, exact=True)
             errors = []
             for m in (4, 8, 16, 32):
-                errors.append(sup_error(reconstruct_grid(t, m, m, 24), d))
+                errors.append(sup_error(reconstruct_grid(t, m, m, 24), phantom_image(d, 24)))
                 bound = minimized_sup_error_bound(sup_norm, d.modulus_bound, m, m)
                 assert errors[-1] <= bound
             for prev, nxt in zip(errors, errors[1:]):
@@ -246,7 +248,7 @@ class TestConvergence:
         errors = []
         for m in (8, 16, 32):
             t = smoothed_table(POLY, 2 * m, 1.0 / m)
-            errors.append(sup_error(reconstruct_grid(t, m, m, 16), POLY))
+            errors.append(sup_error(reconstruct_grid(t, m, m, 16), phantom_image(POLY, 16)))
         assert errors[1] <= 1.1 * errors[0]
         assert errors[2] <= 1.1 * errors[1]
 

@@ -560,6 +560,23 @@ class TestStreaming:
             fileio.write_pgm(values, tmp_path / "b.pgm")
             assert (tmp_path / "b.pgm").read_text().splitlines()[4:] == expected
 
+    @pytest.mark.parametrize("shape", [(7, 13), (1, 9), (9, 1)],
+                             ids=["image_13x7", "one_column_image", "one_row_image"])
+    @pytest.mark.parametrize("columns", [1, 2, 3])
+    def test_pgm_column_blocks_match_each_pixel(self, monkeypatch, tmp_path, shape, columns):
+        # blocks of 1 to 3 columns of the values, the image rows, with a
+        # remainder; each pixel's level and separator made on its own
+        values = np.random.default_rng(7).uniform(-2.0, 3.0, shape)
+        monkeypatch.setattr(fileio, "_BLOCK", columns * shape[0])
+        fileio.write_pgm(values, tmp_path / "c.pgm")
+        vmin = values.min()
+        scale = (values.max() - vmin) / 255.0
+        lines = []
+        for col in reversed(range(shape[1])):
+            levels = [min(max(round((x - vmin) / scale), 0), 255) for x in values[:, col]]
+            lines.append(" ".join(str(level) for level in levels))
+        assert (tmp_path / "c.pgm").read_text().splitlines()[4:] == lines
+
     def test_a_failing_chunk_leaves_no_file(self, tmp_path):
         def chunks():
             yield b"partial"

@@ -258,6 +258,18 @@ class TestEvenness:
             s = project(d, full_circle_grid(32), offset_grid(129))
             assert evenness_residual(s) <= 1e-12
 
+    @pytest.mark.parametrize("d", [UNIFORM, DISK], ids=["uniform", "disk"])
+    def test_mirrored_half_matches_the_antipodal_lines(self, d):
+        # project writes rows half.. as the mirror of the first half, which
+        # makes the residual 0 by construction; each mirrored row must still
+        # be the line integral on its own lines (theta + pi, p)
+        angles, offsets = full_circle_grid(64), offset_grid(513)
+        s = project(d, angles, offsets)
+        half = antipodal_half(angles, offsets)
+        assert half == 32
+        direct = d.radon(angles.points()[half:, None], offsets.points()[None, :])
+        assert np.max(np.abs(s.values[half:] - direct)) <= 1e-13
+
     def test_requires_full_cover(self):
         s = small_sinogram(n_angles=8, n_offsets=65)
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from momentct import projector
 from momentct.errors import CoverageError, MisuseError
 from momentct.mollifiers import make_kernel
 from momentct.numerics import Grid1D
@@ -314,6 +315,42 @@ class TestBackprojectFold:
         s = Sinogram(angles, offset_grid(64), np.ones((angles.count, 64)), "filtered")
         backproject(s, 4)
         assert len(interp_calls) == calls
+
+
+class TestBackprojectBands:
+    """backproject interpolates each row over bands of whole pixel rows;
+    each pixel adds the angles in the same order as one call over the
+    whole image would."""
+
+    @pytest.mark.parametrize("angles", [
+        moment_angle_grid(48), half_circle_grid(48), full_circle_grid(64),
+        full_circle_grid(63),
+    ], ids=["open", "half", "full_paired_transposed", "full_unpaired"])
+    def test_bands_with_a_remainder_are_bit_identical(self, angles, monkeypatch):
+        s = noisy_filtered(angles, offset_grid(257))
+        whole = backproject(s, 33).values  # one band: 33 rows of 33 pixels
+        # bands of 5 rows: six, and one of 3
+        monkeypatch.setattr(projector, "_BLOCK_LINES", 5 * 33)
+        banded = backproject(s, 33).values
+        assert np.array_equal(banded.view(np.uint64), whole.view(np.uint64))
+
+    @pytest.mark.parametrize("angles, images", [
+        (full_circle_grid(64), 24 * 256**2), (full_circle_grid(63), 8 * 256**2),
+    ], ids=["paired_transposed", "unpaired"])
+    def test_traced_peak_is_bounded_by_the_bands(self, angles, images):
+        # images: the accumulator and the image returned, which are one real
+        # array on an unpaired turn and a complex one and its real image on a
+        # paired turn; offsets and samples over the whole image added 1 to
+        # 1.5 MB to them
+        s = Sinogram(angles, offset_grid(129),
+                     np.random.default_rng(6).standard_normal((angles.count, 129)), "filtered")
+        tracemalloc.start()
+        try:
+            backproject(s, 256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < images + 0.5e6
 
 
 class TestFbp:
