@@ -4,7 +4,11 @@ All floats are written as `%.17g` (17 significant digits), which
 round-trips IEEE doubles exactly.  A single number goes through `%.17g`
 itself.  Arrays give the same bytes from numpy arithmetic on blocks of
 whole rows, about 8k values (`_BLOCK`) at a time, and a row bitwise equal
-to the one before it reuses that row's text.
+to the one before it reuses that row's text.  A row's +0.0 margins, the
+values before its first other value and after its last, are written as
+the constant text `0`, and only the values between them are converted:
+a raw sinogram is +0.0 on every line that misses the unit square.  Rows
+without margins are converted in blocks of whole rows as they are.
 
 How an array's text is made, and why it is exact.  For a value x with
 1e-280 < |x| < 1e280 and k = floor(log10 |x|), the scaled magnitude
@@ -46,11 +50,12 @@ the rows of text it writes.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import os
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import replace
 from fractions import Fraction
 from itertools import chain
@@ -274,6 +279,34 @@ def _block_text(x: np.ndarray, ends: np.ndarray) -> bytes:
     return text.tobytes().translate(None, b"\0")
 
 
+def _margin_lines(values: np.ndarray, picked: np.ndarray, lead: np.ndarray,
+                  stop: np.ndarray) -> Callable[[int], bytes]:
+    """The text of rows `picked` of values, as a function of a row's place in
+    `picked`, from one `_block_text` call over the values lead..stop of each.
+
+    The values before lead and from stop on are +0.0, whose text is the
+    constant `0`; a row of +0.0 only has lead == stop.
+    """
+    cols = values.shape[1]
+    spans = list(zip(lead.tolist(), stop.tolist()))
+    inside = np.concatenate([values[row, a:b] for row, (a, b) in zip(picked.tolist(), spans)],
+                            dtype=np.float64)
+    width = stop - lead
+    ends = np.full(inside.size, ord(",") << 40, dtype="<u8")
+    ends[np.cumsum(width)[width > 0] - 1] = ord("\n") << 40
+    pieces = iter(_block_text(inside, ends).split(b"\n"))
+    # each row's leading and trailing +0.0 count, and the text between them
+    parts = [(a, cols - b, next(pieces) if b > a else None) for a, b in spans]
+    heads, tails = b"0," * cols, b",0" * cols
+
+    def line(i: int) -> bytes:
+        head, tail, middle = parts[i]
+        if middle is None:
+            return heads[:-1]
+        return heads[:2 * head] + middle + tails[:2 * tail]
+    return line
+
+
 def _csv_chunks(values: np.ndarray) -> Iterator[bytes]:
     """The `%.17g` text of each row of values, values separated by commas
     and each row ended by a newline, in chunks of whole rows holding at most
@@ -281,7 +314,11 @@ def _csv_chunks(values: np.ndarray) -> Iterator[bytes]:
 
     A row bitwise equal to the one before it reuses that row's text (the
     moment image repeats each row many times); comparing bits keeps -0.0
-    apart from 0.0.  The distinct rows are converted _BLOCK values at a time.
+    apart from 0.0.  The distinct rows are converted in blocks of about
+    _BLOCK values.  The +0.0 values before a row's first other value and
+    after its last, which a sinogram has outside each row's support, are
+    not converted: their text is the constant `0`.  A block of rows without
+    such margins is converted whole, as the chunk's text.
     """
     rows, cols = values.shape
     if values.size == 0:
@@ -289,29 +326,52 @@ def _csv_chunks(values: np.ndarray) -> Iterator[bytes]:
         return
     step = max(1, _BLOCK // cols)
     new = np.ones(rows, dtype=bool)
+    # the rows that begin or end with +0.0 (-0.0 is written -0), and each
+    # row's values lead..stop, which hold all but its +0.0 margins
+    edges = np.ascontiguousarray(values[:, [0, -1]], dtype=np.float64).view(np.uint64)
+    marked = (edges == 0).any(axis=1)
+    lead = np.zeros(rows, dtype=np.intp)
+    stop = np.full(rows, cols, dtype=np.intp)
     for start in range(0, rows, step):
         # rows start..start + step, each compared with the one before it
         bits = np.ascontiguousarray(values[start:start + step + 1], dtype=np.float64)
         bits = bits.view(np.uint64)
         new[start + 1:start + len(bits)] = (bits[1:] != bits[:-1]).any(axis=1)
+        here = np.flatnonzero(marked[start:start + step])
+        if here.size:
+            other = bits[here] != 0
+            found = other.any(axis=1)
+            lead[start + here] = np.where(found, other.argmax(axis=1), cols)
+            stop[start + here] = np.where(found, cols - other[:, ::-1].argmax(axis=1), cols)
     distinct = np.flatnonzero(new)
     owner = np.cumsum(new) - 1  # each row's index in distinct
+    lead, stop = lead[distinct], stop[distinct]
+    # a block ends before its values to convert pass _BLOCK; a row counts
+    # at least one, so a block holds at most _BLOCK rows
+    reach = np.cumsum(np.maximum(stop - lead, 1)).tolist()
     ends = np.full(cols, ord(","), dtype="<u8")
     ends[-1] = ord("\n")
     ends = np.tile(ends << np.uint64(40), step)
-    for first in range(0, distinct.size, step):
-        block = np.ascontiguousarray(values[distinct[first:first + step]], dtype=np.float64)
-        text = _block_text(block.ravel(), ends[:block.size])
+    last = 0
+    while last < distinct.size:
+        first, done = last, reach[last - 1] if last else 0
+        last = max(first + 1, bisect.bisect_right(reach, done + _BLOCK))
+        picked = distinct[first:last]
         # the rows from this block's first distinct row to the next block's
-        stop = distinct[first + step] if first + step < distinct.size else rows
-        start = distinct[first]
-        if stop - start == len(block):
-            yield text
-            continue
-        lines = text.split(b"\n")
-        for row in range(start, stop, step):
-            picks = (owner[row:min(row + step, stop)] - first).tolist()
-            yield b"\n".join([lines[i] for i in picks]) + b"\n"
+        start = picked[0]
+        end = distinct[last] if last < distinct.size else rows
+        if reach[last - 1] - done == cols * len(picked):  # no margins
+            block = np.ascontiguousarray(values[picked], dtype=np.float64)
+            text = _block_text(block.ravel(), ends[:block.size])
+            if end - start == len(picked):
+                yield text
+                continue
+            line = text.split(b"\n").__getitem__
+        else:
+            line = _margin_lines(values, picked, lead[first:last], stop[first:last])
+        for row in range(start, end, step):
+            picks = (owner[row:min(row + step, end)] - first).tolist()
+            yield b"\n".join([line(i) for i in picks]) + b"\n"
 
 
 @functools.cache
@@ -332,7 +392,8 @@ def _pgm_text(columns: np.ndarray, vmin: float, scale: float) -> bytes:
     levels /= scale
     np.rint(levels, out=levels)
     np.clip(levels, 0, 255, out=levels)
-    image = levels.astype(np.intp)[:, ::-1].T  # x2 axis points up in data, down in the image
+    # the image rows are the columns, last first: x2 increases up the image
+    image = levels.astype(np.intp)[:, ::-1].T
     words = spaced.take(image)
     words[:, -1] = ended.take(image[:, -1])
     return words.tobytes().translate(None, b"\0")
@@ -525,8 +586,10 @@ def write_pgm(values: np.ndarray, path) -> None:
     """P2 (ASCII) grayscale export, affine-scaled to 0..255.
 
     The scale and offset are recorded as comment lines so the physical
-    values can be recovered: value = offset + scale * pixel.  Rows are
-    written with the second coordinate increasing downwards.  Raises
+    values can be recovered: value = offset + scale * pixel.  values[i, j]
+    is the pixel at x1 index i and x2 index j: the image is values.shape[0]
+    pixels wide and values.shape[1] high, x1 increases to the right and x2
+    upwards, so the first image row is the last column of values.  Raises
     ValueError on NaN or inf, and on a range too wide for a double.
     """
     v = np.asarray(values, dtype=float)

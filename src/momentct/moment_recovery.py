@@ -64,6 +64,25 @@ def assemble_moment_matrix(angles, k: int) -> np.ndarray:
         * np.sin(th)[:, None] ** (k - j)[None, :]
 
 
+def _nearest_index(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """For each value v, `np.argmin(np.abs(grid - v))` on a nondecreasing grid:
+    the index of the nearest point, the lowest of equally near ones.
+
+    The nearest point is one of the two around v.  Equally near points
+    before it (repeated points, or distances that round alike) form a run
+    that ends there, which is walked back.
+    """
+    right = np.minimum(np.searchsorted(grid, values), grid.size - 1)
+    left = np.maximum(right - 1, 0)
+    idx = np.where(np.abs(grid[right] - values) < np.abs(grid[left] - values), right, left)
+    while True:
+        before = np.maximum(idx - 1, 0)
+        tie = (idx > 0) & (np.abs(grid[before] - values) == np.abs(grid[idx] - values))
+        if not tie.any():
+            return idx
+        idx -= tie
+
+
 def angular_moments(s: Sinogram, K: int, angles) -> AngularMomentSet:
     """Trapezoid offset moments of the rows nearest the requested angles.
 
@@ -77,10 +96,10 @@ def angular_moments(s: Sinogram, K: int, angles) -> AngularMomentSet:
     if K < 0:
         raise OrderError("moment order must be nonnegative")
     req = np.asarray(angles, dtype=float)
-    if np.any(req <= 0.0) or np.any(req >= math.pi):
+    if not np.all((req > 0.0) & (req < math.pi)):
         raise ValueError("requested angles must lie strictly inside (0, pi)")
     grid = s.angle_grid.points()
-    idx = np.array([int(np.argmin(np.abs(grid - a))) for a in req])
+    idx = _nearest_index(grid, req)
     # a repeat shows as a zero difference once sorted (np.unique imports
     # numpy.ma on its first call)
     if np.any(np.diff(np.sort(idx)) == 0):

@@ -714,6 +714,19 @@ class TestScripts:
         rows = [line.split()[0] for line in done.stdout.splitlines()[2:]]
         assert rows == ["0.050", "0.080"], done.stdout
 
+    def test_ab_calls_on_one_tree_twice(self, tmp_path):
+        # both sides load the same checkout, so the results must be equal
+        root = Path(__file__).resolve().parents[1]
+        script, src = root / "scripts" / "ab_calls.py", str(root / "src")
+        done = subprocess.run([sys.executable, str(script), src, src, "--workload",
+                               "recon_fine", "--seed", "1", "--call", "fileio.write_moments"],
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0].startswith("fileio.write_moments on recon_fine seed 1: results equal;")
+        assert [line.split(":")[0] for line in lines[1:]] == [
+            "  parent", "  change", "  rounds won"]
+
 
 class TestSelftest:
     def test_acceptance_suite_collects_outside_the_checkout(self, tmp_path):

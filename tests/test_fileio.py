@@ -14,7 +14,7 @@ from momentct.density_recon import ReconGrid, reconstruct_grid
 from momentct.errors import FormatError
 from momentct.mollifiers import make_kernel
 from momentct.numerics import Grid1D
-from momentct.phantoms import DiskDensity, MomentTable, UniformDensity
+from momentct.phantoms import DiskDensity, MomentTable, PolynomialDensity, UniformDensity
 from momentct.projector import (
     Sinogram,
     full_circle_grid,
@@ -41,6 +41,15 @@ def csv_rows(values):
     text = b"".join(fileio._csv_chunks(values))
     assert text.endswith(b"\n") or text == b""
     return text.split(b"\n")[:-1]
+
+
+def assert_chunks(values, step):
+    """`_csv_chunks` gives the reference text in chunks of whole rows, at
+    most `step` rows, one block, each."""
+    chunks = list(fileio._csv_chunks(values))
+    assert b"".join(chunks).split(b"\n")[:-1] == csv_reference(values)
+    assert all(chunk.endswith(b"\n") and 1 <= chunk.count(b"\n") <= step
+               for chunk in chunks)
 
 
 def assert_percent_text(values):
@@ -282,6 +291,15 @@ class TestPgm:
         pixels = [int(t) for row in lines[4:] for t in row.split()]
         assert min(pixels) == 0 and max(pixels) == 255
 
+    def test_orientation(self, tmp_path):
+        # values[i, j] is at x1 index i, x2 index j; the hot pixel has the
+        # smallest x1 and the largest x2, so it starts the first image row
+        values = np.zeros((2, 3))
+        values[0, -1] = 1.0
+        path = tmp_path / "hot.pgm"
+        fileio.write_pgm(values, path)
+        assert path.read_text().splitlines()[2:] == ["2 3", "255", "255 0", "0 0", "0 0"]
+
     def test_constant_image(self, tmp_path):
         path = tmp_path / "flat.pgm"
         fileio.write_pgm(np.full((3, 3), 7.25), path)
@@ -500,7 +518,7 @@ class TestStreaming:
     """The writers make and write their text one block of rows at a time."""
 
     @pytest.mark.parametrize("rows, cols", [(256, 1024), (512, 2048)])
-    @pytest.mark.parametrize("writer", ["sinogram", "recon", "pgm"])
+    @pytest.mark.parametrize("writer", ["sinogram", "projected", "recon", "pgm"])
     def test_traced_peak_is_bounded_by_the_blocks(self, tmp_path, writer, rows, cols):
         # whole-file text and whole-grid temporaries peaked at 5-13 MB on
         # 256 x 1024 values and 21-51 MB on 512 x 2048; the values
@@ -509,6 +527,12 @@ class TestStreaming:
         if writer == "sinogram":
             sino = Sinogram(angle_grid=moment_angle_grid(rows), offset_grid=offset_grid(cols),
                             values=values, kind="raw")
+            peak = traced_peak(lambda: fileio.write_sinogram(sino, tmp_path / "s.csv"))
+        elif writer == "projected":
+            # +0.0 margins on every row, 59 % of the values at 256 x 1024
+            sino = project(PolynomialDensity.from_dict({(1, 1): 4.0}),
+                           moment_angle_grid(rows), offset_grid(cols))
+            assert (sino.values.view(np.uint64) == 0).mean() > 0.5
             peak = traced_peak(lambda: fileio.write_sinogram(sino, tmp_path / "s.csv"))
         elif writer == "recon":
             side = math.isqrt(rows * cols)  # a square image of as many values
@@ -528,12 +552,7 @@ class TestStreaming:
     ], ids=["runs", "signed_zeros", "one_run", "non_finite"])
     def test_repeated_rows_across_blocks(self, monkeypatch, rows):
         monkeypatch.setattr(fileio, "_BLOCK", 6)
-        values = np.array(rows)
-        chunks = list(fileio._csv_chunks(values))
-        assert b"".join(chunks).split(b"\n")[:-1] == csv_reference(values)
-        # each chunk is whole rows, at most one block of them
-        assert all(chunk.endswith(b"\n") and 1 <= chunk.count(b"\n") <= 2
-                   for chunk in chunks)
+        assert_chunks(np.array(rows), 2)
 
     @pytest.mark.parametrize("shape", [(5, 11), (1, 23), (23, 1), (1, 1)],
                              ids=["row_wider_than_a_block", "one_row", "one_column",
@@ -543,11 +562,87 @@ class TestStreaming:
         pool = AWKWARD + NON_FINITE
         values = np.resize(np.array(pool), shape)
         values[1:2] = values[:1]  # a repeat, where there are two rows
-        chunks = list(fileio._csv_chunks(values))
-        assert b"".join(chunks).split(b"\n")[:-1] == csv_reference(values)
-        step = max(1, 4 // shape[1])
-        assert all(chunk.endswith(b"\n") and 1 <= chunk.count(b"\n") <= step
-                   for chunk in chunks)
+        assert_chunks(values, max(1, 4 // shape[1]))
+
+    @pytest.mark.parametrize("block", [1, 6, 16, 100])
+    def test_random_margins(self, monkeypatch, block):
+        # runs of +0.0 at either end of each row, of any length, with zeros
+        # of either sign inside, -0.0 at some ends and rows of +0.0 only
+        rng = np.random.default_rng(block)
+        rows, cols = 60, 13
+        values = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-8, 8, (rows, cols))
+        values[rng.random((rows, cols)) < 0.2] = 0.0
+        values[rng.random((rows, cols)) < 0.05] = -0.0
+        lead, trail = rng.integers(0, cols + 1, (2, rows))
+        for row in range(rows):
+            values[row, :lead[row]] = 0.0
+            values[row, cols - trail[row]:] = 0.0
+        values[::7, 0] = -0.0
+        values[3::7, -1] = -0.0
+        values[5] = 0.0
+        monkeypatch.setattr(fileio, "_BLOCK", block)
+        assert_chunks(values, max(1, block // cols))
+
+    @pytest.mark.parametrize("rows", [
+        [[0.0, -0.0, 1.0, 0.0], [-0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, -0.0]],
+        [[0.0, 1.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0], [3.0, 0.0, 0.0, 0.0, 4.0]],
+        [[0.0, math.nan, 0.0, math.inf, 0.0], [0.0, 0.0, -math.inf, 5e-324, 0.0]],
+    ], ids=["negative_zero_ends", "interior_zeros", "non_finite_inside"])
+    def test_margins_with_awkward_values(self, monkeypatch, rows):
+        monkeypatch.setattr(fileio, "_BLOCK", 8)
+        values = np.array(rows)
+        assert_chunks(values, max(1, 8 // values.shape[1]))
+
+    @pytest.mark.parametrize("shape", [(9, 1), (1, 9)], ids=["one_column", "one_row"])
+    def test_margins_of_one_column_and_one_row(self, monkeypatch, shape):
+        values = np.array([0.0, 1.5, 0.0, -0.0, 0.0, 2.5, 0.0, 0.0, math.nan]).reshape(shape)
+        values[..., -1:] = 0.0
+        monkeypatch.setattr(fileio, "_BLOCK", 2)
+        assert_chunks(values, max(1, 2 // shape[1]))
+
+    def test_repeated_margin_rows_across_blocks(self, monkeypatch):
+        # runs of one margin row straddle the blocks of two rows; a row of
+        # +0.0 only repeats, and a row repeats two blocks back
+        a, b, zero = [0.0, 1.0, 2.0, 0.0], [0.0, 0.0, -3.0, 0.0], [0.0] * 4
+        values = np.array([a] * 3 + [b] * 2 + [zero] * 5 + [a] + [[5.0, 6.0, 7.0, 8.0]] * 3)
+        monkeypatch.setattr(fileio, "_BLOCK", 8)
+        assert_chunks(values, 2)
+
+    def test_margins_are_not_converted(self, monkeypatch):
+        # only the values from each row's first value that is not +0.0 to
+        # its last reach the conversion, and more rows than a block's when
+        # margins leave room
+        converted = []
+        block_text = fileio._block_text
+
+        def spy(x, ends):
+            converted.append(x.size)
+            return block_text(x, ends)
+
+        monkeypatch.setattr(fileio, "_block_text", spy)
+        monkeypatch.setattr(fileio, "_BLOCK", 40)
+        values = np.zeros((12, 20))
+        values[:, 5:15] = np.arange(1.0, 121.0).reshape(12, 10)
+        values[4] = 0.0
+        values[7, 7:9] = 0.0
+        assert_chunks(values, 2)
+        # 10 values a row, 4 rows a block; the row of +0.0 only counts one,
+        # which leaves no room for a fourth row beside it
+        assert converted == [40, 30, 40]
+
+    def test_rows_without_margins_are_converted_whole(self, monkeypatch):
+        # -0.0 and interior zeros are no margins; the image writers' rows
+        # have none
+        def refuse(*args):
+            raise AssertionError("margin path taken")
+
+        monkeypatch.setattr(fileio, "_margin_lines", refuse)
+        monkeypatch.setattr(fileio, "_BLOCK", 12)
+        values = np.random.default_rng(3).standard_normal((9, 4))
+        values[:, 1:3] = 0.0
+        values[::2, 0] = -0.0
+        values[1::2, -1] = -0.0
+        assert_chunks(values, 3)
 
     def test_pgm_rows_across_blocks(self, monkeypatch, tmp_path):
         # 13 image rows of 7 pixels in blocks of one row, then of two

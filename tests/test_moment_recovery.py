@@ -9,6 +9,7 @@ from momentct.errors import MisuseError, OrderError
 from momentct.mollifiers import kernel_moments, make_kernel
 from momentct.moment_recovery import (
     AngularMomentSet,
+    _nearest_index,
     angular_moments,
     assemble_moment_matrix,
     deconvolve_moments,
@@ -16,7 +17,16 @@ from momentct.moment_recovery import (
     solve_moment_system,
 )
 from momentct.phantoms import PolynomialDensity, UniformDensity
-from momentct.projector import Sinogram, moment_angle_grid, mollify, offset_grid, project
+from momentct.numerics import Grid1D
+from momentct.projector import (
+    Sinogram,
+    full_circle_grid,
+    half_circle_grid,
+    moment_angle_grid,
+    mollify,
+    offset_grid,
+    project,
+)
 from oracles import convolve_moments, synthesize_angular_moments, vandermonde_det_formula
 
 UNIFORM = UniformDensity()
@@ -45,6 +55,47 @@ def analytic_uniform_sinogram(angle_grid, offsets):
     return Sinogram(angle_grid, offsets, values, "raw")
 
 
+def argmin_index(grid, values):
+    """Reference: the nearest grid point to each value by a scan of the grid."""
+    return np.array([int(np.argmin(np.abs(grid - v))) for v in values], dtype=np.intp)
+
+
+class TestNearestIndex:
+    """`_nearest_index` picks the rows a scan of the whole grid picks."""
+
+    @pytest.mark.parametrize("count", [2, 3, 7, 128, 256])
+    @pytest.mark.parametrize("make_grid", [moment_angle_grid, half_circle_grid,
+                                           full_circle_grid],
+                             ids=["moment", "half", "full"])
+    def test_matches_the_scan(self, make_grid, count):
+        grid = make_grid(count).points()
+        spacing = grid[1] - grid[0]
+        rng = np.random.default_rng(count)
+        requests = {
+            "on_grid": grid,
+            "random": rng.uniform(grid[0] - spacing, grid[-1] + spacing, 1000),
+            "midpoints": (grid[:-1] + grid[1:]) / 2,
+        }
+        for name, values in requests.items():
+            assert np.array_equal(_nearest_index(grid, values),
+                                  argmin_index(grid, values)), name
+
+    def test_one_point(self):
+        grid = np.array([1.25])
+        values = np.array([0.5, 1.25, 3.0])
+        assert _nearest_index(grid, values).tolist() == [0, 0, 0]
+
+    def test_equally_near_points_give_the_first(self):
+        # five points over two ulps repeat two of them; from 9.0 every
+        # distance rounds to 8.0, so the scan takes the first point, not
+        # either of the two around the value
+        grid = Grid1D(1.0, 1.0 + 4.44e-16, 5).points()
+        assert np.unique(grid).size < grid.size
+        values = np.concatenate([grid, [0.5, 2.0, 5.0, 9.0]])
+        assert argmin_index(grid, values)[-1] == 0
+        assert np.array_equal(_nearest_index(grid, values), argmin_index(grid, values))
+
+
 class TestAngularMoments:
     def test_uniform_low_orders(self):
         # fine offsets: the raw rows are kinked, so the trapezoid moments
@@ -70,6 +121,12 @@ class TestAngularMoments:
         s = Sinogram(moment_angle_grid(16), offset_grid(129), np.zeros((16, 129)), "raw")
         with pytest.raises(ValueError):
             angular_moments(s, 2, [0.5, math.pi])
+
+    def test_nan_angle_is_refused(self):
+        # NaN fails every comparison, so it once passed the domain check
+        s = Sinogram(moment_angle_grid(16), offset_grid(129), np.zeros((16, 129)), "raw")
+        with pytest.raises(ValueError, match="strictly inside"):
+            angular_moments(s, 2, [0.5, math.nan])
 
     def test_angles_on_one_row_are_refused(self):
         # 0.6 and 0.7 both snap to the first of the rows at pi (i+1)/5
