@@ -47,10 +47,15 @@ class ReconGrid:
 
 
 def phantom_image(d: Density, resolution: int) -> np.ndarray:
-    """The density at the pixel centers ((i+0.5)/N, (j+0.5)/N), indexed [i, j]."""
+    """The density at the pixel centers ((i+0.5)/N, (j+0.5)/N), indexed [i, j].
+
+    The density is evaluated on the broadcast axes x1 = xs[:, None] and
+    x2 = xs[None, :], not on two N x N grids; the result is a read-only
+    (N, N) view, which repeats a density that varies along one axis only.
+    """
     xs = (np.arange(resolution) + 0.5) / resolution
-    xx, yy = np.meshgrid(xs, xs, indexing="ij")
-    return np.asarray(d.evaluate(xx, yy), dtype=float)
+    values = np.asarray(d.evaluate(xs[:, None], xs[None, :]), dtype=float)
+    return np.broadcast_to(values, (resolution, resolution))
 
 
 def sup_error_bound(sup_norm: float, modulus: float, delta: float, m: int, n: int) -> float:

@@ -31,21 +31,45 @@ def _clip_chord(c, s, p):
     x(u) = p*w + u*w_perp with w = (c, s) and w_perp = (-s, c); returns the
     chord's start parameter and its length, which is 0 where the line
     misses the square.
+
+    Each coordinate of x(u) stays in [0, 1] on an interval of u between two
+    roots, and the chord is the two intervals' overlap.  A line parallel to
+    an edge (|c| or |s| below 1e-15: theta = 0, pi/2 or pi) has no root in
+    the coordinate that stays constant; only those lines' entries are fixed
+    up, to an unbounded interval when the constant is within `_EDGE_TOL` of
+    [0, 1] and to an empty one otherwise.  The work is done in place on
+    flat arrays: fewer block-sized temporaries, fewer fresh pages.
     """
-    lo = np.full(p.shape, -np.inf)
-    hi = np.full(p.shape, np.inf)
-    feasible = np.ones(p.shape, dtype=bool)
+    shape = np.shape(p)
+    c, s, p = (np.reshape(v, -1) for v in (c, s, p))
     # coordinates along the line: x1 = p*c - u*s, x2 = p*s + u*c
-    for slope, intercept in ((-s, p * c), (c, p * s)):
-        parallel = np.abs(slope) < 1e-15
-        feasible &= ~parallel | ((intercept >= -_EDGE_TOL) & (intercept <= 1.0 + _EDGE_TOL))
-        safe = np.where(parallel, 1.0, slope)
-        u0 = -intercept / safe
-        u1 = (1.0 - intercept) / safe
-        lo = np.where(parallel, lo, np.maximum(lo, np.minimum(u0, u1)))
-        hi = np.where(parallel, hi, np.minimum(hi, np.maximum(u0, u1)))
-    length = np.where(feasible & (hi > lo), hi - lo, 0.0)
-    return lo, length
+    pairs = ((-s, p * c), (c, p * s))
+    parallel = [np.abs(slope) < 1e-15 for slope, _ in pairs]
+    if not (parallel[0].any() or parallel[1].any()):
+        bounds = [_roots(*pair) for pair in pairs]
+    else:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # slopes ~0
+            bounds = [_roots(*pair) for pair in pairs]
+        for (lo_k, hi_k), par, (_, intercept) in zip(bounds, parallel, pairs):
+            at = intercept[par]
+            lo_k[par] = -np.inf
+            hi_k[par] = np.where((at >= -_EDGE_TOL) & (at <= 1.0 + _EDGE_TOL), np.inf, -np.inf)
+    (lo, hi), (lo2, hi2) = bounds
+    np.maximum(lo, lo2, out=lo)
+    np.minimum(hi, hi2, out=hi)
+    missed = ~(hi > lo)
+    length = np.subtract(hi, lo, out=hi)
+    length[missed] = 0.0
+    return lo.reshape(shape), length.reshape(shape)
+
+
+def _roots(slope, intercept):
+    """The interval of u on which intercept + u*slope stays in [0, 1]."""
+    u0 = np.negative(intercept)
+    u0 /= slope
+    u1 = np.subtract(1.0, intercept)
+    u1 /= slope
+    return np.minimum(u0, u1), np.maximum(u0, u1, out=u1)
 
 
 def _check_points(x1, x2):

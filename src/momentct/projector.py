@@ -179,17 +179,20 @@ def project(d: Density, angles: Grid1D, offsets: Grid1D) -> Sinogram:
     widths = stop - first
     ends = np.cumsum(widths)
     values = np.zeros((angles.count, offsets.count))
+    flat = values.reshape(-1)
     row = 0
     while row < sampled:
         # rows [row, end): as many as fit in _BLOCK_LINES lines, at least one
         end = max(int(np.searchsorted(ends, ends[row] - widths[row] + _BLOCK_LINES,
                                       side="right")), row + 1)
         w = widths[row:end]
-        rows = np.repeat(np.arange(row, end), w)
+        before = np.cumsum(w) - w
         # column of each flattened point: its rank within its block plus the
         # row's first column, less the lines of the block's rows before it
-        cols = np.arange(rows.size) + np.repeat(first[row:end] - (np.cumsum(w) - w), w)
-        values[rows, cols] = d.line_integrals(c[rows], s[rows], ps[cols])
+        cols = np.arange(w.sum()) + np.repeat(first[row:end] - before, w)
+        at = cols + np.repeat(np.arange(row, end) * offsets.count, w)  # index into flat
+        flat[at] = d.line_integrals(np.repeat(c[row:end], w), np.repeat(s[row:end], w),
+                                    ps[cols])
         row = end
     if half is not None:
         values[half:] = values[:half, ::-1]

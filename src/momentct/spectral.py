@@ -84,6 +84,28 @@ def apply_filter(s: Sinogram) -> Sinogram:
                     values=filtered, kind="filtered")
 
 
+def _folded_rows(s: Sinogram) -> tuple[np.ndarray, np.ndarray]:
+    """The angles and rows that `backproject` interpolates, in its order:
+    every row, or on a full turn that `antipodal_half` pairs, each row
+    summed with its antipode's, and where `transpose_partner` pairs those
+    too, each lead as the complex row lead + 1j * partner."""
+    thetas = s.angle_grid.points()
+    values = s.values
+    half = antipodal_half(s.angle_grid, s.offset_grid)
+    if half is not None:
+        thetas = thetas[:half]
+        values = values[:half] + values[half:, ::-1]
+        pairs = transpose_partner(s.angle_grid)
+        if pairs is not None:
+            partner, reverse = pairs
+            k = np.arange(half)
+            mates = np.where(reverse[:, None], values[partner, ::-1], values[partner])
+            mates[partner == k] = 0.0  # the rows at pi/4 and 3pi/4
+            lead = partner >= k
+            thetas, values = thetas[lead], values[lead] + 1j * mates[lead]
+    return thetas, values
+
+
 def backproject(s: Sinogram, resolution: int) -> ReconGrid:
     """Dual transform: integrate g(theta, <x, w>) over the full turn.
 
@@ -101,36 +123,43 @@ def backproject(s: Sinogram, resolution: int) -> ReconGrid:
 
     Each row is interpolated over bands of whole pixel rows (`row_blocks`),
     so only one band's offsets and samples exist at a time, and they stay
-    in cache beside the accumulator; each pixel adds the angles in the
-    same order as one call over the whole image would.
+    in cache beside the accumulator.  An image of one band (N^2 at most
+    8192 pixels) instead takes each row along the pixel axis on which its
+    offsets step least: x1 is the inner axis where |sin theta| >
+    |cos theta|.  Consecutive keys then lie closer together, so more of
+    `np.interp`'s searches start at the right sample.  The accumulator is
+    copied to its transpose whenever the inner axis changes from one row
+    to the next (twice on an open or half turn), so every row adds into
+    contiguous memory.  Images of several bands keep x2 as the inner axis:
+    adding transposed bands into a complex accumulator was slower on
+    paired turns.  Either way each pixel adds the same addends, in the same
+    order of angles, as one call over the whole image with x2 inner would,
+    so the image does not change bit for bit.
     """
     cov = angle_coverage(s.angle_grid)
     if cov == "partial":
         raise CoverageError("backprojection needs a grid covering a half or full turn")
     factor = 1.0 if cov == "full" else 2.0
     ps = s.offset_grid.points()
-    thetas = s.angle_grid.points()
-    values = s.values
-    half = antipodal_half(s.angle_grid, s.offset_grid)
-    if half is not None:
-        thetas = thetas[:half]
-        values = values[:half] + values[half:, ::-1]
-        pairs = transpose_partner(s.angle_grid)
-        if pairs is not None:
-            partner, reverse = pairs
-            k = np.arange(half)
-            mates = np.where(reverse[:, None], values[partner, ::-1], values[partner])
-            mates[partner == k] = 0.0  # the rows at pi/4 and 3pi/4
-            lead = partner >= k
-            thetas, values = thetas[lead], values[lead] + 1j * mates[lead]
+    thetas, values = _folded_rows(s)
     xs = (np.arange(resolution) + 0.5) / resolution
     acc = np.zeros((resolution, resolution), dtype=values.dtype)
     bands = row_blocks(resolution, resolution)
+    transposed = False  # acc holds the image transposed, x1 along its rows
     for theta, row in zip(thetas, values):
-        x1_cos, x2_sin = xs * math.cos(theta), xs * math.sin(theta)
+        cos, sin = math.cos(theta), math.sin(theta)
+        x1_cos, x2_sin = xs * cos, xs * sin
+        if len(bands) == 1:
+            if transposed != (abs(sin) > abs(cos)):
+                acc, transposed = np.ascontiguousarray(acc.T), not transposed
+            keys = np.add.outer(x2_sin, x1_cos) if transposed else np.add.outer(x1_cos, x2_sin)
+            acc += np.interp(keys, ps, row, left=0.0, right=0.0)
+            continue
         for band in bands:
             acc[band] += np.interp(np.add.outer(x1_cos[band], x2_sin), ps, row,
                                    left=0.0, right=0.0)
+    if transposed:
+        acc = np.ascontiguousarray(acc.T)
     if np.iscomplexobj(acc):
         acc = acc.real + acc.imag.T
     acc *= factor * s.angle_grid.spacing
@@ -139,8 +168,7 @@ def backproject(s: Sinogram, resolution: int) -> ReconGrid:
 
 def fbp_reconstruct(s: Sinogram, resolution: int) -> ReconGrid:
     """Filtered backprojection: R*(filtered rows) / (4 pi)."""
-    filtered = apply_filter(s)
-    rec = backproject(filtered, resolution)
-    return ReconGrid(resolution=resolution, values=rec.values / (4.0 * math.pi),
-                     orders=None)
+    rec = backproject(apply_filter(s), resolution)
+    np.divide(rec.values, 4.0 * math.pi, out=rec.values)
+    return rec
 

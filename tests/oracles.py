@@ -12,7 +12,10 @@ against, kept out of the package because no run of the pipeline uses them.
   moment matrix (criterion 11);
 - `fourier_of_kernel`: the continuous transform of a kernel, which the
   smoothed rows' spectra must show in band (criterion 6) and
-  whose positivity on eps * s <= 4 is checked per kind.
+  whose positivity on eps * s <= 4 is checked per kind;
+- `clip_chord_masked`: the chord clip with every line through the masks
+  for lines parallel to an edge, which `phantoms._clip_chord` must match
+  bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from momentct.mollifiers import (
 )
 from momentct.moment_recovery import AngularMomentSet
 from momentct.numerics import gauss_legendre
-from momentct.phantoms import Density, MomentTable
+from momentct.phantoms import _EDGE_TOL, Density, MomentTable
 from momentct.projector import Sinogram
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -149,3 +152,23 @@ def fourier_of_kernel(m: MollifierSpec, s) -> np.ndarray:
     arg = np.multiply.outer(s * m.epsilon, nodes)
     vals = (weights * base * np.cos(arg)).sum(axis=-1) / SQRT_2PI
     return vals if vals.shape else float(vals)
+
+
+def clip_chord_masked(c, s, p):
+    """`phantoms._clip_chord` with a parallel-line mask on every line: each
+    coordinate's interval of u is left unbounded on lines parallel to its
+    edge, and those lines are feasible only within `_EDGE_TOL` of [0, 1]."""
+    lo = np.full(p.shape, -np.inf)
+    hi = np.full(p.shape, np.inf)
+    feasible = np.ones(p.shape, dtype=bool)
+    # coordinates along the line: x1 = p*c - u*s, x2 = p*s + u*c
+    for slope, intercept in ((-s, p * c), (c, p * s)):
+        parallel = np.abs(slope) < 1e-15
+        feasible &= ~parallel | ((intercept >= -_EDGE_TOL) & (intercept <= 1.0 + _EDGE_TOL))
+        safe = np.where(parallel, 1.0, slope)
+        u0 = -intercept / safe
+        u1 = (1.0 - intercept) / safe
+        lo = np.where(parallel, lo, np.maximum(lo, np.minimum(u0, u1)))
+        hi = np.where(parallel, hi, np.minimum(hi, np.maximum(u0, u1)))
+    length = np.where(feasible & (hi > lo), hi - lo, 0.0)
+    return lo, length

@@ -138,7 +138,7 @@ class TestPipeline:
         monkeypatch.setattr(phantoms.UniformDensity, "evaluate", counted)
         monkeypatch.setattr(cli, "project", flagged)
         assert main(["pipeline", "-c", str(write_config(tmp_path))]) == 0  # method = both
-        assert outside == [(16, 16)]
+        assert outside == [(16, 1)]  # x1 on the broadcast axes, not a 16 x 16 grid
 
     def test_phantom_without_a_modulus_skips_its_sup_norm(self, tmp_path, capsys, monkeypatch):
         # the bound needs a modulus of continuity, which disks lack; their sup

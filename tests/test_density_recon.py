@@ -19,7 +19,13 @@ from momentct.density_recon import (
     sup_error_bound,
 )
 from momentct.errors import ConditioningWarning, OrderError, StabilityError
-from momentct.phantoms import MomentTable, PolynomialDensity, UniformDensity
+from momentct.phantoms import (
+    DiskDensity,
+    MomentTable,
+    PolynomialDensity,
+    SumOfDisksDensity,
+    UniformDensity,
+)
 
 UNIFORM = UniformDensity()
 POLY = PolynomialDensity.from_dict({(1, 1): 4.0})
@@ -104,6 +110,20 @@ class TestGrid:
         assert image.shape == (4, 4)
         assert image[0, 3] == pytest.approx(0.125 + 8.75)
         assert image[3, 0] == pytest.approx(0.875 + 1.25)
+
+    @pytest.mark.parametrize("density", [
+        UNIFORM, POLY, DiskDensity.unit_mass(),
+        SumOfDisksDensity(disks=(DiskDensity.unit_mass((0.3, 0.3), 0.2),
+                                 DiskDensity.unit_mass((0.7, 0.6), 0.25))),
+    ], ids=["uniform", "polynomial", "disk", "disks"])
+    def test_matches_the_meshgrid_evaluation_bitwise(self, density):
+        # evaluated on the broadcast axes, the image keeps every pixel's bits
+        xs = (np.arange(24) + 0.5) / 24
+        x1, x2 = np.meshgrid(xs, xs, indexing="ij")
+        want = np.asarray(density.evaluate(x1, x2), dtype=float)
+        image = phantom_image(density, 24)
+        assert image.shape == (24, 24) and not image.flags.writeable
+        assert np.array_equal(image.view(np.uint64), want.view(np.uint64))
 
 
 def random_table(K, seed):

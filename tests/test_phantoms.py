@@ -12,7 +12,9 @@ from momentct.phantoms import (
     PolynomialDensity,
     SumOfDisksDensity,
     UniformDensity,
+    _clip_chord,
 )
+from oracles import clip_chord_masked
 
 UNIFORM = UniformDensity()
 POLY = PolynomialDensity.from_dict({(1, 1): 4.0})
@@ -201,6 +203,54 @@ class TestAnalyticRadon:
             assert np.trapezoid(rows_uniform, ps[::125]) == pytest.approx(1.0, abs=1e-6)
             for d in (DISK, TWO_DISKS):
                 assert np.trapezoid(d.radon(theta, ps), ps) == pytest.approx(d.mass, abs=1e-6)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def chord_lines(count, seed):
+    """`count` random lines, a third of them parallel to an edge: theta = 0,
+    pi/2 and pi as np.cos and np.sin give them, signed zeros and
+    6.1e-17; a few offsets on the edges, at _EDGE_TOL and NaN."""
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, 2.0 * math.pi, count)
+    c, s = np.cos(theta), np.sin(theta)
+    p = rng.uniform(-1.6, 1.6, count)
+    axis = np.array([0.0, math.pi / 2, math.pi])
+    special_c = np.concatenate([np.cos(axis), [0.0, -0.0, 1.0, -1.0, 6.1e-17, 1.0]])
+    special_s = np.concatenate([np.sin(axis), [1.0, -1.0, 0.0, -0.0, 1.0, 6.1e-17]])
+    pick = rng.choice(count, count // 3, replace=False)
+    which = rng.integers(0, special_c.size, pick.size)
+    c[pick], s[pick] = special_c[which], special_s[which]
+    edges = [0.0, -0.0, 1.0, -1e-9, 1.0 + 1e-9, -2e-9, 1.0 + 2e-9, -1.0, math.nan]
+    at = rng.choice(count, count // 4, replace=False)
+    p[at] = rng.choice(edges, at.size)
+    return c, s, p
+
+
+class TestClipChord:
+    """`_clip_chord` clips lines parallel to an edge through a fix-up of
+    only their entries; every line must get the masked formula's bits."""
+
+    def test_matches_the_masked_formula_bitwise(self):
+        c, s, p = chord_lines(6000, seed=4)
+        parallel = (np.abs(c) < 1e-15) | (np.abs(s) < 1e-15)
+        assert 0 < parallel.sum() < parallel.size and np.isnan(p).any()
+        for keep in (np.ones(c.size, dtype=bool), ~parallel, parallel):
+            got = _clip_chord(c[keep], s[keep], p[keep])
+            want = clip_chord_masked(c[keep], s[keep], p[keep])
+            assert np.array_equal(bits(got[0]), bits(want[0]))
+            assert np.array_equal(bits(got[1]), bits(want[1]))
+
+    def test_scalar_lines(self):
+        c, s, p = chord_lines(600, seed=5)
+        for args in zip(c, s, p):
+            for line in (args, [np.asarray(v) for v in args]):
+                got = _clip_chord(*line)
+                want = clip_chord_masked(*(np.asarray(v) for v in line))
+                assert np.shape(got[1]) == ()
+                assert bits(got[0]) == bits(want[0]) and bits(got[1]) == bits(want[1])
 
 
 class TestMomentTable:

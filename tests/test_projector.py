@@ -77,6 +77,20 @@ class TestProject:
         s = small_sinogram(DISK, n_angles=8, n_offsets=65)
         assert np.all(s.values >= 0.0)
 
+    @pytest.mark.parametrize("density", [
+        UNIFORM,
+        PolynomialDensity.from_dict({(4, 0): 1.0, (2, 2): 3.0, (0, 4): 2.0, (1, 1): 0.5}),
+    ], ids=["uniform", "degree_4"])
+    @pytest.mark.parametrize("angles", [half_circle_grid(64), moment_angle_grid(64)],
+                             ids=["half_turn", "open"])
+    def test_equals_radon_bitwise(self, angles, density):
+        # the half turn's first block holds the rows at 0 and pi/2, whose
+        # lines run along the edges of the square
+        offsets = offset_grid(257)
+        s = project(density, angles, offsets)
+        want = density.radon(angles.points()[:, None], offsets.points()[None, :])
+        assert np.array_equal(s.values.view(np.uint64), want.view(np.uint64))
+
     def test_coverage_error(self):
         with pytest.raises(CoverageError):
             project(UNIFORM, moment_angle_grid(4), Grid1D(-1.0, 1.0, 65))

@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from momentct.projector import (
 )
 from momentct.spectral import (
     CUTOFF_FRACTION,
+    _folded_rows,
     _ramp_multiplier,
     apply_filter,
     backproject,
@@ -351,6 +353,100 @@ class TestBackprojectBands:
         finally:
             tracemalloc.stop()
         assert peak < images + 0.5e6
+
+
+def x2_inner_reference(s, resolution):
+    """`backproject` as one np.interp call per folded row (`_folded_rows`)
+    over the whole image, with x2 as the inner axis of every row's keys."""
+    factor = 1.0 if angle_coverage(s.angle_grid) == "full" else 2.0
+    ps = s.offset_grid.points()
+    xs = (np.arange(resolution) + 0.5) / resolution
+    thetas, rows = _folded_rows(s)
+    acc = np.zeros((resolution, resolution), dtype=rows.dtype)
+    for theta, row in zip(thetas, rows):
+        keys = np.add.outer(xs * math.cos(theta), xs * math.sin(theta))
+        acc += np.interp(keys, ps, row, left=0.0, right=0.0)
+    if np.iscomplexobj(acc):
+        acc = acc.real + acc.imag.T
+    return acc * (factor * s.angle_grid.spacing)
+
+
+@pytest.fixture
+def interp_keys(monkeypatch):
+    """The keys of each np.interp call backproject makes, as checked by
+    `interp_keys.check(keys)`, which the test sets; one result per call."""
+    interp = np.interp
+
+    def spied(keys, *args, **kwargs):
+        spy.results.append(spy.check(keys))
+        return interp(keys, *args, **kwargs)
+
+    spy = SimpleNamespace(results=[], check=None)
+    monkeypatch.setattr(np, "interp", spied)
+    return spy
+
+
+class TestBackprojectAxis:
+    """On an image of one band, backproject takes each row along the pixel
+    axis on which its offsets step least (x1 inner where |sin| > |cos|);
+    the image stays bit for bit the x2-inner one."""
+
+    @pytest.mark.parametrize("resolution", [33, 64])
+    @pytest.mark.parametrize("angles", [
+        moment_angle_grid(48), half_circle_grid(48), full_circle_grid(64),
+    ], ids=["open", "half", "full_paired_transposed"])
+    def test_single_band_is_bit_identical(self, angles, resolution):
+        turn = np.mod(angles.points(), math.pi)
+        for edge in (math.pi / 4, 3 * math.pi / 4):
+            assert (turn < edge).any() and (turn > edge).any()
+        s = noisy_filtered(angles, offset_grid(257))
+        thetas, _ = _folded_rows(s)
+        steep = np.abs(np.sin(thetas)) > np.abs(np.cos(thetas))
+        assert steep.any() and not steep.all()  # the rows take both layouts
+        assert len(projector.row_blocks(resolution, resolution)) == 1
+        got = backproject(s, resolution).values
+        want = x2_inner_reference(s, resolution)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_single_band_steep_rows_step_along_x1(self, interp_keys):
+        angles = moment_angle_grid(48)
+        s = noisy_filtered(angles, offset_grid(257))
+        xs = (np.arange(33) + 0.5) / 33
+        thetas = iter(angles.points())
+
+        def check(keys):
+            theta = next(thetas)
+            cos, sin = math.cos(theta), math.sin(theta)
+            if abs(sin) > abs(cos):  # keys[j, i] at pixel (i, j); inner axis steps by xs cos
+                return np.array_equal(keys, np.add.outer(xs * sin, xs * cos)), "x1"
+            return np.array_equal(keys, np.add.outer(xs * cos, xs * sin)), "x2"
+
+        interp_keys.check = check
+        backproject(s, 33)
+        assert len(interp_keys.results) == angles.count
+        assert all(ok for ok, _ in interp_keys.results)
+        assert {axis for _, axis in interp_keys.results} == {"x1", "x2"}
+
+    def test_banded_paired_turn_keeps_x2_inner(self, interp_keys):
+        angles = full_circle_grid(192)
+        s = Sinogram(angles, offset_grid(129),
+                     np.random.default_rng(6).standard_normal((192, 129)), "filtered")
+        thetas, _ = _folded_rows(s)
+        assert np.any(np.abs(np.sin(thetas)) > np.abs(np.cos(thetas)))
+        bands = projector.row_blocks(256, 256)
+        assert len(bands) == 8
+        xs = (np.arange(256) + 0.5) / 256
+        calls = iter([(theta, band) for theta in thetas for band in bands])
+
+        def check(keys):
+            theta, band = next(calls)
+            return np.array_equal(keys, np.add.outer(xs[band] * math.cos(theta),
+                                                     xs * math.sin(theta)))
+
+        interp_keys.check = check
+        backproject(s, 256)
+        assert len(interp_keys.results) == len(thetas) * 8
+        assert all(interp_keys.results)
 
 
 class TestFbp:
