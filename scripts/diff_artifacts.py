@@ -10,7 +10,10 @@ commit and this checkout's `src`.  Both run `momentct pipeline` in a fresh
 interpreter on the shipped demo configuration, on the benchmark's three
 workload configurations (`perfbench/workloads.py`) at seeds 1 and 2, and on
 the CLI tests' `MINI_CONFIG` (`tests/test_cli.py`) at each angle cover
-(moment, half, full), with its `[mollifier]` section and without it.  On
+(moment, half, full), with its `[mollifier]` section and without it, and
+without it at `resolution = 128` on the moment and half covers: 128^2
+pixels are more than one block, so those backproject a real accumulator
+in two bands.  On
 the demo and `MINI_CONFIG` cases each side then also runs `momentct moments`
 on the `sinogram.csv` its pipeline wrote, and `momentct reconstruct` on that
 `moments.csv` and on that `sinogram.csv`, into a second output directory.
@@ -96,6 +99,10 @@ def cases() -> dict[str, tuple[str, tuple]]:
         smoothed = mini.replace("angle_cover = moment", f"angle_cover = {cover}")
         out[f"mini_{cover}_smoothed"] = (smoothed, all_commands)
         out[f"mini_{cover}_raw"] = (without_section(smoothed, "mollifier"), all_commands)
+        if cover != "full":
+            fine = without_section(smoothed, "mollifier").replace("resolution = 16",
+                                                                  "resolution = 128")
+            out[f"mini_{cover}_raw_128"] = (fine, all_commands)
     return out
 
 

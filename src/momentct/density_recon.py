@@ -46,6 +46,13 @@ class ReconGrid:
         object.__setattr__(self, "values", v)
 
 
+def pixel_axis(resolution: int) -> np.ndarray:
+    """The pixel centers (i + 0.5)/N of either `ReconGrid` axis; N must be > 0."""
+    if resolution < 1:
+        raise ValueError("resolution must be positive")
+    return (np.arange(resolution) + 0.5) / resolution
+
+
 def phantom_image(d: Density, resolution: int) -> np.ndarray:
     """The density at the pixel centers ((i+0.5)/N, (j+0.5)/N), indexed [i, j].
 
@@ -53,7 +60,7 @@ def phantom_image(d: Density, resolution: int) -> np.ndarray:
     x2 = xs[None, :], not on two N x N grids; the result is a read-only
     (N, N) view, which repeats a density that varies along one axis only.
     """
-    xs = (np.arange(resolution) + 0.5) / resolution
+    xs = pixel_axis(resolution)
     values = np.asarray(d.evaluate(xs[:, None], xs[None, :]), dtype=float)
     return np.broadcast_to(values, (resolution, resolution))
 
@@ -154,8 +161,7 @@ def reconstruct_grid(table: MomentTable, m: int, n: int, resolution: int) -> Rec
     inside it, and the image indexes into that cell table; every pixel
     gets exactly the value `moment_approximation` gives at its own center.
     """
-    if resolution < 1:
-        raise ValueError("resolution must be positive")
+    xs = pixel_axis(resolution)
     # before the cancellation estimate, whose Python loop runs up to m and n
     check_orders(table.max_order, m, n)
     if not table.is_exact():
@@ -167,7 +173,6 @@ def reconstruct_grid(table: MomentTable, m: int, n: int, resolution: int) -> Rec
                 ConditioningWarning,
                 stacklevel=2,
             )
-    xs = (np.arange(resolution) + 0.5) / resolution
     # first pixel of each occupied cell per axis, and each pixel's cell
     _, first1, cell1 = np.unique(np.floor(m * xs), return_index=True, return_inverse=True)
     _, first2, cell2 = np.unique(np.floor(n * xs), return_index=True, return_inverse=True)

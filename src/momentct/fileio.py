@@ -3,12 +3,13 @@
 All floats are written as `%.17g` (17 significant digits), which
 round-trips IEEE doubles exactly.  A single number goes through `%.17g`
 itself.  Arrays give the same bytes from numpy arithmetic on blocks of
-whole rows, about 8k values (`_BLOCK`) at a time, and a row bitwise equal
-to the one before it reuses that row's text.  A row's +0.0 margins, the
-values before its first other value and after its last, are written as
-the constant text `0`, and only the values between them are converted:
-a raw sinogram is +0.0 on every line that misses the unit square.  Rows
-without margins are converted in blocks of whole rows as they are.
+whole rows, about 8k values at a time (`projector.row_blocks`), and a row
+bitwise equal to the one before it reuses that row's text.  A row's +0.0
+margins, the values before its first other value and after its last, are
+written as the constant text `0`, and only the values between them are
+converted: a raw sinogram is +0.0 on every line that misses the unit
+square.  Rows without margins are converted in blocks of whole rows as
+they are.
 
 How an array's text is made, and why it is exact.  For a value x with
 1e-280 < |x| < 1e280 and k = floor(log10 |x|), the scaled magnitude
@@ -44,13 +45,12 @@ its ASCII text to disk as bytes, through a temp file and an atomic rename,
 so a reader never sees a partial file.  The sinogram, reconstruction and
 PGM writers stream: they make and write their text one block of whole rows
 at a time, so no copy of the whole file's text, nor any whole-array
-temporary, exists; `_BLOCK` bounds both the values a block converts and
-the rows of text it writes.
+temporary, exists; `row_blocks` bounds both the values a block converts
+and the rows of text it writes.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import os
@@ -68,20 +68,13 @@ from .errors import FormatError
 from .mollifiers import make_kernel
 from .numerics import Grid1D
 from .phantoms import MomentTable
-from .projector import Sinogram
+from .projector import Sinogram, row_blocks
 
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-#: values converted, and written, at a time, rounded to whole rows; a
-#: block's temporaries stay near 1.5 MB.  Swept on the benchmark's 128 x 512,
-#: 256 x 1024 and 192 x 256 sinograms (Xeon, 2 MB of L2 per core; medians of
-#: 31 interleaved writes): 8k values wrote them in 12.7, 35.7 and 6.8 ms, 4k
-#: in 13.9, 42.6 and 8.4 ms (per-block overhead), 16k in 14.4, 33.1 and
-#: 7.1 ms, and 32k in 16.9, 34.1 and 7.4 ms (the temporaries leave L2).
-_BLOCK = 8192
 #: magnitudes the block conversion handles, exclusive
 _TINY, _HUGE = 1e-280, 1e280
 #: how close to one half the fraction of p + t may come before `%.17g`
@@ -309,14 +302,14 @@ def _margin_lines(values: np.ndarray, picked: np.ndarray, lead: np.ndarray,
 
 def _csv_chunks(values: np.ndarray) -> Iterator[bytes]:
     """The `%.17g` text of each row of values, values separated by commas
-    and each row ended by a newline, in chunks of whole rows holding at most
-    _BLOCK values (or one row).
+    and each row ended by a newline, in chunks of whole rows, one of
+    `row_blocks(rows, cols)` at most.
 
     A row bitwise equal to the one before it reuses that row's text (the
     moment image repeats each row many times); comparing bits keeps -0.0
-    apart from 0.0.  The distinct rows are converted in blocks of about
-    _BLOCK values.  The +0.0 values before a row's first other value and
-    after its last, which a sinogram has outside each row's support, are
+    apart from 0.0.  The distinct rows are converted in `row_blocks` of the
+    values each converts.  The +0.0 values before a row's first other value
+    and after its last, which a sinogram has outside each row's support, are
     not converted: their text is the constant `0`.  A block of rows without
     such margins is converted whole, as the chunk's text.
     """
@@ -324,7 +317,8 @@ def _csv_chunks(values: np.ndarray) -> Iterator[bytes]:
     if values.size == 0:
         yield b"\n" * rows
         return
-    step = max(1, _BLOCK // cols)
+    blocks = row_blocks(rows, cols)
+    step = blocks[0].stop  # the rows of text a chunk holds at most
     new = np.ones(rows, dtype=bool)
     # the rows that begin or end with +0.0 (-0.0 is written -0), and each
     # row's values lead..stop, which hold all but its +0.0 margins
@@ -332,12 +326,13 @@ def _csv_chunks(values: np.ndarray) -> Iterator[bytes]:
     marked = (edges == 0).any(axis=1)
     lead = np.zeros(rows, dtype=np.intp)
     stop = np.full(rows, cols, dtype=np.intp)
-    for start in range(0, rows, step):
-        # rows start..start + step, each compared with the one before it
-        bits = np.ascontiguousarray(values[start:start + step + 1], dtype=np.float64)
+    for block in blocks:
+        # the block's rows, each compared with the one before it
+        start = block.start
+        bits = np.ascontiguousarray(values[start:block.stop + 1], dtype=np.float64)
         bits = bits.view(np.uint64)
         new[start + 1:start + len(bits)] = (bits[1:] != bits[:-1]).any(axis=1)
-        here = np.flatnonzero(marked[start:start + step])
+        here = np.flatnonzero(marked[block])
         if here.size:
             other = bits[here] != 0
             found = other.any(axis=1)
@@ -346,31 +341,28 @@ def _csv_chunks(values: np.ndarray) -> Iterator[bytes]:
     distinct = np.flatnonzero(new)
     owner = np.cumsum(new) - 1  # each row's index in distinct
     lead, stop = lead[distinct], stop[distinct]
-    # a block ends before its values to convert pass _BLOCK; a row counts
-    # at least one, so a block holds at most _BLOCK rows
-    reach = np.cumsum(np.maximum(stop - lead, 1)).tolist()
+    # the values each distinct row converts; counting at least one bounds a
+    # block's rows too
+    widths = np.maximum(stop - lead, 1)
     ends = np.full(cols, ord(","), dtype="<u8")
     ends[-1] = ord("\n")
     ends = np.tile(ends << np.uint64(40), step)
-    last = 0
-    while last < distinct.size:
-        first, done = last, reach[last - 1] if last else 0
-        last = max(first + 1, bisect.bisect_right(reach, done + _BLOCK))
-        picked = distinct[first:last]
+    for block in row_blocks(distinct.size, widths):
+        picked = distinct[block]
         # the rows from this block's first distinct row to the next block's
         start = picked[0]
-        end = distinct[last] if last < distinct.size else rows
-        if reach[last - 1] - done == cols * len(picked):  # no margins
-            block = np.ascontiguousarray(values[picked], dtype=np.float64)
-            text = _block_text(block.ravel(), ends[:block.size])
+        end = distinct[block.stop] if block.stop < distinct.size else rows
+        if widths[block].sum() == cols * len(picked):  # no margins
+            x = np.ascontiguousarray(values[picked], dtype=np.float64).ravel()
+            text = _block_text(x, ends[:x.size])
             if end - start == len(picked):
                 yield text
                 continue
             line = text.split(b"\n").__getitem__
         else:
-            line = _margin_lines(values, picked, lead[first:last], stop[first:last])
+            line = _margin_lines(values, picked, lead[block], stop[block])
         for row in range(start, end, step):
-            picks = (owner[row:min(row + step, end)] - first).tolist()
+            picks = (owner[row:min(row + step, end)] - block.start).tolist()
             yield b"\n".join([line(i) for i in picks]) + b"\n"
 
 
@@ -607,7 +599,6 @@ def write_pgm(values: np.ndarray, path) -> None:
     width, height = v.shape
     header = f"P2\n# offset={_fmt(vmin)} scale={_fmt(scale)}\n{width} {height}\n255\n"
     # image row i is column height - 1 - i of v: blocks of whole columns, last first
-    step = max(1, _BLOCK // width)
-    blocks = (v[:, max(stop - step, 0):stop] for stop in range(height, 0, -step))
     _atomic_write(path, chain([header.encode("ascii")],
-                              (_pgm_text(block, vmin, scale) for block in blocks)))
+                              (_pgm_text(v[:, columns], vmin, scale)
+                               for columns in reversed(row_blocks(height, width)))))

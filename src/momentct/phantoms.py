@@ -81,6 +81,13 @@ def _check_points(x1, x2):
     return np.clip(x1, 0.0, 1.0), np.clip(x2, 0.0, 1.0)
 
 
+def _grid_values(d: "Density", count: int) -> np.ndarray:
+    """d on the count x count grid of [0, 1]^2, [i, j] at (g[i], g[j]),
+    evaluated on the broadcast axes g[:, None] and g[None, :]."""
+    g = np.linspace(0.0, 1.0, count)
+    return d.evaluate(g[:, None], g[None, :])
+
+
 class Density:
     """Nonnegative density supported inside the unit square."""
 
@@ -167,9 +174,7 @@ class PolynomialDensity(Density):
     def from_dict(cls, coeffs: dict) -> "PolynomialDensity":
         items = tuple(sorted((int(i), int(j), float(c)) for (i, j), c in coeffs.items()))
         d = cls(coeffs=items)
-        g = np.linspace(0.0, 1.0, 33)
-        xx, yy = np.meshgrid(g, g, indexing="ij")
-        if np.min(d.evaluate(xx, yy)) < -1e-9:
+        if np.min(_grid_values(d, 33)) < -1e-9:
             raise ValueError("polynomial density is negative on the unit square")
         return d
 
@@ -207,9 +212,7 @@ class PolynomialDensity(Density):
 
     @property
     def sup_norm(self) -> float:
-        g = np.linspace(0.0, 1.0, 129)
-        xx, yy = np.meshgrid(g, g, indexing="ij")
-        return float(np.max(self.evaluate(xx, yy)))
+        return float(np.max(_grid_values(self, 129)))
 
     def modulus_bound(self, delta: float) -> float:
         # |grad f| <= hypot(sum |c| i, sum |c| j) everywhere on the square
@@ -307,9 +310,7 @@ class SumOfDisksDensity(Density):
 
     @property
     def sup_norm(self) -> float:
-        g = np.linspace(0.0, 1.0, 257)
-        xx, yy = np.meshgrid(g, g, indexing="ij")
-        return float(np.max(self.evaluate(xx, yy)))
+        return float(np.max(_grid_values(self, 257)))
 
 
 @dataclass(frozen=True)

@@ -141,13 +141,16 @@ def _support_windows(c: np.ndarray, s: np.ndarray,
     return first, stop
 
 
-#: Most lines `project` hands to one `line_integrals` call (a block of whole
-#: rows holds more only when one row alone does).  Swept on the 256 x 1024
-#: grid with a degree-4 polynomial (3 Gauss nodes per line, 108k lines) on a
-#: Xeon with 2 MB of L2 per core: blocks of 8k-16k lines ran `project` in a
-#: median 12-13 ms, 4k in 14 ms (per-call overhead), 20k and more in 19 ms
-#: (the temporaries leave L2), and one call over every line in 20 ms with a
-#: 25 MB traced peak.  8k keeps a margin below that cliff; its peak is 4 MB.
+#: Samples in one block of whole rows (`row_blocks`), swept on a Xeon with
+#: 2 MB of L2 per core.  Lines for `project`, on the 256 x 1024 grid with a
+#: degree-4 polynomial (108k lines, 3 Gauss nodes each): 8k-16k in a median
+#: 12-13 ms, 4k in 14 ms (per-call overhead), 20k and more in 19 ms (the
+#: temporaries leave L2); one call over every line took 20 ms and a 25 MB
+#: traced peak, against 4 MB at 8k.  Values written as text, on the 128 x
+#: 512, 256 x 1024 and 192 x 256 sinograms (medians of 31 interleaved
+#: writes): 8k in 12.7, 35.7 and 6.8 ms, 4k in 13.9, 42.6 and 8.4 ms
+#: (per-block overhead), 16k in 14.4, 33.1 and 7.1 ms, 32k in 16.9, 34.1
+#: and 7.4 ms (the temporaries leave L2).
 _BLOCK_LINES = 8192
 
 
@@ -158,9 +161,8 @@ def project(d: Density, angles: Grid1D, offsets: Grid1D) -> Sinogram:
     `d.radon` gives.  Only the samples inside each row's support window are
     evaluated; every other sample is exactly 0.0, which is what `d.radon`
     returns on lines that miss the square.  The windows are evaluated by
-    `d.line_integrals` in blocks of consecutive rows holding at most
-    `_BLOCK_LINES` lines (or one row), which bounds the temporaries, and
-    each row's direction is computed once.
+    `d.line_integrals` in `row_blocks` of the windows' widths, which bounds
+    the temporaries, and each row's direction is computed once.
     """
     if offsets.start > -SQRT2 + 1e-12 or offsets.stop < SQRT2 - 1e-12:
         raise CoverageError(
@@ -177,23 +179,16 @@ def project(d: Density, angles: Grid1D, offsets: Grid1D) -> Sinogram:
     c, s = np.cos(th[:sampled]), np.sin(th[:sampled])
     first, stop = _support_windows(c, s, ps)
     widths = stop - first
-    ends = np.cumsum(widths)
     values = np.zeros((angles.count, offsets.count))
     flat = values.reshape(-1)
-    row = 0
-    while row < sampled:
-        # rows [row, end): as many as fit in _BLOCK_LINES lines, at least one
-        end = max(int(np.searchsorted(ends, ends[row] - widths[row] + _BLOCK_LINES,
-                                      side="right")), row + 1)
-        w = widths[row:end]
+    for rows in row_blocks(sampled, widths):
+        w = widths[rows]
         before = np.cumsum(w) - w
         # column of each flattened point: its rank within its block plus the
         # row's first column, less the lines of the block's rows before it
-        cols = np.arange(w.sum()) + np.repeat(first[row:end] - before, w)
-        at = cols + np.repeat(np.arange(row, end) * offsets.count, w)  # index into flat
-        flat[at] = d.line_integrals(np.repeat(c[row:end], w), np.repeat(s[row:end], w),
-                                    ps[cols])
-        row = end
+        cols = np.arange(w.sum()) + np.repeat(first[rows] - before, w)
+        at = cols + np.repeat(np.arange(rows.start, rows.stop) * offsets.count, w)  # into flat
+        flat[at] = d.line_integrals(np.repeat(c[rows], w), np.repeat(s[rows], w), ps[cols])
     if half is not None:
         values[half:] = values[:half, ::-1]
     return Sinogram(angle_grid=angles, offset_grid=offsets, values=values, kind="raw")
@@ -234,12 +229,22 @@ def add_noise(s: Sinogram, sigma: float, seed: int) -> Sinogram:
     return replace(s, values=out, kind="noisy")
 
 
-def row_blocks(rows: int, width: int) -> list[slice]:
-    """`rows` rows of `width` samples each (a sinogram's, or an image's) as
-    consecutive blocks of at most `_BLOCK_LINES` samples (or one row), which
-    bound a per-row computation's temporaries."""
-    step = max(1, _BLOCK_LINES // width)
-    return [slice(start, start + step) for start in range(0, rows, step)]
+def row_blocks(rows: int, width: int | np.ndarray) -> list[slice]:
+    """`rows` rows as consecutive blocks that bound a per-row loop's
+    temporaries: each the longest run of whole rows holding at most
+    `_BLOCK_LINES` samples, and at least one row.  width is every row's
+    samples, or an array of each row's."""
+    if np.ndim(width) == 0:
+        step = max(1, _BLOCK_LINES // width)
+        return [slice(start, start + step) for start in range(0, rows, step)]
+    ends = np.cumsum(width)
+    blocks, start = [], 0
+    while start < rows:
+        stop = max(int(np.searchsorted(ends, ends[start] - width[start] + _BLOCK_LINES,
+                                       side="right")), start + 1)
+        blocks.append(slice(start, stop))
+        start = stop
+    return blocks
 
 
 def l1_norm(s: Sinogram) -> float:

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import CoverageError, MisuseError
-from .density_recon import ReconGrid
+from .density_recon import ReconGrid, pixel_axis
 from .mollifiers import MollifierSpec, sampled_kernel
 from .projector import Sinogram, angle_coverage, antipodal_half, row_blocks, transpose_partner
 
@@ -136,27 +136,24 @@ def backproject(s: Sinogram, resolution: int) -> ReconGrid:
     order of angles, as one call over the whole image with x2 inner would,
     so the image does not change bit for bit.
     """
+    xs = pixel_axis(resolution)
     cov = angle_coverage(s.angle_grid)
     if cov == "partial":
         raise CoverageError("backprojection needs a grid covering a half or full turn")
     factor = 1.0 if cov == "full" else 2.0
     ps = s.offset_grid.points()
     thetas, values = _folded_rows(s)
-    xs = (np.arange(resolution) + 0.5) / resolution
     acc = np.zeros((resolution, resolution), dtype=values.dtype)
     bands = row_blocks(resolution, resolution)
     transposed = False  # acc holds the image transposed, x1 along its rows
     for theta, row in zip(thetas, values):
         cos, sin = math.cos(theta), math.sin(theta)
-        x1_cos, x2_sin = xs * cos, xs * sin
-        if len(bands) == 1:
-            if transposed != (abs(sin) > abs(cos)):
-                acc, transposed = np.ascontiguousarray(acc.T), not transposed
-            keys = np.add.outer(x2_sin, x1_cos) if transposed else np.add.outer(x1_cos, x2_sin)
-            acc += np.interp(keys, ps, row, left=0.0, right=0.0)
-            continue
+        if len(bands) == 1 and transposed != (abs(sin) > abs(cos)):
+            acc, transposed = np.ascontiguousarray(acc.T), not transposed
+        # a pixel's offset is outer[its row of acc] + inner[its column]
+        outer, inner = (xs * sin, xs * cos) if transposed else (xs * cos, xs * sin)
         for band in bands:
-            acc[band] += np.interp(np.add.outer(x1_cos[band], x2_sin), ps, row,
+            acc[band] += np.interp(np.add.outer(outer[band], inner), ps, row,
                                    left=0.0, right=0.0)
     if transposed:
         acc = np.ascontiguousarray(acc.T)

@@ -15,7 +15,10 @@ against, kept out of the package because no run of the pipeline uses them.
   whose positivity on eps * s <= 4 is checked per kind;
 - `clip_chord_masked`: the chord clip with every line through the masks
   for lines parallel to an edge, which `phantoms._clip_chord` must match
-  bit for bit.
+  bit for bit;
+- `greedy_row_blocks`: the blocks of rows of given widths as `project`
+  once grouped its support windows, which `projector.row_blocks` must
+  give.
 """
 
 from __future__ import annotations
@@ -172,3 +175,19 @@ def clip_chord_masked(c, s, p):
         hi = np.where(parallel, hi, np.minimum(hi, np.maximum(u0, u1)))
     length = np.where(feasible & (hi > lo), hi - lo, 0.0)
     return lo, length
+
+
+def greedy_row_blocks(widths, block_lines: int) -> list[slice]:
+    """`project`'s own loop over its support windows' widths, from before
+    `row_blocks` took per-row widths, with the block size an argument."""
+    widths = np.asarray(widths, dtype=np.intp)
+    ends = np.cumsum(widths)
+    blocks = []
+    row = 0
+    while row < widths.size:
+        # rows [row, end): as many as fit in block_lines lines, at least one
+        end = max(int(np.searchsorted(ends, ends[row] - widths[row] + block_lines,
+                                      side="right")), row + 1)
+        blocks.append(slice(row, end))
+        row = end
+    return blocks

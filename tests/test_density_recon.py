@@ -13,6 +13,7 @@ from momentct.density_recon import (
     minimized_sup_error_bound,
     moment_approximation,
     phantom_image,
+    pixel_axis,
     reconstruct_grid,
     relative_l2_error,
     sup_error,
@@ -103,6 +104,19 @@ class TestGrid:
     def test_zero_table_gives_zero_grid(self):
         rec = reconstruct_grid(zero_table(8), 4, 4, 16)
         assert np.all(rec.values == 0.0)
+
+    @pytest.mark.parametrize("resolution", [1, 3, 24, 257])
+    def test_pixel_axis_is_the_grid_convention(self, resolution):
+        want = (np.arange(resolution) + 0.5) / resolution
+        assert np.array_equal(pixel_axis(resolution).view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("resolution", [0, -1])
+    def test_every_image_needs_a_positive_resolution(self, resolution):
+        for make in (lambda: pixel_axis(resolution),
+                     lambda: phantom_image(UNIFORM, resolution),
+                     lambda: reconstruct_grid(zero_table(2), 1, 1, resolution)):
+            with pytest.raises(ValueError, match="resolution must be positive"):
+                make()
 
     def test_pixel_convention(self):
         # pixel [i, j] is at ((i + 0.5) / N, (j + 0.5) / N): x1 = 0.125, x2 = 0.875

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from momentct import fileio
+from momentct import fileio, projector
 from momentct.density_recon import ReconGrid, reconstruct_grid
 from momentct.errors import FormatError
 from momentct.mollifiers import make_kernel
@@ -551,14 +551,14 @@ class TestStreaming:
         [[math.nan, 1.0, math.inf]] * 3 + [[1.0, math.nan, -math.inf]] * 3,
     ], ids=["runs", "signed_zeros", "one_run", "non_finite"])
     def test_repeated_rows_across_blocks(self, monkeypatch, rows):
-        monkeypatch.setattr(fileio, "_BLOCK", 6)
+        monkeypatch.setattr(projector, "_BLOCK_LINES", 6)
         assert_chunks(np.array(rows), 2)
 
     @pytest.mark.parametrize("shape", [(5, 11), (1, 23), (23, 1), (1, 1)],
                              ids=["row_wider_than_a_block", "one_row", "one_column",
                                   "one_value"])
     def test_blocks_of_any_shape(self, monkeypatch, shape):
-        monkeypatch.setattr(fileio, "_BLOCK", 4)
+        monkeypatch.setattr(projector, "_BLOCK_LINES", 4)
         pool = AWKWARD + NON_FINITE
         values = np.resize(np.array(pool), shape)
         values[1:2] = values[:1]  # a repeat, where there are two rows
@@ -580,7 +580,7 @@ class TestStreaming:
         values[::7, 0] = -0.0
         values[3::7, -1] = -0.0
         values[5] = 0.0
-        monkeypatch.setattr(fileio, "_BLOCK", block)
+        monkeypatch.setattr(projector, "_BLOCK_LINES", block)
         assert_chunks(values, max(1, block // cols))
 
     @pytest.mark.parametrize("rows", [
@@ -589,7 +589,7 @@ class TestStreaming:
         [[0.0, math.nan, 0.0, math.inf, 0.0], [0.0, 0.0, -math.inf, 5e-324, 0.0]],
     ], ids=["negative_zero_ends", "interior_zeros", "non_finite_inside"])
     def test_margins_with_awkward_values(self, monkeypatch, rows):
-        monkeypatch.setattr(fileio, "_BLOCK", 8)
+        monkeypatch.setattr(projector, "_BLOCK_LINES", 8)
         values = np.array(rows)
         assert_chunks(values, max(1, 8 // values.shape[1]))
 
@@ -597,7 +597,7 @@ class TestStreaming:
     def test_margins_of_one_column_and_one_row(self, monkeypatch, shape):
         values = np.array([0.0, 1.5, 0.0, -0.0, 0.0, 2.5, 0.0, 0.0, math.nan]).reshape(shape)
         values[..., -1:] = 0.0
-        monkeypatch.setattr(fileio, "_BLOCK", 2)
+        monkeypatch.setattr(projector, "_BLOCK_LINES", 2)
         assert_chunks(values, max(1, 2 // shape[1]))
 
     def test_repeated_margin_rows_across_blocks(self, monkeypatch):
@@ -605,7 +605,7 @@ class TestStreaming:
         # +0.0 only repeats, and a row repeats two blocks back
         a, b, zero = [0.0, 1.0, 2.0, 0.0], [0.0, 0.0, -3.0, 0.0], [0.0] * 4
         values = np.array([a] * 3 + [b] * 2 + [zero] * 5 + [a] + [[5.0, 6.0, 7.0, 8.0]] * 3)
-        monkeypatch.setattr(fileio, "_BLOCK", 8)
+        monkeypatch.setattr(projector, "_BLOCK_LINES", 8)
         assert_chunks(values, 2)
 
     def test_margins_are_not_converted(self, monkeypatch):
@@ -620,7 +620,7 @@ class TestStreaming:
             return block_text(x, ends)
 
         monkeypatch.setattr(fileio, "_block_text", spy)
-        monkeypatch.setattr(fileio, "_BLOCK", 40)
+        monkeypatch.setattr(projector, "_BLOCK_LINES", 40)
         values = np.zeros((12, 20))
         values[:, 5:15] = np.arange(1.0, 121.0).reshape(12, 10)
         values[4] = 0.0
@@ -637,7 +637,7 @@ class TestStreaming:
             raise AssertionError("margin path taken")
 
         monkeypatch.setattr(fileio, "_margin_lines", refuse)
-        monkeypatch.setattr(fileio, "_BLOCK", 12)
+        monkeypatch.setattr(projector, "_BLOCK_LINES", 12)
         values = np.random.default_rng(3).standard_normal((9, 4))
         values[:, 1:3] = 0.0
         values[::2, 0] = -0.0
@@ -651,7 +651,7 @@ class TestStreaming:
         pixels = np.clip(np.rint((values + 3.0) / scale), 0, 255).astype(int)
         expected = [" ".join(str(p) for p in row) for row in pixels.T[::-1, :]]
         for block in (5, 14):
-            monkeypatch.setattr(fileio, "_BLOCK", block)
+            monkeypatch.setattr(projector, "_BLOCK_LINES", block)
             fileio.write_pgm(values, tmp_path / "b.pgm")
             assert (tmp_path / "b.pgm").read_text().splitlines()[4:] == expected
 
@@ -662,7 +662,7 @@ class TestStreaming:
         # blocks of 1 to 3 columns of the values, the image rows, with a
         # remainder; each pixel's level and separator made on its own
         values = np.random.default_rng(7).uniform(-2.0, 3.0, shape)
-        monkeypatch.setattr(fileio, "_BLOCK", columns * shape[0])
+        monkeypatch.setattr(projector, "_BLOCK_LINES", columns * shape[0])
         fileio.write_pgm(values, tmp_path / "c.pgm")
         vmin = values.min()
         scale = (values.max() - vmin) / 255.0

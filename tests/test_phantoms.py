@@ -13,6 +13,7 @@ from momentct.phantoms import (
     SumOfDisksDensity,
     UniformDensity,
     _clip_chord,
+    _grid_values,
 )
 from oracles import clip_chord_masked
 
@@ -108,6 +109,41 @@ class TestEvaluate:
     def test_poly_rejects_negative_coefficont_density(self):
         with pytest.raises(ValueError):
             PolynomialDensity.from_dict({(0, 0): -1.0})
+
+
+def meshgrid_values(d, count):
+    """d on two count x count meshgrids of [0, 1]^2, indexed [i, j]."""
+    g = np.linspace(0.0, 1.0, count)
+    xx, yy = np.meshgrid(g, g, indexing="ij")
+    return d.evaluate(xx, yy)
+
+
+#: a polynomial with terms in x1 only, x2 only, both, and a constant
+MIXED_POLY = PolynomialDensity.from_dict({(0, 0): 0.5, (2, 0): 1.25, (0, 3): 0.75,
+                                          (1, 2): 2.3, (3, 1): 0.1})
+
+
+class TestGridScans:
+    # the construction check (33^2, minimum) and the sup norms (129^2 and
+    # 257^2, maximum) scan the broadcast axes, bit for bit the meshgrids
+    @pytest.mark.parametrize("count", [33, 129, 257])
+    @pytest.mark.parametrize("d", [POLY, MIXED_POLY, DISK, TWO_DISKS],
+                             ids=["poly", "mixed_poly", "disk", "two_disks"])
+    def test_broadcast_axes_match_the_meshgrids(self, d, count):
+        scan = _grid_values(d, count)
+        assert scan.shape == (count, count)
+        assert np.array_equal(bits(scan), bits(meshgrid_values(d, count)))
+
+    @pytest.mark.parametrize("d, count", [(POLY, 129), (MIXED_POLY, 129), (TWO_DISKS, 257)],
+                             ids=["poly", "mixed_poly", "two_disks"])
+    def test_sup_norm_is_the_meshgrid_maximum(self, d, count):
+        assert bits(d.sup_norm) == bits(float(np.max(meshgrid_values(d, count))))
+
+    def test_construction_checks_every_grid_point(self):
+        # 1 - c x1 x2 is least at the corner (1, 1), the last grid point
+        assert PolynomialDensity.from_dict({(0, 0): 1.0, (1, 1): -1.0}).sup_norm == 1.0
+        with pytest.raises(ValueError, match="negative"):
+            PolynomialDensity.from_dict({(0, 0): 1.0, (1, 1): -1.000002})
 
 
 def quad_line_integral(d, theta, p):

@@ -1,9 +1,12 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from momentct import projector
 from momentct.errors import CoverageError, MisuseError
 from momentct.mollifiers import make_kernel
 from momentct.numerics import Grid1D
@@ -27,8 +30,10 @@ from momentct.projector import (
     mollify,
     offset_grid,
     project,
+    row_blocks,
     transpose_partner,
 )
+from oracles import greedy_row_blocks
 
 UNIFORM = UniformDensity()
 DISK = DiskDensity.unit_mass(center=(0.5, 0.5), radius=0.25)
@@ -227,6 +232,47 @@ class TestNoise:
                                                   f"sinograms, got '{rows.kind}'$"):
                 add_noise(rows, sigma, seed=1)
         assert add_noise(add_noise(s, sigma, seed=1), sigma, seed=2).kind == "noisy"
+
+
+def covered_rows(blocks, rows):
+    """The rows of each block, of rows rows in all."""
+    return [list(range(rows)[block]) for block in blocks]
+
+
+class TestRowBlocks:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 64), st.lists(st.integers(0, 150), max_size=40))
+    def test_per_row_widths(self, block_lines, widths):
+        # widths of 0, widths above the block, and lists of 0 or 1 rows
+        with mock.patch.object(projector, "_BLOCK_LINES", block_lines):
+            blocks = row_blocks(len(widths), np.array(widths, dtype=np.intp))
+        assert blocks == greedy_row_blocks(widths, block_lines)
+        # in order, each block where the last one stopped, to the last row
+        assert [b.start for b in blocks] == [0, *(b.stop for b in blocks)][:len(blocks)]
+        assert (blocks[-1].stop if blocks else 0) == len(widths)
+        for b in blocks:
+            samples = sum(widths[b])
+            assert b.stop > b.start
+            assert samples <= block_lines or b.stop - b.start == 1
+            if b.stop < len(widths):  # maximal: the next row would not fit
+                assert samples + widths[b.stop] > block_lines
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 64), st.integers(0, 40), st.integers(1, 150))
+    def test_one_width_is_the_closed_form(self, block_lines, rows, width):
+        with mock.patch.object(projector, "_BLOCK_LINES", block_lines):
+            blocks = row_blocks(rows, width)
+        step = max(1, block_lines // width)
+        assert all(b.stop - b.start == step for b in blocks)
+        assert covered_rows(blocks, rows) == covered_rows(
+            greedy_row_blocks([width] * rows, block_lines), rows)
+
+    @pytest.mark.parametrize("widths", [[], [0], [_BLOCK_LINES + 1], [3 * _BLOCK_LINES, 0]],
+                             ids=["no_rows", "one_empty_row", "one_wide_row", "wide_then_empty"])
+    def test_at_the_real_block_size(self, widths):
+        blocks = row_blocks(len(widths), np.array(widths, dtype=np.intp))
+        assert blocks == greedy_row_blocks(widths, _BLOCK_LINES)
+        assert covered_rows(blocks, len(widths)) == [[i] for i in range(len(widths))]
 
 
 class TestL1Norm:

@@ -211,6 +211,15 @@ class TestBackproject:
         with pytest.raises(CoverageError):
             backproject(s, 8)
 
+    @pytest.mark.parametrize("resolution", [0, -1])
+    @pytest.mark.parametrize("invert", [backproject, fbp_reconstruct],
+                             ids=["backproject", "fbp_reconstruct"])
+    def test_resolution_must_be_positive(self, invert, resolution):
+        # 0 once divided by zero sizing the bands, -1 made a negative array
+        s = Sinogram(half_circle_grid(8), offset_grid(64), np.ones((8, 64)), "raw")
+        with pytest.raises(ValueError, match="resolution must be positive"):
+            invert(s, resolution)
+
 
 def backproject_reference(s, resolution):
     """Row-by-row backprojection: every angle interpolated on its own."""
