@@ -7,18 +7,18 @@ Usage:
 PARENT_SRC and CHANGE_SRC are `src` directories (each holding the
 `momentct` package), for example one from a `git archive` of the parent
 commit and this checkout's `src`.  Both run `momentct pipeline` in a fresh
-interpreter on the shipped demo configuration, on the benchmark's three
-workload configurations (`perfbench/workloads.py`) at seeds 1 and 2, and on
-the CLI tests' `MINI_CONFIG` (`tests/test_cli.py`) at each angle cover
-(moment, half, full), with its `[mollifier]` section and without it, and
-without it at `resolution = 128` on the moment and half covers: 128^2
-pixels are more than one block, so those backproject a real accumulator
-in two bands.  On
-the demo and `MINI_CONFIG` cases each side then also runs `momentct moments`
-on the `sinogram.csv` its pipeline wrote, and `momentct reconstruct` on that
-`moments.csv` and on that `sinogram.csv`, into a second output directory.
-Each case gets the same relative paths in its own temporary directory, so
-the two sides see identical command lines.
+interpreter on every shipped configuration (`configs/*.ini`, each case
+named after its file), on the benchmark's three workload configurations
+(`perfbench/workloads.py`) at seeds 1 and 2, and on the CLI tests'
+`MINI_CONFIG` (`tests/test_cli.py`) at each angle cover (moment, half,
+full), with its `[mollifier]` section and without it, and without it at
+`resolution = 128` on the moment and half covers: 128^2 pixels are more
+than one block, so those backproject a real accumulator in two bands.  On
+the shipped and `MINI_CONFIG` cases each side then also runs `momentct
+moments` on the `sinogram.csv` its pipeline wrote, and `momentct
+reconstruct` on that `moments.csv` and on that `sinogram.csv`, into a
+second output directory.  Each case gets the same relative paths in its
+own temporary directory, so the two sides see identical command lines.
 
 Every artifact, and each command's exit status, standard output and
 standard error, are compared byte for byte.  Prints one line per
@@ -89,8 +89,8 @@ def without_section(ini: str, name: str) -> str:
 def cases() -> dict[str, tuple[str, tuple]]:
     """Case name -> (INI text, the commands run on it)."""
     all_commands = (PIPELINE, *SUBCOMMANDS)
-    out = {"uniform_demo": ((REPO / "configs" / "uniform_demo.ini").read_text(),
-                            all_commands)}
+    out = {path.stem: (path.read_text(), all_commands)
+           for path in sorted((REPO / "configs").glob("*.ini"))}
     for name, make in WORKLOADS.items():
         for seed in SEEDS:
             out[f"{name}_seed{seed}"] = (make(seed).ini, (PIPELINE,))

@@ -2,10 +2,13 @@
 """Sweep the kernel width at a fixed noise level and report moment errors.
 
 The procedure never prescribes how the smoothing width should scale with
-the noise; this benchmark surfaces the trade-off empirically: wider
-kernels suppress per-sample noise in the rows but leave the moment
-estimates' variance essentially unchanged, while too-narrow kernels are
-marginally resolved on the offset grid.
+the noise; this benchmark surfaces the trade-off empirically.  The
+deconvolution inverts the moments of the taps that smoothed the rows, so
+without noise every width gives the raw rows' moments to rounding, and
+the errors reported here are the noise's: wider kernels suppress
+per-sample noise in the rows but leave the moment estimates' variance
+essentially unchanged.  A width below two grid cells per half-width makes
+`mollify` warn that the kernel is marginally resolved.
 """
 
 import argparse

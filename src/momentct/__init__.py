@@ -12,12 +12,7 @@ from .density_recon import (
     sup_error,
     sup_error_bound,
 )
-from .mollifiers import (
-    MollifierSpec,
-    evaluate_kernel,
-    kernel_moments,
-    make_kernel,
-)
+from .mollifiers import MollifierSpec, make_kernel
 from .moment_recovery import (
     AngularMomentSet,
     angular_moments,

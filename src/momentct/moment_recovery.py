@@ -4,12 +4,14 @@ The k-th offset moment of a row is a degree-k homogeneous polynomial in
 (cos theta, sin theta) whose coefficients are the order-k moments of the
 density, binomially weighted.  Rows smoothed by a symmetric kernel couple
 to the raw offset moments through a triangular relation in the kernel's
-signed moment sequence; inverting that relation is exact algebra.  Every
-recorded angle gives one equation for the k+1 order-k moments, so order k
-is a column-scaled least-squares fit over all rows of the moment set: the
-square cot-node Vandermonde system when the set holds k+1 angles, an
-overdetermined (Helgason-Ludwig consistent) one when it holds more, where
-the fit averages the rows' quadrature error down.
+signed moment sequence.  Summed over the offset grid, that relation holds
+exactly in the moments of the kernel's taps (`sampled_kernel`), which are
+what `mollify` applied, so inverting it undoes the smoothing up to
+rounding.  Every recorded angle gives one equation for the k+1 order-k
+moments, so order k is a column-scaled least-squares fit over all rows of
+the moment set: the square cot-node Vandermonde system when the set holds
+k+1 angles, an overdetermined (Helgason-Ludwig consistent) one when it
+holds more, where the fit averages the rows' quadrature error down.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import (
     OrderError,
     SingularSystemError,
 )
-from .mollifiers import MollifierSpec, kernel_moments
+from .mollifiers import sampled_kernel
 from .phantoms import SQRT2, MomentTable
 from .projector import Sinogram
 
@@ -39,12 +41,12 @@ _WINDOW_GUARD_CELLS = 2
 @dataclass(frozen=True)
 class AngularMomentSet:
     """Offset moments b[i, k] of sinogram rows at the recorded angles, of
-    orders k = 0..max_order; `kernel` is what smoothed the rows, None on
-    raw moments."""
+    orders k = 0..max_order; `kernel_moments` are the moments (c_0, ...,
+    c_max_order) of the taps that smoothed the rows, None on raw moments."""
 
     angles: np.ndarray
     values: np.ndarray  # shape (len(angles), max_order + 1)
-    kernel: MollifierSpec | None = None
+    kernel_moments: tuple | None = None
 
     def __post_init__(self) -> None:
         if self.values.ndim != 2 or len(self.values) != self.angles.size:
@@ -88,7 +90,9 @@ def angular_moments(s: Sinogram, K: int, angles) -> AngularMomentSet:
 
     Each requested angle is snapped to the nearest sampled angle (always
     within half a grid cell); the returned set records the snapped values
-    and carries `s.kernel`.  The integration runs over the offset range
+    and, on smoothed rows, the moments c_j = h sum_i w_i t_i^j of the taps
+    (t_i, w_i) of `s.kernel` on the offset spacing h, odd ones 0 by
+    symmetry.  The integration runs over the offset range
     [-1 - eps, sqrt2 + eps] (eps the kernel's width, 0 on unsmoothed rows)
     plus a two-cell guard, which contains the kernel-widened support of any
     admissible density; cells beyond it carry no signal, only noise.
@@ -120,15 +124,20 @@ def angular_moments(s: Sinogram, K: int, angles) -> AngularMomentSet:
     for k in range(K + 1):
         weighted = rows * powers[k]
         values[:, k] = h * (weighted.sum(axis=1) - 0.5 * (weighted[:, 0] + weighted[:, -1]))
-    return AngularMomentSet(angles=snapped, values=values, kernel=s.kernel)
+    c = None
+    if s.kernel is not None:
+        offsets, weights = sampled_kernel(s.kernel, h)
+        taps = weights * h  # what `mollify` convolves with
+        c = tuple(0.0 if j % 2 else float(taps @ offsets**j) for j in range(K + 1))
+    return AngularMomentSet(angles=snapped, values=values, kernel_moments=c)
 
 
 def deconvolve_moments(hat: AngularMomentSet) -> AngularMomentSet:
-    """Exact inverse of the forward relation in the moments c_j of the
-    set's kernel, by forward recursion in k; the result is raw."""
-    if hat.kernel is None:
+    """Exact inverse of the forward relation in the set's kernel moments
+    c_j, by forward recursion in k; the result is raw."""
+    if hat.kernel_moments is None:
         raise MisuseError("deconvolution expects moments of smoothed rows")
-    c = kernel_moments(hat.kernel, hat.max_order)
+    c = hat.kernel_moments
     bhat = hat.values
     b = np.empty_like(bhat)
     for k in range(hat.max_order + 1):
@@ -150,7 +159,7 @@ def solve_moment_system(ams: AngularMomentSet, k: int, *,
     caps a run's K).  When `conditions` is given, (k, condition of the scaled
     matrix) is appended to it; warns when that condition exceeds 1e12.
     """
-    if ams.kernel is not None:
+    if ams.kernel_moments is not None:
         raise MisuseError("moment systems require raw angular moments; deconvolve first")
     if k > ams.max_order:
         raise OrderError(f"order {k} beyond the measured maximum {ams.max_order}")
@@ -203,7 +212,7 @@ def recover_moment_table(s: Sinogram, K: int, *,
         raise ValueError(f"angle grid has {th.size} rows inside (0, pi); order K={K} "
                          f"needs at least K+1 = {K + 1}")
     ams = angular_moments(s, K, th)
-    if ams.kernel is not None:
+    if ams.kernel_moments is not None:
         ams = deconvolve_moments(ams)
 
     b0 = ams.values[:, 0]

@@ -10,11 +10,12 @@ on evaluation order or thread count.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CoverageError, MisuseError
+from .errors import CoverageError, MisuseError, ResolutionWarning
 from .mollifiers import MollifierSpec, sampled_kernel
 from .numerics import Grid1D
 from .phantoms import SQRT2, Density
@@ -195,16 +196,25 @@ def project(d: Density, angles: Grid1D, offsets: Grid1D) -> Sinogram:
 
 
 def mollify(s: Sinogram, m: MollifierSpec) -> Sinogram:
-    """Convolve each row with the sampled kernel over the offset grid.
+    """Convolve each row with the kernel's taps over the offset grid.
 
-    The sampled kernel is renormalized to exact unit discrete mass, so the
-    per-row integral (hence every k = 0 moment) is preserved up to the
-    zero-padding at the grid boundary.
+    The taps have exact unit discrete mass, so the per-row integral (hence
+    every k = 0 moment) is preserved up to the zero-padding at the grid
+    boundary.  Warns when the width is marginal (fewer than two grid cells
+    per half-width): the inverses undo these taps exactly, but so few taps
+    barely smooth the rows.
     """
     if s.kind not in ("raw", "noisy"):
         raise MisuseError(f"can only mollify raw or noisy sinograms, got {s.kind!r}")
     smoothed = replace(s, kind="mollified", kernel=m)  # refuses a kernel wider than the grid
     dp = s.offset_grid.spacing
+    if m.epsilon < 2.0 * dp:
+        warnings.warn(
+            f"kernel width {m.epsilon:.3g} below twice the grid spacing "
+            f"{dp:.3g}; the sampled kernel is marginally resolved",
+            ResolutionWarning,
+            stacklevel=2,
+        )
     _, weights = sampled_kernel(m, dp)
     kernel = weights * dp
     out = np.empty_like(s.values)

@@ -8,11 +8,9 @@ the inversion constant 1/(4 pi), together with the angular rectangle rule,
 makes backprojection of the filtered rows reproduce the density.
 
 For mollified rows the filter divides by the transform of the sinogram's
-`kernel` *as sampled on the offset grid* (signed, with a magnitude floor):
-that is the transform of the convolution actually applied to the data, so
-the division cancels it exactly in the passband.  The continuous kernel
-transform would disagree with it badly near the Nyquist frequency for
-marginally resolved kernels.
+`kernel` as its taps on the offset grid (`sampled_kernel`; signed, with a
+magnitude floor): that is the transform of the convolution `mollify`
+applied to the data, so the division cancels it exactly in the passband.
 """
 
 from __future__ import annotations

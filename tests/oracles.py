@@ -1,8 +1,12 @@
 """Reference computations that the checks of the moment chain compare
 against, kept out of the package because no run of the pipeline uses them.
 
-- `convolve_moments`: the forward kernel relation that `deconvolve_moments`
-  inverts (criterion 2);
+- `evaluate_kernel` and `kernel_moments`: the continuous kernel
+  phi_eps(t) = N phi(t/eps)/eps of unit mass, and its moments c_j, by a
+  200-node Gauss-Legendre rule; the program itself only samples the
+  profile (`sampled_kernel`);
+- `convolve_moments`: the forward kernel relation, in the continuous
+  kernel's moments, that `deconvolve_moments` inverts (criterion 2);
 - `synthesize_angular_moments`: row moments re-synthesized from a moment
   table, the range-test direction (criterion 5);
 - `projection_slice_residual`, with `row_transform`, `density_transform_2d`
@@ -29,19 +33,42 @@ import math
 import numpy as np
 
 from momentct.errors import MisuseError, OrderError
-from momentct.mollifiers import (
-    _KERNEL_NODES,
-    PROFILES,
-    MollifierSpec,
-    _norm_const,
-    kernel_moments,
-)
+from momentct.mollifiers import PROFILES, MollifierSpec
 from momentct.moment_recovery import AngularMomentSet
 from momentct.numerics import gauss_legendre
 from momentct.phantoms import _EDGE_TOL, Density, MomentTable
 from momentct.projector import Sinogram
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+#: Nodes of the Gauss-Legendre rule for the continuous kernel's mass,
+#: moments and transform.
+_KERNEL_NODES = 200
+
+
+@functools.cache
+def _norm_const(kind: str) -> float:
+    """1 / mass of the unit-width profile: the normalizer of every width."""
+    nodes, weights = gauss_legendre(_KERNEL_NODES)
+    return 1.0 / float(np.sum(weights * PROFILES[kind](nodes)))
+
+
+def evaluate_kernel(m: MollifierSpec, t) -> np.ndarray:
+    """Pointwise phi_eps(t) of unit mass; zero outside [-eps, eps]."""
+    u = np.asarray(t, dtype=float) / m.epsilon
+    return _norm_const(m.kind) * PROFILES[m.kind](u) / m.epsilon
+
+
+def kernel_moments(m: MollifierSpec, K: int) -> tuple:
+    """(c_0, ..., c_K), c_j the integral of phi_eps(t) (-t)^j dt, from the
+    unit width's moments as c_j(eps) = eps^j c_j(1); odd ones vanish by
+    symmetry."""
+    nodes, weights = gauss_legendre(_KERNEL_NODES)
+    base = PROFILES[m.kind](nodes)
+    return tuple(
+        m.epsilon**j * (_norm_const(m.kind) * float(np.sum(weights * base * (-nodes) ** j)))
+        for j in range(K + 1)
+    )
 
 
 def vandermonde_det_formula(angles, k: int) -> float:
@@ -65,8 +92,8 @@ def vandermonde_det_formula(angles, k: int) -> float:
 
 def convolve_moments(ams: AngularMomentSet, m: MollifierSpec) -> AngularMomentSet:
     """Forward triangular relation: bhat[k] = sum_j C(k,j) c_j b[k-j], for
-    the kernel m; the result carries m."""
-    if ams.kernel is not None:
+    the continuous kernel m's c_j, which the result carries."""
+    if ams.kernel_moments is not None:
         raise MisuseError("forward relation expects raw moments")
     c = kernel_moments(m, ams.max_order)
     b = ams.values
@@ -75,7 +102,7 @@ def convolve_moments(ams: AngularMomentSet, m: MollifierSpec) -> AngularMomentSe
         bhat[:, k] = sum(
             math.comb(k, j) * c[j] * b[:, k - j] for j in range(k + 1)
         )
-    return AngularMomentSet(ams.angles, bhat, m)
+    return AngularMomentSet(ams.angles, bhat, c)
 
 
 def synthesize_angular_moments(table: MomentTable, angles, K: int) -> np.ndarray:

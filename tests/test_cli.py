@@ -90,6 +90,20 @@ class TestPipeline:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
 
+    def test_marginal_kernel_is_reported_once(self, tmp_path):
+        # eps = 0.008 is below twice the 0.0122 offset spacing; only `mollify`,
+        # which applies the kernel, says so, although three stages sample it
+        marginal = write_config(tmp_path, text=MINI_CONFIG.replace("epsilon = 0.08",
+                                                                   "epsilon = 0.008"))
+        code = ("import sys\nfrom momentct.cli import main\n"
+                f"sys.exit(main(['pipeline', '-c', {str(marginal)!r}]))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-W", "always", "-c", code], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.count("ResolutionWarning: kernel width 0.008 below twice the "
+                                 "grid spacing 0.0122") == 1, done.stderr
+
     def test_reproducible_byte_for_byte(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["pipeline", "-c", str(cfg), "-o", str(tmp_path / "a")]) == 0

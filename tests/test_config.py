@@ -339,8 +339,7 @@ class TestShippedConfigs:
                  for value in values if (section, key, value) not in set_values}
         # each of these waits on a decision (ROADMAP items 5 and 6); a new
         # value without a caller, or a value that gains one, changes the set
-        assert unset == {"kernel = cosine", "angle_cover = half",
-                         "method = moments", "method = fbp"}
+        assert unset == {"kernel = cosine", "method = moments"}
 
 
 class TestFinite:

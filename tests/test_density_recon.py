@@ -289,8 +289,8 @@ class TestConvergence:
     def test_smoothed_moments_match_triangular_relation(self):
         # consistency: the radial-kernel moment table reproduces the
         # offset-moment coupling used by the deconvolution stage
-        from momentct.mollifiers import kernel_moments, make_kernel
-        from oracles import convolve_moments, synthesize_angular_moments
+        from momentct.mollifiers import make_kernel
+        from oracles import convolve_moments, kernel_moments, synthesize_angular_moments
         from test_moment_recovery import raw_moment_set
 
         eps, K = 0.1, 4

@@ -9,12 +9,12 @@ from momentct.errors import ResolutionWarning
 from momentct.mollifiers import (
     PROFILES,
     MollifierSpec,
-    evaluate_kernel,
-    kernel_moments,
     make_kernel,
     sampled_kernel,
 )
-from oracles import fourier_of_kernel
+from momentct.moment_recovery import angular_moments
+from momentct.projector import Sinogram, moment_angle_grid, mollify, offset_grid
+from oracles import evaluate_kernel, fourier_of_kernel, kernel_moments
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -24,27 +24,62 @@ BUMP_NORM = 2.2522836210435810105     # 1 / integral of exp(-1/(1-u^2))
 BUMP_C2_UNIT = 0.15811363626379823    # second signed moment at eps = 1
 COSINE_C2_UNIT = 1.0 / 3.0 - 2.0 / math.pi**2
 
+WIDTHS = [0.01, 0.05, 0.1, 0.5]
 
-class TestMoments:
+
+def spacing_for(eps):
+    """An offset spacing that puts about 3.3 cells in the half-width."""
+    return eps / 3.3
+
+
+def zero_rows(spacing, kind="raw", kernel=None):
+    """Two rows of zeros on an offset grid of about this spacing."""
+    count = 2 * math.ceil(3.0 / spacing) + 1  # a margin of at least 1
+    grid = offset_grid(count, margin=(count - 1) * spacing / (2.0 * math.sqrt(2.0)))
+    return Sinogram(moment_angle_grid(2), grid, np.zeros((2, count)), kind, kernel)
+
+
+def tap_moments(m, spacing, K):
+    """The moments c_0..c_K that `angular_moments` gives rows smoothed by
+    m on a grid of this spacing."""
+    rows = zero_rows(spacing, "mollified", m)
+    return angular_moments(rows, K, rows.angle_grid.points()).kernel_moments
+
+
+class TestTapMoments:
     @pytest.mark.parametrize("kind", ["bump", "cosine"])
-    @pytest.mark.parametrize("eps", [0.01, 0.05, 0.1, 0.5])
+    @pytest.mark.parametrize("eps", WIDTHS)
     def test_c0_is_one_and_c1_vanishes(self, kind, eps):
-        c = kernel_moments(make_kernel(kind, eps), 6)
-        assert c[0] == pytest.approx(1.0, abs=1e-12)
-        assert abs(c[1]) <= 1e-12
+        c = tap_moments(make_kernel(kind, eps), spacing_for(eps), 6)
+        assert c[0] == pytest.approx(1.0, abs=1e-14)
+        assert c[1] == 0.0
 
     def test_odd_vanish_even_positive(self):
-        c = kernel_moments(make_kernel("bump", 0.1), 9)
+        c = tap_moments(make_kernel("bump", 0.1), 0.003, 9)
         for j in range(10):
             if j % 2:
-                assert abs(c[j]) <= 1e-12
+                assert c[j] == 0.0
             else:
                 assert c[j] > 0.0
+
+    @pytest.mark.parametrize("kind", ["bump", "cosine"])
+    def test_tend_to_the_continuous_kernel_moments(self, kind):
+        # as the grid refines, the taps' c_2 approaches the oracle's
+        m = make_kernel(kind, 0.05)
+        exact = kernel_moments(m, 2)[2]
+        gaps = [abs(tap_moments(m, 0.05 / cells, 2)[2] - exact) / exact
+                for cells in (2.5, 5.5, 10.5, 20.5)]
+        assert all(b < a for a, b in zip(gaps, gaps[1:]))
+        assert gaps[-1] <= 1e-3
+
+
+class TestContinuousMoments:
+    # the continuous kernel is the tests' reference (oracles.kernel_moments)
 
     def test_c2_scaling_law(self):
         base = kernel_moments(make_kernel("bump", 1.0), 4)[2]
         assert base == pytest.approx(BUMP_C2_UNIT, abs=1e-10)
-        for eps in (0.01, 0.05, 0.1, 0.5):
+        for eps in WIDTHS:
             c = kernel_moments(make_kernel("bump", eps), 4)
             assert c[2] == pytest.approx(eps**2 * base, rel=1e-8)
 
@@ -63,44 +98,41 @@ class TestMoments:
         for j in range(0, order + 1, 2):
             assert c[j] / eps**j == pytest.approx(unit[j], rel=1e-8)
 
-    @pytest.mark.filterwarnings("error")
-    def test_moments_whose_power_overflows_are_refused(self):
-        # eps^j raises OverflowError in float arithmetic; construction checks
-        # only the kind and 1/eps, so only the moments can refuse this width
-        m = make_kernel("bump", 1e299)
-        assert kernel_moments(m, 1)[0] == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ValueError, match=r"^kernel width 1e\+299 is too wide: its moments "
-                                             r"eps\^j c_j\(1\) up to order 2 overflow$"):
-            kernel_moments(m, 2)
-
-
-class TestKernel:
-    @pytest.mark.parametrize("kind", ["bump", "cosine"])
-    @pytest.mark.parametrize("eps", [0.01, 0.05, 0.1, 0.5])
-    def test_unit_mass_by_fine_quadrature(self, kind, eps):
-        m = make_kernel(kind, eps)
-        x, w = np.polynomial.legendre.leggauss(400)
-        tau = eps * x
-        mass = eps * np.sum(w * evaluate_kernel(m, tau))
-        assert mass == pytest.approx(1.0, abs=1e-10)
-
-    def test_support_boundary_and_symmetry(self):
-        m = make_kernel("bump", 0.3)
-        assert evaluate_kernel(m, 0.3) == 0.0
-        assert evaluate_kernel(m, -0.3) == 0.0
-        assert evaluate_kernel(m, 0.31) == 0.0
-        for t in (0.05, 0.12, 0.29):
-            assert evaluate_kernel(m, t) == pytest.approx(evaluate_kernel(m, -t))
-
     def test_peak_scales_inversely_with_width(self):
         peak_base = BUMP_NORM * math.exp(-1.0)
         m = make_kernel("bump", 0.5)
         assert evaluate_kernel(m, 0.0) == pytest.approx(2.0 * peak_base, rel=1e-10)
 
+
+class TestTaps:
+    @pytest.mark.parametrize("kind", ["bump", "cosine"])
+    @pytest.mark.parametrize("eps", WIDTHS)
+    def test_unit_discrete_mass(self, kind, eps):
+        for spacing in (spacing_for(eps), eps / 7.9, 0.003):
+            _, weights = sampled_kernel(make_kernel(kind, eps), spacing)
+            assert spacing * weights.sum() == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("kind", ["bump", "cosine"])
+    def test_support_within_the_width_and_bitwise_symmetry(self, kind):
+        for eps, spacing in ((0.3, 0.1), (0.3, 0.07), (0.05, 0.003)):
+            offsets, weights = sampled_kernel(make_kernel(kind, eps), spacing)
+            assert np.all(weights[np.abs(offsets) >= eps] == 0.0)
+            assert np.all(weights[np.abs(offsets) < eps] > 0.0)
+            assert np.array_equal(offsets, -offsets[::-1])
+            assert np.array_equal(weights, weights[::-1])
+            assert offsets[offsets.size // 2] == 0.0
+
     def test_nonnegative(self):
-        m = make_kernel("cosine", 0.2)
-        t = np.linspace(-0.3, 0.3, 1001)
-        assert np.all(np.asarray(evaluate_kernel(m, t)) >= 0.0)
+        _, weights = sampled_kernel(make_kernel("cosine", 0.2), 0.0006)
+        assert np.all(weights >= 0.0)
+
+    @pytest.mark.parametrize("kind", ["bump", "cosine"])
+    def test_scale_with_the_width_at_a_fixed_ratio(self, kind):
+        # a power-of-two rescale of width and spacing rescales the taps exactly
+        offsets, weights = sampled_kernel(make_kernel(kind, 0.05), 0.007)
+        wide = sampled_kernel(make_kernel(kind, 0.05 * 8), 0.007 * 8)
+        assert np.array_equal(wide[0], offsets * 8)
+        assert np.array_equal(wide[1], weights / 8)
 
 
 class TestFourier:
@@ -159,18 +191,20 @@ class TestSampledKernel:
         assert weights.sum() * 0.003 == pytest.approx(1.0, rel=1e-14)
 
     def test_resolution_warning(self):
-        m = make_kernel("bump", 0.004)
-        with pytest.warns(ResolutionWarning):
-            sampled_kernel(m, 0.003)
+        # mollify, which applies the taps to data, warns; sampling is pure
+        m = make_kernel("bump", 0.04)
+        with pytest.warns(ResolutionWarning, match="below twice the grid spacing 0.03"):
+            mollify(zero_rows(0.03), m)
+        sampled_kernel(m, 0.03)
 
-    @pytest.mark.filterwarnings("error")  # refused by the mass check, not numpy overflow
-    def test_non_finite_mass_is_rejected(self):
-        # a width this far below the spacing samples only the peak, which
-        # overflows; `make_kernel` refuses the width, so the spec is built by hand
-        m = MollifierSpec("bump", 1e-320)
-        with pytest.warns(ResolutionWarning), \
-                pytest.raises(ValueError, match="mass inf; it must be positive and finite"):
-            sampled_kernel(m, 0.01)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["bump", "cosine"])
+    def test_hand_built_width_far_below_the_spacing_samples_to_the_centre_tap(self, kind):
+        # `make_kernel` refuses a width whose 1/eps overflows, so the spec is
+        # built by hand: every offset but 0 lies at an infinite u
+        offsets, weights = sampled_kernel(MollifierSpec(kind, 1e-320), 0.01)
+        assert offsets.tolist() == [-0.01, 0.0, 0.01]
+        assert weights.tolist() == [0.0, 100.0, 0.0]
 
     def test_construction_validation(self):
         with pytest.raises(ValueError):
@@ -184,11 +218,13 @@ class TestSampledKernel:
             make_kernel(kind, 1e-320)
 
     @pytest.mark.parametrize("kind", ["bump", "cosine"])
-    def test_width_far_below_the_spacing_builds_and_warns_at_sampling(self, kind):
+    def test_width_far_below_the_spacing_builds_and_warns_when_applied(self, kind):
         m = make_kernel(kind, 1e-308)
-        with pytest.warns(ResolutionWarning):
-            offsets, weights = sampled_kernel(m, 0.01)
+        offsets, weights = sampled_kernel(m, 0.01)
         assert weights.tolist() == [0.0, 100.0, 0.0]
+        with pytest.warns(ResolutionWarning):
+            smoothed = mollify(zero_rows(0.01), m)
+        assert smoothed.kernel is m
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("eps", [math.inf, math.nan])
@@ -207,15 +243,15 @@ class TestSampledKernel:
 class TestConstruction:
     @pytest.mark.parametrize("kind", ["bump", "cosine"])
     def test_checks_only_its_inputs(self, monkeypatch, kind):
-        # no transform and no quadrature: positivity on the band is a fact
-        # about the kind (TestFourier), not something to recompute per width
+        # no sampling, transform or quadrature: positivity on the band is a
+        # fact about the kind (TestFourier), not something to recompute per width
         calls = []
-        gauss_legendre = mollifiers.gauss_legendre
+        profile = PROFILES[kind]
 
-        def counted(n):
-            calls.append(n)
-            return gauss_legendre(n)
+        def counted(u):
+            calls.append(u)
+            return profile(u)
 
-        monkeypatch.setattr(mollifiers, "gauss_legendre", counted)
+        monkeypatch.setitem(mollifiers.PROFILES, kind, counted)
         assert make_kernel(kind, 0.05) == MollifierSpec(kind, 0.05)
         assert calls == []

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from momentct.config import MomentConfig, RunConfig
 from momentct.errors import MisuseError, OrderError
-from momentct.mollifiers import kernel_moments, make_kernel
+from momentct.mollifiers import make_kernel, sampled_kernel
 from momentct.moment_recovery import (
     AngularMomentSet,
     _nearest_index,
@@ -27,7 +27,12 @@ from momentct.projector import (
     offset_grid,
     project,
 )
-from oracles import convolve_moments, synthesize_angular_moments, vandermonde_det_formula
+from oracles import (
+    convolve_moments,
+    kernel_moments,
+    synthesize_angular_moments,
+    vandermonde_det_formula,
+)
 
 UNIFORM = UniformDensity()
 POLY = PolynomialDensity.from_dict({(1, 1): 4.0})
@@ -137,11 +142,16 @@ class TestAngularMoments:
 
     def test_provenance_tagging(self):
         s = Sinogram(moment_angle_grid(16), offset_grid(129), np.zeros((16, 129)), "raw")
-        assert angular_moments(s, 1, [0.5, 1.0]).kernel is None
+        assert angular_moments(s, 1, [0.5, 1.0]).kernel_moments is None
         m = make_kernel("bump", 0.05)
         mol = Sinogram(moment_angle_grid(16), offset_grid(129),
                        np.zeros((16, 129)), "mollified", m)
-        assert angular_moments(mol, 1, [0.5, 1.0]).kernel is m
+        # smoothed moments carry the moments of the taps that smoothed them
+        h = mol.offset_grid.spacing
+        offsets, weights = sampled_kernel(m, h)
+        c = angular_moments(mol, 3, [0.5, 1.0]).kernel_moments
+        assert c == (float((weights * h) @ offsets**0), 0.0,
+                     float((weights * h) @ offsets**2), 0.0)
 
 
 class TestDeconvolution:
@@ -268,6 +278,19 @@ class TestRecoverTable:
         table = recover_moment_table(mollify(uniform_sino, m), 4)
         for (a, b), v in table.values.items():
             assert v == pytest.approx(1.0 / ((a + 1) * (b + 1)), abs=1e-4)
+
+    @pytest.mark.parametrize("kind", ["bump", "cosine"])
+    @pytest.mark.parametrize("cells", [2, 3, 5, 8, 10])
+    @pytest.mark.parametrize("density", [UNIFORM, POLY], ids=["uniform", "4x1x2"])
+    def test_smoothing_costs_nothing_on_noiseless_rows(self, density, cells, kind):
+        # the deconvolution inverts the moments of the taps `mollify` applied,
+        # so the smoothed rows' table is the raw rows' table up to rounding
+        raw = project(density, moment_angle_grid(64), offset_grid(512))
+        m = make_kernel(kind, cells * raw.offset_grid.spacing)
+        plain = recover_moment_table(raw, 8)
+        smoothed = recover_moment_table(mollify(raw, m), 8)
+        for key, value in plain.values.items():
+            assert abs(smoothed.values[key] - value) <= 1e-12 * abs(value), key
 
     def test_zero_sinogram(self):
         s = Sinogram(moment_angle_grid(32), offset_grid(257), np.zeros((32, 257)), "raw")
