@@ -26,7 +26,9 @@ difference and exits 1 if there is any, 2 on bad arguments or if a command
 failed on both sides alike, 0 otherwise.  When a `.csv` artifact differs
 and both sides parse to arrays of one shape, its line also gives the
 largest absolute difference and the largest magnitude on either side, so
-that a rounding-level change can be told from a real one.  Each case also
+that a rounding-level change can be told from a real one.  When a standard
+output or error differs, the lines that differ follow, the parent's marked
+`-` and the change's `+`, with no lines of context.  Each case also
 prints the peak RSS of each side's `pipeline` run, in MB of 1024 KiB as
 perfbench's `peak_rss_mb`, so that a memory regression shows beside the
 byte-identity check; it is read from `os.wait4`, not compared.
@@ -35,6 +37,7 @@ byte-identity check; it is read from `os.wait4`, not compared.
 from __future__ import annotations
 
 import argparse
+import difflib
 import io
 import os
 import subprocess
@@ -120,6 +123,17 @@ def csv_change(parent: bytes, change: bytes) -> str:
     return f", max |diff| = {np.max(np.abs(b - a)):.3g}, max |value| = {scale:.3g}"
 
 
+def stream_change(parent: bytes, change: bytes) -> list[str]:
+    """The lines in which two printed streams differ: the parent's marked
+    `-` and the change's `+`, in order, with no lines of context."""
+    a, b = (data.decode(errors="replace").splitlines() for data in (parent, change))
+    lines = []
+    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, a, b, autojunk=False).get_opcodes():
+        if tag != "equal":
+            lines += [f"-{line}" for line in a[i1:i2]] + [f"+{line}" for line in b[j1:j2]]
+    return lines
+
+
 def run(src: Path, ini: str, commands: tuple, workdir: Path) -> tuple[dict[str, bytes], dict]:
     """Run the commands in order; returns the artifacts they left, by path
     under `workdir`, plus each command's exit status and streams, and the
@@ -174,6 +188,9 @@ def main(argv=None) -> int:
                 else:
                     side = " (only in parent)" if name in parent else " (only in change)"
                 print(f"{case}: {name} differs{side}")
+                if name.endswith(("stdout>", "stderr>")):  # both sides record every stream
+                    for line in stream_change(parent[name], change[name]):
+                        print(f"    {line}")
             differences += len(differing)
             statuses = {name: value for name, value in parent.items()
                         if name.endswith(": exit status>")}

@@ -5,10 +5,13 @@ The procedure never prescribes how the smoothing width should scale with
 the noise; this benchmark surfaces the trade-off empirically.  The
 deconvolution inverts the moments of the taps that smoothed the rows, so
 without noise every width gives the raw rows' moments to rounding, and
-the errors reported here are the noise's: wider kernels suppress
-per-sample noise in the rows but leave the moment estimates' variance
-essentially unchanged.  A width below two grid cells per half-width makes
-`mollify` warn that the kernel is marginally resolved.
+the errors reported here are the noise's.  Wider kernels suppress
+per-sample noise in the rows but not in the moments: a moment sums the
+same noise whatever the smoothing, over each row's window, which widens
+by eps on each side.  So the moment error grows with the width; with
+`--sigma 0.002 --order 8` the mean worst error rises from 4.9e-5 at
+eps = 0.02 to 1.0e-4 at 0.16.  A width below two grid cells per
+half-width makes `mollify` warn that the kernel is marginally resolved.
 """
 
 import argparse

@@ -52,6 +52,7 @@ from .projector import (
     l1_norm,
     mollify,
     project,
+    require_coverage,
 )
 from .spectral import fbp_reconstruct
 
@@ -123,6 +124,7 @@ def _require_finite(values, message: str) -> None:
 def _read_sinogram(path: Path) -> Sinogram:
     sino = fileio.read_sinogram(path)
     _require_finite(sino.values, f"{path}: non-finite values in the input")
+    require_coverage(sino.offset_grid)
     return sino
 
 

@@ -182,8 +182,8 @@ class RunConfig:
             spacing = self.make_offset_grid().spacing
         except ValueError as exc:
             raise ConfigError(f"[grids] margin = {g.margin}: {exc}") from None
-        # the rows' support, [-1, sqrt2] widened by the kernel on each side,
-        # is what the moments integrate; a wider spacing samples it at most once
+        # the windows of the rows in (0, pi) span [-1, sqrt2] widened by the kernel on
+        # each side (`support_windows`); a wider spacing samples that span at most once
         support = SQRT2 + 1.0 + 2.0 * (self.mollifier.epsilon if self.mollifier else 0.0)
         if spacing > support:
             raise ConfigError(

@@ -7,11 +7,12 @@ to the raw offset moments through a triangular relation in the kernel's
 signed moment sequence.  Summed over the offset grid, that relation holds
 exactly in the moments of the kernel's taps (`sampled_kernel`), which are
 what `mollify` applied, so inverting it undoes the smoothing up to
-rounding.  Every recorded angle gives one equation for the k+1 order-k
-moments, so order k is a column-scaled least-squares fit over all rows of
-the moment set: the square cot-node Vandermonde system when the set holds
-k+1 angles, an overdetermined (Helgason-Ludwig consistent) one when it
-holds more, where the fit averages the rows' quadrature error down.
+rounding.  Each row is integrated over its own `support_windows` range, so
+no noise beyond it enters.  Every recorded angle gives one equation for the
+k+1 order-k moments, so order k is a column-scaled least-squares fit over
+all rows of the moment set: the square cot-node Vandermonde system when the
+set holds k+1 angles, an overdetermined (Helgason-Ludwig consistent) one
+when it holds more, where the fit averages the rows' quadrature error down.
 """
 
 from __future__ import annotations
@@ -30,12 +31,8 @@ from .errors import (
     SingularSystemError,
 )
 from .mollifiers import sampled_kernel
-from .phantoms import SQRT2, MomentTable
-from .projector import Sinogram
-
-#: Extra half-width (beyond the kernel width) of the moment integration
-#: window, in grid cells.
-_WINDOW_GUARD_CELLS = 2
+from .phantoms import MomentTable
+from .projector import Sinogram, support_windows
 
 
 @dataclass(frozen=True)
@@ -92,10 +89,9 @@ def angular_moments(s: Sinogram, K: int, angles) -> AngularMomentSet:
     within half a grid cell); the returned set records the snapped values
     and, on smoothed rows, the moments c_j = h sum_i w_i t_i^j of the taps
     (t_i, w_i) of `s.kernel` on the offset spacing h, odd ones 0 by
-    symmetry.  The integration runs over the offset range
-    [-1 - eps, sqrt2 + eps] (eps the kernel's width, 0 on unsmoothed rows)
-    plus a two-cell guard, which contains the kernel-widened support of any
-    admissible density; cells beyond it carry no signal, only noise.
+    symmetry.  Each row is integrated over its own window, `support_windows`
+    padded by the kernel's width (0 on unsmoothed rows); the samples beyond
+    it hold no signal, only noise.
     """
     if K < 0:
         raise OrderError("moment order must be nonnegative")
@@ -112,18 +108,19 @@ def angular_moments(s: Sinogram, K: int, angles) -> AngularMomentSet:
 
     ps = s.offset_grid.points()
     h = s.offset_grid.spacing
-    pad = (s.kernel.epsilon if s.kernel else 0.0) + _WINDOW_GUARD_CELLS * h
-    mask = (ps >= -1.0 - pad) & (ps <= SQRT2 + pad)
-    pw = ps[mask]
-    rows = s.values[idx][:, mask]
-
-    powers = pw[None, :] ** np.arange(K + 1)[:, None]  # (K+1, n_window)
+    first, stop = support_windows(np.cos(snapped), np.sin(snapped), ps,
+                                  s.kernel.epsilon if s.kernel else 0.0)
+    lo, hi = int(first.min()), int(stop.max())
+    rows = s.values[idx, lo:hi]  # a C-ordered copy, so each row sums pairwise
+    cols = np.arange(lo, hi)
+    rows[(cols < first[:, None]) | (cols >= stop[:, None])] = 0.0
+    # the trapezoid's end terms, at each row's own first and last column
+    rows[np.arange(idx.size), first - lo] *= 0.5
+    rows[np.arange(idx.size), stop - 1 - lo] *= 0.5
+    powers = ps[lo:hi] ** np.arange(K + 1)[:, None]  # (K+1, hi - lo)
     # One order at a time: with every row in the set, a (rows, K+1, offsets)
     # product would take hundreds of MB at the orders convergence runs use.
-    values = np.empty((idx.size, K + 1))
-    for k in range(K + 1):
-        weighted = rows * powers[k]
-        values[:, k] = h * (weighted.sum(axis=1) - 0.5 * (weighted[:, 0] + weighted[:, -1]))
+    values = h * np.stack([(rows * power).sum(axis=1) for power in powers], axis=1)
     c = None
     if s.kernel is not None:
         offsets, weights = sampled_kernel(s.kernel, h)

@@ -123,23 +123,28 @@ def transpose_partner(angles: Grid1D) -> tuple[np.ndarray, np.ndarray] | None:
     return raw % half, (raw // half) % 2 == 1
 
 
-def _support_windows(c: np.ndarray, s: np.ndarray,
-                     ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-angle column range [first, stop) of the offsets whose lines can
-    meet the unit square, from each angle's (c, s) = (cos theta, sin theta).
+def support_windows(c: np.ndarray, s: np.ndarray, ps: np.ndarray,
+                    pad: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Column range [first, stop) of the offsets ps whose lines pass within
+    pad of the unit square, per angle (c, s) = (cos theta, sin theta).
 
-    At angle theta the square projects onto [min(c,0) + min(s,0),
-    max(c,0) + max(s,0)]; outside it the line integral of any density
-    supported in the square is 0.  The range is widened by one offset on
-    each side, which keeps lines within roundoff (or `_EDGE_TOL`) of the
-    interval's ends inside it: lines through a vertex, and lines along an
-    edge at theta = 0 or pi/2.
+    The one rule for which offsets a row spans: the square projects onto
+    [min(c,0) + min(s,0), max(c,0) + max(s,0)].  One more offset on each side
+    keeps inside the range the lines within roundoff (or `_EDGE_TOL`) of its
+    ends, and all that a kernel of width pad spreads from `project`'s rows.
     """
-    lo = np.minimum(c, 0.0) + np.minimum(s, 0.0)
-    hi = np.maximum(c, 0.0) + np.maximum(s, 0.0)
+    lo = np.minimum(c, 0.0) + np.minimum(s, 0.0) - pad
+    hi = np.maximum(c, 0.0) + np.maximum(s, 0.0) + pad
     first = np.maximum(np.searchsorted(ps, lo, side="left") - 1, 0)
     stop = np.minimum(np.searchsorted(ps, hi, side="right") + 1, ps.size)
     return first, stop
+
+
+def require_coverage(offsets: Grid1D) -> None:
+    """Refuse offsets that do not cover [-sqrt2, sqrt2], the lines through the square."""
+    if offsets.start > -SQRT2 + 1e-12 or offsets.stop < SQRT2 - 1e-12:
+        raise CoverageError(f"offsets [{offsets.start:.4g}, {offsets.stop:.4g}] do not cover "
+                            f"[-sqrt2, sqrt2]; moments would be truncated")
 
 
 #: Samples in one block of whole rows (`row_blocks`), swept on a Xeon with
@@ -165,11 +170,7 @@ def project(d: Density, angles: Grid1D, offsets: Grid1D) -> Sinogram:
     `d.line_integrals` in `row_blocks` of the windows' widths, which bounds
     the temporaries, and each row's direction is computed once.
     """
-    if offsets.start > -SQRT2 + 1e-12 or offsets.stop < SQRT2 - 1e-12:
-        raise CoverageError(
-            f"offsets [{offsets.start:.4g}, {offsets.stop:.4g}] do not cover "
-            f"[-sqrt2, sqrt2]; moments would be truncated"
-        )
+    require_coverage(offsets)
     ps = offsets.points()
     th = angles.points()
     half = antipodal_half(angles, offsets)
@@ -178,7 +179,7 @@ def project(d: Density, angles: Grid1D, offsets: Grid1D) -> Sinogram:
     # two representations of each line bitwise equal
     sampled = angles.count if half is None else half
     c, s = np.cos(th[:sampled]), np.sin(th[:sampled])
-    first, stop = _support_windows(c, s, ps)
+    first, stop = support_windows(c, s, ps)
     widths = stop - first
     values = np.zeros((angles.count, offsets.count))
     flat = values.reshape(-1)

@@ -1,4 +1,5 @@
 import filecmp
+import importlib.util
 import math
 import os
 import re
@@ -246,6 +247,21 @@ class TestErrorContracts:
         fresh = tmp_path / "fresh"
         assert main([command, "-c", str(cfg), "-o", str(fresh), str(sino)]) == 2
         assert "a filtered sinogram cannot be inverted again" in capsys.readouterr().err
+        assert not fresh.exists()
+
+    @pytest.mark.parametrize("command", ["moments", "reconstruct"])
+    def test_offsets_short_of_the_square_exit_3_and_write_nothing(self, tmp_path, capsys,
+                                                                 command):
+        # rows cut off at |p| = 0.5 once gave truncated moments, or an FBP
+        # image of them, with exit 0; `project` refuses such offsets
+        cfg = write_config(tmp_path)
+        sino = tmp_path / "short.csv"
+        sino.write_text(f"# sinogram kind=raw angles=4 offsets=3 theta0=0 "
+                        f"dtheta={math.pi / 4!r} p0=-0.5 dp=0.5\n" + "0.5,1,0.5\n" * 4)
+        fresh = tmp_path / "fresh"
+        assert main([command, "-c", str(cfg), "-o", str(fresh), str(sino)]) == 3
+        assert capsys.readouterr().err == ("error: offsets [-0.5, 0.5] do not cover "
+                                           "[-sqrt2, sqrt2]; moments would be truncated\n")
         assert not fresh.exists()
 
     @pytest.mark.parametrize("pattern, text, message", [
@@ -727,6 +743,19 @@ class TestScripts:
         assert done.returncode == 0, done.stderr
         rows = [line.split()[0] for line in done.stdout.splitlines()[2:]]
         assert rows == ["0.050", "0.080"], done.stdout
+
+    def test_diff_artifacts_prints_the_lines_that_moved(self, monkeypatch):
+        root = Path(__file__).resolve().parents[1]
+        monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
+        spec = importlib.util.spec_from_file_location("diff_artifacts",
+                                                      root / "scripts" / "diff_artifacts.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        parent = b"== reconstruct ==\nsup error vs phantom: 0.001015\nbound: 0.5\n"
+        change = b"== reconstruct ==\nsup error vs phantom: 0.000317\nbound: 0.5\nend\n"
+        assert script.stream_change(parent, change) == [
+            "-sup error vs phantom: 0.001015", "+sup error vs phantom: 0.000317", "+end"]
+        assert script.stream_change(parent, parent) == []
 
     def test_ab_calls_on_one_tree_twice(self, tmp_path):
         # both sides load the same checkout, so the results must be equal

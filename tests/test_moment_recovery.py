@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from momentct.projector import (
     mollify,
     offset_grid,
     project,
+    support_windows,
 )
 from oracles import (
     convolve_moments,
@@ -152,6 +154,47 @@ class TestAngularMoments:
         c = angular_moments(mol, 3, [0.5, 1.0]).kernel_moments
         assert c == (float((weights * h) @ offsets**0), 0.0,
                      float((weights * h) @ offsets**2), 0.0)
+
+
+def outside_windows(s: Sinogram, pad: float = 0.0) -> np.ndarray:
+    """Mask of the samples beyond each row's `support_windows` range."""
+    th, ps = s.angle_grid.points(), s.offset_grid.points()
+    first, stop = support_windows(np.cos(th), np.sin(th), ps, pad)
+    cols = np.arange(ps.size)
+    return (cols < first[:, None]) | (cols >= stop[:, None])
+
+
+class TestSupportWindows:
+    """`angular_moments` integrates each row over its own window, padded by
+    the kernel's width; beyond it every smoothed sample must be 0.0, or the
+    moments would drop signal."""
+
+    # eps/h just above a whole number gives the cosine a tiny tap at the
+    # window's edge, the tightest case (a window 1.01 cells narrower fails)
+    @pytest.mark.parametrize("cells", [2.0, 2.001, 2.01, 2.5, 3.0, 3.7, 5.0, 5.000001,
+                                       5.3, 9.99, 10.0])
+    @pytest.mark.parametrize("kind", ["bump", "cosine"])
+    @pytest.mark.parametrize("make_grid", [moment_angle_grid, half_circle_grid,
+                                           full_circle_grid])
+    def test_smoothed_rows_vanish_beyond_their_windows(self, make_grid, kind, cells):
+        # the uniform density fills the square, so its rows reach every end
+        raw = project(UNIFORM, make_grid(48), offset_grid(256))
+        m = make_kernel(kind, cells * raw.offset_grid.spacing)
+        smoothed = mollify(raw, m)
+        th = raw.angle_grid.points()
+        used = (th > 0.0) & (th < math.pi)  # the rows `recover_moment_table` fits
+        beyond = outside_windows(smoothed, m.epsilon)[used]
+        assert np.all(smoothed.values[used][beyond] == 0.0)
+
+    def test_noise_beyond_each_rows_window_enters_no_moment(self):
+        # a window shared by all rows let this noise move the table by 2.36e-3
+        raw = project(UNIFORM, moment_angle_grid(64), offset_grid(512))
+        noise = np.random.default_rng(1).normal(0.0, 0.01, raw.values.shape)
+        noisy = replace(raw, kind="noisy",
+                        values=np.where(outside_windows(raw), noise, raw.values))
+        plain, moved = (recover_moment_table(s, 8).values for s in (raw, noisy))
+        assert list(moved) == list(plain)
+        assert [v.hex() for v in moved.values()] == [v.hex() for v in plain.values()]
 
 
 class TestDeconvolution:
