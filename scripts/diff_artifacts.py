@@ -12,8 +12,12 @@ named after its file), on the benchmark's three workload configurations
 (`perfbench/workloads.py`) at seeds 1 and 2, and on the CLI tests'
 `MINI_CONFIG` (`tests/test_cli.py`) at each angle cover (moment, half,
 full), with its `[mollifier]` section and without it, and without it at
-`resolution = 128` on the moment and half covers: 128^2 pixels are more
-than one block, so those backproject a real accumulator in two bands.  On
+`resolution = 128` on each cover: 128^2 pixels are more than one block,
+so those backproject in two bands of 64 rows, a real accumulator on the
+moment and half covers and a complex one on the full turn, whose rows
+pair.  The half cover also runs at `resolution = 100`, in bands of 81 and
+19 rows.  Each band group of such an image runs on a thread of its own
+where the machine has the CPUs, so these cases compare a threaded image.  On
 the shipped and `MINI_CONFIG` cases each side then also runs `momentct
 moments` on the `sinogram.csv` its pipeline wrote, and `momentct
 reconstruct` on that `moments.csv` and on that `sinogram.csv`, into a
@@ -101,11 +105,11 @@ def cases() -> dict[str, tuple[str, tuple]]:
     for cover in ("moment", "half", "full"):
         smoothed = mini.replace("angle_cover = moment", f"angle_cover = {cover}")
         out[f"mini_{cover}_smoothed"] = (smoothed, all_commands)
-        out[f"mini_{cover}_raw"] = (without_section(smoothed, "mollifier"), all_commands)
-        if cover != "full":
-            fine = without_section(smoothed, "mollifier").replace("resolution = 16",
-                                                                  "resolution = 128")
-            out[f"mini_{cover}_raw_128"] = (fine, all_commands)
+        raw = without_section(smoothed, "mollifier")
+        out[f"mini_{cover}_raw"] = (raw, all_commands)
+        for resolution in (128, 100) if cover == "half" else (128,):
+            out[f"mini_{cover}_raw_{resolution}"] = (
+                raw.replace("resolution = 16", f"resolution = {resolution}"), all_commands)
     return out
 
 

@@ -16,6 +16,9 @@ applied to the data, so the division cancels it exactly in the passband.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from collections.abc import Callable
 
 import numpy as np
 
@@ -104,6 +107,37 @@ def _folded_rows(s: Sinogram) -> tuple[np.ndarray, np.ndarray]:
     return thetas, values
 
 
+#: CPUs the process may run on (all of them where affinity is unknown)
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _in_groups(work: Callable[[list[slice]], None], bands: list[slice]) -> None:
+    """work(group) on min(_CPUS, len(bands)) contiguous groups of `bands`: the first
+    here, each other on a thread joined before returning, whose exception is raised here."""
+    w = min(_CPUS, len(bands))
+    groups = [bands[len(bands) * i // w:len(bands) * (i + 1) // w] for i in range(w)]
+    errors: list[BaseException] = []
+    started: list[threading.Thread] = []
+
+    def run(group: list[slice]) -> None:
+        try:
+            work(group)
+        except BaseException as exc:
+            errors.append(exc)
+
+    try:
+        for group in groups[1:]:
+            thread = threading.Thread(target=run, args=(group,))
+            thread.start()
+            started.append(thread)
+        work(groups[0])
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def backproject(s: Sinogram, resolution: int) -> ReconGrid:
     """Dual transform: integrate g(theta, <x, w>) over the full turn.
 
@@ -120,9 +154,11 @@ def backproject(s: Sinogram, resolution: int) -> ReconGrid:
     row-by-row sum up to rounding; other grids are summed row by row.
 
     Each row is interpolated over bands of whole pixel rows (`row_blocks`),
-    so only one band's offsets and samples exist at a time, and they stay
-    in cache beside the accumulator.  An image of one band (N^2 at most
-    8192 pixels) instead takes each row along the pixel axis on which its
+    so each thread holds one band's offsets and samples at a time, in cache
+    beside the accumulator.  Contiguous groups of bands, one per CPU
+    (`_in_groups`), each add every row into their own bands, so `np.interp`,
+    which releases the GIL, runs on every CPU.  An image of one band (N^2 at
+    most 8192 pixels) instead takes each row along the pixel axis on which its
     offsets step least: x1 is the inner axis where |sin theta| >
     |cos theta|.  Consecutive keys then lie closer together, so more of
     `np.interp`'s searches start at the right sample.  The accumulator is
@@ -132,7 +168,7 @@ def backproject(s: Sinogram, resolution: int) -> ReconGrid:
     adding transposed bands into a complex accumulator was slower on
     paired turns.  Either way each pixel adds the same addends, in the same
     order of angles, as one call over the whole image with x2 inner would,
-    so the image does not change bit for bit.
+    so the image does not change bit for bit, whatever the number of threads.
     """
     xs = pixel_axis(resolution)
     cov = angle_coverage(s.angle_grid)
@@ -143,18 +179,22 @@ def backproject(s: Sinogram, resolution: int) -> ReconGrid:
     thetas, values = _folded_rows(s)
     acc = np.zeros((resolution, resolution), dtype=values.dtype)
     bands = row_blocks(resolution, resolution)
-    transposed = False  # acc holds the image transposed, x1 along its rows
-    for theta, row in zip(thetas, values):
-        cos, sin = math.cos(theta), math.sin(theta)
-        if len(bands) == 1 and transposed != (abs(sin) > abs(cos)):
-            acc, transposed = np.ascontiguousarray(acc.T), not transposed
-        # a pixel's offset is outer[its row of acc] + inner[its column]
-        outer, inner = (xs * sin, xs * cos) if transposed else (xs * cos, xs * sin)
-        for band in bands:
-            acc[band] += np.interp(np.add.outer(outer[band], inner), ps, row,
-                                   left=0.0, right=0.0)
-    if transposed:
-        acc = np.ascontiguousarray(acc.T)
+    def add_rows(group: list[slice]) -> None:  # every folded row, in order, into group
+        nonlocal acc  # rebound only to transpose an image of one band, on this thread
+        transposed = False  # acc holds the image transposed, x1 along its rows
+        for theta, row in zip(thetas, values):
+            cos, sin = math.cos(theta), math.sin(theta)
+            if len(bands) == 1 and transposed != (abs(sin) > abs(cos)):
+                acc, transposed = np.ascontiguousarray(acc.T), not transposed
+            # a pixel's offset is outer[its row of acc] + inner[its column]
+            outer, inner = (xs * sin, xs * cos) if transposed else (xs * cos, xs * sin)
+            for band in group:
+                acc[band] += np.interp(np.add.outer(outer[band], inner), ps, row,
+                                       left=0.0, right=0.0)
+        if transposed:
+            acc = np.ascontiguousarray(acc.T)
+
+    _in_groups(add_rows, bands)
     if np.iscomplexobj(acc):
         acc = acc.real + acc.imag.T
     acc *= factor * s.angle_grid.spacing

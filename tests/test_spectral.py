@@ -1,12 +1,14 @@
 import cmath
 import math
+import sys
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from momentct import projector
+from momentct import projector, spectral
 from momentct.errors import CoverageError, MisuseError
 from momentct.mollifiers import make_kernel
 from momentct.numerics import Grid1D
@@ -348,11 +350,13 @@ class TestBackprojectBands:
     @pytest.mark.parametrize("angles, images", [
         (full_circle_grid(64), 24 * 256**2), (full_circle_grid(63), 8 * 256**2),
     ], ids=["paired_transposed", "unpaired"])
-    def test_traced_peak_is_bounded_by_the_bands(self, angles, images):
+    def test_traced_peak_is_bounded_by_the_bands(self, angles, images, monkeypatch):
         # images: the accumulator and the image returned, which are one real
         # array on an unpaired turn and a complex one and its real image on a
         # paired turn; offsets and samples over the whole image added 1 to
-        # 1.5 MB to them
+        # 1.5 MB to them.  Each thread holds one band's, so the bound holds
+        # for two threads, whatever the CPUs of the machine.
+        monkeypatch.setattr(spectral, "_CPUS", 2)
         s = Sinogram(angles, offset_grid(129),
                      np.random.default_rng(6).standard_normal((angles.count, 129)), "filtered")
         tracemalloc.start()
@@ -362,6 +366,80 @@ class TestBackprojectBands:
         finally:
             tracemalloc.stop()
         assert peak < images + 0.5e6
+
+
+@pytest.fixture
+def threads_started(monkeypatch):
+    """The threads backproject starts, in a list, started as usual."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
+
+
+class TestBackprojectThreads:
+    """An image of several bands is added in contiguous groups of bands, one
+    per CPU: the calling thread adds the first, a thread of its own each
+    other; each pixel still adds its terms in the order of angles."""
+
+    @pytest.mark.parametrize("angles", [
+        half_circle_grid(48), full_circle_grid(63), full_circle_grid(64),
+    ], ids=["half_real", "full_unpaired_real", "full_paired_complex"])
+    def test_any_worker_count_is_bit_identical(self, angles, monkeypatch, threads_started):
+        s = noisy_filtered(angles, offset_grid(257))
+        # bands of 5 rows: six, and one of 3
+        monkeypatch.setattr(projector, "_BLOCK_LINES", 5 * 33)
+        assert len(projector.row_blocks(33, 33)) == 7
+        monkeypatch.setattr(spectral, "_CPUS", 1)
+        alone = backproject(s, 33).values
+        assert threads_started == []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            for cpus, threads in ((2, 1), (3, 2), (7, 6), (12, 6)):
+                monkeypatch.setattr(spectral, "_CPUS", cpus)
+                image = backproject(s, 33).values
+                assert np.array_equal(image.view(np.uint64), alone.view(np.uint64)), cpus
+                assert len(threads_started) == threads
+                assert not any(thread.is_alive() for thread in threads_started)
+                threads_started.clear()
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cpus, resolution, bands", [(4, 64, 1), (1, 100, 2)],
+                             ids=["one_band", "one_cpu"])
+    def test_no_thread_starts(self, cpus, resolution, bands, monkeypatch):
+        def refuse_threads(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(spectral, "_CPUS", cpus)
+        monkeypatch.setattr(threading, "Thread", refuse_threads)
+        s = noisy_filtered(full_circle_grid(64), offset_grid(257))
+        assert len(projector.row_blocks(resolution, resolution)) == bands
+        backproject(s, resolution)
+
+    @pytest.mark.parametrize("group", ["later", "first"])
+    def test_an_error_in_a_group_is_raised_in_the_caller(self, group, monkeypatch):
+        monkeypatch.setattr(spectral, "_CPUS", 3)
+        caller = threading.current_thread()
+        interp = np.interp
+
+        def failing(*args, **kwargs):
+            if (threading.current_thread() is caller) == (group == "first"):
+                raise FloatingPointError(f"in the {group} group")
+            return interp(*args, **kwargs)
+
+        monkeypatch.setattr(np, "interp", failing)
+        s = noisy_filtered(half_circle_grid(48), offset_grid(257))
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match=f"in the {group} group"):
+            backproject(s, 100)
+        assert threading.active_count() == before
 
 
 def x2_inner_reference(s, resolution):
@@ -445,17 +523,23 @@ class TestBackprojectAxis:
         bands = projector.row_blocks(256, 256)
         assert len(bands) == 8
         xs = (np.arange(256) + 0.5) / 256
-        calls = iter([(theta, band) for theta in thetas for band in bands])
+        pairs = [(theta, band) for theta in thetas for band in bands]
 
         def check(keys):
-            theta, band = next(calls)
-            return np.array_equal(keys, np.add.outer(xs[band] * math.cos(theta),
-                                                     xs * math.sin(theta)))
+            # the (theta, band) pairs whose x2-inner keys these are, in any
+            # order: the threads' calls interleave; a pair whose first key or
+            # shape differs cannot match
+            return [i for i, (theta, band) in enumerate(pairs)
+                    if keys.shape == (band.stop - band.start, 256)
+                    and keys[0, 0] == xs[band.start] * math.cos(theta) + xs[0] * math.sin(theta)
+                    and np.array_equal(keys, np.add.outer(xs[band] * math.cos(theta),
+                                                          xs * math.sin(theta)))]
 
         interp_keys.check = check
         backproject(s, 256)
-        assert len(interp_keys.results) == len(thetas) * 8
-        assert all(interp_keys.results)
+        assert all(len(matched) == 1 for matched in interp_keys.results)
+        assert sorted(i for matched in interp_keys.results for i in matched) == \
+            list(range(len(pairs)))
 
 
 class TestFbp:
