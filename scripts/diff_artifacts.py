@@ -35,7 +35,10 @@ output or error differs, the lines that differ follow, the parent's marked
 `-` and the change's `+`, with no lines of context.  Each case also
 prints the peak RSS of each side's `pipeline` run, in MB of 1024 KiB as
 perfbench's `peak_rss_mb`, so that a memory regression shows beside the
-byte-identity check; it is read from `os.wait4`, not compared.
+byte-identity check; it is read from `os.wait4`, not compared.  Before
+the cases it prints the line count of each side's `momentct` package, as
+`wc -l momentct/*.py` gives it, so that a change's size shows beside the
+check that it moved no byte.
 """
 
 from __future__ import annotations
@@ -113,6 +116,11 @@ def cases() -> dict[str, tuple[str, tuple]]:
     return out
 
 
+def package_lines(src: Path) -> int:
+    """The newlines in the `momentct` modules under `src`: `wc -l`'s count."""
+    return sum(path.read_bytes().count(b"\n") for path in (src / "momentct").glob("*.py"))
+
+
 def csv_change(parent: bytes, change: bytes) -> str:
     """`, max |diff| = ..., max |value| = ...` for two CSV artifacts that
     parse to arrays of one shape (`#` lines skipped), else ''."""
@@ -171,6 +179,9 @@ def main(argv=None) -> int:
     for src in (args.parent_src, args.change_src):
         if not (src / "momentct" / "__init__.py").is_file():
             parser.error(f"{src} holds no momentct package")
+    parent_lines, change_lines = (package_lines(src) for src in (args.parent_src, args.change_src))
+    print(f"momentct lines: {parent_lines} parent, {change_lines} change "
+          f"({change_lines - parent_lines:+d})")
 
     differences = 0
     failures = 0

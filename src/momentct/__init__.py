@@ -20,7 +20,7 @@ from .moment_recovery import (
     recover_moment_table,
     solve_moment_system,
 )
-from .numerics import Grid1D, log_gamma
+from .numerics import Grid1D
 from .phantoms import (
     Density,
     DiskDensity,

@@ -66,12 +66,6 @@ def _load(args) -> RunConfig:
     return cfg
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    """The output directory.  The first artifact written into it creates it,
-    so a run refused before its first artifact leaves no directory behind."""
-    return Path(cfg.output.directory)
-
-
 def _simulate(cfg: RunConfig, density: Density, kernel: MollifierSpec | None) -> Sinogram:
     """The phantom's data on the config's grids, with noise when sigma > 0,
     smoothed by the kernel when there is one."""
@@ -87,7 +81,7 @@ def _write_projection(cfg: RunConfig, sino: Sinogram, density: Density,
                       truth: np.ndarray) -> None:
     """Write the sinogram and the phantom image `truth` (`phantom_image`)
     and print the data checks."""
-    out = _outdir(cfg)
+    out = Path(cfg.output.directory)
     # the PGM first: `write_pgm` refuses a non-finite sinogram before any
     # artifact exists
     fileio.write_pgm(sino.values, out / "sinogram.pgm")
@@ -136,18 +130,25 @@ def _read_moments(path: Path) -> MomentTable:
 
 def _write_moments(cfg: RunConfig, table: MomentTable, diagnostics: dict) -> None:
     """Write the moment table and print each order's condition estimate."""
-    path = _outdir(cfg) / "moments.csv"
+    path = Path(cfg.output.directory) / "moments.csv"
     fileio.write_moments(table, path)
     print(f"moments: {path} K={table.max_order}")
     for k, cond in diagnostics["conditions"]:
         print(f"order {k}: condition estimate {cond:.3e}")
 
 
-def cmd_moments(cfg: RunConfig, sino_path: Path) -> int:
+def _fit(sino: Sinogram, K: int) -> tuple[MomentTable, dict]:
+    """The moment table to order K and its diagnostics; a table with NaN or
+    inf is refused before it is written."""
     diagnostics: dict = {}
-    table = recover_moment_table(_read_sinogram(sino_path), cfg.moments.K,
-                                 diagnostics=diagnostics)
-    _write_moments(cfg, table, diagnostics)
+    table = recover_moment_table(sino, K, diagnostics=diagnostics)
+    _require_finite(list(table.values.values()),
+                    "the computed moment table has non-finite values")
+    return table, diagnostics
+
+
+def cmd_moments(cfg: RunConfig, sino_path: Path) -> int:
+    _write_moments(cfg, *_fit(_read_sinogram(sino_path), cfg.moments.K))
     return 0
 
 
@@ -166,7 +167,7 @@ def _write_moment_image(cfg: RunConfig, rec: ReconGrid, density: Density,
                         truth: np.ndarray) -> None:
     """Write the moment image and print its error against the phantom
     image `truth`, and the phantom's error bound."""
-    out = _outdir(cfg)
+    out = Path(cfg.output.directory)
     _write_image(rec, out / "recon_moments")
     err = sup_error(rec, truth)
     print(f"moment reconstruction: {out / 'recon_moments.csv'} "
@@ -187,7 +188,7 @@ def _write_fbp_image(cfg: RunConfig, rec: ReconGrid, kernel: MollifierSpec | Non
                      truth: np.ndarray) -> None:
     """Write the FBP image of rows smoothed by `kernel` (None: raw rows)
     and print its error against the phantom image `truth`."""
-    out = _outdir(cfg)
+    out = Path(cfg.output.directory)
     _write_image(rec, out / "recon_fbp")
     label = "riesz" if kernel is None else "modified_riesz"
     print(f"fbp reconstruction: {out / 'recon_fbp.csv'} "
@@ -223,10 +224,7 @@ def cmd_pipeline(cfg: RunConfig) -> int:
     sino = _simulate(cfg, density, cfg.make_mollifier())
     _require_finite(sino.values, "the computed sinogram has non-finite values")
     stored = fileio.recorded(sino)
-    diagnostics: dict = {}
-    table = recover_moment_table(stored, cfg.moments.K, diagnostics=diagnostics)
-    _require_finite(list(table.values.values()),
-                    "the computed moment table has non-finite values")
+    table, diagnostics = _fit(stored, cfg.moments.K)
     r = cfg.recon
     moment_image = fbp_image = None
     if r.method in ("moments", "both"):

@@ -25,7 +25,7 @@ from .phantoms import (
     SumOfDisksDensity,
     UniformDensity,
 )
-from .projector import full_circle_grid, half_circle_grid, moment_angle_grid, offset_grid
+from .projector import ANGLE_GRIDS, offset_grid
 
 #: The largest moment order K a run may ask for: above it the moment systems
 #: become too ill-conditioned for double precision to be trustworthy.
@@ -34,7 +34,7 @@ MAX_MOMENT_ORDER = 12
 #: The values each enumerated key allows.
 PHANTOM_KINDS = ("uniform", "polynomial", "disks")   # [phantom] kind
 KERNELS = tuple(PROFILES)                            # [mollifier] kernel
-ANGLE_COVERS = ("moment", "half", "full")            # [grids] angle_cover
+ANGLE_COVERS = tuple(ANGLE_GRIDS)                    # [grids] angle_cover
 RECON_METHODS = ("moments", "fbp", "both")           # [recon] method
 
 
@@ -227,12 +227,7 @@ class RunConfig:
         return make_kernel(self.mollifier.kernel, self.mollifier.epsilon)
 
     def make_angle_grid(self) -> Grid1D:
-        g = self.grids
-        if g.angle_cover == "moment":
-            return moment_angle_grid(g.angles)
-        if g.angle_cover == "half":
-            return half_circle_grid(g.angles)
-        return full_circle_grid(g.angles)
+        return ANGLE_GRIDS[self.grids.angle_cover](self.grids.angles)
 
     def make_offset_grid(self) -> Grid1D:
         return offset_grid(self.grids.offsets, self.grids.margin)

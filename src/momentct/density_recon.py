@@ -91,21 +91,13 @@ def cancellation_log10(m: int, n: int) -> float:
     """Rough decimal-digit estimate of worst-case cancellation.
 
     Bounds log10 of the coefficient mass max_a (m+1) C(m,a) 2^(m-a) per
-    dimension; the evaluated sum is O(1), so this many digits can cancel.
+    dimension, in the exact integers `moment_approximation` sums; the
+    evaluated sum is O(1), so this many digits can cancel.
     """
 
     def one_dim(mm: int) -> float:
-        best = 0.0
-        for a in range(mm + 1):
-            lg = (
-                math.log(mm + 1)
-                + math.lgamma(mm + 1)
-                - math.lgamma(a + 1)
-                - math.lgamma(mm - a + 1)
-                + (mm - a) * math.log(2.0)
-            )
-            best = max(best, lg)
-        return best / math.log(10.0)
+        return math.log10(max((mm + 1) * math.comb(mm, a) * 2 ** (mm - a)
+                              for a in range(mm + 1)))
 
     return one_dim(m) + one_dim(n)
 
@@ -202,4 +194,9 @@ def relative_l2_error(rec: ReconGrid, truth: np.ndarray) -> float:
 def _norm(x: np.ndarray) -> float:
     # np.sum, not np.linalg.norm: the norm's BLAS dot may run threaded,
     # which cost milliseconds per 256 x 256 image on two cores
-    return math.sqrt(float(np.sum(x * x)))
+    with np.errstate(over="ignore"):
+        total = float(np.sum(x * x))
+    if math.isinf(total) and np.all(np.isfinite(x)):  # the squares overflow: rescale
+        big = float(np.max(np.abs(x)))
+        return big * math.sqrt(float(np.sum((x / big) ** 2)))
+    return math.sqrt(total)

@@ -213,8 +213,8 @@ def recover_moment_table(s: Sinogram, K: int, *,
         ams = deconvolve_moments(ams)
 
     b0 = ams.values[:, 0]
-    scale = _median(np.abs(b0))
-    if float(np.max(np.abs(b0 - _median(b0)))) > max(1e-3, 0.05 * scale):
+    spread = float(np.max(np.abs(b0 - _median(b0))))
+    if not spread <= max(1e-3, 0.05 * _median(np.abs(b0))):  # NaN when b0 overflows
         raise DataQualityError(
             "order-0 row moments disagree across angles beyond tolerance; "
             "offset coverage or data quality is suspect"

@@ -1,6 +1,6 @@
-"""Shared numerical building blocks: the uniform sampling grid, a
-domain-checked log-Gamma and the Gauss-Legendre rules.  Nothing in here
-holds state but the cache of read-only rules.
+"""Shared numerical building blocks: the uniform sampling grid and the
+Gauss-Legendre rules.  Nothing in here holds state but the cache of
+read-only rules.
 """
 
 from __future__ import annotations
@@ -47,10 +47,3 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0."""
-    if not x > 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)

@@ -65,10 +65,12 @@ def full_circle_grid(count: int) -> Grid1D:
     return Grid1D(0.0, 2.0 * math.pi * (count - 1) / count, count)
 
 
+#: The angle grid constructors, by `[grids] angle_cover`: the one list of covers.
+ANGLE_GRIDS = {"moment": moment_angle_grid, "half": half_circle_grid, "full": full_circle_grid}
+
+
 def offset_grid(count: int, margin: float = 1.1) -> Grid1D:
-    """Symmetric offset grid over [-sqrt(2) margin, sqrt(2) margin]."""
-    if margin < 1.0:
-        raise CoverageError(f"offset margin must be >= 1, got {margin}")
+    """Symmetric offsets over [-sqrt(2) margin, sqrt(2) margin]; `project` needs margin >= 1."""
     return Grid1D(-margin * SQRT2, margin * SQRT2, count)
 
 

@@ -5,13 +5,14 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from momentct import cli, config, phantoms
+from momentct import cli, config, fileio, phantoms
 from momentct.cli import main
 
 MINI_CONFIG = """
@@ -664,6 +665,70 @@ class TestErrorContracts:
         assert not fresh.exists()
 
 
+#: a raw, noiseless uniform half turn of 32 x 128 fitted to K = 12
+EXTREME_BASE = (WITHOUT_MOLLIFIER.replace("sigma = 0.01", "sigma = 0")
+                .replace("angles = 48\nangle_cover = moment\noffsets = 256",
+                         "angles = 32\nangle_cover = half\noffsets = 128")
+                .replace("K = 2", "K = 12"))
+NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
+
+
+class TestExtremeInput:
+    """The single-stage commands on finite input near the top of the float
+    range: the pipeline's sinogram.csv and moments.csv scaled up."""
+
+    def scaled_inputs(self, tmp_path, scale):
+        cfg = write_config(tmp_path, text=EXTREME_BASE)
+        assert main(["pipeline", "-c", str(cfg)]) == 0
+        base = tmp_path / "run_out"
+        sino = fileio.read_sinogram(base / "sinogram.csv")
+        fileio.write_sinogram(replace(sino, values=sino.values * scale), tmp_path / "sinogram.csv")
+        table = fileio.read_moments(base / "moments.csv")
+        fileio.write_moments(phantoms.MomentTable(
+            table.max_order, {key: v * scale for key, v in table.values.items()}),
+            tmp_path / "moments.csv")
+        return cfg
+
+    def run(self, *args):
+        with warnings.catch_warnings():
+            # numpy's overflow warnings, which a command line run prints and goes on
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return main(list(args))
+
+    @pytest.mark.parametrize("scale", [1e150, 1e300, 1e307])
+    @pytest.mark.parametrize("command, name", [
+        ("moments", "sinogram.csv"),
+        ("reconstruct", "sinogram.csv"),
+        ("reconstruct", "moments.csv"),
+    ], ids=["moments", "reconstruct-sinogram", "reconstruct-moments"])
+    def test_single_stage_writes_finite_artifacts_or_nothing(
+            self, tmp_path, capsys, command, name, scale):
+        # a run either succeeds with finite text throughout, or is refused
+        # before its first artifact
+        cfg = self.scaled_inputs(tmp_path, scale)
+        capsys.readouterr()
+        out = tmp_path / "fresh"
+        if self.run(command, "-c", str(cfg), "-o", str(out), str(tmp_path / name)) != 0:
+            assert not out.exists()
+            return
+        printed = capsys.readouterr().out
+        assert not NON_FINITE.search(printed), printed
+        artifacts = sorted(out.iterdir())
+        assert artifacts
+        for path in artifacts:
+            assert not NON_FINITE.search(path.read_text()), path.name
+
+    def test_moments_whose_higher_orders_overflow_exit_2(self, tmp_path, capsys):
+        # at 3.5e306 the order-0 moments are finite and agree across rows,
+        # and some of the higher orders overflow
+        cfg = self.scaled_inputs(tmp_path, 3.5e306)
+        out = tmp_path / "fresh"
+        assert self.run("moments", "-c", str(cfg), "-o", str(out),
+                        str(tmp_path / "sinogram.csv")) == 2
+        assert "the computed moment table has non-finite values" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestProjectReport:
     @pytest.mark.parametrize("cover, span", [
         ("moment", 47 * math.pi / 49),  # 48 angles pi (i+1)/49: the sampled span
@@ -744,18 +809,30 @@ class TestScripts:
         rows = [line.split()[0] for line in done.stdout.splitlines()[2:]]
         assert rows == ["0.050", "0.080"], done.stdout
 
-    def test_diff_artifacts_prints_the_lines_that_moved(self, monkeypatch):
+    @pytest.fixture
+    def diff_artifacts(self, monkeypatch):
         root = Path(__file__).resolve().parents[1]
         monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
         spec = importlib.util.spec_from_file_location("diff_artifacts",
                                                       root / "scripts" / "diff_artifacts.py")
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
+        return script
+
+    def test_diff_artifacts_prints_the_lines_that_moved(self, diff_artifacts):
         parent = b"== reconstruct ==\nsup error vs phantom: 0.001015\nbound: 0.5\n"
         change = b"== reconstruct ==\nsup error vs phantom: 0.000317\nbound: 0.5\nend\n"
-        assert script.stream_change(parent, change) == [
+        assert diff_artifacts.stream_change(parent, change) == [
             "-sup error vs phantom: 0.001015", "+sup error vs phantom: 0.000317", "+end"]
-        assert script.stream_change(parent, parent) == []
+        assert diff_artifacts.stream_change(parent, parent) == []
+
+    def test_diff_artifacts_counts_lines_as_wc(self, tmp_path, diff_artifacts):
+        package = tmp_path / "momentct"
+        package.mkdir()
+        (package / "a.py").write_text("x = 1\n\ny = 2\n")
+        (package / "b.py").write_text("z = 3")  # no final newline: wc -l counts 0
+        (package / "notes.txt").write_text("not a module\n")
+        assert diff_artifacts.package_lines(tmp_path) == 3
 
     def test_ab_calls_on_one_tree_twice(self, tmp_path):
         # both sides load the same checkout, so the results must be equal

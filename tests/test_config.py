@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from momentct import projector
 from momentct.cli import main
 from momentct.config import (
     ANGLE_COVERS,
@@ -340,6 +341,9 @@ class TestShippedConfigs:
         # each of these waits on a decision (ROADMAP items 5 and 6); a new
         # value without a caller, or a value that gains one, changes the set
         assert unset == {"kernel = cosine", "method = moments"}
+
+    def test_angle_covers_are_the_projector_grids(self):
+        assert ANGLE_COVERS == tuple(projector.ANGLE_GRIDS)
 
 
 class TestFinite:

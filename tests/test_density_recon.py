@@ -86,6 +86,16 @@ class TestPointEvaluation:
     def test_cancellation_estimate_grows(self):
         assert cancellation_log10(32, 32) > cancellation_log10(8, 8) > 0
 
+    def test_cancellation_warning_starts_at_orders_15(self):
+        assert cancellation_log10(14, 14) == pytest.approx(14.37, abs=0.005)
+        assert cancellation_log10(15, 15) == pytest.approx(15.38, abs=0.005)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ConditioningWarning)
+            reconstruct_grid(zero_table(28), 14, 14, 4)
+        with pytest.warns(ConditioningWarning, match=r"^moment approximation at orders "
+                                                     r"\(15, 15\) cancels ~15 decimal digits;"):
+            reconstruct_grid(zero_table(30), 15, 15, 4)
+
 
 class TestGrid:
     def test_uniform_meets_bound(self):
@@ -202,6 +212,16 @@ class TestSupError:
         rec = ReconGrid(8, np.zeros((8, 8)))
         assert sup_error(rec, phantom_image(UNIFORM, 8)) == 1.0
         assert relative_l2_error(rec, phantom_image(UNIFORM, 8)) == pytest.approx(1.0)
+
+    def test_relative_l2_error_where_the_squares_overflow(self):
+        rng = np.random.default_rng(5)
+        truth = rng.uniform(0.5, 1.5, (8, 8))
+        values = truth + rng.normal(0.0, 0.1, (8, 8))
+        plain = relative_l2_error(ReconGrid(8, values), truth)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = relative_l2_error(ReconGrid(8, values * 1e300), truth * 1e300)
+        assert scaled == pytest.approx(plain, rel=1e-14)
 
 
 class TestBound:

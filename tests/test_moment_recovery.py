@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from momentct.config import MomentConfig, RunConfig
-from momentct.errors import MisuseError, OrderError
+from momentct.errors import DataQualityError, MisuseError, OrderError
 from momentct.mollifiers import make_kernel, sampled_kernel
 from momentct.moment_recovery import (
     AngularMomentSet,
@@ -339,6 +339,18 @@ class TestRecoverTable:
         s = Sinogram(moment_angle_grid(32), offset_grid(257), np.zeros((32, 257)), "raw")
         table = recover_moment_table(s, 3)
         assert all(v == 0.0 for v in table.values.values())
+
+    def test_order_zero_moments_that_overflow_are_refused(self):
+        # every sample in each row's window is 1e308: b0 overflows to inf on
+        # every row, and its spread from the median is NaN
+        angles, offsets = half_circle_grid(16), offset_grid(64)
+        th = angles.points()
+        first, stop = support_windows(np.cos(th), np.sin(th), offsets.points())
+        cols = np.arange(offsets.count)
+        inside = (cols >= first[:, None]) & (cols < stop[:, None])
+        s = Sinogram(angles, offsets, np.where(inside, 1e308, 0.0), "raw")
+        with np.errstate(all="ignore"), pytest.raises(DataQualityError):
+            recover_moment_table(s, 2)
 
     def test_filtered_rows_are_refused(self, uniform_sino):
         filtered = Sinogram(uniform_sino.angle_grid, uniform_sino.offset_grid,

@@ -100,6 +100,12 @@ class TestProject:
         with pytest.raises(CoverageError):
             project(UNIFORM, moment_angle_grid(4), Grid1D(-1.0, 1.0, 65))
 
+    def test_margin_below_one_builds_a_grid_that_project_refuses(self):
+        offsets = offset_grid(65, 0.9)
+        assert offsets.stop == pytest.approx(0.9 * math.sqrt(2.0))
+        with pytest.raises(CoverageError, match=r"do not cover \[-sqrt2, sqrt2\]"):
+            project(UNIFORM, moment_angle_grid(4), offsets)
+
 
 class TestMollify:
     def test_plateau_unchanged(self):
