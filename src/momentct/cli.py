@@ -46,7 +46,6 @@ from .phantoms import Density, MomentTable
 from .projector import (
     Sinogram,
     add_noise,
-    angle_coverage,
     antipodal_half,
     evenness_residual,
     l1_norm,
@@ -89,13 +88,9 @@ def _write_projection(cfg: RunConfig, sino: Sinogram, density: Density,
     fileio.write_sinogram(sino, path)
     fileio.write_pgm(truth, out / "phantom.pgm")
     angles, offsets = sino.angle_grid, sino.offset_grid
-    # the angular span l1_norm integrates over: the whole turn on full-turn
-    # grids (periodic closure), the sampled span otherwise
-    full = angle_coverage(angles) == "full"
-    span = 2.0 * math.pi if full else angles.stop - angles.start
     print(f"sinogram: {path} kind={sino.kind} "
           f"({angles.count} angles x {offsets.count} offsets)")
-    print(f"l1 norm: {l1_norm(sino):.6f} (mass * angle span = {density.mass * span:.6f})")
+    print(f"l1 norm: {l1_norm(sino):.6g} (2 pi mass = {2.0 * math.pi * density.mass:.6g})")
     if antipodal_half(angles, offsets) is not None:
         print(f"evenness residual: {evenness_residual(sino):.3e}")
     else:
@@ -172,7 +167,7 @@ def _write_moment_image(cfg: RunConfig, rec: ReconGrid, density: Density,
     err = sup_error(rec, truth)
     print(f"moment reconstruction: {out / 'recon_moments.csv'} "
           f"orders=({cfg.recon.m},{cfg.recon.n}) N={cfg.recon.resolution}")
-    print(f"sup error vs phantom: {err:.6f}")
+    print(f"sup error vs phantom: {err:.6g}")
     try:
         density.modulus_bound(0.0)  # before the sup norm, which may cost a grid evaluation
     except CapabilityError:
@@ -181,7 +176,7 @@ def _write_moment_image(cfg: RunConfig, rec: ReconGrid, density: Density,
     bound = minimized_sup_error_bound(
         density.sup_norm, density.modulus_bound, cfg.recon.m, cfg.recon.n
     )
-    print(f"sup error bound (minimized over delta): {bound:.6f}")
+    print(f"sup error bound (minimized over delta): {bound:.6g}")
 
 
 def _write_fbp_image(cfg: RunConfig, rec: ReconGrid, kernel: MollifierSpec | None,
@@ -193,7 +188,7 @@ def _write_fbp_image(cfg: RunConfig, rec: ReconGrid, kernel: MollifierSpec | Non
     label = "riesz" if kernel is None else "modified_riesz"
     print(f"fbp reconstruction: {out / 'recon_fbp.csv'} "
           f"filter={label} N={cfg.recon.resolution}")
-    print(f"relative l2 error vs phantom: {relative_l2_error(rec, truth):.6f}")
+    print(f"relative l2 error vs phantom: {relative_l2_error(rec, truth):.6g}")
 
 
 def cmd_reconstruct(cfg: RunConfig, input_path: Path) -> int:
@@ -301,20 +296,21 @@ def main(argv=None) -> int:
     if args.command == "selftest":
         return cmd_selftest()
     try:
-        cfg = _load(args)
-        if args.command == "project":
-            return cmd_project(cfg)
-        if args.command == "moments":
-            path = Path(args.sinogram) if args.sinogram else \
-                Path(cfg.output.directory) / "sinogram.csv"
-            return cmd_moments(cfg, path)
-        if args.command == "reconstruct":
-            path = Path(args.input) if args.input else \
-                Path(cfg.output.directory) / "moments.csv"
-            return cmd_reconstruct(cfg, path)
-        if args.command == "pipeline":
-            return cmd_pipeline(cfg)
-        raise AssertionError(f"unhandled command {args.command}")
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # see _require_finite
+            cfg = _load(args)
+            if args.command == "project":
+                return cmd_project(cfg)
+            if args.command == "moments":
+                path = Path(args.sinogram) if args.sinogram else \
+                    Path(cfg.output.directory) / "sinogram.csv"
+                return cmd_moments(cfg, path)
+            if args.command == "reconstruct":
+                path = Path(args.input) if args.input else \
+                    Path(cfg.output.directory) / "moments.csv"
+                return cmd_reconstruct(cfg, path)
+            if args.command == "pipeline":
+                return cmd_pipeline(cfg)
+            raise AssertionError(f"unhandled command {args.command}")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -107,6 +107,23 @@ def antipodal_half(angles: Grid1D, offsets: Grid1D) -> int | None:
     return n // 2
 
 
+def turn_rule(s: Sinogram) -> tuple[float, tuple[float, np.ndarray] | None]:
+    """The rectangle rule over [0, 2 pi) for rows even under (theta, p) -> (theta + pi, -p):
+    the weight, h on a full turn and 2h on a half, and the node (start - h, row) of a grid one
+    node short of its turn, or None.  Its row is the mean of the first row and the last, read
+    at -p (zero off the offset grid) on a half turn.  A partial grid is refused."""
+    cover, h = angle_coverage(s.angle_grid), s.angle_grid.spacing
+    if cover == "partial":
+        raise CoverageError("the angle grid covers neither a half nor a full turn")
+    turn, weight = (2.0 * math.pi, h) if cover == "full" else (math.pi, 2.0 * h)
+    if abs((s.angle_grid.count + 1) * h - turn) > 1e-9 * h:
+        return weight, None
+    ps, last = s.offset_grid.points(), s.values[-1]
+    if cover == "half":
+        last = np.interp(-ps, ps, last, left=0.0, right=0.0)
+    return weight, (s.angle_grid.start - h, 0.5 * (s.values[0] + last))
+
+
 def transpose_partner(angles: Grid1D) -> tuple[np.ndarray, np.ndarray] | None:
     """Partner of each folded row under theta -> pi/2 - theta, or None.
 
@@ -261,19 +278,13 @@ def row_blocks(rows: int, width: int | np.ndarray) -> list[slice]:
 
 
 def l1_norm(s: Sinogram) -> float:
-    """Double integral of |values| over offset and angle.
-
-    Offsets use the trapezoid rule.  Angle grids covering a full turn are
-    integrated with the periodic closure (rectangle rule), otherwise with
-    the trapezoid rule over the sampled span.
-    """
+    """|values| integrated over offset (trapezoid rule) and the whole turn (`turn_rule`)."""
+    weight, node = turn_rule(s)
     dp = s.offset_grid.spacing
     row_ints = np.concatenate([np.trapezoid(np.abs(s.values[rows]), dx=dp, axis=1)
                                for rows in row_blocks(*s.values.shape)])
-    dth = s.angle_grid.spacing
-    if angle_coverage(s.angle_grid) == "full":
-        return float(dth * row_ints.sum())
-    return float(np.trapezoid(row_ints, dx=dth))
+    supplied = 0.0 if node is None else np.trapezoid(np.abs(node[1]), dx=dp)
+    return float(weight * (row_ints.sum() + supplied))
 
 
 def evenness_residual(s: Sinogram) -> float:

@@ -4,8 +4,8 @@ deconvolution for mollified rows) and backprojection.
 Conventions: the 1-D transform of a row is (1/sqrt(2 pi)) * integral of
 g(p) e^{-isp} dp, the 2-D transform of the density carries 1/(2 pi).  The
 per-row ramp filter is realized on the FFT frequencies s_k = 2 pi k/(N h);
-the inversion constant 1/(4 pi), together with the angular rectangle rule,
-makes backprojection of the filtered rows reproduce the density.
+the inversion constant 1/(4 pi), with the rectangle rule of `turn_rule` over
+the whole turn, makes backprojection of the filtered rows give the density.
 
 For mollified rows the filter divides by the transform of the sinogram's
 `kernel` as its taps on the offset grid (`sampled_kernel`; signed, with a
@@ -15,6 +15,7 @@ applied to the data, so the division cancels it exactly in the passband.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import threading
@@ -22,10 +23,10 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .errors import CoverageError, MisuseError
+from .errors import MisuseError
 from .density_recon import ReconGrid, pixel_axis
 from .mollifiers import MollifierSpec, sampled_kernel
-from .projector import Sinogram, angle_coverage, antipodal_half, row_blocks, transpose_partner
+from .projector import Sinogram, antipodal_half, row_blocks, transpose_partner, turn_rule
 
 #: Ramp filter cutoff as a fraction of the offset Nyquist frequency pi/h; a
 #: cosine taper rolls off the top tenth of the passband.
@@ -86,10 +87,10 @@ def apply_filter(s: Sinogram) -> Sinogram:
 
 
 def _folded_rows(s: Sinogram) -> tuple[np.ndarray, np.ndarray]:
-    """The angles and rows that `backproject` interpolates, in its order:
-    every row, or on a full turn that `antipodal_half` pairs, each row
-    summed with its antipode's, and where `transpose_partner` pairs those
-    too, each lead as the complex row lead + 1j * partner."""
+    """The angles and rows that `backproject` interpolates before the node of
+    `turn_rule`, in its order: every row, or on a full turn that `antipodal_half`
+    pairs, each row summed with its antipode's, and where `transpose_partner`
+    pairs those too, each lead as the complex row lead + 1j * partner."""
     thetas = s.angle_grid.points()
     values = s.values
     half = antipodal_half(s.angle_grid, s.offset_grid)
@@ -112,8 +113,8 @@ _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os
 
 
 def _in_groups(work: Callable[[list[slice]], None], bands: list[slice]) -> None:
-    """work(group) on min(_CPUS, len(bands)) contiguous groups of `bands`: the first
-    here, each other on a thread joined before returning, whose exception is raised here."""
+    """work(group) on min(_CPUS, len(bands)) contiguous groups of `bands`: the first here, each
+    other on a thread in a copy of this context (numpy's errstate), joined; errors raise here."""
     w = min(_CPUS, len(bands))
     groups = [bands[len(bands) * i // w:len(bands) * (i + 1) // w] for i in range(w)]
     errors: list[BaseException] = []
@@ -127,7 +128,7 @@ def _in_groups(work: Callable[[list[slice]], None], bands: list[slice]) -> None:
 
     try:
         for group in groups[1:]:
-            thread = threading.Thread(target=run, args=(group,))
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(run, group))
             thread.start()
             started.append(thread)
         work(groups[0])
@@ -139,14 +140,12 @@ def _in_groups(work: Callable[[list[slice]], None], bands: list[slice]) -> None:
 
 
 def backproject(s: Sinogram, resolution: int) -> ReconGrid:
-    """Dual transform: integrate g(theta, <x, w>) over the full turn.
-
-    Half-turn grids are extended by evenness (each angle stands for itself
-    and its antipode); offsets outside the grid contribute zero.  On a full
-    turn whose rows pair with their antipodes (`antipodal_half`), row
-    i + half read at -p is the same line as row i at p, and backprojection
-    is linear, so the two are summed first and only half the rows are
-    interpolated.  When the folded rows also pair under theta -> pi/2 - theta
+    """Dual transform: integrate g(theta, <x, w>) over the full turn by
+    `turn_rule`, the node it supplies interpolated after the rows; offsets
+    outside the grid contribute zero.  On a full turn whose rows pair with
+    their antipodes (`antipodal_half`), row i + half read at -p is the
+    same line as row i at p, and backprojection is linear, so the two are
+    summed first and only half the rows are interpolated.  When the folded rows also pair under theta -> pi/2 - theta
     (`transpose_partner`), the pixel grid's symmetry under transpose makes
     the partner's offsets the transpose of the lead's, so each pair is
     interpolated once as the complex row lead + 1j * partner and the
@@ -171,18 +170,16 @@ def backproject(s: Sinogram, resolution: int) -> ReconGrid:
     so the image does not change bit for bit, whatever the number of threads.
     """
     xs = pixel_axis(resolution)
-    cov = angle_coverage(s.angle_grid)
-    if cov == "partial":
-        raise CoverageError("backprojection needs a grid covering a half or full turn")
-    factor = 1.0 if cov == "full" else 2.0
+    weight, node = turn_rule(s)
     ps = s.offset_grid.points()
     thetas, values = _folded_rows(s)
+    rows = [*zip(thetas, values), *([node] if node else [])]  # no grid with a node folds
     acc = np.zeros((resolution, resolution), dtype=values.dtype)
     bands = row_blocks(resolution, resolution)
     def add_rows(group: list[slice]) -> None:  # every folded row, in order, into group
         nonlocal acc  # rebound only to transpose an image of one band, on this thread
         transposed = False  # acc holds the image transposed, x1 along its rows
-        for theta, row in zip(thetas, values):
+        for theta, row in rows:
             cos, sin = math.cos(theta), math.sin(theta)
             if len(bands) == 1 and transposed != (abs(sin) > abs(cos)):
                 acc, transposed = np.ascontiguousarray(acc.T), not transposed
@@ -197,7 +194,7 @@ def backproject(s: Sinogram, resolution: int) -> ReconGrid:
     _in_groups(add_rows, bands)
     if np.iscomplexobj(acc):
         acc = acc.real + acc.imag.T
-    acc *= factor * s.angle_grid.spacing
+    acc *= weight
     return ReconGrid(resolution=resolution, values=acc, orders=None)
 
 

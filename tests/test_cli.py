@@ -691,8 +691,8 @@ class TestExtremeInput:
 
     def run(self, *args):
         with warnings.catch_warnings():
-            # numpy's overflow warnings, which a command line run prints and goes on
-            warnings.simplefilter("ignore", RuntimeWarning)
+            # a command line run states a refusal in its error line, not in numpy's warnings
+            warnings.simplefilter("error", RuntimeWarning)
             return main(list(args))
 
     @pytest.mark.parametrize("scale", [1e150, 1e300, 1e307])
@@ -718,6 +718,25 @@ class TestExtremeInput:
         for path in artifacts:
             assert not NON_FINITE.search(path.read_text()), path.name
 
+    def test_figures_near_1e300_print_in_12_characters(self, tmp_path, capsys):
+        # with a fixed count of decimals, a figure near 1e300 runs to 300
+        # digits: the relative L2 error of the scaled sinogram, and the other
+        # four figures from the pipeline of a phantom 1e300 times the uniform
+        text = EXTREME_BASE.replace("kind = uniform", "kind = polynomial\ncoeffs = 0,0:1e300")
+        assert self.run("pipeline", "-c", str(write_config(tmp_path, "big.ini", "big", text))) == 0
+        printed = capsys.readouterr().out
+        cfg = self.scaled_inputs(tmp_path, 1e300)
+        capsys.readouterr()
+        assert self.run("reconstruct", "-c", str(cfg), "-o", str(tmp_path / "fresh"),
+                        str(tmp_path / "sinogram.csv")) == 0
+        printed += capsys.readouterr().out
+        figures = re.findall(r"(?:l1 norm:|2 pi mass =|vs phantom:|over delta\):) ([^\s)]+)",
+                             printed)
+        assert len(figures) == 6, printed  # l1, 2 pi mass, sup error, bound, two relative L2
+        assert all(len(figure) <= 12 and math.isfinite(float(figure)) for figure in figures), \
+            figures
+        assert max(map(float, figures)) > 1e299
+
     def test_moments_whose_higher_orders_overflow_exit_2(self, tmp_path, capsys):
         # at 3.5e306 the order-0 moments are finite and agree across rows,
         # and some of the higher orders overflow
@@ -730,21 +749,20 @@ class TestExtremeInput:
 
 
 class TestProjectReport:
-    @pytest.mark.parametrize("cover, span", [
-        ("moment", 47 * math.pi / 49),  # 48 angles pi (i+1)/49: the sampled span
-        ("full", 2 * math.pi),          # periodic closure over the whole turn
-    ], ids=["moment", "full"])
-    def test_l1_line_compares_with_the_integrated_span(self, tmp_path, capsys, cover, span):
+    @pytest.mark.parametrize("cover", ["moment", "half", "full"])
+    def test_l1_line_compares_with_two_pi_mass(self, tmp_path, capsys, cover):
+        # every cover is integrated over the whole turn, the open moment grid
+        # with the node at 0 that it lacks
         text = MINI_CONFIG.replace("angle_cover = moment", f"angle_cover = {cover}") \
             .replace("sigma = 0.01", "sigma = 0")
         cfg = write_config(tmp_path, text=text)
         assert main(["project", "-c", str(cfg)]) == 0
         line = next(line for line in capsys.readouterr().out.splitlines()
                     if line.startswith("l1 norm"))
-        match = re.fullmatch(r"l1 norm: (\S+) \(mass \* angle span = (\S+)\)", line)
+        match = re.fullmatch(r"l1 norm: (\S+) \(2 pi mass = (\S+)\)", line)
         assert match, line
         l1, reference = float(match[1]), float(match[2])
-        assert reference == pytest.approx(span, abs=1e-6)  # unit-mass phantom
+        assert reference == pytest.approx(2 * math.pi, abs=1e-5)  # unit-mass phantom
         assert l1 == pytest.approx(reference, rel=1e-3)
 
 

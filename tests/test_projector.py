@@ -295,13 +295,19 @@ class TestL1Norm:
         s = small_sinogram(n_angles=32, n_offsets=513, cover="full")
         assert l1_norm(mollify(s, m)) <= l1_norm(s) + 1e-6
 
-    @pytest.mark.parametrize("cover", ["full", "moment"])
+    @pytest.mark.parametrize("cover", ["full", "half", "moment"])
     def test_row_blocks_match_the_whole_grid(self, cover):
         # 70 rows of 1025 offsets: eight blocks of 7 rows and one of 6
         s = small_sinogram(DISK, n_angles=70, n_offsets=1025, cover=cover)
-        rows = np.trapezoid(np.abs(s.values), dx=s.offset_grid.spacing, axis=1)
-        dth = s.angle_grid.spacing
-        whole = dth * rows.sum() if cover == "full" else np.trapezoid(rows, dx=dth)
+        dp, dth, ps = s.offset_grid.spacing, s.angle_grid.spacing, s.offset_grid.points()
+        rows = np.trapezoid(np.abs(s.values), dx=dp, axis=1)
+        if cover == "full":  # the rectangle rule over the whole turn
+            whole = dth * rows.sum()
+        elif cover == "half":  # each row stands for itself and its antipode
+            whole = 2 * dth * rows.sum()
+        else:  # the open grid lacks the node at 0: the mean of the rows at dth and -dth
+            missing = (s.values[0] + np.interp(-ps, ps, s.values[-1], left=0.0, right=0.0)) / 2
+            whole = 2 * dth * (rows.sum() + np.trapezoid(np.abs(missing), dx=dp))
         assert l1_norm(s) == float(whole)
 
     @pytest.mark.parametrize("rows, cols", [(256, 1024), (512, 2048)])

@@ -19,6 +19,7 @@ from momentct.projector import (
     angle_coverage,
     full_circle_grid,
     half_circle_grid,
+    l1_norm,
     moment_angle_grid,
     mollify,
     offset_grid,
@@ -208,10 +209,13 @@ class TestBackproject:
         band = rec.values[col]
         assert np.ptp(band) <= 1e-12
 
-    def test_partial_coverage_rejected(self):
+    @pytest.mark.parametrize("integrate", [lambda s: backproject(s, 8), l1_norm],
+                             ids=["backproject", "l1_norm"])
+    def test_partial_coverage_rejected(self, integrate):
         s = Sinogram(Grid1D(0.1, 0.9, 8), offset_grid(64), np.zeros((8, 64)), "filtered")
-        with pytest.raises(CoverageError):
-            backproject(s, 8)
+        with pytest.raises(CoverageError, match="^the angle grid covers neither a half nor "
+                                                "a full turn$"):
+            integrate(s)
 
     @pytest.mark.parametrize("resolution", [0, -1])
     @pytest.mark.parametrize("invert", [backproject, fbp_reconstruct],
@@ -223,17 +227,34 @@ class TestBackproject:
             invert(s, resolution)
 
 
+def whole_turn(s):
+    """The rectangle rule over [0, 2 pi) for rows even under (theta, p) ->
+    (theta + pi, -p): the weight, h on a full turn and 2h on a half, and the
+    nodes the grid lacks as (angle, row) pairs.  A grid whose count + 1
+    spacings tile its turn lacks the node at start - h, whose row is the mean
+    of the first row and the last, the last read at -p on a half turn."""
+    angles, ps = s.angle_grid, s.offset_grid.points()
+    h = angles.spacing
+    full = angle_coverage(angles) == "full"
+    turn, weight = (2 * math.pi, h) if full else (math.pi, 2 * h)
+    if abs((angles.count + 1) * h - turn) > 1e-9 * h:
+        return weight, []
+    last = s.values[-1] if full else np.interp(-ps, ps, s.values[-1], left=0.0, right=0.0)
+    return weight, [(angles.start - h, (s.values[0] + last) / 2)]
+
+
 def backproject_reference(s, resolution):
-    """Row-by-row backprojection: every angle interpolated on its own."""
-    factor = 1.0 if angle_coverage(s.angle_grid) == "full" else 2.0
+    """Row-by-row backprojection: every angle, then the node `whole_turn`
+    supplies, interpolated on its own."""
+    weight, missing = whole_turn(s)
     ps = s.offset_grid.points()
     xs = (np.arange(resolution) + 0.5) / resolution
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     acc = np.zeros((resolution, resolution))
-    for i, theta in enumerate(s.angle_grid.points()):
+    for theta, row in [*zip(s.angle_grid.points(), s.values), *missing]:
         off = X * math.cos(theta) + Y * math.sin(theta)
-        acc += np.interp(off, ps, s.values[i], left=0.0, right=0.0)
-    return acc * factor * s.angle_grid.spacing
+        acc += np.interp(off, ps, row, left=0.0, right=0.0)
+    return acc * weight
 
 
 #: "full" by `angle_coverage` (one spacing short of 2 pi), yet row i + 96
@@ -248,7 +269,8 @@ def noisy_filtered(angles, offsets):
 
 @pytest.fixture
 def interp_calls(monkeypatch):
-    """Counts the np.interp calls backproject makes: one per interpolated row."""
+    """Counts the np.interp calls backproject makes: one per interpolated row,
+    and on an open grid one more, reading the last row at -p for the node at 0."""
     calls = []
     interp = np.interp
 
@@ -307,22 +329,22 @@ class TestBackprojectFold:
         s = noisy_filtered(grid, offset_grid(257))
         assert np.array_equal(backproject(s, 33).values, backproject_reference(s, 33))
 
-    @pytest.mark.parametrize("angles, offsets", [
-        (full_circle_grid(63), offset_grid(257)),
-        (full_circle_grid(64), Grid1D(-1.6, 1.7, 257)),
-        (SHORT_FULL, offset_grid(257)),
+    @pytest.mark.parametrize("angles, offsets, calls", [
+        (full_circle_grid(63), offset_grid(257), 63),
+        (full_circle_grid(64), Grid1D(-1.6, 1.7, 257), 64),
+        (SHORT_FULL, offset_grid(257), 193),  # every row and the node at 0
     ], ids=["odd_count", "asymmetric_offsets", "one_spacing_short"])
-    def test_unpaired_full_turns_are_not_folded(self, angles, offsets, interp_calls):
+    def test_unpaired_full_turns_are_not_folded(self, angles, offsets, calls, interp_calls):
         s = noisy_filtered(angles, offsets)
         got = backproject(s, 33).values
-        assert len(interp_calls) == angles.count
+        assert len(interp_calls) == calls
         want = backproject_reference(s, 33)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("angles, calls", [
         (full_circle_grid(192), 49),
         (half_circle_grid(96), 96),
-        (moment_angle_grid(128), 128),
+        (moment_angle_grid(128), 130),  # every row, the node at 0, and the last row at -p
     ], ids=["full_turn", "half_turn", "open"])
     def test_interpolated_rows(self, angles, calls, interp_calls):
         s = Sinogram(angles, offset_grid(64), np.ones((angles.count, 64)), "filtered")
@@ -441,21 +463,36 @@ class TestBackprojectThreads:
             backproject(s, 100)
         assert threading.active_count() == before
 
+    def test_a_group_thread_keeps_the_callers_error_state(self, monkeypatch):
+        # two bands, of 81 and 19 pixel rows, so the second is added on a
+        # thread; only its pixels past x1 = 0.89 sum two rows past the
+        # largest float: the row at 0, whose offset is x1, and the one at pi/2
+        monkeypatch.setattr(spectral, "_CPUS", 2)
+        angles, offsets = half_circle_grid(8), offset_grid(129)
+        values = np.zeros((8, 129))
+        values[0] = 1.79e308 * np.clip(offsets.points(), 0.0, 1.0)
+        values[4] = 2e307
+        s = Sinogram(angles, offsets, values, "filtered")
+        assert len(projector.row_blocks(100, 100)) == 2
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            backproject(s, 100)
+
 
 def x2_inner_reference(s, resolution):
-    """`backproject` as one np.interp call per folded row (`_folded_rows`)
-    over the whole image, with x2 as the inner axis of every row's keys."""
-    factor = 1.0 if angle_coverage(s.angle_grid) == "full" else 2.0
+    """`backproject` as one np.interp call per folded row (`_folded_rows`),
+    then for the node `whole_turn` supplies, over the whole image, with x2 as
+    the inner axis of every row's keys."""
+    weight, missing = whole_turn(s)
     ps = s.offset_grid.points()
     xs = (np.arange(resolution) + 0.5) / resolution
     thetas, rows = _folded_rows(s)
     acc = np.zeros((resolution, resolution), dtype=rows.dtype)
-    for theta, row in zip(thetas, rows):
+    for theta, row in [*zip(thetas, rows), *missing]:
         keys = np.add.outer(xs * math.cos(theta), xs * math.sin(theta))
         acc += np.interp(keys, ps, row, left=0.0, right=0.0)
     if np.iscomplexobj(acc):
         acc = acc.real + acc.imag.T
-    return acc * (factor * s.angle_grid.spacing)
+    return acc * weight
 
 
 @pytest.fixture
@@ -499,9 +536,12 @@ class TestBackprojectAxis:
         angles = moment_angle_grid(48)
         s = noisy_filtered(angles, offset_grid(257))
         xs = (np.arange(33) + 0.5) / 33
-        thetas = iter(angles.points())
+        ps = s.offset_grid.points()
+        thetas = iter([*angles.points(), angles.start - angles.spacing])  # then the node at 0
 
         def check(keys):
+            if keys.ndim == 1:  # the last row read at -p, for the node
+                return np.array_equal(keys, -ps), "-p"
             theta = next(thetas)
             cos, sin = math.cos(theta), math.sin(theta)
             if abs(sin) > abs(cos):  # keys[j, i] at pixel (i, j); inner axis steps by xs cos
@@ -510,9 +550,9 @@ class TestBackprojectAxis:
 
         interp_keys.check = check
         backproject(s, 33)
-        assert len(interp_keys.results) == angles.count
+        assert len(interp_keys.results) == angles.count + 2
         assert all(ok for ok, _ in interp_keys.results)
-        assert {axis for _, axis in interp_keys.results} == {"x1", "x2"}
+        assert {axis for _, axis in interp_keys.results} == {"x1", "x2", "-p"}
 
     def test_banded_paired_turn_keeps_x2_inner(self, interp_keys):
         angles = full_circle_grid(192)
@@ -540,6 +580,31 @@ class TestBackprojectAxis:
         assert all(len(matched) == 1 for matched in interp_keys.results)
         assert sorted(i for matched in interp_keys.results for i in matched) == \
             list(range(len(pairs)))
+
+
+#: grids of every kind of whole turn: open ones, which lack the node at 0,
+#: a half and a full turn, and a full turn one spacing short
+WHOLE_TURNS = {"open_128": moment_angle_grid(128), "open_7": moment_angle_grid(7),
+               "half_128": half_circle_grid(128), "full_128": full_circle_grid(128),
+               "one_spacing_short": SHORT_FULL}
+
+
+class TestWholeTurnRule:
+    """backproject and l1_norm integrate over the whole turn by one rule, so
+    rows of one constant c give 2 pi c on every grid that covers a turn."""
+
+    @pytest.mark.parametrize("angles", WHOLE_TURNS.values(), ids=WHOLE_TURNS.keys())
+    def test_constant_rows_backproject_to_two_pi(self, angles):
+        s = Sinogram(angles, offset_grid(64), np.full((angles.count, 64), 0.75), "filtered")
+        image = backproject(s, 8).values
+        assert np.max(np.abs(image / (2 * math.pi * 0.75) - 1)) <= 1e-12
+
+    @pytest.mark.parametrize("angles", WHOLE_TURNS.values(), ids=WHOLE_TURNS.keys())
+    def test_constant_rows_have_l1_norm_two_pi_times_the_width(self, angles):
+        offsets = offset_grid(64)
+        s = Sinogram(angles, offsets, np.full((angles.count, 64), -0.75), "raw")
+        width = offsets.stop - offsets.start
+        assert l1_norm(s) == pytest.approx(2 * math.pi * 0.75 * width, rel=1e-12, abs=0)
 
 
 class TestFbp:
