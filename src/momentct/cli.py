@@ -26,6 +26,7 @@ from . import fileio
 from .config import RunConfig, load_config
 from .density_recon import (
     ReconGrid,
+    check_orders,
     minimized_sup_error_bound,
     phantom_image,
     reconstruct_grid,
@@ -215,12 +216,14 @@ def cmd_pipeline(cfg: RunConfig) -> int:
     included, and on the moment table as computed, so nothing written is
     parsed back; the phantom is built, and evaluated at the pixel centers,
     once and shared by the stages."""
+    r = cfg.recon
+    if r.method in ("moments", "both"):  # refuse K < m + n before projecting
+        check_orders(cfg.moments.K, r.m, r.n)
     density = cfg.make_density()
     sino = _simulate(cfg, density, cfg.make_mollifier())
     _require_finite(sino.values, "the computed sinogram has non-finite values")
     stored = fileio.recorded(sino)
     table, diagnostics = _fit(stored, cfg.moments.K)
-    r = cfg.recon
     moment_image = fbp_image = None
     if r.method in ("moments", "both"):
         moment_image = reconstruct_grid(table, r.m, r.n, r.resolution)

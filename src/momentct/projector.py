@@ -74,52 +74,48 @@ def offset_grid(count: int, margin: float = 1.1) -> Grid1D:
     return Grid1D(-margin * SQRT2, margin * SQRT2, count)
 
 
-def angle_coverage(grid: Grid1D) -> str:
-    """Classify an angle grid as covering a 'full' turn, a 'half' turn,
-    or being 'partial'.
-
-    A deficit of up to one spacing is tolerated so that open-interval
-    grids (which exclude both endpoints, like the (0, pi) moment grids)
-    classify by the turn they tile.
-    """
-    span = grid.stop - grid.start + grid.spacing
-    tol = grid.spacing * (1 + 1e-9)
-    if abs(span - 2.0 * math.pi) <= tol:
-        return "full"
-    if abs(span - math.pi) <= tol:
-        return "half"
-    return "partial"
+def _nodes_short(angles: Grid1D, turn: float) -> int | None:
+    """0 when count spacings make `turn`, 1 when count + 1 do (an open grid, like the
+    moment grids), else None (a closed grid, or a fraction of a spacing off); to 1e-9 h."""
+    h = angles.spacing
+    for short in (0, 1):
+        if abs((angles.count + short) * h - turn) <= 1e-9 * h:
+            return short
+    return None
 
 
 def antipodal_half(angles: Grid1D, offsets: Grid1D) -> int | None:
     """Row shift that pairs each row with its antipode, or None.
 
     Returns count // 2 when row i + count // 2 at offset -p samples the same
-    line as row i at p: the angle count is even, half of it spans exactly
-    pi, and the offset grid is symmetric.  A "full" coverage alone does not
-    imply this, since `angle_coverage` tolerates a deficit of one spacing.
+    line as row i at p: the angle count is even, the count spacings tile
+    exactly 2 pi (`_nodes_short`), and the offset grid is symmetric.  A grid
+    one node short of 2 pi does not pair.
     """
-    n = angles.count
-    if n % 2 or abs(n / 2 * angles.spacing - math.pi) > 1e-9 * angles.spacing:
+    symmetric = abs(offsets.start + offsets.stop) <= 1e-12
+    if angles.count % 2 or _nodes_short(angles, 2.0 * math.pi) != 0 or not symmetric:
         return None
-    if abs(offsets.start + offsets.stop) > 1e-12:
-        return None
-    return n // 2
+    return angles.count // 2
 
 
 def turn_rule(s: Sinogram) -> tuple[float, tuple[float, np.ndarray] | None]:
     """The rectangle rule over [0, 2 pi) for rows even under (theta, p) -> (theta + pi, -p):
     the weight, h on a full turn and 2h on a half, and the node (start - h, row) of a grid one
     node short of its turn, or None.  Its row is the mean of the first row and the last, read
-    at -p (zero off the offset grid) on a half turn.  A partial grid is refused."""
-    cover, h = angle_coverage(s.angle_grid), s.angle_grid.spacing
-    if cover == "partial":
-        raise CoverageError("the angle grid covers neither a half nor a full turn")
-    turn, weight = (2.0 * math.pi, h) if cover == "full" else (math.pi, 2.0 * h)
-    if abs((s.angle_grid.count + 1) * h - turn) > 1e-9 * h:
+    at -p (zero off the offset grid) on a half turn.  The accepted grids tile 2 pi or pi, or
+    fall one node short of either (`_nodes_short`); any other grid is refused."""
+    n, h = s.angle_grid.count, s.angle_grid.spacing
+    for turn, weight in ((2.0 * math.pi, h), (math.pi, 2.0 * h)):
+        short = _nodes_short(s.angle_grid, turn)
+        if short is not None:
+            break
+    else:
+        raise CoverageError(f"the angle grid covers neither a half nor a full turn: {n} angles "
+                            f"{h:.6g} apart; neither {n} nor {n + 1} spacings make pi or 2 pi")
+    if not short:
         return weight, None
     ps, last = s.offset_grid.points(), s.values[-1]
-    if cover == "half":
+    if turn == math.pi:
         last = np.interp(-ps, ps, last, left=0.0, right=0.0)
     return weight, (s.angle_grid.start - h, 0.5 * (s.values[0] + last))
 
@@ -244,12 +240,12 @@ def mollify(s: Sinogram, m: MollifierSpec) -> Sinogram:
 
 
 def add_noise(s: Sinogram, sigma: float, seed: int) -> Sinogram:
-    """Add i.i.d. zero-mean Gaussian noise, one seeded stream per row, to raw
-    or noisy rows (smoothed rows relabelled noisy would lose their kernel)."""
+    """Add i.i.d. zero-mean Gaussian noise of a finite sigma >= 0, one seeded stream per row,
+    to raw or noisy rows (smoothed rows relabelled noisy would lose their kernel)."""
     if s.kind not in ("raw", "noisy"):
         raise MisuseError(f"can only add noise to raw or noisy sinograms, got {s.kind!r}")
-    if sigma < 0:
-        raise ValueError(f"noise level must be nonnegative, got {sigma}")
+    if not 0.0 <= sigma < math.inf:  # numpy's normal would take NaN and inf
+        raise ValueError(f"noise level must be finite and nonnegative, got {sigma}")
     if sigma == 0.0:
         return replace(s, values=s.values.copy(), kind="noisy")
     out = np.empty_like(s.values)

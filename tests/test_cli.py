@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from momentct import cli, config, fileio, phantoms
+from momentct import cli, config, fileio, phantoms, projector
 from momentct.cli import main
+from momentct.numerics import Grid1D
 
 MINI_CONFIG = """
 [phantom]
@@ -87,6 +88,19 @@ class TestPipeline:
         code = ("import sys\nfrom momentct.cli import main\n"
                 f"assert main(['pipeline', '-c', {str(write_config(tmp_path))!r}]) == 0\n"
                 "assert 'numpy.ma' not in sys.modules, 'the run imported numpy.ma'\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    def test_does_not_import_numpy_random(self, tmp_path):
+        # numpy.random adds about 6 MB of RSS; only `add_noise` needs it, so a
+        # run without noise (as two benchmark workloads are) must not load it
+        quiet = write_config(tmp_path, text=MINI_CONFIG.replace("sigma = 0.01", "sigma = 0"))
+        code = ("import sys\nfrom momentct.cli import main\n"
+                "assert 'numpy.random' not in sys.modules, 'the import loaded numpy.random'\n"
+                f"assert main(['pipeline', '-c', {str(quiet)!r}]) == 0\n"
+                "assert 'numpy.random' not in sys.modules, 'the run loaded numpy.random'\n")
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                               capture_output=True, text=True, timeout=120)
@@ -265,6 +279,21 @@ class TestErrorContracts:
                                            "[-sqrt2, sqrt2]; moments would be truncated\n")
         assert not fresh.exists()
 
+    @pytest.mark.parametrize("stop", [math.pi, 2 * math.pi], ids=["half", "full"])
+    def test_closed_angle_grid_exits_3_and_writes_nothing(self, tmp_path, capsys, stop):
+        # the last row repeats the first one's lines; the rectangle rule once
+        # weighted them twice and gave an image with exit 0
+        angles = Grid1D(0.0, stop, 129)
+        sino = tmp_path / "closed.csv"
+        fileio.write_sinogram(projector.project(phantoms.UniformDensity(), angles,
+                                                projector.offset_grid(256)), sino)
+        fresh = tmp_path / "fresh"
+        assert main(["reconstruct", "-c", str(write_config(tmp_path)), "-o", str(fresh),
+                     str(sino)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: the angle grid covers neither a half nor a full turn: 129 angles")
+        assert not fresh.exists()
+
     @pytest.mark.parametrize("pattern, text, message", [
         (r" kernel=\S+ epsilon=\S+", "", "mollified sinogram needs the kernel that smoothed it"),
         ("kind=mollified", "kind=raw", "kind='raw' sinogram must not carry a kernel"),
@@ -391,12 +420,17 @@ class TestErrorContracts:
 
     @pytest.mark.parametrize("method", ["moments", "both"])
     def test_pipeline_order_below_m_plus_n_exits_5_before_any_artifact(
-            self, tmp_path, capsys, method):
+            self, tmp_path, capsys, monkeypatch, method):
+        # refused before the phantom is projected, let alone fitted
+        def project(*args):
+            raise AssertionError("pipeline projected before it checked the orders")
+
+        monkeypatch.setattr(cli, "project", project)
         text = MINI_CONFIG.replace("m = 1", "m = 2").replace("n = 1", "n = 2") \
             .replace("method = both", f"method = {method}")
         cfg = write_config(tmp_path, text=text)
         assert main(["pipeline", "-c", str(cfg)]) == 5
-        assert "need moments to order m+n = 4, table holds 2" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: need moments to order m+n = 4, table holds 2\n"
         assert not (tmp_path / "run_out").exists()
 
     def test_pipeline_fbp_alone_needs_no_order_m_plus_n(self, tmp_path):

@@ -20,7 +20,6 @@ from momentct.projector import (
     _BLOCK_LINES,
     Sinogram,
     add_noise,
-    angle_coverage,
     antipodal_half,
     evenness_residual,
     full_circle_grid,
@@ -39,8 +38,8 @@ UNIFORM = UniformDensity()
 DISK = DiskDensity.unit_mass(center=(0.5, 0.5), radius=0.25)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-#: "full" by `angle_coverage` (one spacing short of 2 pi), yet row i + 96
-#: is not row i's antipode
+#: one spacing short of 2 pi, a full turn by `turn_rule`, yet row i + 96 is
+#: not row i's antipode
 SHORT_FULL = Grid1D(2 * math.pi / 193, 192 * 2 * math.pi / 193, 192)
 
 
@@ -227,6 +226,13 @@ class TestNoise:
         with pytest.raises(ValueError):
             add_noise(s, -0.1, seed=0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_sigma(self, sigma):
+        # numpy's normal takes either scale and returns NaN or +-inf rows
+        s = small_sinogram(n_angles=4, n_offsets=129)
+        with pytest.raises(ValueError, match="noise level must be finite and nonnegative"):
+            add_noise(s, sigma, seed=1)
+
     @pytest.mark.parametrize("sigma", [0.0, 0.01], ids=["zero", "positive"])
     def test_smoothed_or_filtered_rows_are_refused(self, sigma):
         # noise on smoothed rows would relabel them noisy and drop the kernel
@@ -348,7 +354,9 @@ class TestEvenness:
             evenness_residual(s)
 
     def test_rejects_a_full_turn_whose_rows_do_not_pair(self):
-        assert angle_coverage(SHORT_FULL) == "full"
+        # 193 spacings make 2 pi: one node short of the turn, and 192 / 2
+        # spacings fall half a spacing short of pi
+        assert 193 * SHORT_FULL.spacing == pytest.approx(2 * math.pi, rel=1e-12)
         s = project(DISK, SHORT_FULL, offset_grid(129))
         with pytest.raises(ValueError):
             evenness_residual(s)

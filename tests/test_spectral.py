@@ -16,7 +16,6 @@ from momentct.phantoms import DiskDensity, UniformDensity
 from momentct.projector import (
     Sinogram,
     add_noise,
-    angle_coverage,
     full_circle_grid,
     half_circle_grid,
     l1_norm,
@@ -24,6 +23,7 @@ from momentct.projector import (
     mollify,
     offset_grid,
     project,
+    turn_rule,
 )
 from momentct.spectral import (
     CUTOFF_FRACTION,
@@ -181,12 +181,6 @@ class TestApplyFilter:
 
 
 class TestBackproject:
-    def test_constant_gives_two_pi(self):
-        for grid in (full_circle_grid(36), half_circle_grid(18)):
-            s = Sinogram(grid, offset_grid(64), np.ones((grid.count, 64)), "filtered")
-            rec = backproject(s, 8)
-            assert np.allclose(rec.values, 2.0 * math.pi, atol=1e-12)
-
     def test_linear_offset_averages_to_zero(self):
         grid = full_circle_grid(64)
         ps = offset_grid(128).points()
@@ -214,7 +208,8 @@ class TestBackproject:
     def test_partial_coverage_rejected(self, integrate):
         s = Sinogram(Grid1D(0.1, 0.9, 8), offset_grid(64), np.zeros((8, 64)), "filtered")
         with pytest.raises(CoverageError, match="^the angle grid covers neither a half nor "
-                                                "a full turn$"):
+                                                "a full turn: 8 angles 0.114286 apart; neither "
+                                                "8 nor 9 spacings make pi or 2 pi$"):
             integrate(s)
 
     @pytest.mark.parametrize("resolution", [0, -1])
@@ -235,7 +230,7 @@ def whole_turn(s):
     of the first row and the last, the last read at -p on a half turn."""
     angles, ps = s.angle_grid, s.offset_grid.points()
     h = angles.spacing
-    full = angle_coverage(angles) == "full"
+    full = round(angles.count * h / math.pi) == 2  # count h is pi or 2 pi, less h if open
     turn, weight = (2 * math.pi, h) if full else (math.pi, 2 * h)
     if abs((angles.count + 1) * h - turn) > 1e-9 * h:
         return weight, []
@@ -257,8 +252,8 @@ def backproject_reference(s, resolution):
     return acc * weight
 
 
-#: "full" by `angle_coverage` (one spacing short of 2 pi), yet row i + 96
-#: is not row i's antipode
+#: one spacing short of 2 pi, a full turn by `turn_rule`, yet row i + 96 is
+#: not row i's antipode
 SHORT_FULL = Grid1D(2 * math.pi / 193, 192 * 2 * math.pi / 193, 192)
 
 
@@ -285,6 +280,41 @@ def interp_calls(monkeypatch):
 #: a full turn that starts half a spacing past 0: pi/2 - 2 start is still a
 #: whole number of spacings, and no row sits at pi/4 or 3pi/4
 HALF_SHIFTED = Grid1D(math.pi / 64, math.pi / 64 + 63 * math.pi / 32, 64)
+
+
+#: grids that tile a turn, or fall one node short of it, by their names
+TILING_GRIDS = {"moment_128": moment_angle_grid(128), "moment_7": moment_angle_grid(7),
+                "half_128": half_circle_grid(128), "half_18": half_circle_grid(18),
+                "full_128": full_circle_grid(128), "full_36": full_circle_grid(36),
+                "short_full": SHORT_FULL, "half_shifted": HALF_SHIFTED}
+
+#: grids that tile no turn: closed ones, whose last row repeats the first
+#: one's lines, and 128 nodes whose 128 spacings fall half a spacing short of pi
+UNTILED_GRIDS = {"closed_half": Grid1D(0.0, math.pi, 129),
+                 "closed_full": Grid1D(0.0, 2 * math.pi, 129),
+                 "half_spacing_short": Grid1D(0.0, 127 * math.pi / 128.5, 128)}
+
+
+class TestTurnRule:
+    """`turn_rule` weights exactly the grids that tile pi or 2 pi, or fall
+    one node short of either, and refuses every other grid."""
+
+    @pytest.mark.parametrize("angles", TILING_GRIDS.values(), ids=TILING_GRIDS)
+    def test_constant_rows_give_two_pi(self, angles):
+        offsets = offset_grid(64)
+        s = Sinogram(angles, offsets, np.ones((angles.count, 64)), "filtered")
+        assert np.max(np.abs(backproject(s, 8).values / (2 * math.pi) - 1)) <= 1e-12
+        assert l1_norm(s) / (offsets.stop - offsets.start) == pytest.approx(2 * math.pi,
+                                                                            rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("integrate", [turn_rule, lambda s: backproject(s, 8), l1_norm],
+                             ids=["turn_rule", "backproject", "l1_norm"])
+    @pytest.mark.parametrize("angles", UNTILED_GRIDS.values(), ids=UNTILED_GRIDS)
+    def test_grids_that_tile_no_turn_are_refused(self, angles, integrate):
+        s = Sinogram(angles, offset_grid(64), np.ones((angles.count, 64)), "filtered")
+        with pytest.raises(CoverageError, match=f"^the angle grid covers neither a half nor a "
+                                                f"full turn: {angles.count} angles "):
+            integrate(s)
 
 
 class TestBackprojectFold:
