@@ -9,7 +9,7 @@ read `[mollifier]`; the inverses take the kernel that a smoothed
 `sinogram.csv` records.
 
 Exit codes: 0 success, 2 invalid configuration/input, 3 coverage error,
-4 singular system, 5 insufficient moment order or stability cap.
+5 insufficient moment order or stability cap.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .errors import (
     CoverageError,
     FormatError,
     OrderError,
-    SingularSystemError,
     StabilityError,
 )
 from .mollifiers import MollifierSpec
@@ -114,7 +113,7 @@ def _require_finite(values, message: str) -> None:
 def _read_sinogram(path: Path) -> Sinogram:
     sino = fileio.read_sinogram(path)
     _require_finite(sino.values, f"{path}: non-finite values in the input")
-    require_coverage(sino.offset_grid)
+    require_coverage(sino.offset_grid, sino.kernel.epsilon if sino.kernel else 0.0)
     return sino
 
 
@@ -212,8 +211,8 @@ def cmd_reconstruct(cfg: RunConfig, input_path: Path) -> int:
 def cmd_pipeline(cfg: RunConfig) -> int:
     """The three stages in one process, all computed before anything is
     written, so a run that any stage refuses leaves no artifact.  The later
-    stages run on the sinogram as `sinogram.csv` records it, kernel
-    included, and on the moment table as computed, so nothing written is
+    stages run on the sinogram and the moment table as computed, which are
+    what `sinogram.csv` and `moments.csv` read back, so nothing written is
     parsed back; the phantom is built, and evaluated at the pixel centers,
     once and shared by the stages."""
     r = cfg.recon
@@ -222,14 +221,13 @@ def cmd_pipeline(cfg: RunConfig) -> int:
     density = cfg.make_density()
     sino = _simulate(cfg, density, cfg.make_mollifier())
     _require_finite(sino.values, "the computed sinogram has non-finite values")
-    stored = fileio.recorded(sino)
-    table, diagnostics = _fit(stored, cfg.moments.K)
+    table, diagnostics = _fit(sino, cfg.moments.K)
     moment_image = fbp_image = None
     if r.method in ("moments", "both"):
         moment_image = reconstruct_grid(table, r.m, r.n, r.resolution)
         _require_finite(moment_image.values, "the computed moment image has non-finite values")
     if r.method in ("fbp", "both"):
-        fbp_image = fbp_reconstruct(stored, r.resolution)
+        fbp_image = fbp_reconstruct(sino, r.resolution)
         _require_finite(fbp_image.values, "the computed FBP image has non-finite values")
     truth = phantom_image(density, r.resolution)
 
@@ -241,7 +239,7 @@ def cmd_pipeline(cfg: RunConfig) -> int:
     if moment_image is not None:
         _write_moment_image(cfg, moment_image, density, truth)
     if fbp_image is not None:
-        _write_fbp_image(cfg, fbp_image, stored.kernel, truth)
+        _write_fbp_image(cfg, fbp_image, sino.kernel, truth)
     return 0
 
 
@@ -288,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 _EXIT_CODES = (
     (CoverageError, 3),
-    (SingularSystemError, 4),
     ((OrderError, StabilityError), 5),
     (ValueError, 2),
 )

@@ -176,15 +176,19 @@ class RunConfig:
             raise ConfigError("grids need at least 2 angles and 2 offsets")
         if g.angle_cover not in ANGLE_COVERS:
             raise ConfigError(f"unknown angle cover {g.angle_cover!r}")
-        if g.margin < 1.0:
-            raise CoverageError(f"offset margin must be >= 1, got {g.margin}")
+        # the offsets cover the lines through the square and all that the kernel
+        # spreads from them, [-sqrt2 - eps, sqrt2 + eps] (`require_coverage`)
+        eps = self.mollifier.epsilon if self.mollifier else 0.0
+        if g.margin < 1.0 + eps / SQRT2:
+            raise CoverageError(f"offset margin must be >= 1 + epsilon/sqrt2 = "
+                                f"{1.0 + eps / SQRT2:.6g}, got {g.margin}")
         try:
             spacing = self.make_offset_grid().spacing
         except ValueError as exc:
             raise ConfigError(f"[grids] margin = {g.margin}: {exc}") from None
         # the windows of the rows in (0, pi) span [-1, sqrt2] widened by the kernel on
         # each side (`support_windows`); a wider spacing samples that span at most once
-        support = SQRT2 + 1.0 + 2.0 * (self.mollifier.epsilon if self.mollifier else 0.0)
+        support = SQRT2 + 1.0 + 2.0 * eps
         if spacing > support:
             raise ConfigError(
                 f"[grids] margin = {g.margin} spaces the {g.offsets} offsets {spacing:.3g} "

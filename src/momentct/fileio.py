@@ -56,7 +56,6 @@ import math
 import os
 import re
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import replace
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
@@ -417,29 +416,12 @@ _SINO_HEADER = re.compile(
 )
 
 
-def _recorded_grid(start: float, spacing: float, count: int) -> Grid1D:
-    """A grid as a sinogram header records it: by start and spacing, not stop."""
-    return Grid1D(start, start + (count - 1) * spacing, count)
-
-
-def recorded(s: Sinogram) -> Sinogram:
-    """s as `read_sinogram` reads back the file `write_sinogram` makes of it.
-
-    Values, kind, kernel and each grid's start and spacing round-trip
-    exactly; each grid's stop is rebuilt from them and may differ from s's
-    in the last bit.  Nothing is written or formatted.
-    """
-    angles, offsets = (_recorded_grid(g.start, g.spacing, g.count)
-                       for g in (s.angle_grid, s.offset_grid))
-    return replace(s, angle_grid=angles, offset_grid=offsets)
-
-
 def write_sinogram(s: Sinogram, path) -> None:
     """Write s: a header of its kind and grids, then one row per angle.
 
-    The grids are recorded by start, spacing and count, so the file reads
-    back as `recorded(s)`.  The header of mollified rows ends with their
-    kernel's kind and width.
+    The header records each grid's start, spacing and count, which are the
+    whole grid, and the header of mollified rows ends with their kernel's
+    kind and width; so `read_sinogram` reads back s, bit for bit.
     """
     header = (
         f"# sinogram kind={s.kind} angles={s.angle_grid.count} "
@@ -497,8 +479,8 @@ def read_sinogram(path) -> Sinogram:
         theta0, dtheta, p0, dp = map(float, (theta0, dtheta, p0, dp))
         values = _read_rows(fh, path, n, m)
     try:
-        return Sinogram(angle_grid=_recorded_grid(theta0, dtheta, n),
-                        offset_grid=_recorded_grid(p0, dp, m), values=values, kind=kind,
+        return Sinogram(angle_grid=Grid1D(theta0, dtheta, n),
+                        offset_grid=Grid1D(p0, dp, m), values=values, kind=kind,
                         kernel=None if kernel is None else
                         make_kernel(kernel, float(eps)))
     except ValueError as exc:

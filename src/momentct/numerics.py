@@ -1,6 +1,6 @@
-"""Shared numerical building blocks: the uniform sampling grid and the
-Gauss-Legendre rules.  Nothing in here holds state but the cache of
-read-only rules.
+"""Shared numerical building blocks: the uniform sampling grid, held as
+its start, spacing and count, and the Gauss-Legendre rules.  Nothing in
+here holds state but the cache of read-only rules.
 """
 
 from __future__ import annotations
@@ -13,27 +13,27 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniformly spaced samples on [start, stop]."""
+    """count samples `spacing` apart from `start`, as a sinogram file records them."""
 
     start: float
-    stop: float
+    spacing: float
     count: int
 
     def __post_init__(self) -> None:
         if self.count < 2:
             raise ValueError(f"grid needs at least 2 points, got {self.count}")
         if not all(map(math.isfinite, (self.start, self.stop, self.spacing))):
-            raise ValueError(f"grid needs a finite start, stop and spacing, got "
-                             f"[{self.start}, {self.stop}] in {self.count} points")
-        if not self.stop > self.start:
-            raise ValueError(f"grid requires stop > start, got [{self.start}, {self.stop}]")
+            raise ValueError(f"grid needs a finite start, stop and spacing, got start "
+                             f"{self.start} and spacing {self.spacing} in {self.count} points")
+        if not self.spacing > 0:
+            raise ValueError(f"grid needs a positive spacing, got {self.spacing}")
 
     @property
-    def spacing(self) -> float:
-        return (self.stop - self.start) / (self.count - 1)
+    def stop(self) -> float:
+        return self.start + (self.count - 1) * self.spacing
 
     def points(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.count)
+        return np.arange(self.count) * self.spacing + self.start
 
 
 @functools.cache

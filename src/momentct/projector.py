@@ -50,19 +50,19 @@ class Sinogram:
 
 
 def moment_angle_grid(count: int) -> Grid1D:
-    """count angles strictly inside (0, pi): theta_i = pi (i+1)/(count+1)."""
+    """count angles strictly inside (0, pi), pi/(count + 1) apart from pi/(count + 1)."""
     step = math.pi / (count + 1)
-    return Grid1D(step, count * step, count)
+    return Grid1D(step, step, count)
 
 
 def half_circle_grid(count: int) -> Grid1D:
-    """count angles covering [0, pi): theta_i = pi i / count."""
-    return Grid1D(0.0, math.pi * (count - 1) / count, count)
+    """count angles covering [0, pi), pi/count apart from 0."""
+    return Grid1D(0.0, math.pi / count, count)
 
 
 def full_circle_grid(count: int) -> Grid1D:
-    """count angles covering [0, 2 pi): theta_i = 2 pi i / count."""
-    return Grid1D(0.0, 2.0 * math.pi * (count - 1) / count, count)
+    """count angles covering [0, 2 pi), 2 pi/count apart from 0."""
+    return Grid1D(0.0, 2.0 * math.pi / count, count)
 
 
 #: The angle grid constructors, by `[grids] angle_cover`: the one list of covers.
@@ -70,8 +70,10 @@ ANGLE_GRIDS = {"moment": moment_angle_grid, "half": half_circle_grid, "full": fu
 
 
 def offset_grid(count: int, margin: float = 1.1) -> Grid1D:
-    """Symmetric offsets over [-sqrt(2) margin, sqrt(2) margin]; `project` needs margin >= 1."""
-    return Grid1D(-margin * SQRT2, margin * SQRT2, count)
+    """count offsets over [-sqrt(2) margin, sqrt(2) margin], 2 sqrt(2) margin/(count - 1)
+    apart; `project` needs margin >= 1, and rows smoothed by a kernel of width eps
+    need margin >= 1 + eps/sqrt(2) (`require_coverage`)."""
+    return Grid1D(-margin * SQRT2, 2.0 * margin * SQRT2 / (count - 1), count)
 
 
 def _nodes_short(angles: Grid1D, turn: float) -> int | None:
@@ -155,11 +157,13 @@ def support_windows(c: np.ndarray, s: np.ndarray, ps: np.ndarray,
     return first, stop
 
 
-def require_coverage(offsets: Grid1D) -> None:
-    """Refuse offsets that do not cover [-sqrt2, sqrt2], the lines through the square."""
-    if offsets.start > -SQRT2 + 1e-12 or offsets.stop < SQRT2 - 1e-12:
+def require_coverage(offsets: Grid1D, pad: float = 0.0) -> None:
+    """Refuse offsets that do not cover [-sqrt2 - pad, sqrt2 + pad]: the lines through
+    the square, and all that a kernel of width pad spreads from them."""
+    if offsets.start > -SQRT2 - pad + 1e-12 or offsets.stop < SQRT2 + pad - 1e-12:
+        widened = f" widened by the kernel's width {pad:.4g}" if pad else ""
         raise CoverageError(f"offsets [{offsets.start:.4g}, {offsets.stop:.4g}] do not cover "
-                            f"[-sqrt2, sqrt2]; moments would be truncated")
+                            f"[-sqrt2, sqrt2]{widened}; moments would be truncated")
 
 
 #: Samples in one block of whole rows (`row_blocks`), swept on a Xeon with
@@ -212,13 +216,16 @@ def project(d: Density, angles: Grid1D, offsets: Grid1D) -> Sinogram:
 
 
 def mollify(s: Sinogram, m: MollifierSpec) -> Sinogram:
-    """Convolve each row with the kernel's taps over the offset grid.
+    """Convolve each row circularly with the kernel's taps over the offset grid.
 
-    The taps have exact unit discrete mass, so the per-row integral (hence
-    every k = 0 moment) is preserved up to the zero-padding at the grid
-    boundary.  Warns when the width is marginal (fewer than two grid cells
-    per half-width): the inverses undo these taps exactly, but so few taps
-    barely smooth the rows.
+    Each row is wrapped by the taps' half-width n = ceil(eps / h) on both
+    sides and only the full overlaps are kept: the circulant whose DFT
+    `spectral.grid_kernel_transform` gives, so the FBP filter divides out
+    exactly this smoothing.  Samples n or more from both ends are the
+    linear convolution's.  The taps have exact unit discrete mass, so each
+    row's sum (hence every k = 0 moment) is kept.  Warns when the width is
+    marginal (fewer than two grid cells per half-width): the inverses undo
+    these taps exactly, but so few taps barely smooth the rows.
     """
     if s.kind not in ("raw", "noisy"):
         raise MisuseError(f"can only mollify raw or noisy sinograms, got {s.kind!r}")
@@ -233,9 +240,11 @@ def mollify(s: Sinogram, m: MollifierSpec) -> Sinogram:
         )
     _, weights = sampled_kernel(m, dp)
     kernel = weights * dp
+    n = kernel.size // 2
+    wrapped = np.pad(s.values, ((0, 0), (n, n)), mode="wrap")
     out = np.empty_like(s.values)
     for i in range(s.values.shape[0]):
-        out[i] = np.convolve(s.values[i], kernel, mode="same")
+        out[i] = np.convolve(wrapped[i], kernel, mode="valid")
     return replace(smoothed, values=out)
 
 

@@ -7,10 +7,10 @@ per-row ramp filter is realized on the FFT frequencies s_k = 2 pi k/(N h);
 the inversion constant 1/(4 pi), with the rectangle rule of `turn_rule` over
 the whole turn, makes backprojection of the filtered rows give the density.
 
-For mollified rows the filter divides by the transform of the sinogram's
+For mollified rows the filter divides by the DFT of the sinogram's
 `kernel` as its taps on the offset grid (`sampled_kernel`; signed, with a
-magnitude floor): that is the transform of the convolution `mollify`
-applied to the data, so the division cancels it exactly in the passband.
+magnitude floor): `mollify` applied exactly that circulant, so the division
+undoes the smoothing on every bin the floor keeps.
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ def _ramp_multiplier(freqs: np.ndarray, cutoff: float) -> np.ndarray:
 
 
 def grid_kernel_transform(m: MollifierSpec, spacing: float, count: int) -> np.ndarray:
-    """Signed DFT of the grid-sampled kernel on the FFT bins (unit DC).  The
-    samples fit in `count`: `Sinogram` refuses a kernel wider than its grid."""
+    """Signed DFT of the grid-sampled kernel on the FFT bins (unit DC): the
+    eigenvalues of the circulant that `mollify` applies.  The samples fit in
+    `count`: `Sinogram` refuses a kernel wider than its grid."""
     offsets, weights = sampled_kernel(m, spacing)
     half = offsets.size // 2
     padded = np.zeros(count)

@@ -14,6 +14,7 @@ import pytest
 
 from momentct import cli, config, fileio, phantoms, projector
 from momentct.cli import main
+from momentct.mollifiers import make_kernel
 from momentct.numerics import Grid1D
 
 MINI_CONFIG = """
@@ -279,11 +280,50 @@ class TestErrorContracts:
                                            "[-sqrt2, sqrt2]; moments would be truncated\n")
         assert not fresh.exists()
 
+    @pytest.mark.parametrize("command", ["moments", "reconstruct"])
+    def test_kernel_spread_off_the_offsets_exits_3_and_writes_nothing(self, tmp_path, capsys,
+                                                                    command):
+        # at margin 1.1 a kernel of width 0.3 spreads the rows past the last
+        # offsets; the moment table came out 5.4e-4 off with exit 0
+        offsets = projector.offset_grid(256, 1.1)
+        rows = projector.project(phantoms.UniformDensity(), projector.moment_angle_grid(48),
+                                 offsets)
+        sino = tmp_path / "spread.csv"
+        fileio.write_sinogram(projector.mollify(rows, make_kernel("bump", 0.3)), sino)
+        fresh = tmp_path / "fresh"
+        assert main([command, "-c", str(write_config(tmp_path)), "-o", str(fresh),
+                     str(sino)]) == 3
+        assert capsys.readouterr().err == (
+            "error: offsets [-1.556, 1.556] do not cover [-sqrt2, sqrt2] widened by the "
+            "kernel's width 0.3; moments would be truncated\n")
+        assert not fresh.exists()
+
+    def test_kernel_spread_off_the_offsets_in_the_config_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, text=MINI_CONFIG.replace("epsilon = 0.08", "epsilon = 0.3"))
+        assert main(["pipeline", "-c", str(cfg)]) == 3
+        assert capsys.readouterr().err == ("error: offset margin must be >= 1 + epsilon/sqrt2 "
+                                           "= 1.21213, got 1.1\n")
+        assert not (tmp_path / "run_out").exists()
+
+    def test_angles_that_collapse_onto_one_row_exit_2(self, tmp_path, capsys):
+        # four rows 6e-17 apart: the moment fit refuses the repeated rows
+        # before its solve could find the system singular
+        cfg = write_config(tmp_path)
+        offsets = projector.offset_grid(64)
+        sino = tmp_path / "collapsed.csv"
+        fileio.write_sinogram(projector.project(phantoms.UniformDensity(),
+                                                Grid1D(0.5, 6e-17, 4), offsets), sino)
+        fresh = tmp_path / "fresh"
+        assert main(["moments", "-c", str(cfg), "-o", str(fresh), str(sino)]) == 2
+        assert capsys.readouterr().err == ("error: requested angles collapse onto duplicate "
+                                           "sinogram rows\n")
+        assert not fresh.exists()
+
     @pytest.mark.parametrize("stop", [math.pi, 2 * math.pi], ids=["half", "full"])
     def test_closed_angle_grid_exits_3_and_writes_nothing(self, tmp_path, capsys, stop):
         # the last row repeats the first one's lines; the rectangle rule once
         # weighted them twice and gave an image with exit 0
-        angles = Grid1D(0.0, stop, 129)
+        angles = Grid1D(0.0, stop / 128, 129)
         sino = tmp_path / "closed.csv"
         fileio.write_sinogram(projector.project(phantoms.UniformDensity(), angles,
                                                 projector.offset_grid(256)), sino)

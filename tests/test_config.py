@@ -26,7 +26,7 @@ from momentct.config import (
     RunConfig,
     load_config,
 )
-from momentct.errors import ConfigError, OrderError, StabilityError
+from momentct.errors import ConfigError, CoverageError, OrderError, StabilityError
 from momentct.phantoms import DiskDensity
 
 REPO = Path(__file__).resolve().parents[1]
@@ -279,12 +279,39 @@ class TestMarginCap:
             RunConfig(grids=GridConfig(margin=1e308)).validate()
 
 
+class TestKernelSpread:
+    """The offsets cover what the kernel spreads from the lines through the
+    square, [-sqrt2 - eps, sqrt2 + eps]: margin >= 1 + eps/sqrt2."""
+
+    @pytest.mark.parametrize("margin, eps", [(1.0, 0.05), (1.0, 0.3), (1.1, 0.3)])
+    def test_spread_off_the_grid_is_a_coverage_error(self, margin, eps):
+        # the moment tables of these grids were off by 1.3e-4 to 9.9e-3
+        with pytest.raises(CoverageError, match=rf"^offset margin must be >= 1 \+ "
+                                                rf"epsilon/sqrt2 = {1 + eps / math.sqrt(2):.6g}, "
+                                                rf"got {margin}$"):
+            RunConfig(mollifier=MollifierConfig(epsilon=eps),
+                      grids=GridConfig(margin=margin)).validate()
+
+    @pytest.mark.parametrize("margin, eps", [(1.0, None), (1.1, 0.05), (1.1, 0.14),
+                                             (1 + 0.3 / math.sqrt(2), 0.3)])
+    def test_spread_on_the_grid_is_accepted(self, margin, eps):
+        mollifier = None if eps is None else MollifierConfig(epsilon=eps)
+        RunConfig(mollifier=mollifier, grids=GridConfig(margin=margin)).validate()
+
+    def test_width_cap_is_reported_first(self):
+        with pytest.raises(ConfigError, match=r"^\[mollifier\] epsilon must lie in"):
+            RunConfig(mollifier=MollifierConfig(epsilon=1.5),
+                      grids=GridConfig(margin=1.0)).validate()
+
+
 class TestKernelWidthCap:
     """[mollifier] epsilon lies in (0, sqrt 2]: a kernel wider than the unit
     square's diameter is refused before anything is computed with it."""
 
     def test_cap_holds_at_the_diameter(self):
-        RunConfig(mollifier=MollifierConfig(epsilon=math.sqrt(2.0))).validate()
+        # the offsets reach sqrt2 + eps at margin 1 + eps/sqrt2 = 2
+        RunConfig(mollifier=MollifierConfig(epsilon=math.sqrt(2.0)),
+                  grids=GridConfig(margin=2.0)).validate()
 
     @pytest.mark.parametrize("eps", [1.5, 0.0, -0.05])
     def test_width_outside_the_cap_is_refused(self, eps):

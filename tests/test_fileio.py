@@ -18,6 +18,7 @@ from momentct.phantoms import DiskDensity, MomentTable, PolynomialDensity, Unifo
 from momentct.projector import (
     Sinogram,
     full_circle_grid,
+    half_circle_grid,
     moment_angle_grid,
     mollify,
     offset_grid,
@@ -96,22 +97,26 @@ class TestSinogramFormat:
             assert field in header
         assert "kernel=" not in header and "epsilon=" not in header
 
-    @pytest.mark.parametrize("angles", [moment_angle_grid(6), full_circle_grid(48)],
-                             ids=["moment", "full"])
-    def test_recorded_is_what_the_file_reads_back(self, tmp_path, angles):
-        # on the full turn the recorded stop is one bit off the projected one
-        s = project(UniformDensity(), angles, offset_grid(33))
+    @pytest.mark.parametrize("smoothed", [False, True], ids=["half_48", "mollified_full"])
+    def test_file_reads_back_as_written(self, tmp_path, smoothed):
+        # the last angle of half_circle_grid(48) was once projected at a stop
+        # that the header does not record, and read back one bit off it
+        if smoothed:
+            raw = project(UniformDensity(), full_circle_grid(48), offset_grid(65))
+            s = mollify(raw, make_kernel("bump", 0.2))
+        else:
+            s = project(UniformDensity(), half_circle_grid(48), offset_grid(33))
         path = tmp_path / "s.csv"
         assert fileio.write_sinogram(s, path) is None
-        back, stored = fileio.read_sinogram(path), fileio.recorded(s)
-        assert (stored.angle_grid, stored.offset_grid) == (back.angle_grid, back.offset_grid)
-        assert stored.values is s.values and stored.kind == back.kind
+        back = fileio.read_sinogram(path)
+        assert (back.angle_grid, back.offset_grid) == (s.angle_grid, s.offset_grid)
+        assert np.array_equal(back.values.view(np.uint64), s.values.view(np.uint64))
+        assert (back.kind, back.kernel) == (s.kind, s.kernel)
 
     def test_mollified_roundtrip_carries_the_kernel(self, sino, tmp_path):
         m = make_kernel("cosine", 0.25)
         mol = mollify(sino, m)
         path = tmp_path / "s.csv"
-        assert fileio.recorded(mol).kernel is m
         fileio.write_sinogram(mol, path)
         fileio.write_sinogram(sino, tmp_path / "raw.csv")
         raw_header = (tmp_path / "raw.csv").read_text().splitlines()[0]
@@ -161,7 +166,7 @@ class TestSinogramFormat:
 
     def test_row_after_the_declared_rows_names_file_and_line(self, tmp_path):
         # a 3 x 4 sinogram and one more row
-        s = Sinogram(angle_grid=Grid1D(0.5, 1.5, 3), offset_grid=Grid1D(-1.5, 1.5, 4),
+        s = Sinogram(angle_grid=Grid1D(0.5, 0.5, 3), offset_grid=Grid1D(-1.5, 1.0, 4),
                      values=np.arange(12.0).reshape(3, 4), kind="raw")
         path = tmp_path / "s.csv"
         fileio.write_sinogram(s, path)
@@ -176,7 +181,7 @@ class TestSinogramFormat:
     def test_malformed_row_names_file_and_line(self, tmp_path, row):
         # a trailing comma once read as one more value, -1
         path = tmp_path / "s.csv"
-        s = Sinogram(angle_grid=Grid1D(0.5, 1.5, 3), offset_grid=Grid1D(-1.5, 1.5, 4),
+        s = Sinogram(angle_grid=Grid1D(0.5, 0.5, 3), offset_grid=Grid1D(-1.5, 1.0, 4),
                      values=np.arange(12.0).reshape(3, 4), kind="raw")
         fileio.write_sinogram(s, path)
         header, first, *rest = path.read_text().splitlines()
@@ -459,8 +464,9 @@ class TestWrittenText:
     def test_sinogram_text(self, tmp_path, transpose):
         values = awkward_grid(11).T if transpose else awkward_grid(11)
         rows, cols = values.shape
-        sino = Sinogram(angle_grid=Grid1D(0.1, 0.1 * rows, rows),
-                        offset_grid=Grid1D(-1.5, 1.5, cols), values=values, kind="raw")
+        sino = Sinogram(angle_grid=Grid1D(0.1, 0.1, rows),
+                        offset_grid=Grid1D(-1.5, 3.0 / (cols - 1), cols), values=values,
+                        kind="raw")
         assert sino.values.flags.c_contiguous != transpose
         path = tmp_path / "s.csv"
         fileio.write_sinogram(sino, path)

@@ -96,7 +96,7 @@ class TestNearestIndex:
         # five points over two ulps repeat two of them; from 9.0 every
         # distance rounds to 8.0, so the scan takes the first point, not
         # either of the two around the value
-        grid = Grid1D(1.0, 1.0 + 4.44e-16, 5).points()
+        grid = Grid1D(1.0, 2.0**-53, 5).points()
         assert np.unique(grid).size < grid.size
         values = np.concatenate([grid, [0.5, 2.0, 5.0, 9.0]])
         assert argmin_index(grid, values)[-1] == 0

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from momentct import projector
-from momentct.errors import CoverageError, MisuseError
-from momentct.mollifiers import make_kernel
+from momentct.errors import CoverageError, MisuseError, ResolutionWarning
+from momentct.mollifiers import make_kernel, sampled_kernel
 from momentct.numerics import Grid1D
 from momentct.phantoms import (
     DiskDensity,
@@ -40,7 +40,7 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 #: one spacing short of 2 pi, a full turn by `turn_rule`, yet row i + 96 is
 #: not row i's antipode
-SHORT_FULL = Grid1D(2 * math.pi / 193, 192 * 2 * math.pi / 193, 192)
+SHORT_FULL = Grid1D(2 * math.pi / 193, 2 * math.pi / 193, 192)
 
 
 def small_sinogram(density=UNIFORM, n_angles=16, n_offsets=257, cover="moment"):
@@ -64,7 +64,7 @@ class TestProject:
             assert np.max(np.abs(s.values[i] - oracle)) <= 1e-10
 
     def test_disk_center_line(self):
-        offsets = Grid1D(-1.45, 1.45, 291)  # p = 0.5 is exactly on this grid
+        offsets = Grid1D(-1.45, 0.01, 291)  # p = 0.5 is exactly on this grid
         s = project(DISK, half_circle_grid(2), offsets)
         ps = offsets.points()
         j = int(np.argmin(np.abs(ps - 0.5)))
@@ -97,7 +97,18 @@ class TestProject:
 
     def test_coverage_error(self):
         with pytest.raises(CoverageError):
-            project(UNIFORM, moment_angle_grid(4), Grid1D(-1.0, 1.0, 65))
+            project(UNIFORM, moment_angle_grid(4), Grid1D(-1.0, 1 / 32, 65))
+
+    @pytest.mark.parametrize("make", [moment_angle_grid, half_circle_grid, full_circle_grid,
+                                      offset_grid])
+    def test_grid_is_its_recorded_start_spacing_and_count(self, make):
+        # a sinogram header records each grid's start and spacing as %.17g;
+        # the grid rebuilt from that text is the grid, last point included
+        for count in range(2, 2049):
+            g = make(count)
+            back = Grid1D(float("%.17g" % g.start), float("%.17g" % g.spacing), count)
+            assert back == g
+            assert np.array_equal(back.points(), g.points())
 
     def test_margin_below_one_builds_a_grid_that_project_refuses(self):
         offsets = offset_grid(65, 0.9)
@@ -131,6 +142,32 @@ class TestMollify:
                 np.trapezoid(s.values[i], dx=h), abs=1e-8
             )
 
+    def test_rows_wrap_around_the_offset_grid(self):
+        # the circulant that the FBP filter divides out: noise near one end
+        # of a row spreads into the other end, and the interior samples are
+        # the linear convolution's, bit for bit
+        m = make_kernel("bump", 0.05)
+        s = add_noise(small_sinogram(n_angles=4, n_offsets=257), 0.01, 1)
+        _, weights = sampled_kernel(m, s.offset_grid.spacing)
+        taps = weights * s.offset_grid.spacing
+        n = taps.size // 2
+        mol = mollify(s, m).values
+        for row, got in zip(s.values, mol):
+            wrapped = np.concatenate([row[-n:], row, row[:n]])
+            circular = [taps[::-1] @ wrapped[j:j + taps.size] for j in range(row.size)]
+            assert np.allclose(got, circular, rtol=0, atol=1e-15)
+            linear = np.convolve(row, taps, mode="same")
+            assert np.array_equal(got[n:-n].view(np.uint64), linear[n:-n].view(np.uint64))
+            assert got.sum() == pytest.approx(row.sum(), rel=1e-13)
+
+    def test_one_tap_keeps_the_rows(self):
+        # a width so far below the spacing that ceil(eps / h) is 0
+        s = Sinogram(moment_angle_grid(3), Grid1D(-1.5, 1e300, 4), np.arange(12.0).reshape(3, 4),
+                     "raw")
+        with pytest.warns(ResolutionWarning):
+            mol = mollify(s, make_kernel("bump", 1e-300))
+        assert np.array_equal(mol.values, s.values)
+
     def test_peak_reduced_for_disk(self):
         m = make_kernel("bump", 0.05)
         s = small_sinogram(DISK, n_angles=8, n_offsets=513)
@@ -163,7 +200,7 @@ class TestSinogramKernel:
     @pytest.mark.parametrize("count", [128, 129])
     def test_kernel_samples_must_fit_on_the_offset_grid(self, count):
         # the widest kernel whose 2 ceil(eps / h) + 1 samples fit, and one a bit wider
-        grids = (moment_angle_grid(4), Grid1D(0.0, count - 1.0, count))
+        grids = (moment_angle_grid(4), Grid1D(0.0, 1.0, count))
         values = np.zeros((4, count))
         half = (count - 1) // 2
         assert Sinogram(*grids, values, "mollified", make_kernel("bump", half)).kernel.epsilon == half
@@ -367,7 +404,7 @@ class TestAntipodalHalf:
         (full_circle_grid(32), offset_grid(129), 16),
         (full_circle_grid(2), offset_grid(129), 1),
         (full_circle_grid(31), offset_grid(129), None),
-        (full_circle_grid(32), Grid1D(-1.6, 1.7, 129), None),
+        (full_circle_grid(32), Grid1D(-1.6, 3.3 / 128, 129), None),
         (half_circle_grid(32), offset_grid(129), None),
         (moment_angle_grid(32), offset_grid(129), None),
         (SHORT_FULL, offset_grid(129), None),
@@ -387,8 +424,8 @@ class TestAntipodalHalf:
 class TestTransposePartner:
     @pytest.mark.parametrize("angles", [
         full_circle_grid(4), full_circle_grid(8), full_circle_grid(192),
-        Grid1D(math.pi / 64, math.pi / 64 + 63 * math.pi / 32, 64),
-        Grid1D(-math.pi, math.pi - math.pi / 16, 32),
+        Grid1D(math.pi / 64, math.pi / 32, 64),
+        Grid1D(-math.pi, math.pi / 16, 32),
     ], ids=["4", "8", "192", "half_spacing_shift", "from_minus_pi"])
     def test_partner_sits_at_pi_over_2_minus_theta(self, angles):
         half = angles.count // 2
@@ -406,7 +443,7 @@ class TestTransposePartner:
         assert reverse.tolist() == [False, False, False, True]  # 3pi/4 = -pi/4 + pi
 
     @pytest.mark.parametrize("angles", [full_circle_grid(66), full_circle_grid(130),
-                                        Grid1D(0.1, 0.1 + 63 * math.pi / 32, 64)],
+                                        Grid1D(0.1, math.pi / 32, 64)],
                              ids=["66", "130", "off_grid_start"])
     def test_none_when_pi_over_2_is_off_the_grid(self, angles):
         assert transpose_partner(angles) is None
@@ -437,17 +474,17 @@ WINDOW_ANGLES = {
     "full_odd": full_circle_grid(63),
     "one_spacing_short": SHORT_FULL,
     "axes": half_circle_grid(2),             # theta = 0 and pi/2, unpaired
-    "axes_full": Grid1D(0.0, 1.5 * math.pi, 4),  # 0, pi/2 and their antipodes
+    "axes_full": Grid1D(0.0, math.pi / 2, 4),  # 0, pi/2 and their antipodes
 }
 
 WINDOW_OFFSETS = {
     "margin_1.0": offset_grid(129, 1.0),
     "margin_1.7": offset_grid(200, 1.7),
-    "edges_on_grid": Grid1D(-1.5, 1.5, 301),  # p = 0 and p = 1 are samples
+    "edges_on_grid": Grid1D(-1.5, 0.01, 301),  # p = 0 and p = 1 are samples
     # samples 5e-10 beyond an edge, where the clipped chord is still a full
     # unit (within _EDGE_TOL) although the line misses the square
-    "edges_plus_tol": Grid1D(-1.5 + 5e-10, 1.5 + 5e-10, 301),
-    "edges_minus_tol": Grid1D(-1.5 - 5e-10, 1.5 - 5e-10, 301),
+    "edges_plus_tol": Grid1D(-1.5 + 5e-10, 0.01, 301),
+    "edges_minus_tol": Grid1D(-1.5 - 5e-10, 0.01, 301),
 }
 
 #: (angles, offsets) of the whole-grid comparison: every pair of the grids
@@ -478,7 +515,7 @@ class TestSupportWindow:
     def test_edge_lines_are_inside_the_window(self, shift, edges):
         # at theta = 0 and pi/2 the lines through (or within _EDGE_TOL of) an
         # edge carry a full unit chord of the uniform density
-        offsets = Grid1D(-1.5 + shift, 1.5 + shift, 301)
+        offsets = Grid1D(-1.5 + shift, 0.01, 301)
         ps = offsets.points()
         cols = [int(np.argmin(np.abs(ps - (p + shift)))) for p in edges]
         s = project(UNIFORM, half_circle_grid(2), offsets)
