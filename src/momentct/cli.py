@@ -8,8 +8,8 @@ computes all three in one process before it writes anything, and
 read `[mollifier]`; the inverses take the kernel that a smoothed
 `sinogram.csv` records.
 
-Exit codes: 0 success, 2 invalid configuration/input, 3 coverage error,
-5 insufficient moment order or stability cap.
+Exit codes: 0 success, 2 invalid configuration/input or grids too large to
+allocate, 3 coverage error, 5 insufficient moment order or stability cap.
 """
 
 from __future__ import annotations
@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 _EXIT_CODES = (
     (CoverageError, 3),
     ((OrderError, StabilityError), 5),
-    (ValueError, 2),
+    ((ValueError, MemoryError), 2),
 )
 
 

@@ -18,17 +18,16 @@ is a table pair hi + lo, built on first use from exact `fractions.Fraction`
 powers; Dekker's two-product gives |x| * hi = p + e exactly, and
 t = e + fl(|x| * lo).  While D < 2**57 the error of p + t is below 2**-47:
 the pair is off by 2**-106 D, and |x| * lo and the sum are rounded once
-each, none by more than 2**-49.  p >= 2**53 is an integer and |t| < 32, so
-only a p within 64 of 1e16 or 1e17 can put p + t outside [1e16, 1e17) or
-round it up to 1e17.  For those, k is redone once with k - 1 or k + 1 when
-p + t is outside the decade, and a significand of 10**17 carries into the
-exponent as 10**16.  The significand N = p + rint(t) is then the correctly
-rounded one that `%.17g` prints, unless the fraction t - rint(t) comes
-within the margin 1e-6 of one half, where the error, or a tie's rounding
-to even, could decide.  So `%.17g` itself formats exactly these values:
-NaN, inf and -inf; subnormals and magnitudes outside (1e-280, 1e280);
-near-ties; and values whose p + t is still outside the decade after the
-redo.  Zeros never enter the arithmetic; they are written as 0 or -0.
+each, none by more than 2**-49.  p >= 2**53 is an integer and |t| < 32,
+so a p more than 64 inside (1e16, 1e17) has the right k, and its
+N = p + rint(t) is the significand `%.17g` prints unless the fraction
+t - rint(t) comes within the margin 1e-6 of one half, where the error, or
+a tie's rounding to even, could decide.  One rule leaves the rest to
+`%.17g` itself: NaN, inf and -inf; magnitudes outside (1e-280, 1e280);
+near-ties; and a p within 64 of 1e16 or 1e17, where log10 may round k the
+wrong way; but an exact power of ten, p = 1e16 with |t| within the margin,
+is 1e16 at k even for a D just under 1e16, which rounds up to 1e17 in the
+decade below.  Zeros never enter the arithmetic; they are written as 0 or -0.
 
 Each value's sign, `0.000` prefix, first digit, point, other 16 digits,
 exponent and separator are laid out in 32 bytes from tables (the digits
@@ -76,12 +75,12 @@ def _fmt(x: float) -> str:
 
 #: magnitudes the block conversion handles, exclusive
 _TINY, _HUGE = 1e-280, 1e280
-#: how close to one half the fraction of p + t may come before `%.17g`
-#: decides; the error of p + t is below 2**-47
+#: how near one half the fraction of p + t, and near 0 the t of a power of
+#: ten, must stay for `%.17g` not to decide; p + t errs by under 2**-47
 _TIE_MARGIN = 1e-6
-#: decimal exponents the tables cover: floor(log10 |x|) of the converted
-#: magnitudes, one redo step either way, and the carry
-_K_LOW, _K_HIGH = -282, 281
+#: decimal exponents the tables cover: floor(log10 |x|) over (_TINY, _HUGE);
+#: log10's rounding can reach the power of ten at either end, never pass it
+_K_LOW, _K_HIGH = -280, 280
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
 
 
@@ -168,28 +167,15 @@ def _significands(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     k = np.floor(np.log10(a)).astype(np.int64)
     p, t = _scaled(a, k)
-    # p is an integer and |t| < 32, so only a p near 1e16 or 1e17 can put
-    # p + t outside the decade or round it up to 1e17
-    edge = np.flatnonzero((p < 1e16 + 64) | (p > 1e17 - 64))
-    undecided = []
-    if edge.size:
-        p_edge, t_edge = p[edge], t[edge]
-        step = ((p_edge - 1e17) + t_edge >= 0).astype(np.int64) - ((p_edge - 1e16) + t_edge < 0)
-        redo = edge[step != 0]
-        k[redo] += step[step != 0]
-        p[redo], t[redo] = _scaled(a[redo], k[redo])
-        p_redo, t_redo = p[redo], t[redo]
-        undecided.append(redo[((p_redo - 1e16) + t_redo < 0) | ((p_redo - 1e17) + t_redo >= 0)])
+    # only a p near 1e16 or 1e17 can put p + t outside the decade or round
+    # it up to 1e17; an exact power of ten has p = 1e16 and t about 0
+    edge = ((p < 1e16 + 64) | (p > 1e17 - 64)) & ((p != 1e16) | (np.abs(t) > _TIE_MARGIN))
     r = np.rint(t)
     t -= r
-    undecided.append(np.flatnonzero(np.abs(t) > 0.5 - _TIE_MARGIN))
+    undecided = np.flatnonzero(edge | (np.abs(t) > 0.5 - _TIE_MARGIN))
     n = p.astype(np.int64)
     n += r.astype(np.int64)
-    if edge.size:
-        carry = edge[n[edge] == 10**17]
-        n[carry] = 10**16
-        k[carry] += 1
-    return n, k, np.concatenate(undecided)
+    return n, k, undecided
 
 
 def _words(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -252,6 +252,32 @@ class TestErrorContracts:
         cfg.write_text(f"[grids]\nmargin = 0.9\n[output]\ndirectory = {tmp_path/'o'}\n")
         assert main(["project", "-c", str(cfg)]) == 3
 
+    def test_image_too_large_to_allocate_exits_2_and_writes_nothing(self, tmp_path):
+        # a 1e6 x 1e6 image is 7.28 TiB; the address-space cap makes numpy
+        # refuse it, where memory overcommit might grant it and then be touched
+        resource = pytest.importorskip("resource")
+        cap = 4 * 2**30
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        cfg = write_config(tmp_path, text=MINI_CONFIG.replace("resolution = 16",
+                                                              "resolution = 1000000"))
+        code = ("import sys\nfrom momentct.cli import main\n"
+                f"sys.exit(main(['pipeline', '-c', {str(cfg)!r}]))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+                   OPENBLAS_NUM_THREADS="1")
+        try:
+            done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                                  capture_output=True, text=True, timeout=120,
+                                  preexec_fn=limit)
+        except subprocess.SubprocessError as exc:  # the cap could not be set
+            pytest.skip(f"no address-space cap: {exc}")
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: Unable to allocate ")
+        assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n"), done.stderr
+        assert not (tmp_path / "run_out").exists()
+
     @pytest.mark.parametrize("command", ["moments", "reconstruct"])
     def test_filtered_sinogram_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path)
@@ -901,15 +927,18 @@ class TestScripts:
         rows = [line.split()[0] for line in done.stdout.splitlines()[2:]]
         assert rows == ["0.050", "0.080"], done.stdout
 
-    @pytest.fixture
-    def diff_artifacts(self, monkeypatch):
+    @staticmethod
+    def load_script(name, monkeypatch):
         root = Path(__file__).resolve().parents[1]
-        monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
-        spec = importlib.util.spec_from_file_location("diff_artifacts",
-                                                      root / "scripts" / "diff_artifacts.py")
+        monkeypatch.setattr(sys, "path", list(sys.path))  # a script may extend it
+        spec = importlib.util.spec_from_file_location(name, root / "scripts" / f"{name}.py")
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
         return script
+
+    @pytest.fixture
+    def diff_artifacts(self, monkeypatch):
+        return self.load_script("diff_artifacts", monkeypatch)
 
     def test_diff_artifacts_prints_the_lines_that_moved(self, diff_artifacts):
         parent = b"== reconstruct ==\nsup error vs phantom: 0.001015\nbound: 0.5\n"
@@ -938,6 +967,29 @@ class TestScripts:
         assert lines[0].startswith("fileio.write_moments on recon_fine seed 1: results equal;")
         assert [line.split(":")[0] for line in lines[1:]] == [
             "  parent", "  change", "  rounds won"]
+
+    def test_ab_bench_summary_counts_wins_and_quartiles(self, monkeypatch):
+        script = self.load_script("ab_bench", monkeypatch)
+        assert ("pipeline_s", "lower") in script.end_to_end()
+        times = [(0.040, 0.030), (0.036, 0.037), (0.038, 0.032), (0.035, 0.034), (0.039, 0.031)]
+        pairs = [{"parent": {"pipeline_s": p, "moment_err": 2e-5, "score": 3.0},
+                  "change": {"pipeline_s": c, "moment_err": 2e-5, "score": 3.0 + (p > c)}}
+                 for p, c in times]
+        metrics = [("pipeline_s", "lower"), ("moment_err", "lower"), ("score", "higher")]
+        assert script.summary(pairs, metrics) == [
+            "pipeline_s (lower is better): change won 4, parent won 1 of 5 pairs",
+            "  parent: median 0.038, q1 0.036, q3 0.039",
+            "  change: median 0.032, q1 0.031, q3 0.034",
+            "moment_err (lower is better): change won 0, parent won 0 of 5 pairs",
+            "  parent: median 2e-05, q1 2e-05, q3 2e-05",
+            "  change: median 2e-05, q1 2e-05, q3 2e-05",
+            "score (higher is better): change won 4, parent won 0 of 5 pairs",
+            "  parent: median 3, q1 3, q3 3",
+            "  change: median 4, q1 4, q3 4",
+        ]
+        one = script.summary(pairs[:1], metrics[:1])
+        assert one[1:] == ["  parent: median 0.04, q1 0.04, q3 0.04",
+                           "  change: median 0.03, q1 0.03, q3 0.03"]
 
 
 class TestSelftest:

@@ -424,32 +424,52 @@ class TestWrittenText:
             assert abs(scaled - math.floor(scaled) - Fraction(1, 2)) < 1e-16
         assert_percent_text(np.array([ties, [-v for v in ties]]))
 
-    def test_fallback_formats_no_ordinary_value(self, monkeypatch):
-        formatted = []
+    @pytest.fixture
+    def formatted(self, monkeypatch):
+        """The values that `_percent_text` formats, in order."""
+        seen = []
         percent_text = fileio._percent_text
 
         def spy(values):
-            formatted.extend(values)
+            seen.extend(values)
             return percent_text(values)
 
         monkeypatch.setattr(fileio, "_percent_text", spy)
+        return seen
+
+    def test_fallback_formats_no_ordinary_value(self, formatted):
         values = np.random.default_rng(1).standard_normal((128, 512))
         assert csv_rows(values) == csv_reference(values)
         assert formatted == []
-        # next to a power of ten, where log10 may round k the wrong way, the
-        # redo keeps the value on the fast path; only an exact power of ten
-        # (p + t may land on either side of the decade) and an exact tie fall
-        # back
+        # next to a power of ten, where log10 may round k the wrong way, every
+        # value falls back by design, except an exact power of ten
         powers = [float(f"1e{j}") for j in range(-279, 280)]
         values = np.array([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
         assert_percent_text(values)
-        for v in formatted:
-            digits = Decimal(v).normalize().as_tuple().digits
-            assert v in powers or (len(digits) == 18 and digits[-1] == 5), v
+        exact = {10.0**j for j in range(23)}
+        assert sorted(formatted) == sorted(set(values.ravel().tolist()) - exact)
         # the spy sees what the fast path leaves out
         formatted.clear()
         csv_rows(np.array([[1.0, math.nan, 5e-324]]))
         assert len(formatted) == 2 and math.isnan(formatted[0]) and formatted[1] == 5e-324
+
+    @pytest.mark.parametrize("angles", [half_circle_grid(128), full_circle_grid(128),
+                                        None], ids=["half_turn", "full_turn", "powers"])
+    def test_exact_powers_of_ten_stay_on_the_fast_path(self, formatted, angles):
+        # p = 1e16 with t = 0 is the one edge value decided without `%.17g`:
+        # raw rows at theta = 0 hold chords of exactly 1.0
+        if angles is None:
+            values = np.array([[10.0**j for j in range(23)]])
+        else:
+            values = project(UniformDensity(), angles, offset_grid(512)).values
+            assert (values == 1.0).any()
+        assert csv_rows(values) == csv_reference(values)
+        assert formatted == []
+
+    def test_exponent_tables_reach_both_ends_of_the_range(self):
+        for v in (np.nextafter(fileio._TINY, np.inf), np.nextafter(fileio._HUGE, 0.0)):
+            k = int(np.floor(np.log10(np.array([v])))[0])
+            assert fileio._K_LOW <= k <= fileio._K_HIGH
 
     def test_moment_image_text(self, tmp_path):
         # each row of a moment image repeats over its cell, about N / m times
