@@ -16,8 +16,11 @@ moment table and both images.
 NAME is one of CALLS below, named as perfbench names its spans.  A writer
 writes what the pipeline writes with it (`fileio.write_pgm` all four PGM
 files) into a temporary directory, and its result is the bytes written; a
-computation's result is its return value.  Both sides' results must be
-equal, bit for bit, before anything is timed; otherwise the script exits 1.
+computation's result is its return value.  Both sides' results are
+compared bit for bit first.  Where they differ, the script prints the
+largest absolute difference over the numbers they hold, and that
+difference relative to the parent's largest magnitude, still times the
+call, and exits 1, so that a change meant to keep every bit fails.
 
 Then each round times a batch of calls on each side, in alternating order,
 after one untimed batch each.  A batch repeats the call enough times to
@@ -168,6 +171,33 @@ def plain(x):
     return x
 
 
+def numbers(x) -> list:
+    """The numbers in x, in the order `plain` walks it, as flat arrays."""
+    if isinstance(x, np.ndarray):
+        return [x.ravel()]
+    if isinstance(x, (int, float, complex)) and not isinstance(x, bool):
+        return [np.array([x])]
+    if dataclasses.is_dataclass(x):
+        return numbers([getattr(x, f.name) for f in dataclasses.fields(x)])
+    if isinstance(x, dict):
+        return numbers([v for _, v in sorted(x.items())])
+    if isinstance(x, (list, tuple)):
+        return [part for v in x for part in numbers(v)]
+    return []
+
+
+def difference(parent, change) -> str:
+    """How far the change's result is from the parent's, for a line of output."""
+    a, b = (np.concatenate(numbers(x) or [np.empty(0)]) for x in (parent, change))
+    if a.shape != b.shape or a.size == 0:
+        return "results differ, with no numbers to compare one for one"
+    largest = float(np.max(np.abs(a - b)))
+    scale = float(np.max(np.abs(a)))
+    relative = largest / scale if scale else math.inf
+    return (f"results differ by at most {largest:.3g}, {relative:.3g} of the parent's "
+            f"largest magnitude")
+
+
 def batch_time(call, repeats: int) -> float:
     """Seconds per call over `repeats` calls in a row."""
     start = time.perf_counter()
@@ -199,14 +229,14 @@ def main(argv=None) -> int:
             pkg = load(src, f"{label}_momentct")
             state = pipeline_state(pkg, ini, Path(tmp) / label)
             sides[label] = functools.partial(CALLS[args.call], pkg, state)
-        results = {label: plain(call()) for label, call in sides.items()}
-        if results["parent"] != results["change"]:
-            print(f"{args.call}: the two sides return different results", file=sys.stderr)
-            return 1
-        return compare(sides, args)
+        results = {label: call() for label, call in sides.items()}
+        equal = plain(results["parent"]) == plain(results["change"])
+        verdict = "results equal" if equal else difference(results["parent"], results["change"])
+        compare(sides, args, verdict)
+        return 0 if equal else 1
 
 
-def compare(sides: dict, args) -> int:
+def compare(sides: dict, args, verdict: str) -> None:
     """Time the two sides' calls in alternating rounds and print the result."""
     once = min(batch_time(call, 1) for call in sides.values())
     repeats = max(1, round(BATCH_SECONDS / max(once, 1e-9)))
@@ -219,12 +249,11 @@ def compare(sides: dict, args) -> int:
             times[label].append(batch_time(sides[label], repeats))
     wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
     losses = sum(c > p for p, c in zip(times["parent"], times["change"]))
-    print(f"{args.call} on {args.workload} seed {args.seed}: results equal; "
+    print(f"{args.call} on {args.workload} seed {args.seed}: {verdict}; "
           f"{ROUNDS} rounds of {repeats} calls per side")
     for label in sides:
         print(f"  {label}: {summary(times[label])}")
     print(f"  rounds won: change {wins}, parent {losses}")
-    return 0
 
 
 if __name__ == "__main__":

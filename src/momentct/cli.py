@@ -8,8 +8,9 @@ computes all three in one process before it writes anything, and
 read `[mollifier]`; the inverses take the kernel that a smoothed
 `sinogram.csv` records.
 
-Exit codes: 0 success, 2 invalid configuration/input or grids too large to
-allocate, 3 coverage error, 5 insufficient moment order or stability cap.
+Exit codes: 0 success, 2 invalid configuration/input, grids too large to
+allocate or arithmetic past the float range, 3 coverage error, 5
+insufficient moment order or stability cap.
 """
 
 from __future__ import annotations
@@ -176,6 +177,9 @@ def _write_moment_image(cfg: RunConfig, rec: ReconGrid, density: Density,
     bound = minimized_sup_error_bound(
         density.sup_norm, density.modulus_bound, cfg.recon.m, cfg.recon.n
     )
+    if not math.isfinite(bound):
+        print("sup error bound: n/a (the bound overflows double precision)")
+        return
     print(f"sup error bound (minimized over delta): {bound:.6g}")
 
 
@@ -287,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 _EXIT_CODES = (
     (CoverageError, 3),
     ((OrderError, StabilityError), 5),
-    ((ValueError, MemoryError), 2),
+    ((ValueError, MemoryError, ArithmeticError), 2),
 )
 
 

@@ -26,7 +26,8 @@ import numpy as np
 from .errors import MisuseError
 from .density_recon import ReconGrid, pixel_axis
 from .mollifiers import MollifierSpec, sampled_kernel
-from .projector import Sinogram, antipodal_half, row_blocks, transpose_partner, turn_rule
+from .projector import (Sinogram, antipodal_half, require_coverage, row_blocks,
+                        transpose_partner, turn_rule)
 
 #: Ramp filter cutoff as a fraction of the offset Nyquist frequency pi/h; a
 #: cosine taper rolls off the top tenth of the passband.
@@ -49,28 +50,30 @@ def _ramp_multiplier(freqs: np.ndarray, cutoff: float) -> np.ndarray:
 
 
 def grid_kernel_transform(m: MollifierSpec, spacing: float, count: int) -> np.ndarray:
-    """Signed DFT of the grid-sampled kernel on the FFT bins (unit DC): the
-    eigenvalues of the circulant that `mollify` applies.  The samples fit in
-    `count`: `Sinogram` refuses a kernel wider than its grid."""
+    """Signed DFT of the grid-sampled kernel on the real FFT's count // 2 + 1
+    bins (unit DC): the eigenvalues of the circulant that `mollify` applies,
+    which are even in the bin.  The samples fit in `count`: `Sinogram` refuses
+    a kernel wider than its grid."""
     offsets, weights = sampled_kernel(m, spacing)
     half = offsets.size // 2
     padded = np.zeros(count)
     padded[: half + 1] = weights[half:] * spacing
     if half:
         padded[-half:] = weights[:half] * spacing
-    return np.real(np.fft.fft(padded))
+    return np.fft.rfft(padded).real
 
 
 def apply_filter(s: Sinogram) -> Sinogram:
     """Per-row ramp filter up to CUTOFF_FRACTION of the Nyquist frequency,
     divided by the sampled transform of `s.kernel` on mollified rows;
-    output kind 'filtered'.  The rows are transformed in `row_blocks`, so
-    only one block's spectra exist at a time."""
+    output kind 'filtered'.  The multiplier is real and even in the bin, so
+    the real FFT's n // 2 + 1 bins hold the whole filter.  The rows are
+    transformed in `row_blocks`, so only one block's spectra exist at a time."""
     if s.kind == "filtered":
         raise MisuseError("a filtered sinogram cannot be inverted again")
     h = s.offset_grid.spacing
     n = s.offset_grid.count
-    freqs = 2.0 * math.pi * np.fft.fftfreq(n, d=h)
+    freqs = 2.0 * math.pi * np.fft.rfftfreq(n, d=h)
     mult = _ramp_multiplier(freqs, CUTOFF_FRACTION * (math.pi / h))
 
     if s.kernel is not None:
@@ -80,9 +83,9 @@ def apply_filter(s: Sinogram) -> Sinogram:
 
     filtered = np.empty_like(s.values)
     for rows in row_blocks(*s.values.shape):
-        spectra = np.fft.fft(s.values[rows], axis=1)
+        spectra = np.fft.rfft(s.values[rows], axis=1)
         spectra *= mult
-        filtered[rows] = np.fft.ifft(spectra, axis=1).real
+        filtered[rows] = np.fft.irfft(spectra, n, axis=1)
     return Sinogram(angle_grid=s.angle_grid, offset_grid=s.offset_grid,
                     values=filtered, kind="filtered")
 
@@ -142,57 +145,54 @@ def _in_groups(work: Callable[[list[slice]], None], bands: list[slice]) -> None:
 
 def backproject(s: Sinogram, resolution: int) -> ReconGrid:
     """Dual transform: integrate g(theta, <x, w>) over the full turn by
-    `turn_rule`, the node it supplies interpolated after the rows; offsets
-    outside the grid contribute zero.  On a full turn whose rows pair with
-    their antipodes (`antipodal_half`), row i + half read at -p is the
-    same line as row i at p, and backprojection is linear, so the two are
-    summed first and only half the rows are interpolated.  When the folded rows also pair under theta -> pi/2 - theta
-    (`transpose_partner`), the pixel grid's symmetry under transpose makes
-    the partner's offsets the transpose of the lead's, so each pair is
-    interpolated once as the complex row lead + 1j * partner and the
-    imaginary image is added back transposed.  Both shortcuts agree with the
-    row-by-row sum up to rounding; other grids are summed row by row.
+    `turn_rule`, the node it supplies interpolated after the rows, linearly
+    between offsets, which must cover [-sqrt2, sqrt2] (`require_coverage`).
+    On a full turn whose rows pair with their antipodes (`antipodal_half`),
+    row i + half read at -p is the same line as row i at p, and
+    backprojection is linear, so the two are summed first and only half the
+    rows are interpolated.  When the folded rows also pair under theta ->
+    pi/2 - theta (`transpose_partner`), the pixel grid's symmetry under
+    transpose makes the partner's offsets the transpose of the lead's, so
+    each pair is interpolated once as the complex row lead + 1j * partner and
+    the imaginary image is added back transposed.  Both shortcuts agree with
+    the row-by-row sum up to rounding; other grids are summed row by row.
 
-    Each row is interpolated over bands of whole pixel rows (`row_blocks`),
-    so each thread holds one band's offsets and samples at a time, in cache
-    beside the accumulator.  Contiguous groups of bands, one per CPU
-    (`_in_groups`), each add every row into their own bands, so `np.interp`,
-    which releases the GIL, runs on every CPU.  An image of one band (N^2 at
-    most 8192 pixels) instead takes each row along the pixel axis on which its
-    offsets step least: x1 is the inner axis where |sin theta| >
-    |cos theta|.  Consecutive keys then lie closer together, so more of
-    `np.interp`'s searches start at the right sample.  The accumulator is
-    copied to its transpose whenever the inner axis changes from one row
-    to the next (twice on an open or half turn), so every row adds into
-    contiguous memory.  Images of several bands keep x2 as the inner axis:
-    adding transposed bands into a complex accumulator was slower on
-    paired turns.  Either way each pixel adds the same addends, in the same
-    order of angles, as one call over the whole image with x2 inner would,
-    so the image does not change bit for bit, whatever the number of threads.
+    An image of one band (N^2 at most 8192 pixels) is added on the calling
+    thread, each pixel's sample found by index arithmetic on the uniform
+    offset grid.  A larger one is read by `np.interp`, which releases the
+    GIL, over its bands of whole pixel rows (`row_blocks`) in contiguous
+    groups, one per CPU (`_in_groups`).  Each pixel adds its terms in the
+    order of angles, so the image is the same whatever the number of threads.
     """
+    require_coverage(s.offset_grid)
     xs = pixel_axis(resolution)
     weight, node = turn_rule(s)
-    ps = s.offset_grid.points()
+    p0, h, ps = s.offset_grid.start, s.offset_grid.spacing, s.offset_grid.points()
     thetas, values = _folded_rows(s)
     rows = [*zip(thetas, values), *([node] if node else [])]  # no grid with a node folds
     acc = np.zeros((resolution, resolution), dtype=values.dtype)
     bands = row_blocks(resolution, resolution)
-    def add_rows(group: list[slice]) -> None:  # every folded row, in order, into group
-        nonlocal acc  # rebound only to transpose an image of one band, on this thread
-        transposed = False  # acc holds the image transposed, x1 along its rows
+    if len(bands) == 1:
+        # a pixel centre lies 0.5/N inside the square, so |<x, w>| <= sqrt2 (1 - 0.5/N): on
+        # offsets that cover [-sqrt2, sqrt2] each f = (<x, w> - p0)/h lies inside (0, count - 1)
+        # by far more than its rounding, so samples k and k + 1 exist and no key needs a clamp
         for theta, row in rows:
-            cos, sin = math.cos(theta), math.sin(theta)
-            if len(bands) == 1 and transposed != (abs(sin) > abs(cos)):
-                acc, transposed = np.ascontiguousarray(acc.T), not transposed
-            # a pixel's offset is outer[its row of acc] + inner[its column]
-            outer, inner = (xs * sin, xs * cos) if transposed else (xs * cos, xs * sin)
-            for band in group:
-                acc[band] += np.interp(np.add.outer(outer[band], inner), ps, row,
-                                       left=0.0, right=0.0)
-        if transposed:
-            acc = np.ascontiguousarray(acc.T)
+            f = np.add.outer((xs * math.cos(theta) - p0) / h, xs * math.sin(theta) / h)
+            k = f.astype(np.intp)
+            f -= k
+            sample = np.diff(row)[k]
+            sample *= f
+            sample += row[k]
+            acc += sample
+    else:
+        def add_rows(group: list[slice]) -> None:  # every folded row, in order, into group
+            for theta, row in rows:
+                outer, inner = xs * math.cos(theta), xs * math.sin(theta)
+                for band in group:
+                    acc[band] += np.interp(np.add.outer(outer[band], inner), ps, row,
+                                           left=0.0, right=0.0)
 
-    _in_groups(add_rows, bands)
+        _in_groups(add_rows, bands)
     if np.iscomplexobj(acc):
         acc = acc.real + acc.imag.T
     acc *= weight

@@ -22,7 +22,10 @@ against, kept out of the package because no run of the pipeline uses them.
   bit for bit;
 - `greedy_row_blocks`: the blocks of rows of given widths as `project`
   once grouped its support windows, which `projector.row_blocks` must
-  give.
+  give;
+- `index_interpolate`: one row read at every pixel by index arithmetic on
+  the offset grid, the formula by which `backproject` reads an image of one
+  band, bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 from momentct.errors import MisuseError, OrderError
 from momentct.mollifiers import PROFILES, MollifierSpec
 from momentct.moment_recovery import AngularMomentSet
-from momentct.numerics import gauss_legendre
+from momentct.numerics import Grid1D, gauss_legendre
 from momentct.phantoms import _EDGE_TOL, Density, MomentTable
 from momentct.projector import Sinogram
 
@@ -218,3 +221,15 @@ def greedy_row_blocks(widths, block_lines: int) -> list[slice]:
         blocks.append(slice(row, end))
         row = end
     return blocks
+
+
+def index_interpolate(theta: float, row: np.ndarray, offsets: Grid1D,
+                      xs: np.ndarray) -> np.ndarray:
+    """The row's linear interpolant at <x, w> for every pixel x = (xs[i], xs[j]),
+    w = (cos theta, sin theta), found with no search: f = (<x, w> - start)/spacing
+    on the uniform offsets, k its integer part, row[k] + (f - k)(row[k + 1] - row[k]).
+    Every key must lie inside the offsets."""
+    f = np.add.outer((xs * math.cos(theta) - offsets.start) / offsets.spacing,
+                     xs * math.sin(theta) / offsets.spacing)
+    k = f.astype(np.intp)
+    return row[k] + (f - k) * np.diff(row)[k]

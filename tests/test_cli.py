@@ -3,6 +3,7 @@ import importlib.util
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -848,6 +849,63 @@ class TestExtremeInput:
         assert not out.exists()
 
 
+#: a raw half turn of 16 x 128 on offsets three times as wide as the square,
+#: of a polynomial phantom with one coefficient near the top of the float range
+OVERFLOW_BASE = """
+[phantom]
+kind = polynomial
+coeffs = {coeffs}
+
+[grids]
+angles = 16
+angle_cover = half
+offsets = 128
+margin = 3
+
+[moments]
+K = {K}
+
+[recon]
+method = {method}
+m = {m}
+n = {n}
+resolution = 16
+
+[output]
+directory = {{out}}
+"""
+
+
+class TestArithmeticOverflow:
+    """Finite input whose arithmetic leaves the float range: a refusal with
+    exit 2 and one error line, or figures that are finite or n/a."""
+
+    def test_moment_approximant_past_the_float_range_exits_2(self, tmp_path, capsys):
+        # math.fsum raises OverflowError when finite terms sum past it
+        cfg = write_config(tmp_path, text=OVERFLOW_BASE.format(
+            coeffs="0,0:1.0", K=2, method="moments", m=1, n=1))
+        moments = tmp_path / "huge.csv"
+        moments.write_text("# moments K=2\n0,0,4e307\n1,0,-4e307\n0,1,0\n2,0,0\n1,1,0\n0,2,0\n")
+        assert main(["reconstruct", "-c", str(cfg), str(moments)]) == 2
+        assert capsys.readouterr().err == "error: intermediate overflow in fsum\n"
+        assert not (tmp_path / "run_out").exists()
+
+    def test_pipeline_whose_approximant_overflows_exits_2_and_writes_nothing(
+            self, tmp_path, capsys):
+        cfg = write_config(tmp_path, text=OVERFLOW_BASE.format(
+            coeffs="1,0:4.0; 3,4:4.0; 0,4:2.5e+307", K=6, method="both", m=3, n=2))
+        assert main(["pipeline", "-c", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: intermediate overflow in fsum\n"
+        assert not (tmp_path / "run_out").exists()
+
+    def test_error_bound_past_the_float_range_prints_n_a(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, text=OVERFLOW_BASE.format(
+            coeffs="0,0:1.0; 0,4:2.5e+307", K=4, method="moments", m=2, n=2))
+        assert main(["pipeline", "-c", str(cfg)]) == 0
+        printed = capsys.readouterr().out
+        assert "sup error bound: n/a (the bound overflows double precision)\n" in printed
+        assert not NON_FINITE.search(printed), printed  # no figure reads inf or nan
+
 class TestProjectReport:
     @pytest.mark.parametrize("cover", ["moment", "half", "full"])
     def test_l1_line_compares_with_two_pi_mass(self, tmp_path, capsys, cover):
@@ -967,6 +1025,36 @@ class TestScripts:
         assert lines[0].startswith("fileio.write_moments on recon_fine seed 1: results equal;")
         assert [line.split(":")[0] for line in lines[1:]] == [
             "  parent", "  change", "  rounds won"]
+
+    def test_ab_calls_times_results_that_differ_and_exits_1(self, tmp_path):
+        # a change whose filter cuts off lower: its difference is printed, it
+        # is timed all the same, and the exit status says that it differs
+        root = Path(__file__).resolve().parents[1]
+        shutil.copytree(root / "src" / "momentct", tmp_path / "change" / "momentct",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        spectral_py = tmp_path / "change" / "momentct" / "spectral.py"
+        text = spectral_py.read_text()
+        assert "CUTOFF_FRACTION = 0.8\n" in text
+        spectral_py.write_text(text.replace("CUTOFF_FRACTION = 0.8\n", "CUTOFF_FRACTION = 0.7\n"))
+        done = subprocess.run([sys.executable, str(root / "scripts" / "ab_calls.py"),
+                               str(root / "src"), str(tmp_path / "change"), "--workload",
+                               "recon_fine", "--seed", "1", "--call", "spectral.apply_filter"],
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1, done.stderr
+        lines = done.stdout.splitlines()
+        assert re.match(r"spectral\.apply_filter on recon_fine seed 1: results differ by at "
+                        r"most \S+, \S+ of the parent's largest magnitude; ", lines[0]), lines[0]
+        assert [line.split(":")[0] for line in lines[1:]] == [
+            "  parent", "  change", "  rounds won"]
+
+    def test_ab_calls_difference_of_numbers_and_of_bytes(self, monkeypatch):
+        script = self.load_script("ab_calls", monkeypatch)
+        parent = {"image": np.array([1.0, -4.0]), "count": 2}
+        change = {"image": np.array([1.0, -4.0 + 2**-40]), "count": 2}
+        assert script.difference(parent, change) == \
+            "results differ by at most 9.09e-13, 2.27e-13 of the parent's largest magnitude"
+        assert script.difference(b"1 2\n", b"1 3\n") == \
+            "results differ, with no numbers to compare one for one"
 
     def test_ab_bench_summary_counts_wins_and_quartiles(self, monkeypatch):
         script = self.load_script("ab_bench", monkeypatch)

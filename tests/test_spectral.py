@@ -34,7 +34,12 @@ from momentct.spectral import (
     fbp_reconstruct,
     grid_kernel_transform,
 )
-from oracles import density_transform_2d, projection_slice_residual, row_transform
+from oracles import (
+    density_transform_2d,
+    index_interpolate,
+    projection_slice_residual,
+    row_transform,
+)
 
 UNIFORM = UniformDensity()
 DISK = DiskDensity.unit_mass(center=(0.5, 0.5), radius=0.25)
@@ -152,13 +157,38 @@ class TestApplyFilter:
                 inverse(filtered)  # an inverse's output
 
     def test_row_blocks_match_one_transform_of_the_grid(self):
-        # 43 rows of 1024 offsets: five blocks of 8 rows and one of 3
-        s = project(DISK, half_circle_grid(43), offset_grid(1024))
+        # 43 rows: five blocks of 8 rows and one of 3; an odd count of offsets
+        # has no Nyquist bin
+        for count in (1024, 1023):
+            s = project(DISK, half_circle_grid(43), offset_grid(count))
+            h = s.offset_grid.spacing
+            mult = _ramp_multiplier(2.0 * math.pi * np.fft.rfftfreq(count, d=h),
+                                    CUTOFF_FRACTION * (math.pi / h))
+            whole = np.fft.irfft(np.fft.rfft(s.values, axis=1) * mult, count, axis=1)
+            assert np.array_equal(apply_filter(s).values.view(np.uint64),
+                                  whole.view(np.uint64)), count
+
+    @pytest.mark.parametrize("count", [512, 511])
+    @pytest.mark.parametrize("kernel, rel", [(None, 1e-14), (make_kernel("bump", 0.05), 1e-11)],
+                             ids=["raw", "bump"])
+    def test_real_transform_is_the_full_transform_filter(self, kernel, rel, count):
+        # the multiplier, and the kernel's transform, are real and even in the
+        # bin, so the real FFT's half of the bins gives the filter on all of
+        # them; dividing by the kernel's transform, down to REG_FLOOR, scales
+        # either transform's rounding up alike (the full one's imaginary part)
+        s = add_noise(project(DISK, half_circle_grid(16), offset_grid(count)), 0.01, seed=2)
+        s = mollify(s, kernel) if kernel else s
         h = s.offset_grid.spacing
-        mult = _ramp_multiplier(2.0 * math.pi * np.fft.fftfreq(1024, d=h),
-                                CUTOFF_FRACTION * math.pi / h)
-        whole = np.real(np.fft.ifft(np.fft.fft(s.values, axis=1) * mult, axis=1))
-        assert np.array_equal(apply_filter(s).values.view(np.uint64), whole.view(np.uint64))
+        mult = _ramp_multiplier(2.0 * math.pi * np.fft.fftfreq(count, d=h),
+                                CUTOFF_FRACTION * (math.pi / h))
+        if kernel:
+            transfer = grid_kernel_transform(kernel, h, count)  # bins 0 to count // 2
+            transfer = np.concatenate([transfer, transfer[1:(count + 1) // 2][::-1]])
+            mult = np.where(np.abs(transfer) >= spectral.REG_FLOOR, mult / transfer, 0.0)
+        full = np.fft.ifft(np.fft.fft(s.values, axis=1) * mult, axis=1)
+        scale = np.max(np.abs(full.real))
+        assert np.max(np.abs(apply_filter(s).values - full.real)) <= rel * scale
+        assert np.max(np.abs(full.imag)) <= rel * scale
 
     @pytest.mark.parametrize("rows, cols", [(256, 1024), (512, 2048)])
     def test_traced_peak_is_bounded_by_the_blocks(self, rows, cols):
@@ -263,17 +293,20 @@ def noisy_filtered(angles, offsets):
 
 
 @pytest.fixture
-def interp_calls(monkeypatch):
-    """Counts the np.interp calls backproject makes: one per interpolated row,
-    and on an open grid one more, reading the last row at -p for the node at 0."""
+def row_reads(monkeypatch):
+    """Counts the rows backproject reads on an image of one band: one np.diff
+    per row it interpolates by index arithmetic, and on an open half turn
+    one np.interp, reading the last row at -p for the node at 0."""
     calls = []
-    interp = np.interp
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return interp(*args, **kwargs)
+    def counted(fn):
+        def call(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(np, "interp", counted)
+    monkeypatch.setattr(np, "diff", counted(np.diff))
+    monkeypatch.setattr(np, "interp", counted(np.interp))
     return calls
 
 
@@ -321,7 +354,7 @@ class TestBackprojectFold:
     """On full turns whose rows pair with their antipodes, backproject sums
     each pair before interpolating, and interpolates the folded rows at
     theta and pi/2 - theta together when both are on the grid; elsewhere it
-    interpolates every row."""
+    interpolates every row.  Each image here is of one band."""
 
     def test_folded_full_turn_matches_the_row_by_row_sum(self):
         s = noisy_filtered(full_circle_grid(64), offset_grid(257))
@@ -336,38 +369,42 @@ class TestBackprojectFold:
         (full_circle_grid(192), 49),
         (HALF_SHIFTED, 16),
     ], ids=["4", "8", "64", "192", "half_spacing_shift"])
-    def test_paired_full_turn_matches_the_row_by_row_sum(self, angles, calls, interp_calls):
+    def test_paired_full_turn_matches_the_row_by_row_sum(self, angles, calls, row_reads):
         # count // 2 folded rows: those at pi/4 and 3pi/4 alone, the rest in pairs
         s = noisy_filtered(angles, offset_grid(257))
         got = backproject(s, 33).values
-        assert len(interp_calls) == calls
+        assert len(row_reads) == calls
         want = backproject_reference(s, 33)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("count", [66, 130])
-    def test_folded_turn_without_transpose_partners(self, count, interp_calls):
+    def test_folded_turn_without_transpose_partners(self, count, row_reads):
         # count = 2 (mod 4): pi/2 is count / 4 spacings, not a whole number
         s = noisy_filtered(full_circle_grid(count), offset_grid(257))
         got = backproject(s, 33).values
-        assert len(interp_calls) == count // 2
+        assert len(row_reads) == count // 2
         want = backproject_reference(s, 33)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("grid", [half_circle_grid(48), moment_angle_grid(48)],
                              ids=["half_turn", "open"])
     def test_half_turn_is_bit_identical(self, grid):
+        # a half turn is not folded: each row, then the node, read by index arithmetic
         s = noisy_filtered(grid, offset_grid(257))
-        assert np.array_equal(backproject(s, 33).values, backproject_reference(s, 33))
+        got = backproject(s, 33).values
+        assert np.array_equal(got.view(np.uint64), index_reference(s, 33).view(np.uint64))
+        want = backproject_reference(s, 33)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("angles, offsets, calls", [
         (full_circle_grid(63), offset_grid(257), 63),
         (full_circle_grid(64), Grid1D(-1.6, 3.3 / 256, 257), 64),
         (SHORT_FULL, offset_grid(257), 193),  # every row and the node at 0
     ], ids=["odd_count", "asymmetric_offsets", "one_spacing_short"])
-    def test_unpaired_full_turns_are_not_folded(self, angles, offsets, calls, interp_calls):
+    def test_unpaired_full_turns_are_not_folded(self, angles, offsets, calls, row_reads):
         s = noisy_filtered(angles, offsets)
         got = backproject(s, 33).values
-        assert len(interp_calls) == calls
+        assert len(row_reads) == calls
         want = backproject_reference(s, 33)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -376,16 +413,16 @@ class TestBackprojectFold:
         (half_circle_grid(96), 96),
         (moment_angle_grid(128), 130),  # every row, the node at 0, and the last row at -p
     ], ids=["full_turn", "half_turn", "open"])
-    def test_interpolated_rows(self, angles, calls, interp_calls):
+    def test_interpolated_rows(self, angles, calls, row_reads):
         s = Sinogram(angles, offset_grid(64), np.ones((angles.count, 64)), "filtered")
         backproject(s, 4)
-        assert len(interp_calls) == calls
+        assert len(row_reads) == calls
 
 
 class TestBackprojectBands:
-    """backproject interpolates each row over bands of whole pixel rows;
-    each pixel adds the angles in the same order as one call over the
-    whole image would."""
+    """An image of several bands is read by np.interp over bands of whole
+    pixel rows; each pixel adds the angles in the same order as one call
+    over the whole image would."""
 
     @pytest.mark.parametrize("angles", [
         moment_angle_grid(48), half_circle_grid(48), full_circle_grid(64),
@@ -393,11 +430,38 @@ class TestBackprojectBands:
     ], ids=["open", "half", "full_paired_transposed", "full_unpaired"])
     def test_bands_with_a_remainder_are_bit_identical(self, angles, monkeypatch):
         s = noisy_filtered(angles, offset_grid(257))
-        whole = backproject(s, 33).values  # one band: 33 rows of 33 pixels
         # bands of 5 rows: six, and one of 3
         monkeypatch.setattr(projector, "_BLOCK_LINES", 5 * 33)
         banded = backproject(s, 33).values
+        whole = x2_inner_reference(s, 33)
         assert np.array_equal(banded.view(np.uint64), whole.view(np.uint64))
+
+    def test_banded_paired_turn_keeps_x2_inner(self, interp_keys):
+        angles = full_circle_grid(192)
+        s = Sinogram(angles, offset_grid(129),
+                     np.random.default_rng(6).standard_normal((192, 129)), "filtered")
+        thetas, _ = _folded_rows(s)
+        assert np.any(np.abs(np.sin(thetas)) > np.abs(np.cos(thetas)))
+        bands = projector.row_blocks(256, 256)
+        assert len(bands) == 8
+        xs = (np.arange(256) + 0.5) / 256
+        pairs = [(theta, band) for theta in thetas for band in bands]
+
+        def check(keys):
+            # the (theta, band) pairs whose x2-inner keys these are, in any
+            # order: the threads' calls interleave; a pair whose first key or
+            # shape differs cannot match
+            return [i for i, (theta, band) in enumerate(pairs)
+                    if keys.shape == (band.stop - band.start, 256)
+                    and keys[0, 0] == xs[band.start] * math.cos(theta) + xs[0] * math.sin(theta)
+                    and np.array_equal(keys, np.add.outer(xs[band] * math.cos(theta),
+                                                          xs * math.sin(theta)))]
+
+        interp_keys.check = check
+        backproject(s, 256)
+        assert all(len(matched) == 1 for matched in interp_keys.results)
+        assert sorted(i for matched in interp_keys.results for i in matched) == \
+            list(range(len(pairs)))
 
     @pytest.mark.parametrize("angles, images", [
         (full_circle_grid(64), 24 * 256**2), (full_circle_grid(63), 8 * 256**2),
@@ -508,21 +572,34 @@ class TestBackprojectThreads:
             backproject(s, 100)
 
 
-def x2_inner_reference(s, resolution):
-    """`backproject` as one np.interp call per folded row (`_folded_rows`),
-    then for the node `whole_turn` supplies, over the whole image, with x2 as
-    the inner axis of every row's keys."""
+def folded_reference(s, resolution, read):
+    """`backproject` over the whole image in one piece: read(theta, row, xs)
+    for each folded row (`_folded_rows`), then the node `whole_turn`
+    supplies, summed in that order."""
     weight, missing = whole_turn(s)
-    ps = s.offset_grid.points()
     xs = (np.arange(resolution) + 0.5) / resolution
     thetas, rows = _folded_rows(s)
     acc = np.zeros((resolution, resolution), dtype=rows.dtype)
     for theta, row in [*zip(thetas, rows), *missing]:
-        keys = np.add.outer(xs * math.cos(theta), xs * math.sin(theta))
-        acc += np.interp(keys, ps, row, left=0.0, right=0.0)
+        acc += read(theta, row, xs)
     if np.iscomplexobj(acc):
         acc = acc.real + acc.imag.T
     return acc * weight
+
+
+def x2_inner_reference(s, resolution):
+    """`folded_reference` with one np.interp call per row, x2 the inner axis
+    of its keys: an image of several bands, bit for bit."""
+    ps = s.offset_grid.points()
+    return folded_reference(s, resolution, lambda theta, row, xs: np.interp(
+        np.add.outer(xs * math.cos(theta), xs * math.sin(theta)), ps, row, left=0.0, right=0.0))
+
+
+def index_reference(s, resolution):
+    """`folded_reference` by index arithmetic (`index_interpolate`): an image
+    of one band, bit for bit."""
+    return folded_reference(s, resolution, lambda theta, row, xs: index_interpolate(
+        theta, row, s.offset_grid, xs))
 
 
 @pytest.fixture
@@ -540,76 +617,57 @@ def interp_keys(monkeypatch):
     return spy
 
 
-class TestBackprojectAxis:
-    """On an image of one band, backproject takes each row along the pixel
-    axis on which its offsets step least (x1 inner where |sin| > |cos|);
-    the image stays bit for bit the x2-inner one."""
+#: offsets that reach short of [-sqrt2, sqrt2] on one side or both
+SHORT_OFFSETS = {"both_ends": offset_grid(257, margin=0.99),
+                 "low_end": Grid1D(-1.4, 2.9 / 256, 257),
+                 "high_end": Grid1D(-1.5, 2.9 / 256, 257)}
+
+
+class TestBackprojectOneBand:
+    """An image of one band reads each pixel's sample by index arithmetic on
+    the uniform offset grid, which must cover every pixel's line; it agrees
+    with the row-by-row np.interp sum to rounding."""
 
     @pytest.mark.parametrize("resolution", [33, 64])
     @pytest.mark.parametrize("angles", [
         moment_angle_grid(48), half_circle_grid(48), full_circle_grid(64),
     ], ids=["open", "half", "full_paired_transposed"])
     def test_single_band_is_bit_identical(self, angles, resolution):
-        turn = np.mod(angles.points(), math.pi)
-        for edge in (math.pi / 4, 3 * math.pi / 4):
-            assert (turn < edge).any() and (turn > edge).any()
         s = noisy_filtered(angles, offset_grid(257))
-        thetas, _ = _folded_rows(s)
-        steep = np.abs(np.sin(thetas)) > np.abs(np.cos(thetas))
-        assert steep.any() and not steep.all()  # the rows take both layouts
         assert len(projector.row_blocks(resolution, resolution)) == 1
         got = backproject(s, resolution).values
-        want = x2_inner_reference(s, resolution)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(got.view(np.uint64), index_reference(s, resolution).view(np.uint64))
+        want = backproject_reference(s, resolution)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_single_band_steep_rows_step_along_x1(self, interp_keys):
+    @pytest.mark.parametrize("angles", [
+        moment_angle_grid(48), half_circle_grid(48), full_circle_grid(64), full_circle_grid(63),
+    ], ids=["open", "half", "full_paired_transposed", "full_unpaired"])
+    def test_offsets_at_the_coverage_edge(self, angles):
+        # margin 1: the offsets end at +-sqrt2, and the corner pixel centres
+        # are sqrt2 / 128 short of them, on the lines at pi/4 and 5pi/4
+        s = noisy_filtered(angles, offset_grid(257, margin=1.0))
+        got = backproject(s, 64).values
+        assert np.array_equal(got.view(np.uint64), index_reference(s, 64).view(np.uint64))
+        want = backproject_reference(s, 64)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("resolution", [8, 100], ids=["one_band", "two_bands"])
+    @pytest.mark.parametrize("offsets", SHORT_OFFSETS.values(), ids=SHORT_OFFSETS)
+    def test_offsets_short_of_the_square_are_refused(self, offsets, resolution):
+        s = Sinogram(half_circle_grid(8), offsets, np.ones((8, offsets.count)), "filtered")
+        with pytest.raises(CoverageError, match=r"do not cover \[-sqrt2, sqrt2\]"):
+            backproject(s, resolution)
+
+    def test_single_band_searches_no_row(self, interp_keys):
+        # np.interp reads only the last row at -p, for an open grid's node at 0
         angles = moment_angle_grid(48)
         s = noisy_filtered(angles, offset_grid(257))
-        xs = (np.arange(33) + 0.5) / 33
-        ps = s.offset_grid.points()
-        thetas = iter([*angles.points(), angles.start - angles.spacing])  # then the node at 0
-
-        def check(keys):
-            if keys.ndim == 1:  # the last row read at -p, for the node
-                return np.array_equal(keys, -ps), "-p"
-            theta = next(thetas)
-            cos, sin = math.cos(theta), math.sin(theta)
-            if abs(sin) > abs(cos):  # keys[j, i] at pixel (i, j); inner axis steps by xs cos
-                return np.array_equal(keys, np.add.outer(xs * sin, xs * cos)), "x1"
-            return np.array_equal(keys, np.add.outer(xs * cos, xs * sin)), "x2"
-
-        interp_keys.check = check
+        interp_keys.check = lambda keys: np.array_equal(keys, -s.offset_grid.points())
         backproject(s, 33)
-        assert len(interp_keys.results) == angles.count + 2
-        assert all(ok for ok, _ in interp_keys.results)
-        assert {axis for _, axis in interp_keys.results} == {"x1", "x2", "-p"}
-
-    def test_banded_paired_turn_keeps_x2_inner(self, interp_keys):
-        angles = full_circle_grid(192)
-        s = Sinogram(angles, offset_grid(129),
-                     np.random.default_rng(6).standard_normal((192, 129)), "filtered")
-        thetas, _ = _folded_rows(s)
-        assert np.any(np.abs(np.sin(thetas)) > np.abs(np.cos(thetas)))
-        bands = projector.row_blocks(256, 256)
-        assert len(bands) == 8
-        xs = (np.arange(256) + 0.5) / 256
-        pairs = [(theta, band) for theta in thetas for band in bands]
-
-        def check(keys):
-            # the (theta, band) pairs whose x2-inner keys these are, in any
-            # order: the threads' calls interleave; a pair whose first key or
-            # shape differs cannot match
-            return [i for i, (theta, band) in enumerate(pairs)
-                    if keys.shape == (band.stop - band.start, 256)
-                    and keys[0, 0] == xs[band.start] * math.cos(theta) + xs[0] * math.sin(theta)
-                    and np.array_equal(keys, np.add.outer(xs[band] * math.cos(theta),
-                                                          xs * math.sin(theta)))]
-
-        interp_keys.check = check
-        backproject(s, 256)
-        assert all(len(matched) == 1 for matched in interp_keys.results)
-        assert sorted(i for matched in interp_keys.results for i in matched) == \
-            list(range(len(pairs)))
+        assert interp_keys.results == [True]
+        backproject(noisy_filtered(full_circle_grid(64), offset_grid(257)), 64)
+        assert interp_keys.results == [True]
 
 
 #: grids of every kind of whole turn: open ones, which lack the node at 0,
