@@ -14,10 +14,15 @@ in even ones, so that a drift of the host's speed falls on both sides
 alike.  Each run's result is the JSON object on the last line of its
 standard output.
 
+Refuses, with exit 2, a checkout whose `src/momentct` holds a
+`__pycache__`: its imports would skip compiling the package, which makes
+that side's `setup_s` read lower with no set-up code changed.
+
 Prints every pair's end-to-end metrics (named, with their direction, by
 this checkout's `BENCHMARK.json`), then per metric the pairs each side won
 (a tie wins neither) and each side's median and quartiles over the pairs.
-Exits 1 if a run fails or reports a failed pipeline call, 0 otherwise.
+Exits 1 if a run fails or reports a failed pipeline call, 2 on a refused
+checkout, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -85,6 +90,12 @@ def main(argv=None) -> int:
     if args.pairs < 1 or not args.seconds > 0:
         parser.error("--pairs must be at least 1 and --seconds positive")
     roots = {"parent": args.parent_root.resolve(), "change": args.change_root.resolve()}
+    for root in roots.values():
+        cache = root / "src" / "momentct" / "__pycache__"
+        if cache.exists():
+            print(f"error: {cache} exists; remove it, or the checkout's set-up is timed "
+                  "without compiling the package", file=sys.stderr)
+            return 2
 
     metrics = end_to_end()
     names = [name for name, _ in metrics]

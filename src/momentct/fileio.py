@@ -54,7 +54,7 @@ import functools
 import math
 import os
 import re
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
@@ -257,13 +257,23 @@ def _block_text(x: np.ndarray, ends: np.ndarray) -> bytes:
     return text.tobytes().translate(None, b"\0")
 
 
+def _lines(text: bytes) -> list[memoryview]:
+    """Each newline-ended line of text, newline included, as a slice of one
+    memoryview of it: no line is copied."""
+    view = memoryview(text)
+    ends = (np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord("\n")) + 1).tolist()
+    return [view[a:b] for a, b in zip([0, *ends[:-1]], ends)]
+
+
 def _margin_lines(values: np.ndarray, picked: np.ndarray, lead: np.ndarray,
-                  stop: np.ndarray) -> Callable[[int], bytes]:
-    """The text of rows `picked` of values, as a function of a row's place in
-    `picked`, from one `_block_text` call over the values lead..stop of each.
+                  stop: np.ndarray) -> list[tuple]:
+    """The text of rows `picked` of values, by a row's place in `picked`, as
+    the pieces that make its line, from one `_block_text` call over the
+    values lead..stop of each.
 
     The values before lead and from stop on are +0.0, whose text is the
-    constant `0`; a row of +0.0 only has lead == stop.
+    constant `0`; their pieces are slices of one run of `0,` and one of
+    `,0` ended by the newline.  A row of +0.0 only has lead == stop.
     """
     cols = values.shape[1]
     spans = list(zip(lead.tolist(), stop.tolist()))
@@ -272,17 +282,11 @@ def _margin_lines(values: np.ndarray, picked: np.ndarray, lead: np.ndarray,
     width = stop - lead
     ends = np.full(inside.size, ord(",") << 40, dtype="<u8")
     ends[np.cumsum(width)[width > 0] - 1] = ord("\n") << 40
-    pieces = iter(_block_text(inside, ends).split(b"\n"))
-    # each row's leading and trailing +0.0 count, and the text between them
-    parts = [(a, cols - b, next(pieces) if b > a else None) for a, b in spans]
-    heads, tails = b"0," * cols, b",0" * cols
-
-    def line(i: int) -> bytes:
-        head, tail, middle = parts[i]
-        if middle is None:
-            return heads[:-1]
-        return heads[:2 * head] + middle + tails[:2 * tail]
-    return line
+    middles = iter(_lines(_block_text(inside, ends)))
+    heads, tails = memoryview(b"0," * cols), memoryview(b",0" * cols + b"\n")
+    # each row's leading +0.0, the text between, and its trailing +0.0
+    return [(heads[:2 * a], next(middles)[:-1], tails[2 * b:]) if b > a
+            else (heads[:-1], tails[-1:]) for a, b in spans]
 
 
 def _csv_chunks(values: np.ndarray) -> Iterator[bytes]:
@@ -343,12 +347,12 @@ def _csv_chunks(values: np.ndarray) -> Iterator[bytes]:
             if end - start == len(picked):
                 yield text
                 continue
-            line = text.split(b"\n").__getitem__
+            parts = [(line,) for line in _lines(text)]
         else:
-            line = _margin_lines(values, picked, lead[block], stop[block])
+            parts = _margin_lines(values, picked, lead[block], stop[block])
         for row in range(start, end, step):
             picks = (owner[row:min(row + step, end)] - block.start).tolist()
-            yield b"\n".join([line(i) for i in picks]) + b"\n"
+            yield b"".join([piece for i in picks for piece in parts[i]])
 
 
 @functools.cache

@@ -111,16 +111,18 @@ def angular_moments(s: Sinogram, K: int, angles) -> AngularMomentSet:
     first, stop = support_windows(np.cos(snapped), np.sin(snapped), ps,
                                   s.kernel.epsilon if s.kernel else 0.0)
     lo, hi = int(first.min()), int(stop.max())
-    rows = s.values[idx, lo:hi]  # a C-ordered copy, so each row sums pairwise
+    rows = s.values[idx, lo:hi]  # a copy, so zeroing it leaves s.values alone
     cols = np.arange(lo, hi)
     rows[(cols < first[:, None]) | (cols >= stop[:, None])] = 0.0
     # the trapezoid's end terms, at each row's own first and last column
     rows[np.arange(idx.size), first - lo] *= 0.5
     rows[np.arange(idx.size), stop - 1 - lo] *= 0.5
     powers = ps[lo:hi] ** np.arange(K + 1)[:, None]  # (K+1, hi - lo)
-    # One order at a time: with every row in the set, a (rows, K+1, offsets)
-    # product would take hundreds of MB at the orders convergence runs use.
-    values = h * np.stack([(rows * power).sum(axis=1) for power in powers], axis=1)
+    # Every order in one BLAS product, (rows, offsets) @ (offsets, K+1): no
+    # (rows, K+1, offsets) temporary, and no rows-sized one per order.  BLAS
+    # sums in its own order, so a sum differs from numpy's pairwise one in
+    # the last bits, by at most about offsets * eps * sum |row * power|.
+    values = h * (rows @ powers.T)
     c = None
     if s.kernel is not None:
         offsets, weights = sampled_kernel(s.kernel, h)

@@ -73,11 +73,15 @@ def _roots(slope, intercept):
 
 
 def _check_points(x1, x2):
+    """x1 and x2 clipped to [0, 1]; ValueError when a coordinate lies more
+    than `_EDGE_TOL` outside it.  The range is each array's fmin and fmax,
+    which skip NaN, so NaN passes through as any comparison would let it."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    if np.any(x1 < -_EDGE_TOL) or np.any(x1 > 1.0 + _EDGE_TOL) or \
-       np.any(x2 < -_EDGE_TOL) or np.any(x2 > 1.0 + _EDGE_TOL):
-        raise ValueError("evaluation point outside the unit square")
+    for x in (x1, x2):
+        if np.fmin.reduce(x, axis=None, initial=np.inf) < -_EDGE_TOL or \
+           np.fmax.reduce(x, axis=None, initial=-np.inf) > 1.0 + _EDGE_TOL:
+            raise ValueError("evaluation point outside the unit square")
     return np.clip(x1, 0.0, 1.0), np.clip(x2, 0.0, 1.0)
 
 
@@ -179,11 +183,16 @@ class PolynomialDensity(Density):
         return d
 
     def evaluate(self, x1, x2):
-        x1, x2 = _check_points(x1, x2)
-        out = np.zeros_like(x1)
+        # on the broadcast shape, so that each term is made once and then
+        # worked in place, with the same roundings as c * x1**i * x2**j
+        x1, x2 = np.broadcast_arrays(*_check_points(x1, x2))
+        out = np.zeros(x1.shape)
         for i, j, c in self.coeffs:
-            out = out + c * x1**i * x2**j
-        return out
+            term = x1**i
+            term *= c
+            term *= x2**j
+            out += term
+        return out[()]  # a scalar for scalar points
 
     def moment(self, a1: int, a2: int) -> float:
         return math.fsum(c / ((i + a1 + 1) * (j + a2 + 1)) for i, j, c in self.coeffs)
@@ -194,14 +203,21 @@ class PolynomialDensity(Density):
         lo, length = _clip_chord(c, s, p)
         degree = max((i + j for i, j, _ in self.coeffs), default=0)
         nodes, weights = gauss_legendre(math.ceil((degree + 1) / 2))
-        # node-major (nodes, hits) layout, so the ufunc loops run over hits
+        # node-major (nodes, hits) layout, so the ufunc loops run over hits;
+        # each (nodes, hits) array is made once and then worked in place
         hit = length > 0.0
         half = 0.5 * length[hit]
-        u = lo[hit] + half * (1.0 + nodes[:, None])
         c, s, p = c[hit], s[hit], p[hit]
-        f = self.evaluate(p * c - u * s, p * s + u * c)
+        u = np.multiply(1.0 + nodes[:, None], half)
+        u += lo[hit]
+        x1 = np.multiply(u, s)
+        np.subtract(p * c, x1, out=x1)  # p*c - u*s
+        x2 = np.multiply(u, c, out=u)
+        x2 += p * s
+        f = self.evaluate(x1, x2)
+        f *= weights[:, None]
         out = np.zeros(length.shape)
-        out[hit] = half * (f * weights[:, None]).sum(axis=0)
+        out[hit] = half * f.sum(axis=0)
         return out
 
     def moment_fraction(self, a1: int, a2: int) -> Fraction:

@@ -25,7 +25,10 @@ against, kept out of the package because no run of the pipeline uses them.
   give;
 - `index_interpolate`: one row read at every pixel by index arithmetic on
   the offset grid, the formula by which `backproject` reads an image of one
-  band, bit for bit.
+  band, bit for bit;
+- `angular_moments_reference`: the offset moments of `angular_moments`
+  one order at a time, each a numpy pairwise sum along the rows, which the
+  one matrix product must match within its rounding.
 """
 
 from __future__ import annotations
@@ -37,10 +40,10 @@ import numpy as np
 
 from momentct.errors import MisuseError, OrderError
 from momentct.mollifiers import PROFILES, MollifierSpec
-from momentct.moment_recovery import AngularMomentSet
+from momentct.moment_recovery import AngularMomentSet, _nearest_index
 from momentct.numerics import Grid1D, gauss_legendre
 from momentct.phantoms import _EDGE_TOL, Density, MomentTable
-from momentct.projector import Sinogram
+from momentct.projector import Sinogram, support_windows
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -233,3 +236,28 @@ def index_interpolate(theta: float, row: np.ndarray, offsets: Grid1D,
                      xs * math.sin(theta) / offsets.spacing)
     k = f.astype(np.intp)
     return row[k] + (f - k) * np.diff(row)[k]
+
+
+def angular_moments_reference(s: Sinogram, K: int, angles) -> tuple[np.ndarray, np.ndarray]:
+    """`angular_moments(s, K, angles).values`, one order at a time: the rows
+    at the snapped angles, each zeroed beyond its window and with its
+    trapezoid end terms halved, times p**k, summed along each row by numpy's
+    pairwise sum.  Also returns h * sum |row * p**k| for each entry, the
+    size that bounds any summation order's rounding."""
+    grid = s.angle_grid.points()
+    idx = _nearest_index(grid, np.asarray(angles, dtype=float))
+    snapped = grid[idx]
+    ps = s.offset_grid.points()
+    h = s.offset_grid.spacing
+    first, stop = support_windows(np.cos(snapped), np.sin(snapped), ps,
+                                  s.kernel.epsilon if s.kernel else 0.0)
+    lo, hi = int(first.min()), int(stop.max())
+    rows = s.values[idx, lo:hi]  # a C-ordered copy, so each row sums pairwise
+    cols = np.arange(lo, hi)
+    rows[(cols < first[:, None]) | (cols >= stop[:, None])] = 0.0
+    rows[np.arange(idx.size), first - lo] *= 0.5
+    rows[np.arange(idx.size), stop - 1 - lo] *= 0.5
+    powers = ps[lo:hi] ** np.arange(K + 1)[:, None]
+    values = h * np.stack([(rows * power).sum(axis=1) for power in powers], axis=1)
+    sizes = h * np.stack([np.abs(rows * power).sum(axis=1) for power in powers], axis=1)
+    return values, sizes

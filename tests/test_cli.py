@@ -130,6 +130,21 @@ class TestPipeline:
             assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name,
                                shallow=False), name
 
+    def test_moments_do_not_depend_on_blas_threads(self, tmp_path):
+        # the row moments are one BLAS product; OpenBLAS reads its thread
+        # count once, at load, so each count needs its own interpreter
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "disk_half_turn.ini"
+        code = "import sys\nfrom momentct.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+            done = subprocess.run([sys.executable, "-c", code, "pipeline", "-c", str(cfg),
+                                   "-o", str(tmp_path / threads)], cwd=tmp_path, env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+        assert filecmp.cmp(tmp_path / "1" / "moments.csv", tmp_path / "2" / "moments.csv",
+                           shallow=False)
+
     def test_builds_the_kernel_and_the_phantom_once(self, tmp_path, monkeypatch):
         # MINI_CONFIG smooths and runs every stage: project, the moment
         # deconvolution and both reconstructions use the same two objects
@@ -1012,6 +1027,24 @@ class TestScripts:
         (package / "b.py").write_text("z = 3")  # no final newline: wc -l counts 0
         (package / "notes.txt").write_text("not a module\n")
         assert diff_artifacts.package_lines(tmp_path) == 3
+
+    @pytest.mark.parametrize("cached", ["parent", "change"])
+    def test_ab_bench_refuses_a_tree_with_a_pycache(self, tmp_path, cached):
+        # compiled modules in one tree would make its set-up time read lower
+        root = Path(__file__).resolve().parents[1]
+        for side in ("parent", "change"):
+            shutil.copytree(root / "src" / "momentct", tmp_path / side / "src" / "momentct",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        cache = tmp_path / cached / "src" / "momentct" / "__pycache__"
+        cache.mkdir()
+        # neither tree has a perfbench/run.py, so a benchmark run would fail
+        done = subprocess.run([sys.executable, str(root / "scripts" / "ab_bench.py"),
+                               str(tmp_path / "parent"), str(tmp_path / "change"),
+                               "--workload", "demo", "--pairs", "1", "--seconds", "1"],
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.count("\n") == 1 and str(cache.resolve()) in done.stderr, done.stderr
 
     def test_ab_calls_on_one_tree_twice(self, tmp_path):
         # both sides load the same checkout, so the results must be equal

@@ -24,12 +24,14 @@ from momentct.projector import (
     full_circle_grid,
     half_circle_grid,
     moment_angle_grid,
+    add_noise,
     mollify,
     offset_grid,
     project,
     support_windows,
 )
 from oracles import (
+    angular_moments_reference,
     convolve_moments,
     kernel_moments,
     synthesize_angular_moments,
@@ -141,6 +143,24 @@ class TestAngularMoments:
         with pytest.raises(ValueError,
                            match="^requested angles collapse onto duplicate sinogram rows$"):
             angular_moments(s, 2, [0.6, 0.7, 2.4])
+
+    @pytest.mark.parametrize("K", [0, 4, 12])
+    @pytest.mark.parametrize("kind", ["raw", "noisy", "mollified"])
+    def test_product_matches_the_per_order_sums(self, kind, K):
+        # the one matrix product sums each row in BLAS's order, not numpy's
+        # pairwise one; either order's rounding is within columns * eps of
+        # h * sum |row * p**k|, so the two may differ by that much per entry
+        s = project(POLY, moment_angle_grid(64), offset_grid(512))
+        if kind == "noisy":
+            s = add_noise(s, 0.01, 1)
+        elif kind == "mollified":
+            s = mollify(s, make_kernel("bump", 0.05))
+        th = s.angle_grid.points()
+        got = angular_moments(s, K, th).values
+        want, sizes = angular_moments_reference(s, K, th)
+        tolerance = s.offset_grid.count * np.finfo(float).eps * sizes
+        assert got.shape == want.shape == (th.size, K + 1)
+        assert np.all(np.abs(got - want) <= tolerance)
 
     def test_provenance_tagging(self):
         s = Sinogram(moment_angle_grid(16), offset_grid(129), np.zeros((16, 129)), "raw")

@@ -12,6 +12,8 @@ from momentct.phantoms import (
     PolynomialDensity,
     SumOfDisksDensity,
     UniformDensity,
+    _EDGE_TOL,
+    _check_points,
     _clip_chord,
     _grid_values,
 )
@@ -90,6 +92,12 @@ class TestEvaluate:
     def test_uniform(self):
         assert UNIFORM.evaluate(0.3, 0.7) == 1.0
 
+    def test_polynomial_scalar_and_broadcast_points(self):
+        assert isinstance(POLY.evaluate(0.5, 0.5), float)
+        assert POLY.evaluate(0.5, 0.5) == 1.0
+        g = np.array([0.25, 0.5, 1.0])
+        assert np.array_equal(POLY.evaluate(g[:, None], g[None, :]), 4.0 * np.outer(g, g))
+
     def test_disk_center_and_corner(self):
         assert DISK.evaluate(0.5, 0.5) == pytest.approx(16.0 / math.pi)
         assert DISK.evaluate(0.0, 0.0) == 0.0
@@ -105,6 +113,37 @@ class TestEvaluate:
             UNIFORM.evaluate(1.5, 0.5)
         with pytest.raises(ValueError):
             DISK.evaluate(0.5, -0.2)
+
+    @pytest.mark.parametrize("bad", [-2e-9, 1.0 + 2e-9])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_point_just_beyond_the_tolerance_is_refused(self, axis, bad):
+        points = [np.array([0.25, 0.5, 0.75]), np.array([0.5, 0.5, 0.5])]
+        points[axis][1] = bad
+        with pytest.raises(ValueError, match="outside the unit square"):
+            _check_points(*points)
+
+    def test_points_within_the_tolerance_are_clipped(self):
+        x1, x2 = _check_points([-_EDGE_TOL, 0.5], [0.5, 1.0 + _EDGE_TOL])
+        assert x1.tolist() == [0.0, 0.5] and x2.tolist() == [0.5, 1.0]
+
+    def test_broadcast_axes_are_checked_as_they_are(self):
+        # `phantom_image` passes the pixel axes as (N, 1) and (1, N)
+        g = np.linspace(0.0, 1.0, 5)
+        x1, x2 = _check_points(g[:, None], g[None, :])
+        assert x1.shape == (5, 1) and x2.shape == (1, 5)
+        with pytest.raises(ValueError, match="outside the unit square"):
+            _check_points(g[:, None], (g + 0.5)[None, :])
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
+    def test_empty_points(self, shape):
+        x1, x2 = _check_points(np.empty(shape), np.empty(shape))
+        assert x1.shape == x2.shape == shape
+
+    def test_nan_passes_through(self):
+        x1, x2 = _check_points([math.nan, 0.5], [math.nan, math.nan])
+        assert math.isnan(x1[0]) and x1[1] == 0.5 and np.isnan(x2).all()
+        with pytest.raises(ValueError, match="outside the unit square"):
+            _check_points([math.nan, 1.5], [0.5, 0.5])
 
     def test_poly_rejects_negative_coefficont_density(self):
         with pytest.raises(ValueError):

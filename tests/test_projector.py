@@ -15,6 +15,7 @@ from momentct.phantoms import (
     PolynomialDensity,
     SumOfDisksDensity,
     UniformDensity,
+    _clip_chord,
 )
 from momentct.projector import (
     _BLOCK_LINES,
@@ -543,6 +544,24 @@ class TestSupportWindow:
         # the rows come in blocks of at most _BLOCK_LINES lines, or one row
         assert len(points) > 1
         assert max(points) <= _BLOCK_LINES + offsets.count
+
+    def test_every_gauss_node_goes_through_evaluate(self, monkeypatch):
+        # the tracer's projector.density_points counts these points: one per
+        # Gauss node on every line that meets the square, 3 nodes at degree 4
+        d = WINDOW_PHANTOMS["polynomial"]
+        angles, offsets = moment_angle_grid(256), offset_grid(1024)
+        points = []
+        evaluate = PolynomialDensity.evaluate
+
+        def counted(self, x1, x2):
+            points.append(np.size(x1))
+            return evaluate(self, x1, x2)
+
+        monkeypatch.setattr(PolynomialDensity, "evaluate", counted)
+        project(d, angles, offsets)
+        th, ps = np.broadcast_arrays(angles.points()[:, None], offsets.points()[None, :])
+        _, length = _clip_chord(np.cos(th), np.sin(th), ps)
+        assert sum(points) == 3 * np.count_nonzero(length) == 321786
 
     def test_traced_peak_is_bounded_by_the_blocks(self):
         # one call over all 108k in-window lines held 3 Gauss nodes per line
