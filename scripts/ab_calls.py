@@ -7,25 +7,30 @@ Usage:
 PARENT_SRC and CHANGE_SRC are `src` directories (each holding the
 `momentct` package), for example one from a `git archive` of the parent
 commit and this checkout's `src`.  The two packages are loaded side by side
-under the names `parent_momentct` and `change_momentct`.  Each builds the
-inputs of the call from the benchmark's workload configuration
-(`perfbench/workloads.py`, at the given seed) the way `momentct pipeline`
-does: the phantom, the simulated sinogram as `sinogram.csv` reads back, the
-moment table and both images.
+under the names `parent_momentct` and `change_momentct`.  Each side runs its
+own `momentct pipeline` on the benchmark's workload configuration
+(`perfbench/workloads.py`, at the given seed), with stdout suppressed, and
+records every call of NAME it makes, with its arguments.  A side whose
+pipeline makes none runs `momentct moments` on the `sinogram.csv` that the
+pipeline wrote and records that run's calls instead; that is where
+`fileio.read_sinogram` is called.  A workload that makes no such call is
+refused with one line on stderr and exit status 1.
 
-NAME is one of CALLS below, named as perfbench names its spans.  A writer
-writes what the pipeline writes with it (`fileio.write_pgm` all four PGM
-files) into a temporary directory, and its result is the bytes written; a
-computation's result is its return value.  Both sides' results are
-compared bit for bit first.  Where they differ, the script prints the
-largest absolute difference over the numbers they hold, and that
+NAME is a perfbench span name (`perfbench/tracing.py`'s SPANS), which
+records every function wrapped under that name, or one of EXTRA_CALLS.
+Each function is wrapped at the module attribute its caller resolves, as
+the tracer wraps it.  The result is the list of the recorded calls' results
+when they are made again: a writer's (`write_*`) is the bytes it writes to
+the path it was given, a computation's its return value.  Both sides'
+results are compared bit for bit first.  Where they differ, the script
+prints the largest absolute difference over the numbers they hold, and that
 difference relative to the parent's largest magnitude, still times the
-call, and exits 1, so that a change meant to keep every bit fails.
+calls, and exits 1, so that a change meant to keep every bit fails.
 
-Then each round times a batch of calls on each side, in alternating order,
-after one untimed batch each.  A batch repeats the call enough times to
-take about 20 ms, so that short calls are not lost in the timer's
-resolution.  Prints, per side, the median time of one call and the
+Then each round times a batch of replays on each side, in alternating
+order, after one untimed batch each.  A batch repeats the replay enough
+times to take about 20 ms, so that short calls are not lost in the timer's
+resolution.  Prints, per side, the median time of one replay and the
 interquartile range over the rounds, and how many rounds each side was the
 faster one.
 """
@@ -33,132 +38,90 @@ faster one.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import importlib
 import importlib.util
+import io
 import math
 import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "perfbench"))
 
+from tracing import SPANS  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-MODULES = ("cli", "config", "density_recon", "fileio", "moment_recovery", "projector",
-           "spectral")
+#: (module, attribute, name) of the calls that no span name covers alone
+EXTRA_CALLS = (
+    ("momentct.fileio", "write_moments", "fileio.write_moments"),
+    ("momentct.cli", "phantom_image", "density_recon.phantom_image"),
+    ("momentct.cli", "fbp_reconstruct", "spectral.fbp_reconstruct"),
+)
+CALLS = SPANS + EXTRA_CALLS
 ROUNDS = 21
 BATCH_SECONDS = 0.02
 
 
-def load(src: str, name: str) -> SimpleNamespace:
-    """The `momentct` package under `src`, imported as `name`; its modules
-    as attributes."""
+def load(src: str, name: str) -> None:
+    """Import the `momentct` package under `src` as `name`."""
     package = Path(src).resolve() / "momentct"
     spec = importlib.util.spec_from_file_location(
         name, package / "__init__.py", submodule_search_locations=[str(package)])
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in MODULES})
 
 
-def pipeline_state(pkg: SimpleNamespace, ini: Path, workdir: Path) -> SimpleNamespace:
-    """What `cli.cmd_pipeline` computes before it writes, for this package,
-    and its `sinogram.csv` in `workdir`."""
-    cfg = pkg.config.load_config(ini)
-    density = cfg.make_density()
-    kernel = cfg.make_mollifier()
-    raw = pkg.projector.project(density, cfg.make_angle_grid(), cfg.make_offset_grid())
-    noisy = raw
-    if cfg.noise.sigma > 0:
-        noisy = pkg.projector.add_noise(raw, cfg.noise.sigma, cfg.noise.seed)
-    sino = pkg.cli._simulate(cfg, density, kernel)
-    # a tree whose grids do not read back as written has `fileio.recorded`
-    stored = getattr(pkg.fileio, "recorded", lambda s: s)(sino)
-    table = pkg.moment_recovery.recover_moment_table(stored, cfg.moments.K)
-    workdir.mkdir()
-    pkg.fileio.write_sinogram(sino, workdir / "sinogram.csv")
-    r = cfg.recon
-    grid = stored.angle_grid.points()
-    return SimpleNamespace(
-        cfg=cfg, density=density, kernel=kernel, raw=raw, noisy=noisy, sino=sino,
-        stored=stored, table=table, angles=grid[(grid > 0.0) & (grid < math.pi)],
-        filtered=pkg.spectral.apply_filter(stored),
-        moment_image=pkg.density_recon.reconstruct_grid(table, r.m, r.n, r.resolution),
-        fbp_image=pkg.spectral.fbp_reconstruct(stored, r.resolution),
-        truth=pkg.density_recon.phantom_image(density, r.resolution), workdir=workdir)
+def record(package: str, call: str, argv: list) -> list:
+    """The calls of `call` that `momentct ARGV` makes in `package`, each as
+    (function, args, kwargs)."""
+    calls, saved = [], []
+
+    def recorded(fn):
+        def wrapper(*args, **kwargs):
+            calls.append((fn, args, kwargs))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, attr, name in CALLS:
+        if name == call:
+            owner = importlib.import_module(package + module.removeprefix("momentct"))
+            saved.append((owner, attr, owner.__dict__[attr]))
+            setattr(owner, attr, recorded(owner.__dict__[attr]))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = importlib.import_module(f"{package}.cli").main(argv)
+    finally:
+        for owner, attr, fn in saved:
+            setattr(owner, attr, fn)
+    if status != 0:
+        raise SystemExit(f"{package}: momentct {argv[0]} exited {status}")
+    return calls
 
 
-def written(st: SimpleNamespace, write, *items) -> bytes:
-    """The bytes that write(item, path) writes, for each (item, file name)."""
-    out = []
-    for item, name in items:
-        path = st.workdir / f"out_{name}"
-        write(item, path)
-        out.append(path.read_bytes())
-    return b"".join(out)
-
-
-def needs(value, stage: str):
-    """value, or SystemExit when the workload does not run `stage`."""
-    if value is None:
-        raise SystemExit(f"this workload has no {stage} stage")
-    return value
-
-
-#: name -> call(package, state); each side runs on its own inputs.  The
-#: names are perfbench's span names, or the function's own where a span covers more
-#: than one call (`fileio.write_moments`) or none.
-CALLS = {
-    "projector.project": lambda p, st: p.projector.project(
-        st.density, st.cfg.make_angle_grid(), st.cfg.make_offset_grid()),
-    "projector.add_noise": lambda p, st: p.projector.add_noise(
-        st.raw, needs(st.cfg.noise.sigma or None, "noise"), st.cfg.noise.seed),
-    "projector.mollify": lambda p, st: p.projector.mollify(
-        st.noisy, needs(st.kernel, "mollifier")),
-    "moment_recovery.angular_moments": lambda p, st: p.moment_recovery.angular_moments(
-        st.stored, st.cfg.moments.K, st.angles),
-    "moment_recovery.recover": lambda p, st: p.moment_recovery.recover_moment_table(
-        st.stored, st.cfg.moments.K),
-    "density_recon.reconstruct_grid": lambda p, st: p.density_recon.reconstruct_grid(
-        st.table, st.cfg.recon.m, st.cfg.recon.n, st.cfg.recon.resolution),
-    "density_recon.phantom_image": lambda p, st: p.density_recon.phantom_image(
-        st.density, st.cfg.recon.resolution),
-    "spectral.apply_filter": lambda p, st: p.spectral.apply_filter(st.stored),
-    "spectral.backproject": lambda p, st: p.spectral.backproject(
-        st.filtered, st.cfg.recon.resolution),
-    "spectral.fbp_reconstruct": lambda p, st: p.spectral.fbp_reconstruct(
-        st.stored, st.cfg.recon.resolution),
-    "fileio.write_sinogram": lambda p, st: written(
-        st, p.fileio.write_sinogram, (st.sino, "sinogram.csv")),
-    "fileio.read_sinogram": lambda p, st: p.fileio.read_sinogram(
-        st.workdir / "sinogram.csv"),
-    "fileio.write_moments": lambda p, st: written(
-        st, p.fileio.write_moments, (st.table, "moments.csv")),
-    "fileio.write_recon_csv": lambda p, st: written(
-        st, p.fileio.write_recon_csv, (st.moment_image, "recon_moments.csv"),
-        (st.fbp_image, "recon_fbp.csv")),
-    "fileio.write_pgm": lambda p, st: written(
-        st, p.fileio.write_pgm, (st.sino.values, "sinogram.pgm"), (st.truth, "phantom.pgm"),
-        (st.moment_image.values, "recon_moments.pgm"),
-        (st.fbp_image.values, "recon_fbp.pgm")),
-}
+def replay(calls: list) -> list:
+    """Each recorded call made again; a writer's result is the bytes it wrote."""
+    results = []
+    for fn, args, kwargs in calls:
+        result = fn(*args, **kwargs)
+        if fn.__name__.startswith("write_"):
+            result = Path(args[1] if len(args) > 1 else kwargs["path"]).read_bytes()
+        results.append(result)
+    return results
 
 
 def plain(x):
     """x as nested tuples of exact values, so that == compares bits."""
     if isinstance(x, np.ndarray):
         return (x.dtype.str, x.shape, x.tobytes())
-    if type(x).__name__ == "Grid1D":  # trees before start, spacing and count kept a stop
-        return ("Grid1D", plain(x.start), plain(x.spacing), x.count)
     if dataclasses.is_dataclass(x):
         return (type(x).__name__,
                 tuple((f.name, plain(getattr(x, f.name))) for f in dataclasses.fields(x)))
@@ -217,7 +180,7 @@ def main(argv=None) -> int:
     parser.add_argument("change_src")
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--call", required=True, choices=sorted(CALLS))
+    parser.add_argument("--call", required=True, choices=sorted({name for _, _, name in CALLS}))
     args = parser.parse_args(argv)
 
     case = WORKLOADS[args.workload](args.seed)
@@ -226,9 +189,14 @@ def main(argv=None) -> int:
         ini.write_text(case.ini)
         sides = {}
         for label, src in (("parent", args.parent_src), ("change", args.change_src)):
-            pkg = load(src, f"{label}_momentct")
-            state = pipeline_state(pkg, ini, Path(tmp) / label)
-            sides[label] = functools.partial(CALLS[args.call], pkg, state)
+            package, out = f"{label}_momentct", Path(tmp) / label
+            load(src, package)
+            calls = record(package, args.call, ["pipeline", "-c", str(ini), "-o", str(out)]) \
+                or record(package, args.call, ["moments", "-c", str(ini), "-o",
+                                               str(out / "moments"), str(out / "sinogram.csv")])
+            if not calls:
+                raise SystemExit(f"{args.workload} makes no {args.call} call")
+            sides[label] = functools.partial(replay, calls)
         results = {label: call() for label, call in sides.items()}
         equal = plain(results["parent"]) == plain(results["change"])
         verdict = "results equal" if equal else difference(results["parent"], results["change"])

@@ -91,7 +91,11 @@ def _write_projection(cfg: RunConfig, sino: Sinogram, density: Density,
     angles, offsets = sino.angle_grid, sino.offset_grid
     print(f"sinogram: {path} kind={sino.kind} "
           f"({angles.count} angles x {offsets.count} offsets)")
-    print(f"l1 norm: {l1_norm(sino):.6g} (2 pi mass = {2.0 * math.pi * density.mass:.6g})")
+    l1, mass = l1_norm(sino), 2.0 * math.pi * density.mass
+    if math.isfinite(l1) and math.isfinite(mass):
+        print(f"l1 norm: {l1:.6g} (2 pi mass = {mass:.6g})")
+    else:  # rows or a phantom near the top of the float range
+        print("l1 norm: n/a (the integral overflows double precision)")
     if antipodal_half(angles, offsets) is not None:
         print(f"evenness residual: {evenness_residual(sino):.3e}")
     else:
@@ -192,7 +196,11 @@ def _write_fbp_image(cfg: RunConfig, rec: ReconGrid, kernel: MollifierSpec | Non
     label = "riesz" if kernel is None else "modified_riesz"
     print(f"fbp reconstruction: {out / 'recon_fbp.csv'} "
           f"filter={label} N={cfg.recon.resolution}")
-    print(f"relative l2 error vs phantom: {relative_l2_error(rec, truth):.6g}")
+    error = relative_l2_error(rec, truth)
+    if not math.isfinite(error):  # a finite image over a phantom image near 0
+        print("relative l2 error vs phantom: n/a (the ratio overflows double precision)")
+        return
+    print(f"relative l2 error vs phantom: {error:.6g}")
 
 
 def cmd_reconstruct(cfg: RunConfig, input_path: Path) -> int:

@@ -145,9 +145,15 @@ class RunConfig:
         p = self.phantom
         if p.kind not in PHANTOM_KINDS:
             raise ConfigError(f"unknown phantom kind {p.kind!r}")
+        seen = set()
         for i, j, c in p.coeffs:
             if i < 0 or j < 0:
                 raise ConfigError(f"[phantom] coeffs term '{i},{j}:{c}' has a negative exponent")
+            # `make_density` keys the terms by exponent pair, so a repeat would
+            # silently replace the earlier term
+            if (i, j) in seen:
+                raise ConfigError(f"[phantom] coeffs repeats the exponent pair {i},{j}")
+            seen.add((i, j))
         if p.kind == "polynomial" and not p.coeffs:
             raise ConfigError("polynomial phantom needs coeffs")
         if p.kind == "disks":

@@ -106,16 +106,6 @@ class Density:
         """Exact rational moment, where the density admits one."""
         raise CapabilityError(f"{type(self).__name__} has no exact rational moments")
 
-    def radon(self, theta, p):
-        """Exact line integral over the line <x, (cos theta, sin theta)> = p.
-
-        theta and p are broadcastable arrays (or scalars); the result has
-        their broadcast shape, is a scalar for scalars, and is exactly 0 on
-        lines that miss the support.
-        """
-        theta, p = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(p, dtype=float))
-        return self.line_integrals(np.cos(theta), np.sin(theta), p)[()]
-
     def line_integrals(self, c, s, p):
         """Exact line integrals over the lines <x, (c, s)> = p.
 

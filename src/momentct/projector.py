@@ -183,9 +183,10 @@ def project(d: Density, angles: Grid1D, offsets: Grid1D) -> Sinogram:
     """Sample the line-integral transform of a density.
 
     Each sample is the density's exact line integral, bitwise what
-    `d.radon` gives.  Only the samples inside each row's support window are
-    evaluated; every other sample is exactly 0.0, which is what `d.radon`
-    returns on lines that miss the square.  The windows are evaluated by
+    `d.line_integrals` gives for that line's direction and offset.  Only the
+    samples inside each row's support window are evaluated; every other
+    sample is exactly 0.0, which is what `d.line_integrals` returns on lines
+    that miss the square.  The windows are evaluated by
     `d.line_integrals` in `row_blocks` of the windows' widths, which bounds
     the temporaries, and each row's direction is computed once.
     """

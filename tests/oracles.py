@@ -28,7 +28,9 @@ against, kept out of the package because no run of the pipeline uses them.
   band, bit for bit;
 - `angular_moments_reference`: the offset moments of `angular_moments`
   one order at a time, each a numpy pairwise sum along the rows, which the
-  one matrix product must match within its rounding.
+  one matrix product must match within its rounding;
+- `radon`: a density's exact line integrals at angles and offsets, which
+  `project` must match bit for bit on every sample.
 """
 
 from __future__ import annotations
@@ -261,3 +263,14 @@ def angular_moments_reference(s: Sinogram, K: int, angles) -> tuple[np.ndarray, 
     values = h * np.stack([(rows * power).sum(axis=1) for power in powers], axis=1)
     sizes = h * np.stack([np.abs(rows * power).sum(axis=1) for power in powers], axis=1)
     return values, sizes
+
+
+def radon(d: Density, theta, p):
+    """d's exact line integral over the line <x, (cos theta, sin theta)> = p.
+
+    theta and p are broadcastable arrays (or scalars); the result has their
+    broadcast shape, is a scalar for scalars, and is exactly 0 on lines
+    that miss the support.
+    """
+    theta, p = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(p, dtype=float))
+    return d.line_integrals(np.cos(theta), np.sin(theta), p)[()]

@@ -724,6 +724,16 @@ class TestErrorContracts:
         assert f"[phantom] coeffs term {term} has a negative exponent" in capsys.readouterr().err
         assert not (tmp_path / "run_out").exists()
 
+    def test_repeated_coeffs_term_exits_2_before_any_artifact(self, tmp_path, capsys):
+        # the two halves of f = 1 would otherwise run as f = 0.5 with exit 0
+        text = MINI_CONFIG.replace("kind = uniform",
+                                   "kind = polynomial\ncoeffs = 0,0:0.5; 0,0:0.5")
+        assert main(["pipeline", "-c", str(write_config(tmp_path, text=text))]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: [phantom] coeffs repeats the exponent pair 0,0\n"
+        assert captured.out == ""
+        assert not (tmp_path / "run_out").exists()
+
     @pytest.mark.parametrize("text, message", [
         ("# moments K=2\n0,0,1\n", "missing moment (0, 1)"),
         ("# moments K=1\n0,0,1\n1,0,0\n0,1,0\n3,0,1\n", "entry (3, 0) beyond order 1"),
@@ -921,6 +931,36 @@ class TestArithmeticOverflow:
         assert "sup error bound: n/a (the bound overflows double precision)\n" in printed
         assert not NON_FINITE.search(printed), printed  # no figure reads inf or nan
 
+    @pytest.mark.parametrize("command, disks", [
+        ("pipeline", "0.5,0.5,0.3,3.9068503947212587e+307"),  # the rows' sum overflows
+        ("project", "0.5,0.5,0.45,8e307"),                    # and 2 pi times the mass too
+    ])
+    def test_l1_norm_past_the_float_range_prints_n_a(self, tmp_path, capsys, command, disks):
+        # finite rows whose integral over the turn leaves the float range
+        # (found by tests/test_cli_fuzz.py's extreme strategy)
+        text = OVERFLOW_BASE.format(coeffs="0,0:1.0", K=4, method="moments", m=1, n=1) \
+            .replace("kind = polynomial\ncoeffs = 0,0:1.0", f"kind = disks\ndisks = {disks}") \
+            .replace("angles = 16\nangle_cover = half\noffsets = 128\nmargin = 3",
+                     "angles = 15\nangle_cover = moment\noffsets = 47\nmargin = 2.0") \
+            .replace("resolution = 16", "resolution = 1")
+        assert main([command, "-c", str(write_config(tmp_path, text=text))]) == 0
+        printed = capsys.readouterr().out
+        assert "l1 norm: n/a (the integral overflows double precision)\n" in printed
+        assert not NON_FINITE.search(printed), printed
+
+    def test_relative_l2_error_past_the_float_range_prints_n_a(self, tmp_path, capsys):
+        # rows noisy at 1e300 over a phantom of 1e-35: the image's error is
+        # finite, its ratio to the phantom image's norm is not (found by
+        # tests/test_cli_fuzz.py's extreme strategy)
+        text = OVERFLOW_BASE.format(coeffs="0,0:-1e-35", K=0, method="fbp", m=1, n=1) \
+            .replace("angles = 16", "angles = 2") \
+            .replace("[grids]", "[noise]\nsigma = 1e300\nseed = 1\n\n[grids]")
+        assert main(["pipeline", "-c", str(write_config(tmp_path, text=text))]) == 0
+        printed = capsys.readouterr().out
+        assert "relative l2 error vs phantom: n/a (the ratio overflows double precision)\n" \
+            in printed
+        assert not NON_FINITE.search(printed), printed
+
 class TestProjectReport:
     @pytest.mark.parametrize("cover", ["moment", "half", "full"])
     def test_l1_line_compares_with_two_pi_mass(self, tmp_path, capsys, cover):
@@ -1046,18 +1086,56 @@ class TestScripts:
         assert done.stdout == ""
         assert done.stderr.count("\n") == 1 and str(cache.resolve()) in done.stderr, done.stderr
 
-    def test_ab_calls_on_one_tree_twice(self, tmp_path):
+    @pytest.mark.parametrize("workload, call", [
+        ("recon_fine", "fileio.write_moments"),
+        ("demo", "fileio.write_pgm"),          # four calls, one per image
+        ("demo", "fileio.read_sinogram"),      # recorded from `moments`
+    ])
+    def test_ab_calls_on_one_tree_twice(self, tmp_path, workload, call):
         # both sides load the same checkout, so the results must be equal
         root = Path(__file__).resolve().parents[1]
         script, src = root / "scripts" / "ab_calls.py", str(root / "src")
         done = subprocess.run([sys.executable, str(script), src, src, "--workload",
-                               "recon_fine", "--seed", "1", "--call", "fileio.write_moments"],
+                               workload, "--seed", "1", "--call", call],
                               cwd=tmp_path, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         lines = done.stdout.splitlines()
-        assert lines[0].startswith("fileio.write_moments on recon_fine seed 1: results equal;")
+        assert lines[0].startswith(f"{call} on {workload} seed 1: results equal;"), lines[0]
         assert [line.split(":")[0] for line in lines[1:]] == [
             "  parent", "  change", "  rounds won"]
+
+    def test_ab_calls_refuses_a_call_the_workload_never_makes(self, tmp_path):
+        # acquire_large's rows are raw: neither `pipeline` nor `moments` adds noise
+        root = Path(__file__).resolve().parents[1]
+        script, src = root / "scripts" / "ab_calls.py", str(root / "src")
+        done = subprocess.run([sys.executable, str(script), src, src, "--workload",
+                               "acquire_large", "--seed", "1", "--call", "projector.add_noise"],
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr == "acquire_large makes no projector.add_noise call\n"
+
+    def test_ab_calls_records_every_call_of_a_run(self, tmp_path, monkeypatch):
+        script = self.load_script("ab_calls", monkeypatch)
+        ini, out = tmp_path / "demo.ini", tmp_path / "out"
+        ini.write_text(script.WORKLOADS["demo"](1).ini)
+        original = fileio.write_pgm
+        calls = script.record("momentct", "fileio.write_pgm",
+                              ["pipeline", "-c", str(ini), "-o", str(out)])
+        names = ["sinogram.pgm", "phantom.pgm", "recon_moments.pgm", "recon_fbp.pgm"]
+        assert [args[1] for _, args, _ in calls] == [out / name for name in names]
+        written = [(out / name).read_bytes() for name in names]
+        assert script.replay(calls) == written
+        assert fileio.write_pgm is original  # the recording wrapper is gone again
+        assert script.record("momentct", "fileio.read_sinogram",
+                             ["pipeline", "-c", str(ini), "-o", str(out)]) == []
+
+    def test_ab_calls_extra_names_are_package_attributes(self, monkeypatch):
+        # the names no span covers alone are wrapped where their caller finds them
+        script = self.load_script("ab_calls", monkeypatch)
+        for module_name, attr, _ in script.EXTRA_CALLS:
+            module = importlib.import_module(module_name)
+            assert callable(module.__dict__.get(attr)), f"{module_name}.{attr}"
 
     def test_ab_calls_times_results_that_differ_and_exits_1(self, tmp_path):
         # a change whose filter cuts off lower: its difference is printed, it

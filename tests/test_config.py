@@ -28,6 +28,7 @@ from momentct.config import (
 )
 from momentct.errors import ConfigError, CoverageError, OrderError, StabilityError
 from momentct.phantoms import DiskDensity
+from oracles import radon
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -173,6 +174,16 @@ class TestErrors:
             load(tmp_path, text)
         assert detail in str(info.value)
 
+    @pytest.mark.parametrize("coeffs, pair", [
+        ("0,0:0.5; 0,0:0.5", "0,0"),
+        ("1,2:1; 0,0:1; 1,2:-1", "1,2"),
+    ])
+    def test_repeated_exponent_pair_is_refused(self, tmp_path, coeffs, pair):
+        # the density keeps one coefficient per pair, so a repeat would be dropped
+        with pytest.raises(ConfigError, match=rf"^\[phantom\] coeffs repeats the exponent "
+                                              rf"pair {pair}$"):
+            load(tmp_path, f"[phantom]\nkind = polynomial\ncoeffs = {coeffs}\n")
+
     def test_unknown_key_is_reported_before_an_earlier_bad_value(self, tmp_path):
         with pytest.raises(ConfigError, match=r"^unknown key 'wat' in section \[recon\]$"):
             load(tmp_path, "[grids]\nangles = many\n[recon]\nwat = 1\n")
@@ -233,7 +244,7 @@ class TestOneDisk:
         density = load(tmp_path, f"[phantom]\nkind = disks\ndisks = {entry}\n").make_density()
         theta, p = np.meshgrid(np.linspace(0.0, 2 * math.pi, 37), np.linspace(-0.5, 1.5, 201),
                                indexing="ij")
-        assert np.array_equal(density.radon(theta, p), disk.radon(theta, p))
+        assert np.array_equal(radon(density, theta, p), radon(disk, theta, p))
         xs = (np.arange(64) + 0.5) / 64
         xx, yy = np.meshgrid(xs, xs, indexing="ij")
         assert np.array_equal(density.evaluate(xx, yy), disk.evaluate(xx, yy))

@@ -34,6 +34,7 @@ from oracles import (
     angular_moments_reference,
     convolve_moments,
     kernel_moments,
+    radon,
     synthesize_angular_moments,
     vandermonde_det_formula,
 )
@@ -60,7 +61,7 @@ def raw_moment_set(density, angles, K):
 
 def analytic_uniform_sinogram(angle_grid, offsets):
     """Sinogram with closed-form chord rows (no projector error)."""
-    values = UNIFORM.radon(angle_grid.points()[:, None], offsets.points()[None, :])
+    values = radon(UNIFORM, angle_grid.points()[:, None], offsets.points()[None, :])
     return Sinogram(angle_grid, offsets, values, "raw")
 
 
