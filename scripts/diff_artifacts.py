@@ -21,8 +21,10 @@ where the machine has the CPUs, so these cases compare a threaded image.  On
 the shipped and `MINI_CONFIG` cases each side then also runs `momentct
 moments` on the `sinogram.csv` its pipeline wrote, and `momentct
 reconstruct` on that `moments.csv` and on that `sinogram.csv`, into a
-second output directory.  Each case gets the same relative paths in its
-own temporary directory, so the two sides see identical command lines.
+second output directory, and `momentct project` on the same
+configuration into a third (`project -c run.ini -o proj`).  Each case gets
+the same relative paths in its own temporary directory, so the two sides
+see identical command lines.
 
 Every artifact, and each command's exit status, standard output and
 standard error, are compared byte for byte.  Prints one line per
@@ -77,11 +79,13 @@ with open(sys.argv[1], "w") as fh:
 """
 
 PIPELINE = ("pipeline", "-c", "run.ini", "-o", "out")
-#: the subcommands, on what the pipeline wrote to out/
+#: the subcommands: the inverses on what the pipeline wrote to out/, and
+#: the projection on the configuration alone
 SUBCOMMANDS = (
     ("moments", "-c", "run.ini", "-o", "sub", "out/sinogram.csv"),
     ("reconstruct", "-c", "run.ini", "-o", "sub", "out/moments.csv"),
     ("reconstruct", "-c", "run.ini", "-o", "sub", "out/sinogram.csv"),
+    ("project", "-c", "run.ini", "-o", "proj"),
 )
 
 

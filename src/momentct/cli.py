@@ -3,10 +3,12 @@
 Subcommands mirror the reconstruction procedure: `project` simulates the
 measured data, `moments` recovers the moment table, `reconstruct` produces
 density images (from moments and/or by filtered backprojection), `pipeline`
-computes all three in one process before it writes anything, and
-`selftest` executes the acceptance suite.  Only `project` and `pipeline`
-read `[mollifier]`; the inverses take the kernel that a smoothed
-`sinogram.csv` records.
+runs all three in one process, and `selftest` executes the acceptance
+suite.  Every command computes and checks each result, then writes every
+artifact, then prints its report in one write: a refused run leaves no
+output directory, and a closed stdout exits 2 after the last artifact.
+Only `project` and `pipeline` read `[mollifier]`; the inverses take the
+kernel that a smoothed `sinogram.csv` records.
 
 Exit codes: 0 success, 2 invalid configuration/input, grids too large to
 allocate or arithmetic past the float range, 3 coverage error, 5
@@ -66,46 +68,18 @@ def _load(args) -> RunConfig:
     return cfg
 
 
-def _simulate(cfg: RunConfig, density: Density, kernel: MollifierSpec | None) -> Sinogram:
-    """The phantom's data on the config's grids, with noise when sigma > 0,
-    smoothed by the kernel when there is one."""
-    sino = project(density, cfg.make_angle_grid(), cfg.make_offset_grid())
-    if cfg.noise.sigma > 0:
-        sino = add_noise(sino, cfg.noise.sigma, cfg.noise.seed)
-    if kernel is not None:
-        sino = mollify(sino, kernel)
-    return sino
+#: A stage's artifacts, each (writer, value, path) in order, and its printed lines.
+Stage = tuple[list, list[str]]
 
 
-def _write_projection(cfg: RunConfig, sino: Sinogram, density: Density,
-                      truth: np.ndarray) -> None:
-    """Write the sinogram and the phantom image `truth` (`phantom_image`)
-    and print the data checks."""
-    out = Path(cfg.output.directory)
-    # the PGM first: `write_pgm` refuses a non-finite sinogram before any
-    # artifact exists
-    fileio.write_pgm(sino.values, out / "sinogram.pgm")
-    path = out / "sinogram.csv"
-    fileio.write_sinogram(sino, path)
-    fileio.write_pgm(truth, out / "phantom.pgm")
-    angles, offsets = sino.angle_grid, sino.offset_grid
-    print(f"sinogram: {path} kind={sino.kind} "
-          f"({angles.count} angles x {offsets.count} offsets)")
-    l1, mass = l1_norm(sino), 2.0 * math.pi * density.mass
-    if math.isfinite(l1) and math.isfinite(mass):
-        print(f"l1 norm: {l1:.6g} (2 pi mass = {mass:.6g})")
-    else:  # rows or a phantom near the top of the float range
-        print("l1 norm: n/a (the integral overflows double precision)")
-    if antipodal_half(angles, offsets) is not None:
-        print(f"evenness residual: {evenness_residual(sino):.3e}")
-    else:
-        print("evenness residual: n/a (needs a full-turn angle grid)")
-
-
-def cmd_project(cfg: RunConfig) -> int:
-    density = cfg.make_density()
-    sino = _simulate(cfg, density, cfg.make_mollifier())
-    _write_projection(cfg, sino, density, phantom_image(density, cfg.recon.resolution))
+def _publish(*stages: Stage) -> int:
+    """Write every stage's artifacts in order, then print all their lines in
+    one write, so that a stdout that fails (exit 2) leaves every artifact."""
+    for artifacts, _ in stages:
+        for write, value, path in artifacts:
+            write(value, path)
+    sys.stdout.write("".join(f"{line}\n" for _, lines in stages for line in lines))
+    sys.stdout.flush()
     return 0
 
 
@@ -113,6 +87,41 @@ def _require_finite(values, message: str) -> None:
     """Refuse NaN and inf: in a file read, or in a result not yet written."""
     if not np.all(np.isfinite(values)):
         raise ValueError(message)
+
+
+def _simulate(cfg: RunConfig, density: Density, kernel: MollifierSpec | None) -> Sinogram:
+    """The phantom's data on the config's grids, with noise when sigma > 0,
+    smoothed by the kernel when there is one; non-finite data are refused."""
+    sino = project(density, cfg.make_angle_grid(), cfg.make_offset_grid())
+    if cfg.noise.sigma > 0:
+        sino = add_noise(sino, cfg.noise.sigma, cfg.noise.seed)
+    if kernel is not None:
+        sino = mollify(sino, kernel)
+    _require_finite(sino.values, "the computed sinogram has non-finite values")
+    return sino
+
+
+def _fit(sino: Sinogram, K: int) -> tuple[MomentTable, dict]:
+    """The moment table to order K and its diagnostics; refused with NaN or inf."""
+    diagnostics: dict = {}
+    table = recover_moment_table(sino, K, diagnostics=diagnostics)
+    _require_finite(list(table.values.values()),
+                    "the computed moment table has non-finite values")
+    return table, diagnostics
+
+
+def _moment_image(table: MomentTable, cfg: RunConfig) -> ReconGrid:
+    """The config's moment image of the table; refused with NaN or inf."""
+    rec = reconstruct_grid(table, cfg.recon.m, cfg.recon.n, cfg.recon.resolution)
+    _require_finite(rec.values, "the computed moment image has non-finite values")
+    return rec
+
+
+def _fbp_image(sino: Sinogram, cfg: RunConfig) -> ReconGrid:
+    """The config's FBP image of the rows; refused with NaN or inf."""
+    rec = fbp_reconstruct(sino, cfg.recon.resolution)
+    _require_finite(rec.values, "the computed FBP image has non-finite values")
+    return rec
 
 
 def _read_sinogram(path: Path) -> Sinogram:
@@ -128,131 +137,125 @@ def _read_moments(path: Path) -> MomentTable:
     return table
 
 
-def _write_moments(cfg: RunConfig, table: MomentTable, diagnostics: dict) -> None:
-    """Write the moment table and print each order's condition estimate."""
-    path = Path(cfg.output.directory) / "moments.csv"
-    fileio.write_moments(table, path)
-    print(f"moments: {path} K={table.max_order}")
-    for k, cond in diagnostics["conditions"]:
-        print(f"order {k}: condition estimate {cond:.3e}")
-
-
-def _fit(sino: Sinogram, K: int) -> tuple[MomentTable, dict]:
-    """The moment table to order K and its diagnostics; a table with NaN or
-    inf is refused before it is written."""
-    diagnostics: dict = {}
-    table = recover_moment_table(sino, K, diagnostics=diagnostics)
-    _require_finite(list(table.values.values()),
-                    "the computed moment table has non-finite values")
-    return table, diagnostics
-
-
-def cmd_moments(cfg: RunConfig, sino_path: Path) -> int:
-    _write_moments(cfg, *_fit(_read_sinogram(sino_path), cfg.moments.K))
-    return 0
-
-
-def _write_image(rec: ReconGrid, stem: Path) -> None:
-    """Write `<stem>.csv` and `<stem>.pgm`, or neither.
-
-    The PGM goes first: `write_pgm` refuses a NaN, inf or overflowing image
-    before it writes anything, so a refused image leaves no CSV behind, and
-    no output directory if this would have created it.
-    """
-    fileio.write_pgm(rec.values, stem.with_suffix(".pgm"))
-    fileio.write_recon_csv(rec, stem.with_suffix(".csv"))
-
-
-def _write_moment_image(cfg: RunConfig, rec: ReconGrid, density: Density,
-                        truth: np.ndarray) -> None:
-    """Write the moment image and print its error against the phantom
-    image `truth`, and the phantom's error bound."""
+def _project_stage(cfg: RunConfig, sino: Sinogram, density: Density,
+                   truth: np.ndarray) -> Stage:
+    """The sinogram and the phantom image `truth`, and the data checks."""
     out = Path(cfg.output.directory)
-    _write_image(rec, out / "recon_moments")
-    err = sup_error(rec, truth)
-    print(f"moment reconstruction: {out / 'recon_moments.csv'} "
-          f"orders=({cfg.recon.m},{cfg.recon.n}) N={cfg.recon.resolution}")
-    print(f"sup error vs phantom: {err:.6g}")
+    path = out / "sinogram.csv"
+    angles, offsets = sino.angle_grid, sino.offset_grid
+    lines = [f"sinogram: {path} kind={sino.kind} "
+             f"({angles.count} angles x {offsets.count} offsets)"]
+    l1, mass = l1_norm(sino), 2.0 * math.pi * density.mass
+    if math.isfinite(l1) and math.isfinite(mass):
+        lines.append(f"l1 norm: {l1:.6g} (2 pi mass = {mass:.6g})")
+    else:  # rows or a phantom near the top of the float range
+        lines.append("l1 norm: n/a (the integral overflows double precision)")
+    if antipodal_half(angles, offsets) is not None:
+        lines.append(f"evenness residual: {evenness_residual(sino):.3e}")
+    else:
+        lines.append("evenness residual: n/a (needs a full-turn angle grid)")
+    return [(fileio.write_pgm, sino.values, out / "sinogram.pgm"),
+            (fileio.write_sinogram, sino, path),
+            (fileio.write_pgm, truth, out / "phantom.pgm")], lines
+
+
+def _moments_stage(cfg: RunConfig, table: MomentTable, diagnostics: dict) -> Stage:
+    """The moment table, and each order's condition estimate."""
+    path = Path(cfg.output.directory) / "moments.csv"
+    return [(fileio.write_moments, table, path)], [
+        f"moments: {path} K={table.max_order}",
+        *(f"order {k}: condition estimate {cond:.3e}" for k, cond in diagnostics["conditions"])]
+
+
+def _image(rec: ReconGrid, stem: Path) -> list:
+    """`<stem>.pgm`, then `<stem>.csv`: a range too wide for the PGM leaves neither."""
+    return [(fileio.write_pgm, rec.values, stem.with_suffix(".pgm")),
+            (fileio.write_recon_csv, rec, stem.with_suffix(".csv"))]
+
+
+def _moment_image_stage(cfg: RunConfig, rec: ReconGrid, density: Density,
+                        truth: np.ndarray) -> Stage:
+    """The moment image, its error against the phantom image `truth`, and
+    the phantom's error bound."""
+    out, r = Path(cfg.output.directory), cfg.recon
+    lines = [f"moment reconstruction: {out / 'recon_moments.csv'} "
+             f"orders=({r.m},{r.n}) N={r.resolution}",
+             f"sup error vs phantom: {sup_error(rec, truth):.6g}"]
     try:
         density.modulus_bound(0.0)  # before the sup norm, which may cost a grid evaluation
     except CapabilityError:
-        print("sup error bound: n/a (phantom not uniformly continuous)")
-        return
-    bound = minimized_sup_error_bound(
-        density.sup_norm, density.modulus_bound, cfg.recon.m, cfg.recon.n
-    )
-    if not math.isfinite(bound):
-        print("sup error bound: n/a (the bound overflows double precision)")
-        return
-    print(f"sup error bound (minimized over delta): {bound:.6g}")
+        lines.append("sup error bound: n/a (phantom not uniformly continuous)")
+    else:
+        bound = minimized_sup_error_bound(density.sup_norm, density.modulus_bound, r.m, r.n)
+        lines.append(f"sup error bound (minimized over delta): {bound:.6g}"
+                     if math.isfinite(bound) else
+                     "sup error bound: n/a (the bound overflows double precision)")
+    return _image(rec, out / "recon_moments"), lines
 
 
-def _write_fbp_image(cfg: RunConfig, rec: ReconGrid, kernel: MollifierSpec | None,
-                     truth: np.ndarray) -> None:
-    """Write the FBP image of rows smoothed by `kernel` (None: raw rows)
-    and print its error against the phantom image `truth`."""
+def _fbp_image_stage(cfg: RunConfig, rec: ReconGrid, kernel: MollifierSpec | None,
+                     truth: np.ndarray) -> Stage:
+    """The FBP image of rows smoothed by `kernel` (None: raw rows), and its
+    error against the phantom image `truth`."""
     out = Path(cfg.output.directory)
-    _write_image(rec, out / "recon_fbp")
     label = "riesz" if kernel is None else "modified_riesz"
-    print(f"fbp reconstruction: {out / 'recon_fbp.csv'} "
-          f"filter={label} N={cfg.recon.resolution}")
-    error = relative_l2_error(rec, truth)
-    if not math.isfinite(error):  # a finite image over a phantom image near 0
-        print("relative l2 error vs phantom: n/a (the ratio overflows double precision)")
-        return
-    print(f"relative l2 error vs phantom: {error:.6g}")
+    error = relative_l2_error(rec, truth)  # inf: a finite image over a phantom image near 0
+    return _image(rec, out / "recon_fbp"), [
+        f"fbp reconstruction: {out / 'recon_fbp.csv'} filter={label} N={cfg.recon.resolution}",
+        f"relative l2 error vs phantom: {error:.6g}" if math.isfinite(error) else
+        "relative l2 error vs phantom: n/a (the ratio overflows double precision)"]
+
+
+def cmd_project(cfg: RunConfig) -> int:
+    density = cfg.make_density()
+    sino = _simulate(cfg, density, cfg.make_mollifier())
+    return _publish(_project_stage(cfg, sino, density,
+                                   phantom_image(density, cfg.recon.resolution)))
+
+
+def cmd_moments(cfg: RunConfig, sino_path: Path) -> int:
+    return _publish(_moments_stage(cfg, *_fit(_read_sinogram(sino_path), cfg.moments.K)))
 
 
 def cmd_reconstruct(cfg: RunConfig, input_path: Path) -> int:
     with open(input_path) as fh:
         head = fh.readline()
-    r = cfg.recon
     if head.startswith("# moments"):
         table, density = _read_moments(input_path), cfg.make_density()
-        rec = reconstruct_grid(table, r.m, r.n, r.resolution)
-        _write_moment_image(cfg, rec, density, phantom_image(density, r.resolution))
+        stage = _moment_image_stage(cfg, _moment_image(table, cfg), density,
+                                    phantom_image(density, cfg.recon.resolution))
     elif head.startswith("# sinogram"):
         sino, density = _read_sinogram(input_path), cfg.make_density()
-        rec = fbp_reconstruct(sino, r.resolution)
-        _write_fbp_image(cfg, rec, sino.kernel, phantom_image(density, r.resolution))
+        stage = _fbp_image_stage(cfg, _fbp_image(sino, cfg), sino.kernel,
+                                 phantom_image(density, cfg.recon.resolution))
     else:
         raise FormatError(f"unrecognized input header: {head.strip()!r}")
-    return 0
+    return _publish(stage)
 
 
 def cmd_pipeline(cfg: RunConfig) -> int:
-    """The three stages in one process, all computed before anything is
-    written, so a run that any stage refuses leaves no artifact.  The later
-    stages run on the sinogram and the moment table as computed, which are
-    what `sinogram.csv` and `moments.csv` read back, so nothing written is
-    parsed back; the phantom is built, and evaluated at the pixel centers,
-    once and shared by the stages."""
+    """The three stages in one process, on the subcommands' own checks and
+    stages, so a run that any stage refuses leaves no artifact.  The later
+    stages take the sinogram and the moment table as computed, which are
+    what `sinogram.csv` and `moments.csv` read back; the phantom is built,
+    and evaluated at the pixel centers, once and shared by the stages."""
     r = cfg.recon
     if r.method in ("moments", "both"):  # refuse K < m + n before projecting
         check_orders(cfg.moments.K, r.m, r.n)
     density = cfg.make_density()
     sino = _simulate(cfg, density, cfg.make_mollifier())
-    _require_finite(sino.values, "the computed sinogram has non-finite values")
     table, diagnostics = _fit(sino, cfg.moments.K)
-    moment_image = fbp_image = None
-    if r.method in ("moments", "both"):
-        moment_image = reconstruct_grid(table, r.m, r.n, r.resolution)
-        _require_finite(moment_image.values, "the computed moment image has non-finite values")
-    if r.method in ("fbp", "both"):
-        fbp_image = fbp_reconstruct(sino, r.resolution)
-        _require_finite(fbp_image.values, "the computed FBP image has non-finite values")
+    moment_image = _moment_image(table, cfg) if r.method in ("moments", "both") else None
+    fbp_image = _fbp_image(sino, cfg) if r.method in ("fbp", "both") else None
     truth = phantom_image(density, r.resolution)
-
-    print("== project ==")
-    _write_projection(cfg, sino, density, truth)
-    print("== moments ==")
-    _write_moments(cfg, table, diagnostics)
-    print("== reconstruct ==")
+    stages = [([], ["== project =="]), _project_stage(cfg, sino, density, truth),
+              ([], ["== moments =="]), _moments_stage(cfg, table, diagnostics),
+              ([], ["== reconstruct =="])]
     if moment_image is not None:
-        _write_moment_image(cfg, moment_image, density, truth)
+        stages.append(_moment_image_stage(cfg, moment_image, density, truth))
     if fbp_image is not None:
-        _write_fbp_image(cfg, fbp_image, sino.kernel, truth)
-    return 0
+        stages.append(_fbp_image_stage(cfg, fbp_image, sino.kernel, truth))
+    return _publish(*stages)
 
 
 def cmd_selftest() -> int:
@@ -310,16 +313,13 @@ def main(argv=None) -> int:
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # see _require_finite
             cfg = _load(args)
+            out = Path(cfg.output.directory)
             if args.command == "project":
                 return cmd_project(cfg)
             if args.command == "moments":
-                path = Path(args.sinogram) if args.sinogram else \
-                    Path(cfg.output.directory) / "sinogram.csv"
-                return cmd_moments(cfg, path)
+                return cmd_moments(cfg, Path(args.sinogram or out / "sinogram.csv"))
             if args.command == "reconstruct":
-                path = Path(args.input) if args.input else \
-                    Path(cfg.output.directory) / "moments.csv"
-                return cmd_reconstruct(cfg, path)
+                return cmd_reconstruct(cfg, Path(args.input or out / "moments.csv"))
             if args.command == "pipeline":
                 return cmd_pipeline(cfg)
             raise AssertionError(f"unhandled command {args.command}")

@@ -1,5 +1,8 @@
+import contextlib
+import errno
 import filecmp
 import importlib.util
+import io
 import math
 import os
 import re
@@ -685,30 +688,40 @@ class TestErrorContracts:
         assert "cannot resolve the unit square" in err
         assert not (tmp_path / "run_out").exists()
 
-    def test_non_finite_sinogram_writes_no_artifact(self, tmp_path, capsys, monkeypatch):
-        # whatever makes the rows non-finite, the pipeline refuses them before
-        # any artifact
+    @pytest.mark.parametrize("command", ["pipeline", "project"])
+    def test_non_finite_sinogram_writes_no_artifact(self, tmp_path, capsys, monkeypatch,
+                                                    command):
+        # whatever makes the rows non-finite, both commands that compute them
+        # refuse them before any artifact
         def nan_rows(sino, kernel):
             return replace(sino, values=np.full_like(sino.values, np.nan))
         monkeypatch.setattr(cli, "mollify", nan_rows)
-        assert main(["pipeline", "-c", str(write_config(tmp_path))]) == 2
+        assert main([command, "-c", str(write_config(tmp_path))]) == 2
         assert "the computed sinogram has non-finite values" in capsys.readouterr().err
         assert not (tmp_path / "run_out").exists()
 
-    @pytest.mark.parametrize("stage, what", [
-        ("reconstruct_grid", "moment image"),
-        ("fbp_reconstruct", "FBP image"),
+    @pytest.mark.parametrize("command", ["pipeline", "reconstruct"])
+    @pytest.mark.parametrize("stage, what, name", [
+        ("reconstruct_grid", "moment image", "moments.csv"),
+        ("fbp_reconstruct", "FBP image", "sinogram.csv"),
     ])
     def test_non_finite_image_in_pipeline_writes_nothing(
-            self, tmp_path, capsys, monkeypatch, stage, what):
-        # the images are computed, and checked, before the first artifact
+            self, tmp_path, capsys, monkeypatch, stage, what, name, command):
+        # the images are computed, and checked, before the first artifact, by
+        # `pipeline` and by `reconstruct` on the file `name` the image comes from
+        cfg = write_config(tmp_path)
+        inputs = tmp_path / "inputs"
+        assert main(["pipeline", "-c", str(cfg), "-o", str(inputs)]) == 0
+        capsys.readouterr()
         compute = getattr(cli, stage)
 
         def nan_image(*args):
             rec = compute(*args)
             return replace(rec, values=np.full_like(rec.values, np.nan))
         monkeypatch.setattr(cli, stage, nan_image)
-        assert main(["pipeline", "-c", str(write_config(tmp_path))]) == 2
+        argv = [command, "-c", str(cfg)] + ([str(inputs / name)] if command == "reconstruct"
+                                            else [])
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert f"the computed {what} has non-finite values" in captured.err
         assert captured.out == ""
@@ -771,7 +784,7 @@ class TestErrorContracts:
         moments = tmp_path / "huge.csv"
         moments.write_text("# moments K=2\n0,0,0\n1,0,0\n0,1,0\n2,0,0\n1,1,1e308\n0,2,0\n")
         assert main(["reconstruct", "-c", str(cfg), str(moments)]) == 2
-        assert "PGM export needs finite values" in capsys.readouterr().err
+        assert "the computed moment image has non-finite values" in capsys.readouterr().err
         assert not (tmp_path / "run_out" / "recon_moments.pgm").exists()
 
     def test_non_finite_image_leaves_no_csv(self, tmp_path):
@@ -787,8 +800,60 @@ class TestErrorContracts:
         moments.write_text("# moments K=2\n0,0,0\n1,0,0\n0,1,0\n2,0,0\n1,1,1e308\n0,2,0\n")
         fresh = tmp_path / "fresh"
         assert main(["reconstruct", "-c", str(cfg), "-o", str(fresh), str(moments)]) == 2
-        assert "PGM export needs finite values" in capsys.readouterr().err
+        assert "the computed moment image has non-finite values" in capsys.readouterr().err
         assert not fresh.exists()
+
+
+class BrokenStdout(io.TextIOBase):
+    """A stdout whose reader has gone: every write fails as on a closed pipe."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+class TestWritePhase:
+    """Every command computes and checks its results, writes every
+    artifact, and only then prints its report, in one write."""
+
+    PROJECT_ARTIFACTS = ["phantom.pgm", "sinogram.csv", "sinogram.pgm"]
+
+    @pytest.mark.parametrize("command, artifacts", [
+        ("pipeline", sorted(ARTIFACTS)),
+        ("project", PROJECT_ARTIFACTS),
+    ], ids=["pipeline", "project"])
+    def test_broken_stdout_exits_2_after_every_artifact(self, tmp_path, capsys, command,
+                                                        artifacts):
+        cfg = write_config(tmp_path)
+        whole = tmp_path / "whole"
+        assert main([command, "-c", str(cfg), "-o", str(whole)]) == 0
+        capsys.readouterr()
+        with contextlib.redirect_stdout(BrokenStdout()):
+            assert main([command, "-c", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno {errno.EPIPE}] " \
+                                          f"{os.strerror(errno.EPIPE)}\n"
+        out = tmp_path / "run_out"
+        assert sorted(path.name for path in out.iterdir()) == artifacts
+        for name in artifacts:
+            assert filecmp.cmp(out / name, whole / name, shallow=False), name
+
+    def test_closed_stdout_pipe_exits_2_with_one_error_line(self, tmp_path):
+        # the reader is gone before the run starts: the one write of the
+        # report fails, after the last artifact, and the interpreter's own
+        # flush at exit finds nothing left to report
+        cfg = write_config(tmp_path)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "momentct.cli", "pipeline", "-c",
+                                   str(cfg)], cwd=tmp_path, env=env, stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+        assert sorted(path.name for path in (tmp_path / "run_out").iterdir()) == \
+            sorted(ARTIFACTS)
 
 
 #: a raw, noiseless uniform half turn of 32 x 128 fitted to K = 12

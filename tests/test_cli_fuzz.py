@@ -10,8 +10,10 @@ README and the `cli` docstring promise, for any input:
 The INI files come from two strategies: one over extreme values (huge
 coefficients, tiny radii and widths, seeds past 2**32, wide margins), at
 times with one key set past its range, and one over mostly valid
-settings.  Grids have at most
-33 x 128 samples and images at most 16**2 pixels.  The files each passing
+settings.  Grids have at most 33 x 128 samples and images at most 16**2
+pixels.  Each config runs `pipeline` and `project`, each into its own
+directory; where `pipeline` passes, `project` must pass too and write its
+three files byte for byte as `pipeline` did.  The files each passing
 `pipeline` wrote are then mutated, one of nine ways, and fed to `moments` or
 `reconstruct`.  Everything runs in process through `cli.main`, with a fixed
 seed and no example database, so the suite stays deterministic; the
@@ -154,6 +156,10 @@ MUTATIONS = {
 }
 
 
+#: what `project` writes, each also among `pipeline`'s artifacts
+PROJECT_ARTIFACTS = ["phantom.pgm", "sinogram.csv", "sinogram.pgm"]
+
+
 def run(*argv) -> tuple:
     """(exit status, stdout, stderr) of one in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()
@@ -185,9 +191,15 @@ def fuzz(data, settings: dict) -> None:
         scratch = Path(tmp)
         ini = scratch / "run.ini"
         ini.write_text(ini_text(settings))
-        produced = scratch / "pipeline"
-        if check_contract(["pipeline", "-c", ini], produced, scratch) != 0:
+        produced, projected = scratch / "pipeline", scratch / "project"
+        passed = check_contract(["pipeline", "-c", ini], produced, scratch) == 0
+        projected_passed = check_contract(["project", "-c", ini], projected, scratch) == 0
+        if not passed:
             return
+        assert projected_passed, settings
+        assert sorted(path.name for path in projected.iterdir()) == PROJECT_ARTIFACTS
+        for name in PROJECT_ARTIFACTS:
+            assert (projected / name).read_bytes() == (produced / name).read_bytes(), name
         name, edit = MUTATIONS[data.draw(st.sampled_from(sorted(MUTATIONS)), label="mutation")]
         mutated = scratch / name
         mutated.write_text(edit((produced / name).read_text()))
