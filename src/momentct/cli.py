@@ -18,7 +18,9 @@ insufficient moment order or stability cap.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -74,12 +76,20 @@ Stage = tuple[list, list[str]]
 
 def _publish(*stages: Stage) -> int:
     """Write every stage's artifacts in order, then print all their lines in
-    one write, so that a stdout that fails (exit 2) leaves every artifact."""
+    one write, so that a stdout that fails (exit 2) leaves every artifact.
+    A closed pipe keeps the report buffered: its descriptor is pointed at
+    os.devnull, so that the interpreter's flush at exit cannot fail again."""
     for artifacts, _ in stages:
         for write, value, path in artifacts:
             write(value, path)
-    sys.stdout.write("".join(f"{line}\n" for _, lines in stages for line in lines))
-    sys.stdout.flush()
+    try:
+        sys.stdout.write("".join(f"{line}\n" for _, lines in stages for line in lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        with contextlib.suppress(OSError, ValueError):  # an in-process stdout has no descriptor
+            stdout = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stdout)
+        raise
     return 0
 
 
@@ -302,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 _EXIT_CODES = (
     (CoverageError, 3),
     ((OrderError, StabilityError), 5),
-    ((ValueError, MemoryError, ArithmeticError), 2),
+    ((ValueError, MemoryError, ArithmeticError, OSError), 2),
 )
 
 
@@ -313,19 +323,19 @@ def main(argv=None) -> int:
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # see _require_finite
             cfg = _load(args)
-            out = Path(cfg.output.directory)
             if args.command == "project":
                 return cmd_project(cfg)
             if args.command == "moments":
-                return cmd_moments(cfg, Path(args.sinogram or out / "sinogram.csv"))
+                path = Path(args.sinogram) if args.sinogram else \
+                    Path(cfg.output.directory) / "sinogram.csv"
+                return cmd_moments(cfg, path)
             if args.command == "reconstruct":
-                return cmd_reconstruct(cfg, Path(args.input or out / "moments.csv"))
+                path = Path(args.input) if args.input else \
+                    Path(cfg.output.directory) / "moments.csv"
+                return cmd_reconstruct(cfg, path)
             if args.command == "pipeline":
                 return cmd_pipeline(cfg)
             raise AssertionError(f"unhandled command {args.command}")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # mapped diagnostics, no tracebacks for users
         for types, code in _EXIT_CODES:
             if isinstance(exc, types):

@@ -63,6 +63,9 @@ ARTIFACTS = [
     "recon_fbp.pgm",
 ]
 
+#: what `project` writes, each also among the pipeline's ARTIFACTS
+PROJECT_ARTIFACTS = ["phantom.pgm", "sinogram.csv", "sinogram.pgm"]
+
 
 #: MINI_CONFIG smoothed by a narrower kernel, and not smoothed at all
 SMOOTHED_005 = MINI_CONFIG.replace("epsilon = 0.08", "epsilon = 0.05")
@@ -787,11 +790,29 @@ class TestErrorContracts:
         assert "the computed moment image has non-finite values" in capsys.readouterr().err
         assert not (tmp_path / "run_out" / "recon_moments.pgm").exists()
 
-    def test_non_finite_image_leaves_no_csv(self, tmp_path):
+    @pytest.mark.parametrize("gamma_11, message", [
+        ("1e308", "the computed moment image has non-finite values"),
+        ("4e307", "PGM export needs finite values"),
+    ], ids=["inf", "span"])
+    def test_non_finite_image_leaves_no_csv(self, tmp_path, capsys, monkeypatch, gamma_11,
+                                            message):
+        # 1e308 puts inf in every cell, refused before any artifact; 4e307
+        # puts 1.6e308, and with every other column negated the image is
+        # finite but its max - min is not, which only `write_pgm` refuses:
+        # the PGM is written before the CSV, so neither exists
         cfg = write_config(tmp_path)
         moments = tmp_path / "huge.csv"
-        moments.write_text("# moments K=2\n0,0,0\n1,0,0\n0,1,0\n2,0,0\n1,1,1e308\n0,2,0\n")
+        moments.write_text(f"# moments K=2\n0,0,0\n1,0,0\n0,1,0\n2,0,0\n1,1,{gamma_11}\n0,2,0\n")
+        compute = cli.reconstruct_grid
+
+        def alternating(*args):
+            rec = compute(*args)
+            return replace(rec, values=rec.values * np.where(np.arange(rec.values.shape[0])
+                                                             [:, None] % 2, -1.0, 1.0))
+        monkeypatch.setattr(cli, "reconstruct_grid", alternating)
         assert main(["reconstruct", "-c", str(cfg), str(moments)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run_out" / "recon_moments.pgm").exists()
         assert not (tmp_path / "run_out" / "recon_moments.csv").exists()
 
     def test_non_finite_image_leaves_no_output_directory(self, tmp_path, capsys):
@@ -815,8 +836,6 @@ class TestWritePhase:
     """Every command computes and checks its results, writes every
     artifact, and only then prints its report, in one write."""
 
-    PROJECT_ARTIFACTS = ["phantom.pgm", "sinogram.csv", "sinogram.pgm"]
-
     @pytest.mark.parametrize("command, artifacts", [
         ("pipeline", sorted(ARTIFACTS)),
         ("project", PROJECT_ARTIFACTS),
@@ -837,11 +856,12 @@ class TestWritePhase:
             assert filecmp.cmp(out / name, whole / name, shallow=False), name
 
     def test_closed_stdout_pipe_exits_2_with_one_error_line(self, tmp_path):
-        # the reader is gone before the run starts: the one write of the
-        # report fails, after the last artifact, and the interpreter's own
-        # flush at exit finds nothing left to report
+        # the reader is gone before the run starts: the report, buffered as
+        # by default, fails to flush after the last artifact, and the
+        # interpreter's own flush at exit must not fail a second time
         cfg = write_config(tmp_path)
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        env.pop("PYTHONUNBUFFERED", None)
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:

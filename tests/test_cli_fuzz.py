@@ -30,6 +30,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from momentct.cli import main
+from test_cli import PROJECT_ARTIFACTS
 
 NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
 
@@ -154,10 +155,6 @@ MUTATIONS = {
     "moments_1e308": ("moments.csv", lambda t: _rows(
         t, lambda rows: [re.sub(r"[^,]*$", "1e308", row, count=1) for row in rows])),
 }
-
-
-#: what `project` writes, each also among `pipeline`'s artifacts
-PROJECT_ARTIFACTS = ["phantom.pgm", "sinogram.csv", "sinogram.pgm"]
 
 
 def run(*argv) -> tuple:
