@@ -17,7 +17,11 @@ so those backproject in two bands of 64 rows, a real accumulator on the
 moment and half covers and a complex one on the full turn, whose rows
 pair.  The half cover also runs at `resolution = 100`, in bands of 81 and
 19 rows.  Each band group of such an image runs on a thread of its own
-where the machine has the CPUs, so these cases compare a threaded image.  On
+where the machine has the CPUs, so these cases compare a threaded image.
+One more case, `mini_full_odd_raw`, runs `MINI_CONFIG` without
+`[mollifier]` on a full turn of 47 angles, whose rows do not pair: its
+image interpolates every row, weighted by the full turn's spacing, and
+its evenness line is n/a.  On
 the shipped and `MINI_CONFIG` cases each side then also runs `momentct
 moments` on the `sinogram.csv` its pipeline wrote, and `momentct
 reconstruct` on that `moments.csv` and on that `sinogram.csv`, into a
@@ -117,6 +121,8 @@ def cases() -> dict[str, tuple[str, tuple]]:
         for resolution in (128, 100) if cover == "half" else (128,):
             out[f"mini_{cover}_raw_{resolution}"] = (
                 raw.replace("resolution = 16", f"resolution = {resolution}"), all_commands)
+        if cover == "full":  # a full turn whose rows do not pair
+            out["mini_full_odd_raw"] = (raw.replace("angles = 48", "angles = 47"), all_commands)
     return out
 
 

@@ -11,8 +11,8 @@ Only `project` and `pipeline` read `[mollifier]`; the inverses take the
 kernel that a smoothed `sinogram.csv` records.
 
 Exit codes: 0 success, 2 invalid configuration/input, grids too large to
-allocate or arithmetic past the float range, 3 coverage error, 5
-insufficient moment order or stability cap.
+allocate, arithmetic past the float range or an OS error, 3 coverage
+error, 5 insufficient moment order or stability cap.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .phantoms import Density, MomentTable
 from .projector import (
     Sinogram,
     add_noise,
-    antipodal_half,
+    antipodal_miss,
     evenness_residual,
     l1_norm,
     mollify,
@@ -160,10 +160,9 @@ def _project_stage(cfg: RunConfig, sino: Sinogram, density: Density,
         lines.append(f"l1 norm: {l1:.6g} (2 pi mass = {mass:.6g})")
     else:  # rows or a phantom near the top of the float range
         lines.append("l1 norm: n/a (the integral overflows double precision)")
-    if antipodal_half(angles, offsets) is not None:
-        lines.append(f"evenness residual: {evenness_residual(sino):.3e}")
-    else:
-        lines.append("evenness residual: n/a (needs a full-turn angle grid)")
+    miss = antipodal_miss(angles, offsets)
+    lines.append(f"evenness residual: n/a ({miss})" if miss
+                 else f"evenness residual: {evenness_residual(sino):.3e}")
     return [(fileio.write_pgm, sino.values, out / "sinogram.pgm"),
             (fileio.write_sinogram, sino, path),
             (fileio.write_pgm, truth, out / "phantom.pgm")], lines

@@ -1,19 +1,17 @@
-"""Compactly supported smoothing kernels, each fixed by its kind and width,
-and their taps on an offset grid.
+"""The smoothing kernel, fixed by its kind and width, and its taps on an
+offset grid.
 
-Two kernel families ship: the standard bump exp(-1/(1-u^2)) and a truncated
-cosine (Hann) profile.  Both are smooth, nonnegative and even, supported on
-[-eps, eps] after scaling.  The program knows a kernel only through its taps
-(`sampled_kernel`): the profile sampled on the offset grid and normalized
-to unit discrete mass.  `mollify` convolves rows with them, the FBP filter
-divides by their transform and the moment deconvolution inverts their
-moments, so both inverses undo exactly what was applied.  The paper's
-inversion divides by the kernel's Fourier transform, which depends on the
-frequency s only through eps * s, so whether it is positive on a band
-eps * s <= c is a fact about the kind, not the width: both families stay
-positive up to eps * s = 4 (the bump transform first crosses zero near
-4.97, the cosine near 6.28), which the tests check once per kind instead of
-every construction.
+One profile ships: the standard bump exp(-1/(1-u^2)), C-infinity,
+nonnegative and even, supported on [-eps, eps] after scaling.  The program
+knows a kernel only through its taps (`sampled_kernel`): the profile
+sampled on the offset grid and normalized to unit discrete mass.
+`mollify` convolves rows with them, the FBP filter divides by their
+transform and the moment deconvolution inverts their moments, so both
+inverses undo exactly what was applied.  That transform depends on the
+frequency s only through eps * s, so its positivity on a band eps * s <= c
+is a fact about the profile, not the width: the bump's stays positive up
+to eps * s = 4 and first crosses zero near 4.97, which the tests check
+once instead of at every construction.
 """
 
 from __future__ import annotations
@@ -32,13 +30,8 @@ def _bump_profile(u: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _cosine_profile(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    return np.where(np.abs(u) <= 1.0, 0.5 * (1.0 + np.cos(math.pi * u)), 0.0)
-
-
 #: The kernel kinds, each with its unit-width profile: the one list of kinds.
-PROFILES = {"bump": _bump_profile, "cosine": _cosine_profile}
+PROFILES = {"bump": _bump_profile}
 
 
 @dataclass(frozen=True)
@@ -78,7 +71,7 @@ def sampled_kernel(m: MollifierSpec, spacing: float):
     n = int(math.ceil(m.epsilon / spacing))
     offsets = np.arange(-n, n + 1) * spacing
     # a width far below the spacing puts every tap but the centre at an
-    # infinite u, where each profile is 0
+    # infinite u, where the profile is 0
     with np.errstate(over="ignore", invalid="ignore"):
         weights = PROFILES[m.kind](offsets / m.epsilon)
     return offsets, weights / (float(weights.sum()) * spacing)

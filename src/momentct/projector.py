@@ -86,18 +86,25 @@ def _nodes_short(angles: Grid1D, turn: float) -> int | None:
     return None
 
 
+def antipodal_miss(angles: Grid1D, offsets: Grid1D) -> str | None:
+    """Why the rows do not pair with their antipodes (`antipodal_half`), or None."""
+    if _nodes_short(angles, 2.0 * math.pi) != 0:
+        return "needs a full-turn angle grid"
+    if angles.count % 2:
+        return "needs an even angle count"
+    symmetric = abs(offsets.start + offsets.stop) <= 1e-12
+    return None if symmetric else "needs a symmetric offset grid"
+
+
 def antipodal_half(angles: Grid1D, offsets: Grid1D) -> int | None:
     """Row shift that pairs each row with its antipode, or None.
 
     Returns count // 2 when row i + count // 2 at offset -p samples the same
-    line as row i at p: the angle count is even, the count spacings tile
-    exactly 2 pi (`_nodes_short`), and the offset grid is symmetric.  A grid
-    one node short of 2 pi does not pair.
+    line as row i at p: the count spacings tile exactly 2 pi (`_nodes_short`),
+    the angle count is even and the offset grid is symmetric (`antipodal_miss`
+    names the first that fails).  A grid one node short of 2 pi does not pair.
     """
-    symmetric = abs(offsets.start + offsets.stop) <= 1e-12
-    if angles.count % 2 or _nodes_short(angles, 2.0 * math.pi) != 0 or not symmetric:
-        return None
-    return angles.count // 2
+    return None if antipodal_miss(angles, offsets) else angles.count // 2
 
 
 def turn_rule(s: Sinogram) -> tuple[float, tuple[float, np.ndarray] | None]:
@@ -299,9 +306,8 @@ def evenness_residual(s: Sinogram) -> float:
     Requires grids on which both the opposite angle and the negated offset
     land exactly on grid points (`antipodal_half`).
     """
-    half = antipodal_half(s.angle_grid, s.offset_grid)
-    if half is None:
-        raise ValueError("evenness needs a full-turn angle grid with an even count "
-                         "and a symmetric offset grid")
-    shifted = np.roll(s.values, -half, axis=0)[:, ::-1]
+    miss = antipodal_miss(s.angle_grid, s.offset_grid)
+    if miss:
+        raise ValueError(f"evenness {miss}")
+    shifted = np.roll(s.values, -(s.angle_grid.count // 2), axis=0)[:, ::-1]
     return float(np.max(np.abs(s.values - shifted)))

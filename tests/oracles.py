@@ -16,7 +16,7 @@ against, kept out of the package because no run of the pipeline uses them.
   moment matrix (criterion 11);
 - `fourier_of_kernel`: the continuous transform of a kernel, which the
   smoothed rows' spectra must show in band (criterion 6) and
-  whose positivity on eps * s <= 4 is checked per kind;
+  whose positivity on eps * s <= 4 is checked once for the profile;
 - `clip_chord_masked`: the chord clip with every line through the masks
   for lines parallel to an edge, which `phantoms._clip_chord` must match
   bit for bit;

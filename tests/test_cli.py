@@ -386,14 +386,15 @@ class TestErrorContracts:
         (r" kernel=\S+ epsilon=\S+", "", "mollified sinogram needs the kernel that smoothed it"),
         ("kind=mollified", "kind=raw", "kind='raw' sinogram must not carry a kernel"),
         ("kernel=bump", "kernel=gauss", "unknown kernel kind 'gauss'"),
+        ("kernel=bump", "kernel=cosine", "unknown kernel kind 'cosine'"),
         *[(r"epsilon=\S+", f"epsilon={eps}", f"kernel width must be positive and finite, got {eps}")
           for eps in ("-0.05", "nan", "inf")],
         (r"epsilon=\S+", "epsilon=1e-320", "kernel width 1e-320 is too narrow"),
         (r"epsilon=\S+", "epsilon=5", "kernel wider than the offset grid"),
         # eps^2 overflows a double; the grid rule refuses the width first
         (r"epsilon=\S+", "epsilon=1e30", "kernel wider than the offset grid"),
-    ], ids=["mollified-without", "raw-with", "gauss", "negative", "nan", "inf", "subnormal",
-            "wider-than-the-grid", "moments-overflow"])
+    ], ids=["mollified-without", "raw-with", "gauss", "cosine", "negative", "nan", "inf",
+            "subnormal", "wider-than-the-grid", "moments-overflow"])
     @pytest.mark.parametrize("command", ["moments", "reconstruct"])
     def test_bad_kernel_header_exits_2_before_any_artifact(
             self, tmp_path, capsys, command, pattern, text, message):
@@ -458,11 +459,18 @@ class TestErrorContracts:
         assert "unknown config section [filter]" in capsys.readouterr().err
         assert not (tmp_path / "run_out").exists()
 
-    def test_removed_disk_kind_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("old, new, message", [
         # one disk is a one-entry `disks` list
-        cfg = write_config(tmp_path, text=MINI_CONFIG.replace("kind = uniform", "kind = disk"))
-        assert main(["pipeline", "-c", str(cfg)]) == 2
-        assert "unknown phantom kind 'disk'" in capsys.readouterr().err
+        ("kind = uniform", "kind = disk", "unknown phantom kind 'disk'"),
+        # the bump is the one smoothing profile
+        ("kernel = bump", "kernel = cosine", "unknown kernel 'cosine'"),
+    ], ids=["disk", "cosine"])
+    @pytest.mark.parametrize("command", ["project", "pipeline"])
+    def test_removed_value_exits_2_before_any_artifact(self, tmp_path, capsys, command, old,
+                                                       new, message):
+        cfg = write_config(tmp_path, text=MINI_CONFIG.replace(old, new))
+        assert main([command, "-c", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "run_out").exists()
 
     @pytest.mark.parametrize("command, flag, value", [
@@ -1062,6 +1070,21 @@ class TestProjectReport:
         l1, reference = float(match[1]), float(match[2])
         assert reference == pytest.approx(2 * math.pi, abs=1e-5)  # unit-mass phantom
         assert l1 == pytest.approx(reference, rel=1e-3)
+
+    @pytest.mark.parametrize("command", ["project", "pipeline"])
+    @pytest.mark.parametrize("cover, angles, figure", [
+        ("moment", 48, "n/a (needs a full-turn angle grid)"),
+        ("half", 48, "n/a (needs a full-turn angle grid)"),
+        ("full", 47, "n/a (needs an even angle count)"),
+    ], ids=["moment", "half", "full_odd"])
+    def test_evenness_line_names_what_the_grid_lacks(self, tmp_path, capsys, command, cover,
+                                                     angles, figure):
+        # an odd full turn covers the turn, but its rows do not pair with
+        # their antipodes
+        text = MINI_CONFIG.replace("angle_cover = moment", f"angle_cover = {cover}") \
+            .replace("angles = 48", f"angles = {angles}")
+        assert main([command, "-c", str(write_config(tmp_path, text=text))]) == 0
+        assert f"\nevenness residual: {figure}\n" in capsys.readouterr().out
 
 
 class TestSettings:

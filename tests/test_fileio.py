@@ -114,14 +114,14 @@ class TestSinogramFormat:
         assert (back.kind, back.kernel) == (s.kind, s.kernel)
 
     def test_mollified_roundtrip_carries_the_kernel(self, sino, tmp_path):
-        m = make_kernel("cosine", 0.25)
+        m = make_kernel("bump", 0.25)
         mol = mollify(sino, m)
         path = tmp_path / "s.csv"
         fileio.write_sinogram(mol, path)
         fileio.write_sinogram(sino, tmp_path / "raw.csv")
         raw_header = (tmp_path / "raw.csv").read_text().splitlines()[0]
         assert path.read_text().splitlines()[0] == \
-            raw_header.replace("kind=raw", "kind=mollified") + " kernel=cosine epsilon=0.25"
+            raw_header.replace("kind=raw", "kind=mollified") + " kernel=bump epsilon=0.25"
         back = fileio.read_sinogram(path)
         assert back.kind == "mollified"
         assert back.kernel == m
