@@ -306,8 +306,8 @@ def evenness_residual(s: Sinogram) -> float:
     Requires grids on which both the opposite angle and the negated offset
     land exactly on grid points (`antipodal_half`).
     """
-    miss = antipodal_miss(s.angle_grid, s.offset_grid)
-    if miss:
-        raise ValueError(f"evenness {miss}")
-    shifted = np.roll(s.values, -(s.angle_grid.count // 2), axis=0)[:, ::-1]
+    half = antipodal_half(s.angle_grid, s.offset_grid)
+    if half is None:
+        raise ValueError(f"evenness {antipodal_miss(s.angle_grid, s.offset_grid)}")
+    shifted = np.roll(s.values, -half, axis=0)[:, ::-1]
     return float(np.max(np.abs(s.values - shifted)))
