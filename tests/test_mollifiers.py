@@ -23,7 +23,8 @@ INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 BUMP_NORM = 2.2522836210435810105     # 1 / integral of exp(-1/(1-u^2))
 BUMP_C2_UNIT = 0.15811363626379823    # second signed moment at eps = 1
 
-WIDTHS = [0.01, 0.05, 0.1, 0.5]
+# the shipped configs' 0.02 and 0.05 among them
+WIDTHS = [0.01, 0.02, 0.05, 0.1, 0.2, 0.5]
 
 
 def spacing_for(eps):

@@ -192,9 +192,12 @@ class TestSupportWindows:
 
     # eps/h just above a whole number puts a tiny tap at the window's edge,
     # the tightest case: at 2.01 cells the bump's is about e^-100 of its peak,
-    # and a window 1.02 cells narrower fails on the half cover
-    @pytest.mark.parametrize("cells", [2.0, 2.001, 2.01, 2.5, 3.0, 3.7, 5.0, 5.000001,
-                                       5.3, 9.99, 10.0])
+    # and a window 1.02 cells narrower fails on the half cover.  From 2 cells,
+    # below which the taps are marginally resolved, to 10, past which the
+    # offsets' margin of 1.1 no longer holds 1 + eps/sqrt2
+    @pytest.mark.parametrize("cells", [2.0, 2.001, 2.01, 2.5, 3.0, 3.001, 3.01, 3.7, 4.0,
+                                       4.01, 5.0, 5.000001, 5.3, 6.5, 7.0, 7.01, 8.0, 9.99,
+                                       10.0])
     @pytest.mark.parametrize("kind", sorted(PROFILES))
     @pytest.mark.parametrize("make_grid", [moment_angle_grid, half_circle_grid,
                                            full_circle_grid])
@@ -339,7 +342,7 @@ class TestRecoverTable:
             assert v == pytest.approx(1.0 / ((a + 1) * (b + 1)), abs=1e-4)
 
     @pytest.mark.parametrize("kind", sorted(PROFILES))
-    @pytest.mark.parametrize("cells", [2, 3, 5, 8, 10])
+    @pytest.mark.parametrize("cells", [2, 3, 4, 5, 6, 8, 10, 12, 16])
     @pytest.mark.parametrize("density", [UNIFORM, POLY], ids=["uniform", "4x1x2"])
     def test_smoothing_costs_nothing_on_noiseless_rows(self, density, cells, kind):
         # the deconvolution inverts the moments of the taps `mollify` applied,

@@ -12,7 +12,7 @@ from momentct import projector, spectral
 from momentct.errors import CoverageError, MisuseError
 from momentct.mollifiers import make_kernel
 from momentct.numerics import Grid1D
-from momentct.phantoms import DiskDensity, UniformDensity
+from momentct.phantoms import SQRT2, DiskDensity, UniformDensity
 from momentct.projector import (
     Sinogram,
     add_noise,
@@ -208,6 +208,25 @@ class TestApplyFilter:
         m = make_kernel("bump", 0.05)
         t = grid_kernel_transform(m, 0.005, 256)
         assert t[0] == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("count, margin, eps, lost", [
+        (512, 1.1, 0.01, 0), (512, 1.1, 0.02, 0), (512, 1.1, 0.03, 0),
+        (512, 1.1, 0.05, 0), (512, 1.1, 0.08, 0), (512, 1.1, 0.1, 0),
+        (512, 1.1, 0.12, 0), (512, 1.0 + 0.15 / SQRT2, 0.15, 0),
+        (512, 1.0 + 0.2 / SQRT2, 0.2, 0), (512, 1.0 + 0.0515 / SQRT2, 0.0515, 1),
+        (1024, 1.1, 0.05, 0), (1024, 1.1, 0.08, 1), (1024, 1.1, 0.1, 1),
+        (1024, 1.15, 0.2, 84), (1024, 1.4, 0.5, 251)])
+    def test_bins_the_floor_zeroes_in_the_passband(self, count, margin, eps, lost):
+        # README's account of REG_FLOOR: the bins up to CUTOFF_FRACTION of
+        # Nyquist where the taps' DFT is too small to divide by; none on 512
+        # offsets at margin 1.1 or the least margin `validate` allows, save
+        # at eps/h near 9, and a few to most on 1024 as eps/h grows
+        grid = offset_grid(count, margin)
+        h = grid.spacing
+        band = 2.0 * math.pi * np.fft.rfftfreq(count, d=h) <= CUTOFF_FRACTION * math.pi / h
+        transfer = grid_kernel_transform(make_kernel("bump", eps), h, count)[band]
+        assert band.sum() == (205 if count == 512 else 410)
+        assert np.count_nonzero(np.abs(transfer) < spectral.REG_FLOOR) == lost
 
 
 class TestBackproject:
